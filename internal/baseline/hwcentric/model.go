@@ -240,7 +240,7 @@ func (s *Sim) decode(pc uint32) *hwDecoded {
 		return d
 	}
 	d := &hwDecoded{}
-	if pc+4 <= s.ISS.RAM.Size() {
+	if s.ISS.RAM.InBounds(pc, 4) {
 		if ins, err := ppc.Decode(s.ISS.RAM.Read32(pc)); err == nil {
 			d.ins, d.ok = ins, true
 			d.class = ins.Class()

@@ -135,3 +135,20 @@ func TestHWRunCycleLimit(t *testing.T) {
 		t.Fatal("infinite loop must exhaust the cycle budget")
 	}
 }
+
+// Decoding at the top of the address space yields no instruction
+// instead of panicking: pc+4 must not wrap around the RAM bounds
+// check.
+func TestDecodeTopOfAddressSpace(t *testing.T) {
+	p, err := workload.ByName("gsm/dec").PPCProgram(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.decode(0xfffffffc); d.ok {
+		t.Fatal("a word beyond the RAM image decoded as an instruction")
+	}
+}

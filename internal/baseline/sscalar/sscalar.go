@@ -175,7 +175,7 @@ func (s *Sim) step() {
 		f.pc = s.fetchPC
 		f.busy = s.Hier.FetchLatency(s.fetchPC)
 		f.decodeOK = false
-		if s.fetchPC+4 <= s.ISS.RAM.Size() {
+		if s.ISS.RAM.InBounds(s.fetchPC, 4) {
 			if ins, err := arm.Decode(s.ISS.RAM.Read32(s.fetchPC)); err == nil {
 				f.ins, f.decodeOK = ins, true
 			}

@@ -176,3 +176,22 @@ func TestBaselineRunCycleLimit(t *testing.T) {
 		t.Fatal("infinite loop must exhaust the cycle budget")
 	}
 }
+
+// A fetch at the top of the address space reads no instruction
+// instead of panicking: pc+4 must not wrap around the RAM bounds
+// check.
+func TestFetchTopOfAddressSpace(t *testing.T) {
+	p, err := arm.Assemble(exit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, perfect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.fetchPC = 0xfffffffc
+	s.step()
+	if f := s.lat[stIF]; !f.valid || f.pc != 0xfffffffc || f.decodeOK {
+		t.Fatalf("top-of-memory fetch slot = %+v, want a valid slot that did not decode", f)
+	}
+}

@@ -1,12 +1,15 @@
 package batch
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -145,12 +148,9 @@ func TestResumeFromCheckpoint(t *testing.T) {
 			second.Cycles, second.Instrs, ref.Cycles, ref.Instrs)
 	}
 	// A successful job removes its checkpoints so the next batch starts
-	// fresh — the store run is dropped and no legacy file lingers.
+	// fresh — the store run is dropped.
 	if _, err := os.Stat(filepath.Join(dir, "runs", second.Job.Name+".idx")); !os.IsNotExist(err) {
 		t.Fatalf("checkpoint run not cleaned up after success: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, second.Job.Name+".ckpt")); !os.IsNotExist(err) {
-		t.Fatalf("legacy checkpoint file written: %v", err)
 	}
 }
 
@@ -192,6 +192,26 @@ func TestCheckpointIdentityIgnoresCheck(t *testing.T) {
 	checkOK(t, res)
 }
 
+// Engines are trace-equivalent and not part of the job identity, so a
+// job checkpointed under one engine resumes under another — scan to
+// generated and event to scan — and finishes as an uninterrupted run.
+func TestCheckpointResumesAcrossEngines(t *testing.T) {
+	for _, pair := range [][2]string{{"scan", "generated"}, {"event", "scan"}} {
+		dir := t.TempDir()
+		job := Job{Name: "x", Arch: "ppc", Workload: "gsm/dec", N: 40, Engine: pair[0], PanicAt: 1000}
+		r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
+		if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
+			t.Fatalf("%s setup run: status %q", pair[0], got.Status)
+		}
+		job.Engine, job.PanicAt = pair[1], 0
+		res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{job}).Results[0]
+		if !res.Resumed {
+			t.Fatalf("%s checkpoint did not resume under %s", pair[0], pair[1])
+		}
+		checkOK(t, res)
+	}
+}
+
 // TestCorruptCheckpointRestarts verifies a damaged checkpoint store —
 // here, a truncated run index — does not kill the job: it restarts
 // from scratch and still succeeds.
@@ -219,42 +239,54 @@ func TestCorruptCheckpointRestarts(t *testing.T) {
 	checkOK(t, res)
 }
 
-// Checkpoints written by older builds as whole `.ckpt` files must
-// still resume when the store holds nothing for the job.
-func TestLegacyCkptFileStillResumes(t *testing.T) {
+// A version-1 checkpoint record — the layout whose job identity still
+// carried the removed scan flag — is not misparsed: its job restarts
+// from scratch, and the log says why.
+func TestV1CheckpointRestarts(t *testing.T) {
 	dir := t.TempDir()
-	job := Job{Name: "lg", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
+	job := Job{Name: "v1", Arch: "arm", Workload: "gsm/dec", N: 40, PanicAt: 800}
 	r := &Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}
 	if got := r.Run([]Job{job}).Results[0]; got.Status != StatusPanic {
 		t.Fatalf("setup run: status %q", got.Status)
 	}
-	// Convert the stored checkpoint into the legacy layout by hand:
-	// the store record's bytes ARE the legacy file format.
-	clean := Job{Name: "lg", Arch: "arm", Workload: "gsm/dec", N: 40}
-	clean.fill()
 	st, err := r.checkpointStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := st.Latest("lg")
+	e, rec, err := st.Latest("v1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsCheckpoint(rec) {
-		t.Fatal("stored record is not a checkpoint")
-	}
-	if err := st.DeleteRun("lg"); err != nil {
+	c, err := DecodeCheckpoint(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "lg.ckpt"), rec, 0o644); err != nil {
+	w := snap.NewWriter()
+	w.U32(snap.Magic)
+	w.String(ckptHeader)
+	w.Version(1)
+	w.String(c.Job.Name)
+	w.String(c.Job.Arch)
+	w.String(c.Job.Workload)
+	w.Int(c.Job.N)
+	w.Bool(false) // the version-1 scan flag
+	w.U64(c.Job.MaxCycles)
+	w.U64(c.Cycle)
+	w.Bytes32(c.Blob)
+	if _, err := st.Put("v1", e.Cycle, w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
-	res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200}).Run([]Job{clean}).Results[0]
-	if !res.Resumed {
-		t.Fatal("legacy .ckpt file did not resume")
+	var log bytes.Buffer
+	clean := Job{Name: "v1", Arch: "arm", Workload: "gsm/dec", N: 40}
+	res := (&Runner{Workers: 1, CheckpointDir: dir, CheckpointEvery: 200, Log: &log}).Run([]Job{clean}).Results[0]
+	if res.Resumed {
+		t.Fatal("resumed from a version-1 checkpoint record")
 	}
 	checkOK(t, res)
+	if !strings.Contains(log.String(), "ignoring unreadable checkpoint") || !strings.Contains(log.String(), "version 1") {
+		t.Fatalf("restart not logged with the version error:\n%s", log.String())
+	}
 }
 
 // TestMixJobs checks the standard job set covers every workload on

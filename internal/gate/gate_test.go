@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -571,6 +572,21 @@ func TestWorkerDrainLosesNoSession(t *testing.T) {
 }
 
 // ---- backpressure propagation ----
+
+// A create body naming the removed "scan" option is refused with 400
+// by the gateway and by a worker addressed directly.
+func TestCreateRejectsRemovedScanOption(t *testing.T) {
+	w := startWorker(t, "w1", server.Config{IdleTimeout: -1})
+	f := startFabric(t, Config{}, w)
+	body := []byte(`{"target":"strongarm","workload":"dsp/fir","n":20,"scan":true}`)
+	direct := &gclient{t: t, base: w.hs.URL, hc: w.hs.Client()}
+	for name, c := range map[string]*gclient{"gateway": f.cl, "worker": direct} {
+		resp, data := c.do("POST", "/v1/sessions", body, "application/json")
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {
+			t.Fatalf(`%s: create with "scan": status %d: %s`, name, resp.StatusCode, data)
+		}
+	}
+}
 
 func TestBackpressurePropagation(t *testing.T) {
 	w := startWorker(t, "w1", server.Config{MaxSessions: 1, IdleTimeout: -1})

@@ -35,6 +35,23 @@ func TestRAMLoadWordsAndBounds(t *testing.T) {
 	r.Read32(62)
 }
 
+// InBounds takes the sum in 64 bits: an access that runs past 2^32
+// is out of bounds, not wrapped to a small address.
+func TestRAMInBounds(t *testing.T) {
+	r := NewRAM(64, LittleEndian)
+	for _, c := range []struct {
+		addr, n uint32
+		want    bool
+	}{
+		{0, 4, true}, {60, 4, true}, {61, 4, false}, {64, 0, true}, {64, 1, false},
+		{0xfffffffc, 4, false}, {0xffffffff, 1, false}, {0, 0xffffffff, false},
+	} {
+		if got := r.InBounds(c.addr, c.n); got != c.want {
+			t.Errorf("InBounds(%#x, %d) = %v, want %v", c.addr, c.n, got, c.want)
+		}
+	}
+}
+
 func TestCacheHitAfterMiss(t *testing.T) {
 	c := NewCache(CacheConfig{Name: "t", Sets: 4, Ways: 2, LineBytes: 16, HitLatency: 1},
 		&FixedLatency{Lat: 10})

@@ -47,8 +47,15 @@ func NewRAM(size uint32, order ByteOrder) *RAM {
 // Size returns the image size in bytes.
 func (r *RAM) Size() uint32 { return uint32(len(r.data)) }
 
+// InBounds reports whether the n bytes at addr lie inside the image.
+// The sum is taken in 64 bits, so an address near 2^32 cannot wrap
+// around the check.
+func (r *RAM) InBounds(addr, n uint32) bool {
+	return uint64(addr)+uint64(n) <= uint64(len(r.data))
+}
+
 func (r *RAM) check(addr uint32, n uint32) {
-	if uint64(addr)+uint64(n) > uint64(len(r.data)) {
+	if !r.InBounds(addr, n) {
 		panic(fmt.Sprintf("mem: access at %#x+%d beyond %#x", addr, n, len(r.data)))
 	}
 }

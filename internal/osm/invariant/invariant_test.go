@@ -27,20 +27,20 @@ func pipeline(n int) (*osm.Director, []*osm.Machine) {
 }
 
 func TestCleanModelNoViolations(t *testing.T) {
-	for _, scan := range []bool{false, true} {
+	for _, eng := range []osm.Engine{osm.EngineEvent, osm.EngineScan} {
 		d, _ := pipeline(3)
-		d.Scan = scan
+		d.Engine = eng
 		c := invariant.Attach(d)
 		for s := 0; s < 200; s++ {
 			if err := d.Step(); err != nil {
-				t.Fatalf("scan=%v step %d: %v", scan, s, err)
+				t.Fatalf("%v step %d: %v", eng, s, err)
 			}
 		}
 		if got := c.CheckNow(); len(got) != 0 {
-			t.Fatalf("scan=%v CheckNow: unexpected violations %v", scan, got)
+			t.Fatalf("%v CheckNow: unexpected violations %v", eng, got)
 		}
 		if c.Checks() == 0 {
-			t.Fatalf("scan=%v: structural checks never ran", scan)
+			t.Fatalf("%v: structural checks never ran", eng)
 		}
 	}
 }
@@ -184,7 +184,7 @@ func TestScheduleViolationOnMissedWake(t *testing.T) {
 	}
 
 	// The scan scheduler evaluates everyone each step, so the same
-	// model under Scan commits the edge instead of violating.
+	// model under EngineScan commits the edge instead of violating.
 	d2 := osm.NewDirector()
 	gate2 := &mute{BaseManager: osm.BaseManager{ManagerName: "gate"}}
 	i2, f2 := osm.NewState("I"), osm.NewState("F")
@@ -192,7 +192,7 @@ func TestScheduleViolationOnMissedWake(t *testing.T) {
 	d2.AddManager(gate2)
 	m2 := osm.NewMachine("op0", i2)
 	d2.AddMachine(m2)
-	d2.Scan = true
+	d2.Engine = osm.EngineScan
 	invariant.Attach(d2)
 	if err := d2.Step(); err != nil {
 		t.Fatal(err)

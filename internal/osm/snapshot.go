@@ -270,6 +270,11 @@ func (m *Machine) restore(c *SnapCtx, r *snap.Reader) error {
 	if err != nil {
 		return fmt.Errorf("machine %s: %w", m.Name, err)
 	}
+	// A token record is 24 bytes; don't let a hostile count size the
+	// allocation beyond what the input could hold.
+	if n < 0 || n > r.Remaining()/24 {
+		return fmt.Errorf("osm: restore: machine %s: implausible token count %d", m.Name, n)
+	}
 	toks := make([]Token, 0, n)
 	for i := 0; i < n; i++ {
 		mi := r.Int()
@@ -476,8 +481,8 @@ func (b *BypassManager) RestoreState(c *SnapCtx, r *snap.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if n < 0 {
-		return fmt.Errorf("bypass %s: negative entry count %d", b.ManagerName, n)
+	if n < 0 || n > r.Remaining()/24 {
+		return fmt.Errorf("bypass %s: implausible entry count %d", b.ManagerName, n)
 	}
 	entries := make(map[int]bypassEntry, n)
 	for i := 0; i < n; i++ {

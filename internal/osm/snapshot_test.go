@@ -3,6 +3,7 @@ package osm
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/snap"
@@ -201,6 +202,33 @@ func TestSnapshotTruncationNeverPanics(t *testing.T) {
 	}
 }
 
+// TestSnapshotHostileCounts: a machine's token count or a bypass
+// entry count larger than its remaining bytes could hold is refused
+// before it sizes an allocation. Fuzzing the StrongARM restore path
+// reached a multi-terabyte make through the token count.
+func TestSnapshotHostileCounts(t *testing.T) {
+	d, _, ms := twoStage(1)
+	w := snap.NewWriter()
+	w.String(ms[0].Name)
+	w.String(ms[0].Initial.Name)
+	w.U64(0)       // age
+	w.Int(0)       // tag
+	w.Int(1 << 40) // token count
+	err := ms[0].restore(d.snapCtx(), snap.NewReader(w.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "implausible token count") {
+		t.Fatalf("hostile token count: got %v, want the count error", err)
+	}
+
+	w = snap.NewWriter()
+	w.Version(managerSnapVersion)
+	w.U64(0)       // step
+	w.Int(1 << 40) // entry count
+	err = NewBypassManager("fwd").RestoreState(d.snapCtx(), snap.NewReader(w.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "implausible entry count") {
+		t.Fatalf("hostile bypass count: got %v, want the count error", err)
+	}
+}
+
 // TestSnapshotVersionSkew checks that a snapshot from a different
 // format version is rejected with an error.
 func TestSnapshotVersionSkew(t *testing.T) {
@@ -254,7 +282,7 @@ func TestSnapshotRequiresSnapshotter(t *testing.T) {
 // boundary, snapshots, restores into a fresh clone, and checks both
 // continue identically under both schedulers.
 func TestSnapshotRestoreResumesSchedule(t *testing.T) {
-	for _, scan := range []bool{true, false} {
+	for _, eng := range []Engine{EngineScan, EngineEvent} {
 		build := func() (*Director, *Recorder) {
 			d, _, _ := twoStage(2)
 			rec := NewRecorder()
@@ -263,14 +291,14 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 		}
 		ref, refRec := build()
 		for i := 0; i < 20; i++ {
-			ref.Scan = scan
+			ref.Engine = eng
 			if err := ref.Step(); err != nil {
 				t.Fatal(err)
 			}
 		}
 
 		src, _ := build()
-		src.Scan = scan
+		src.Engine = eng
 		for i := 0; i < 9; i++ {
 			if err := src.Step(); err != nil {
 				t.Fatal(err)
@@ -278,12 +306,12 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 		}
 		w := snap.NewWriter()
 		if err := src.Snapshot(w); err != nil {
-			t.Fatalf("scan=%v: %v", scan, err)
+			t.Fatalf("%v: %v", eng, err)
 		}
 		dst, dstRec := build()
-		dst.Scan = scan
+		dst.Engine = eng
 		if err := dst.Restore(snap.NewReader(w.Bytes())); err != nil {
-			t.Fatalf("scan=%v: %v", scan, err)
+			t.Fatalf("%v: %v", eng, err)
 		}
 		for i := 0; i < 11; i++ {
 			if err := dst.Step(); err != nil {
@@ -291,7 +319,7 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 			}
 		}
 		if dst.StepCount() != ref.StepCount() {
-			t.Fatalf("scan=%v: resumed run at step %d, reference at %d", scan, dst.StepCount(), ref.StepCount())
+			t.Fatalf("%v: resumed run at step %d, reference at %d", eng, dst.StepCount(), ref.StepCount())
 		}
 		want := refRec.Events()
 		var tail []Event
@@ -302,12 +330,12 @@ func TestSnapshotRestoreResumesSchedule(t *testing.T) {
 		}
 		got := dstRec.Events()
 		if len(got) != len(tail) {
-			t.Fatalf("scan=%v: resumed run recorded %d transitions, want %d", scan, len(got), len(tail))
+			t.Fatalf("%v: resumed run recorded %d transitions, want %d", eng, len(got), len(tail))
 		}
 		for i := range got {
 			if got[i].Step != tail[i].Step || got[i].Machine != tail[i].Machine ||
 				got[i].Edge != tail[i].Edge || got[i].From != tail[i].From || got[i].To != tail[i].To {
-				t.Fatalf("scan=%v: transition %d differs: %+v vs %+v", scan, i, got[i], tail[i])
+				t.Fatalf("%v: transition %d differs: %+v vs %+v", eng, i, got[i], tail[i])
 			}
 		}
 	}

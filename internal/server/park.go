@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -27,21 +27,18 @@ import (
 //	chunks/, runs/    the store's content-addressed chunk files and
 //	                  per-run indexes
 //
-// Metadata is written atomically (temp file + rename) so a concurrent
-// reader never observes a torn park. Store chunks left unreferenced
-// after a park is consumed are reclaimed by ParkGC (`osmstore gc` or
-// the janitor hook) — the fix for the former "blobs are never deleted
-// here" leak. Parks written by older builds as whole
-// `<checksum>.snap` blobs still load, and GC treats a .park reference
-// as a root for the legacy blob it names.
+// Metadata is written with store.WriteAtomic so a concurrent reader
+// never observes a torn park. Store chunks left unreferenced after a
+// park is consumed are reclaimed by ParkGC (`osmstore gc` or the
+// janitor hook). The store's GC roots are its run indexes alone; the
+// park format is known only to this package.
 
 // ParkMeta is the parked-session metadata record.
 type ParkMeta struct {
 	ID string `json:"id"`
 	// Checksum is the 64-bit FNV-1a digest of the snapshot blob,
-	// formatted %016x. Legacy parks also use it as the whole-blob
-	// filename stem; store-backed parks verify the reassembled blob
-	// against it.
+	// formatted %016x; the blob reassembled from the store is
+	// verified against it.
 	Checksum string `json:"checksum"`
 	Target   string `json:"target"`
 	Cycle    uint64 `json:"cycle"`
@@ -55,9 +52,6 @@ type ParkMeta struct {
 // ParkMetaPath returns the metadata path for a session id.
 func ParkMetaPath(dir, id string) string { return filepath.Join(dir, id+".park") }
 
-// ParkBlobPath returns the legacy whole-blob path for a checksum.
-func ParkBlobPath(dir, checksum string) string { return filepath.Join(dir, checksum+".snap") }
-
 // BlobChecksum returns the content name of a snapshot blob: its
 // 64-bit FNV-1a digest formatted %016x.
 func BlobChecksum(blob []byte) string {
@@ -67,14 +61,18 @@ func BlobChecksum(blob []byte) string {
 }
 
 // ReadParkMeta reads and validates a parked session's metadata record
-// without touching the blob.
+// without touching the blob. Unknown fields are refused, so a record
+// naming an option this build no longer has fails loudly instead of
+// resurrecting under different settings.
 func ReadParkMeta(dir, id string) (ParkMeta, error) {
 	raw, err := os.ReadFile(ParkMetaPath(dir, id))
 	if err != nil {
 		return ParkMeta{}, err
 	}
 	var meta ParkMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&meta); err != nil {
 		return ParkMeta{}, fmt.Errorf("park metadata for %s: %w", id, err)
 	}
 	if meta.ID != id {
@@ -83,29 +81,22 @@ func ReadParkMeta(dir, id string) (ParkMeta, error) {
 	return meta, nil
 }
 
-// LoadPark reads a parked session's metadata and blob, verifying the
-// blob against its recorded checksum. The blob comes from the chunk
-// store; parks written by older builds fall back to the legacy
-// whole-blob file. A missing park returns os.ErrNotExist (wrapped),
-// so callers can distinguish "never parked" from damage.
+// LoadPark reads a parked session's metadata and its blob from the
+// chunk store, verifying the blob against its recorded checksum. A
+// missing park returns os.ErrNotExist (wrapped), so callers can
+// distinguish "never parked" from damage.
 func LoadPark(dir, id string) (ParkMeta, []byte, error) {
 	meta, err := ReadParkMeta(dir, id)
 	if err != nil {
 		return ParkMeta{}, nil, err
 	}
-	var blob []byte
 	st, err := store.Open(dir, store.Options{})
-	if err == nil {
-		blob, err = st.Get(id, meta.Cycle)
-	}
 	if err != nil {
-		if !errors.Is(err, store.ErrNotFound) && !os.IsNotExist(err) {
-			return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
-		}
-		blob, err = os.ReadFile(ParkBlobPath(dir, meta.Checksum))
-		if err != nil {
-			return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
-		}
+		return ParkMeta{}, nil, err
+	}
+	blob, err := st.Get(id, meta.Cycle)
+	if err != nil {
+		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
 	}
 	if got := BlobChecksum(blob); got != meta.Checksum {
 		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: checksum %s, content named %s", id, got, meta.Checksum)
@@ -125,24 +116,6 @@ func ConsumePark(dir, id string) error {
 		}
 	}
 	return os.Remove(ParkMetaPath(dir, id))
-}
-
-// writeAtomic writes data at path via a temp file + rename.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".park-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // parkStore lazily opens the chunk store rooted at ParkDir.
@@ -185,7 +158,7 @@ func (m *Manager) park(s *Session) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(ParkMetaPath(m.cfg.ParkDir, s.ID), raw); err != nil {
+	if err := store.WriteAtomic(ParkMetaPath(m.cfg.ParkDir, s.ID), raw); err != nil {
 		return err
 	}
 	m.Metrics.SessionsParked.Add(1)
@@ -201,9 +174,9 @@ func (m *Manager) park(s *Session) error {
 const ParkGCGrace = time.Minute
 
 // ParkGC sweeps the ParkDir store: chunks no park references anymore
-// (because ConsumePark dropped their run) and legacy whole-blob files
-// no .park metadata names are removed. The janitor calls this
-// periodically; `osmstore gc` is the manual form.
+// (because ConsumePark dropped their run) and stale temp files are
+// removed. The janitor calls this periodically; `osmstore gc` is the
+// manual form.
 func (m *Manager) ParkGC(grace time.Duration) (store.GCStats, error) {
 	if m.cfg.ParkDir == "" {
 		return store.GCStats{}, nil
@@ -216,9 +189,9 @@ func (m *Manager) ParkGC(grace time.Duration) (store.GCStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	if stats.SweptChunks > 0 || stats.SweptLegacy > 0 {
-		m.logf("park gc: swept %d chunks (%d bytes) and %d legacy blobs, %d live chunks",
-			stats.SweptChunks, stats.SweptBytes, stats.SweptLegacy, stats.LiveChunks)
+	if stats.SweptChunks > 0 {
+		m.logf("park gc: swept %d chunks (%d bytes), %d live chunks",
+			stats.SweptChunks, stats.SweptBytes, stats.LiveChunks)
 	}
 	return stats, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -45,11 +46,6 @@ func TestParkStoreRoundTripByteIdentity(t *testing.T) {
 	if meta.Cycle != cycle || meta.Target != "strongarm" || meta.TraceLimit != 128 {
 		t.Fatalf("park metadata = %+v", meta)
 	}
-	// The blob must live in the store, not as a legacy whole-blob file.
-	if _, err := os.Stat(ParkBlobPath(dir, meta.Checksum)); !os.IsNotExist(err) {
-		t.Fatal("park wrote a legacy whole-blob file")
-	}
-
 	// Restoring the parked blob into a fresh session continues the
 	// run with trace continuity (cycle and checksum carried over).
 	m2 := NewManager(Config{IdleTimeout: -1})
@@ -111,7 +107,7 @@ func TestParkGCAfterConsumeLeavesNothingUnreferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SweptChunks != 0 || stats.SweptLegacy != 0 || stats.KeptRecent != 0 {
+	if stats.SweptChunks != 0 || stats.KeptRecent != 0 {
 		t.Fatalf("unreferenced files remain after gc: %+v", stats)
 	}
 	st, err := store.Open(dir, store.Options{})
@@ -122,19 +118,18 @@ func TestParkGCAfterConsumeLeavesNothingUnreferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sstat.Runs != 1 || sstat.LegacyBlobs != 0 {
+	if sstat.Runs != 1 {
 		t.Fatalf("store not clean: %+v", sstat)
 	}
 }
 
-// Parks written by older builds — whole `<checksum>.snap` blob plus
-// `.park` metadata — must still load, and GC must keep the blob while
-// its park is live.
-func TestLegacyWholeBlobParkStillLoads(t *testing.T) {
+// A park record naming a field this build does not have — here the
+// removed "scan" spec option — is refused, not resurrected under
+// different settings, and the blob is never loaded.
+func TestParkMetaRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{IdleTimeout: -1, ParkDir: dir})
 	defer m.Close()
-
 	s, err := m.Create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 40}, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -145,49 +140,53 @@ func TestLegacyWholeBlobParkStillLoads(t *testing.T) {
 	if err := m.park(s); err != nil {
 		t.Fatal(err)
 	}
-	// Convert the store-backed park into the legacy layout by hand.
+	path := ParkMetaPath(dir, s.ID)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.Replace(raw, []byte(`"spec": {`), []byte(`"spec": {"scan": true, `), 1)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadPark(dir, s.ID); err == nil || !strings.Contains(err.Error(), `unknown field "scan"`) {
+		t.Fatalf("LoadPark of a park naming scan: got %v, want the unknown-field error", err)
+	}
+}
+
+// A park whose blob is not in the store — such as the old whole-blob
+// `<checksum>.snap` layout — fails to load with the store's not-found
+// error instead of being read from beside the store.
+func TestParkOutsideStoreFails(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManager(Config{IdleTimeout: -1, ParkDir: dir})
+	defer m.Close()
+	s, err := m.Create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 40}, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Step(s, 1500, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.park(s); err != nil {
+		t.Fatal(err)
+	}
 	meta, blob, err := LoadPark(dir, s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(dir, store.Options{})
+	st, err := m.parkStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.DeleteRun(s.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.GC(store.GCOptions{}); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, meta.Checksum+".snap"), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(ParkBlobPath(dir, meta.Checksum), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	meta2, blob2, err := LoadPark(dir, s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, blob2) || meta2.Checksum != meta.Checksum {
-		t.Fatal("legacy park load differs")
-	}
-	// GC keeps the referenced legacy blob.
-	if _, err := m.ParkGC(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(ParkBlobPath(dir, meta.Checksum)); err != nil {
-		t.Fatal("gc removed a referenced legacy blob")
-	}
-	// Consume the park; now the sweep reclaims the legacy blob too.
-	if err := ConsumePark(dir, s.ID); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := m.ParkGC(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.SweptLegacy != 1 {
-		t.Fatalf("legacy blob not swept: %+v", stats)
+	if _, _, err := LoadPark(dir, s.ID); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("LoadPark of a whole-blob park: got %v, want store.ErrNotFound", err)
 	}
 }
 

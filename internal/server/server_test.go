@@ -446,6 +446,49 @@ func TestLifecycleAndValidation(t *testing.T) {
 	cl.step(arm.ID, 10)
 }
 
+// Inputs this build no longer reads fail explicitly: a version-1
+// session snapshot gets the version error (409 over HTTP, and the
+// session stays usable), and a create body naming the removed "scan"
+// option gets 400.
+func TestRemovedInputsRejected(t *testing.T) {
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	info := cl.create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 20})
+	cl.step(info.ID, 500)
+	resp, wrapped := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	ss, err := DecodeSessionSnapshot(wrapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version-1 layout: header, target, cycle and simulator blob,
+	// with no flags byte and no recorder state.
+	w := snap.NewWriter()
+	w.U32(snap.Magic)
+	w.String(sessHeader)
+	w.Version(1)
+	w.String(ss.Target)
+	w.U64(ss.Cycle)
+	w.Bytes32(ss.Blob)
+	v1 := w.Bytes()
+	if _, err := DecodeSessionSnapshot(v1); err == nil || !strings.Contains(err.Error(), "session snapshot version 1") {
+		t.Fatalf("v1 decode: got %v, want the version error", err)
+	}
+	resp, data := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", v1, "application/octet-stream")
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "version 1") {
+		t.Fatalf("v1 restore: status %d: %s", resp.StatusCode, data)
+	}
+	cl.step(info.ID, 10)
+
+	body := []byte(`{"target":"strongarm","workload":"dsp/fir","n":20,"scan":true}`)
+	resp, data = cl.do("POST", "/v1/sessions", body, "application/json")
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {
+		t.Fatalf(`create with "scan": status %d: %s`, resp.StatusCode, data)
+	}
+}
+
 func TestMemAndTraceEndpoints(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()

@@ -556,7 +556,7 @@ func (s *Sim) decode(pc uint32) *decoded {
 		return d
 	}
 	d := &decoded{}
-	if uint64(pc)+4 <= uint64(s.ISS.RAM.Size()) {
+	if s.ISS.RAM.InBounds(pc, 4) {
 		if ins, err := ppc.Decode(s.ISS.RAM.Read32(pc)); err == nil {
 			d.ins, d.ok = ins, true
 			d.class = ins.Class()

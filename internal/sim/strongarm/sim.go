@@ -248,7 +248,7 @@ func (s *Sim) decode(pc uint32) *decoded {
 		return d
 	}
 	d := &decoded{}
-	if pc+4 <= s.ISS.RAM.Size() {
+	if s.ISS.RAM.InBounds(pc, 4) {
 		if ins, err := arm.Decode(s.ISS.RAM.Read32(pc)); err == nil {
 			d.ins, d.ok = ins, true
 			d.srcs = trackedSrcs(&ins)

@@ -189,8 +189,8 @@ func (r *regFile) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	if n < 0 {
-		return fmt.Errorf("regfile+fwd: negative writer count %d", n)
+	if n < 0 || n > rd.Remaining()/16 {
+		return fmt.Errorf("regfile+fwd: implausible writer count %d", n)
 	}
 	r.writers = make(map[*osm.Machine][]int, n)
 	for i := 0; i < n; i++ {

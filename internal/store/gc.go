@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,8 +13,9 @@ type GCOptions struct {
 	// Grace protects recently written files from the sweep: anything
 	// modified within the window is kept even if unreferenced. It
 	// covers the race where another process has written chunks but
-	// not yet renamed the index that references them. 0 sweeps
-	// everything unreferenced (tests; offline stores).
+	// not yet renamed the index that references them, and temp files
+	// a writer has not yet renamed into place. 0 sweeps everything
+	// unreferenced (tests; offline stores).
 	Grace time.Duration
 }
 
@@ -24,33 +24,29 @@ type GCStats struct {
 	LiveChunks  int   // chunk files referenced by some index
 	SweptChunks int   // unreferenced chunk files removed
 	SweptBytes  int64 // their on-disk bytes
-	SweptLegacy int   // unreferenced whole-blob .snap files removed
-	LegacyBytes int64 // their on-disk bytes
-	KeptRecent  int   // unreferenced files spared by the grace window
+	KeptRecent  int   // unreferenced chunks and temp files spared by the grace window
 }
 
-// GC removes every chunk file no run index references and every
-// legacy whole-blob `.snap` file no `.park` metadata references —
-// reference-counted sweep with the indexes and park metadata as the
-// roots. This is what stops a long-lived worker's park directory
-// growing without bound.
+// GC removes every chunk file no run index references — a
+// reference-counted sweep with the run indexes as the only roots —
+// and the temp files WriteAtomic strands when a writer crashes
+// before its rename. This is what stops a long-lived worker's park
+// directory growing without bound.
 //
 // Safety rules:
 //   - A corrupt or unreadable index aborts the sweep. Its references
 //     are unknown, so nothing can be proven dead.
-//   - An unreadable .park file aborts for the same reason.
 //   - Files younger than Grace are kept regardless (see GCOptions).
 func (s *Store) GC(o GCOptions) (GCStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var st GCStats
 
-	// Roots, pass 1: every chunk referenced by any run index.
 	runs, err := s.runsLocked()
 	if err != nil {
 		return st, err
 	}
-	liveChunks := make(map[ChunkRef]bool)
+	live := make(map[ChunkRef]bool)
 	for _, run := range runs {
 		entries, err := loadIndex(s.root, run)
 		if err != nil {
@@ -58,35 +54,8 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 		}
 		for _, e := range entries {
 			for _, c := range e.Chunks {
-				liveChunks[c] = true
+				live[c] = true
 			}
-		}
-	}
-
-	// Roots, pass 2: every legacy blob named by a .park metadata file.
-	// The store does not own the park format; the one field it needs
-	// is the content checksum, which is stable JSON.
-	liveLegacy := make(map[string]bool)
-	des, err := os.ReadDir(s.root)
-	if err != nil {
-		return st, err
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".park") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.root, de.Name()))
-		if err != nil {
-			return st, fmt.Errorf("store gc: %s unreadable, aborting sweep: %w", de.Name(), err)
-		}
-		var meta struct {
-			Checksum string `json:"checksum"`
-		}
-		if err := json.Unmarshal(data, &meta); err != nil {
-			return st, fmt.Errorf("store gc: %s unparsable, aborting sweep: %w", de.Name(), err)
-		}
-		if meta.Checksum != "" {
-			liveLegacy[meta.Checksum] = true
 		}
 	}
 
@@ -99,11 +68,10 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 		return err == nil && info.ModTime().After(cutoff)
 	}
 
-	// Sweep chunks.
 	var sweepErr error
 	err = walkChunks(s.root, func(path string, size int64) {
 		ref, ok := parseChunkName(filepath.Base(path))
-		if ok && liveChunks[ref] {
+		if ok && live[ref] {
 			st.LiveChunks++
 			return
 		}
@@ -124,39 +92,44 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 	if err != nil {
 		return st, err
 	}
+	return st, s.sweepTemp(recent, &st)
+}
 
-	// Sweep legacy whole-blob files and stale temp files.
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		name := de.Name()
-		isTmp := strings.HasPrefix(name, ".tmp-")
-		stem, isSnap := strings.CutSuffix(name, ".snap")
-		if !isSnap && !isTmp {
-			continue
-		}
-		if isSnap && liveLegacy[stem] {
-			continue
-		}
-		path := filepath.Join(s.root, name)
-		if recent(path) {
-			st.KeptRecent++
-			continue
-		}
-		var size int64
-		if info, err := de.Info(); err == nil {
-			size = info.Size()
-		}
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return st, err
-		}
-		if isSnap {
-			st.SweptLegacy++
-			st.LegacyBytes += size
+// sweepTemp removes stale WriteAtomic temp files from every directory
+// the store's writers use: the root (park metadata), runs/ and each
+// chunks/ shard.
+func (s *Store) sweepTemp(recent func(string) bool, st *GCStats) error {
+	chunksDir := filepath.Join(s.root, chunksDirName)
+	dirs := []string{s.root, filepath.Join(s.root, runsDirName)}
+	shards, err := os.ReadDir(chunksDir)
+	if err != nil {
+		return err
+	}
+	for _, shard := range shards {
+		if shard.IsDir() {
+			dirs = append(dirs, filepath.Join(chunksDir, shard.Name()))
 		}
 	}
-	return st, nil
+	for _, dir := range dirs {
+		des, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, de := range des {
+			if de.IsDir() || !strings.HasPrefix(de.Name(), tempPrefix) {
+				continue
+			}
+			path := filepath.Join(dir, de.Name())
+			if recent(path) {
+				st.KeptRecent++
+				continue
+			}
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // parseChunkName inverts chunkPath's "%016x-%08x.c" naming. Files

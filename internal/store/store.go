@@ -11,10 +11,10 @@
 // chunk against its address, the reassembled blob against the
 // whole-blob hash recorded at Put time.
 //
-// The store root doubles as the server's ParkDir: legacy
-// whole-blob `<checksum>.snap` files and `<id>.park` metadata live
-// beside the chunks/ and runs/ subdirectories, and GC treats a .park
-// reference as a root for the legacy blob it names.
+// The store root doubles as the server's ParkDir: the server's
+// park metadata files live beside the chunks/ and runs/
+// subdirectories. The store never reads them; only internal/server
+// knows the park format.
 package store
 
 import (
@@ -39,15 +39,11 @@ var ErrNotFound = errors.New("store: not found")
 // Options configure a store. The zero value is the production
 // configuration.
 type Options struct {
-	// ChunkSize is the fixed chunk size (or the target average with
-	// Rolling). 0 selects the default, 4 KiB — small enough that a
-	// few changed registers don't re-store a whole RAM image, large
-	// enough that index overhead stays trivial.
+	// ChunkSize is the fixed chunk size. 0 selects the default,
+	// 4 KiB — small enough that a few changed registers don't
+	// re-store a whole RAM image, large enough that index overhead
+	// stays trivial.
 	ChunkSize int
-	// Rolling selects content-defined (rolling-hash) chunk boundaries
-	// instead of fixed offsets. Useful for append-mostly blobs where
-	// an insertion would shift every fixed boundary after it.
-	Rolling bool
 	// NoCompress disables the per-chunk flate stage; chunks are
 	// stored raw. Decode is unaffected — the codec byte in each
 	// chunk file says how to read it.
@@ -73,7 +69,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.ChunkSize == 0 {
 		opts.ChunkSize = DefaultChunkSize
 	}
-	if opts.ChunkSize < 64 || opts.ChunkSize > maxChunkLen/4 {
+	if opts.ChunkSize < 64 || opts.ChunkSize > maxChunkLen {
 		return nil, fmt.Errorf("store: chunk size %d out of range", opts.ChunkSize)
 	}
 	for _, sub := range []string{chunksDirName, runsDirName} {
@@ -134,12 +130,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	var refs []ChunkRef
-	if s.opts.Rolling {
-		refs = splitRolling(blob, s.opts.ChunkSize)
-	} else {
-		refs = splitFixed(blob, s.opts.ChunkSize)
-	}
+	refs := splitFixed(blob, s.opts.ChunkSize)
 	st.Chunks = len(refs)
 
 	off := 0
@@ -151,7 +142,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 			continue // content-addressed: already stored
 		}
 		file := encodeChunk(raw, s.opts.NoCompress)
-		if err := writeAtomic(path, file); err != nil {
+		if err := WriteAtomic(path, file); err != nil {
 			return st, err
 		}
 		st.NewChunks++
@@ -174,7 +165,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 		copy(entries[i+1:], entries[i:])
 		entries[i] = e
 	}
-	return st, writeAtomic(indexPath(s.root, run), encodeIndex(run, entries))
+	return st, WriteAtomic(indexPath(s.root, run), encodeIndex(run, entries))
 }
 
 // get reassembles and verifies the blob for one index entry.
@@ -238,20 +229,11 @@ func (s *Store) Entries(run string) ([]Entry, error) {
 	return loadIndex(s.root, run)
 }
 
-// Runs lists every run with an index file.
+// Runs lists every run with an index file, sorted by name.
 func (s *Store) Runs() ([]string, error) {
-	des, err := os.ReadDir(filepath.Join(s.root, runsDirName))
-	if err != nil {
-		return nil, err
-	}
-	var runs []string
-	for _, de := range des {
-		if name, ok := strings.CutSuffix(de.Name(), ".idx"); ok && !de.IsDir() {
-			runs = append(runs, name)
-		}
-	}
-	sort.Strings(runs)
-	return runs, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.runsLocked()
 }
 
 // DeleteRun drops a run's index. Its chunks stay until GC, which is
@@ -277,8 +259,6 @@ type Stats struct {
 	LogicalBytes int64 // sum of artifact sizes as stored blobs claim
 	Chunks       int   // chunk files on disk
 	ChunkBytes   int64 // on-disk bytes under chunks/
-	LegacyBlobs  int   // whole-blob .snap files beside the store
-	LegacyBytes  int64 // their on-disk bytes
 }
 
 // Stat walks the store and reports its shape.
@@ -305,23 +285,7 @@ func (s *Store) Stat() (Stats, error) {
 		st.Chunks++
 		st.ChunkBytes += size
 	})
-	if err != nil {
-		return st, err
-	}
-	des, err := os.ReadDir(s.root)
-	if err != nil {
-		return st, err
-	}
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".snap") {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			st.LegacyBlobs++
-			st.LegacyBytes += info.Size()
-		}
-	}
-	return st, nil
+	return st, err
 }
 
 func (s *Store) runsLocked() ([]string, error) {
@@ -335,6 +299,7 @@ func (s *Store) runsLocked() ([]string, error) {
 			runs = append(runs, name)
 		}
 	}
+	sort.Strings(runs)
 	return runs, nil
 }
 
@@ -367,13 +332,19 @@ func walkChunks(root string, visit func(path string, size int64)) error {
 	return nil
 }
 
-// writeAtomic writes data via a temp file and rename, so a crash
-// leaves either the old content or the new — never a torn file.
-func writeAtomic(path string, data []byte) error {
+// tempPrefix names WriteAtomic's temp files; GC sweeps stale ones.
+const tempPrefix = ".tmp-"
+
+// WriteAtomic writes data via a temp file and rename, so a crash
+// leaves either the old content or the new — never a torn file. The
+// temp file sits beside path; one a crash strands there is swept by
+// GC once it is older than the grace window, provided path is in the
+// store root, runs/ or a chunks/ shard.
+func WriteAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), tempPrefix+"*")
 	if err != nil {
 		return err
 	}

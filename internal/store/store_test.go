@@ -47,7 +47,7 @@ func testStore(t *testing.T, opts Options) *Store {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	for _, opts := range []Options{{}, {Rolling: true}, {NoCompress: true}, {ChunkSize: 256}} {
+	for _, opts := range []Options{{}, {NoCompress: true}, {ChunkSize: 256}} {
 		s := testStore(t, opts)
 		blob := snapshotChain(1, 40_000, 7)[0]
 		if _, err := s.Put("r1", 100, blob); err != nil {
@@ -72,33 +72,31 @@ func TestPutGetRoundTrip(t *testing.T) {
 // A dedup chain of 3+ checkpoints must (a) restore every cut
 // byte-identical and (b) cost far less than storing each cut whole.
 func TestDedupChainByteIdentity(t *testing.T) {
-	for _, opts := range []Options{{}, {Rolling: true}} {
-		s := testStore(t, opts)
-		chain := snapshotChain(5, 60_000, 42)
-		var total, newBytes int64
-		for i, blob := range chain {
-			st, err := s.Put("job", uint64((i+1)*1000), blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += int64(len(blob))
-			newBytes += st.NewBytes
-			if i > 0 && st.NewChunks == st.Chunks {
-				t.Fatalf("rolling=%v cut %d: no chunk deduplicated against the previous checkpoint", opts.Rolling, i)
-			}
+	s := testStore(t, Options{})
+	chain := snapshotChain(5, 60_000, 42)
+	var total, newBytes int64
+	for i, blob := range chain {
+		st, err := s.Put("job", uint64((i+1)*1000), blob)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range chain {
-			got, err := s.Get("job", uint64((i+1)*1000))
-			if err != nil {
-				t.Fatalf("cut %d: %v", i, err)
-			}
-			if !bytes.Equal(got, chain[i]) {
-				t.Fatalf("rolling=%v: cut %d not byte-identical after dedup", opts.Rolling, i)
-			}
+		total += int64(len(blob))
+		newBytes += st.NewBytes
+		if i > 0 && st.NewChunks == st.Chunks {
+			t.Fatalf("cut %d: no chunk deduplicated against the previous checkpoint", i)
 		}
-		if newBytes >= total/2 {
-			t.Fatalf("rolling=%v: chain stored %d bytes for %d raw — dedup+codec bought less than 2x", opts.Rolling, newBytes, total)
+	}
+	for i := range chain {
+		got, err := s.Get("job", uint64((i+1)*1000))
+		if err != nil {
+			t.Fatalf("cut %d: %v", i, err)
 		}
+		if !bytes.Equal(got, chain[i]) {
+			t.Fatalf("cut %d not byte-identical after dedup", i)
+		}
+	}
+	if newBytes >= total/2 {
+		t.Fatalf("chain stored %d bytes for %d raw — dedup+codec bought less than 2x", newBytes, total)
 	}
 }
 
@@ -207,29 +205,6 @@ func TestGCSweepsUnreferencedChunks(t *testing.T) {
 	}
 }
 
-func TestGCHonorsParkMetadataRoots(t *testing.T) {
-	s := testStore(t, Options{})
-	// A legacy whole-blob park pair, as internal/server wrote before
-	// the store existed.
-	os.WriteFile(filepath.Join(s.root, "abc123.snap"), []byte("blob"), 0o644)
-	os.WriteFile(filepath.Join(s.root, "s-1.park"), []byte(`{"checksum":"abc123"}`), 0o644)
-	os.WriteFile(filepath.Join(s.root, "orphan.snap"), []byte("dead"), 0o644)
-
-	st, err := s.GC(GCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SweptLegacy != 1 {
-		t.Fatalf("swept %d legacy blobs, want 1", st.SweptLegacy)
-	}
-	if _, err := os.Stat(filepath.Join(s.root, "abc123.snap")); err != nil {
-		t.Fatal("GC removed a .park-referenced blob")
-	}
-	if _, err := os.Stat(filepath.Join(s.root, "orphan.snap")); !os.IsNotExist(err) {
-		t.Fatal("GC kept an orphaned blob")
-	}
-}
-
 func TestGCAbortsOnCorruptIndex(t *testing.T) {
 	s := testStore(t, Options{})
 	s.Put("a", 1, []byte("aaa"))
@@ -254,6 +229,60 @@ func TestGCGraceWindowSparesRecentFiles(t *testing.T) {
 	}
 	if st.SweptChunks != 0 || st.KeptRecent == 0 {
 		t.Fatalf("grace window ignored: %+v", st)
+	}
+}
+
+// A writer that dies between WriteAtomic's create and rename strands
+// a temp file beside its target. GC must sweep such files in every
+// directory the store writes to once they are older than the grace
+// window, and count younger ones as spared.
+func TestGCSweepsStaleTempFiles(t *testing.T) {
+	s := testStore(t, Options{})
+	if _, err := s.Put("r", 1, []byte("live")); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := os.ReadDir(filepath.Join(s.root, chunksDirName))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no chunk shard: %v", err)
+	}
+	dirs := []string{s.root, filepath.Join(s.root, runsDirName), filepath.Join(s.root, chunksDirName, shards[0].Name())}
+	old := time.Now().Add(-time.Hour)
+	var stale, fresh []string
+	for _, dir := range dirs {
+		for _, list := range []*[]string{&stale, &fresh} {
+			f, err := os.CreateTemp(dir, tempPrefix+"*")
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			*list = append(*list, f.Name())
+		}
+	}
+	for _, path := range stale {
+		if err := os.Chtimes(path, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st, err := s.GC(GCOptions{Grace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range stale {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("stale temp file %s survived the sweep", path)
+		}
+	}
+	for _, path := range fresh {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("fresh temp file %s swept inside the grace window", path)
+		}
+	}
+	if st.KeptRecent != len(fresh) || st.SweptChunks != 0 {
+		t.Fatalf("GC stats %+v, want %d kept recent and no chunks swept", st, len(fresh))
+	}
+	if got, err := s.Get("r", 1); err != nil || string(got) != "live" {
+		t.Fatalf("live run damaged by the temp sweep: %q, %v", got, err)
 	}
 }
 
@@ -295,67 +324,17 @@ func TestCorruptChunkDetected(t *testing.T) {
 	}
 }
 
-// Rolling boundaries must localize an insertion: chunks after the
-// edit point keep their identity, so an append-mostly blob dedups.
-func TestRollingChunksSurviveInsertion(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	base := make([]byte, 200_000)
-	rng.Read(base)
-	shifted := append(append([]byte(nil), base[:50_000]...), make([]byte, 137)...)
-	shifted = append(shifted, base[50_000:]...)
-
-	a := splitRolling(base, 4096)
-	b := splitRolling(shifted, 4096)
-	set := make(map[ChunkRef]bool, len(a))
-	for _, c := range a {
-		set[c] = true
-	}
-	shared := 0
-	for _, c := range b {
-		if set[c] {
-			shared++
-		}
-	}
-	if shared < len(b)/2 {
-		t.Fatalf("insertion destroyed dedup: %d/%d chunks shared", shared, len(b))
-	}
-	// Fixed chunking, by contrast, shares nothing after the edit —
-	// that asymmetry is the reason the rolling option exists.
-	af, bf := splitFixed(base, 4096), splitFixed(shifted, 4096)
-	setF := make(map[ChunkRef]bool, len(af))
-	for _, c := range af {
-		setF[c] = true
-	}
-	sharedF := 0
-	for _, c := range bf {
-		if setF[c] {
-			sharedF++
-		}
-	}
-	if sharedF > len(bf)/4 {
-		t.Fatalf("fixed chunking unexpectedly shift-tolerant (%d/%d); test premise wrong", sharedF, len(bf))
-	}
-}
-
 func TestChunkersReassemble(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 63, 4096, 10_000, 100_000} {
 		data := make([]byte, n)
 		rng.Read(data)
-		for _, rolling := range []bool{false, true} {
-			var refs []ChunkRef
-			if rolling {
-				refs = splitRolling(data, 4096)
-			} else {
-				refs = splitFixed(data, 4096)
-			}
-			var total int
-			for _, c := range refs {
-				total += int(c.Len)
-			}
-			if total != n {
-				t.Fatalf("rolling=%v n=%d: chunks cover %d bytes", rolling, n, total)
-			}
+		var total int
+		for _, c := range splitFixed(data, 4096) {
+			total += int(c.Len)
+		}
+		if total != n {
+			t.Fatalf("n=%d: chunks cover %d bytes", n, total)
 		}
 	}
 }
