@@ -12,6 +12,7 @@ package iss
 // decoded afresh.
 type decodeCache[I any] struct {
 	lines []decodeLine[I]
+	mask  uint32
 }
 
 type decodeLine[I any] struct {
@@ -21,16 +22,26 @@ type decodeLine[I any] struct {
 	ins   I
 }
 
-// decodeCacheLines is the line count; direct mapping uses the word
-// index modulo this. 4096 lines cover a 16 KiB program completely.
-const decodeCacheLines = 1 << 12
+// maxDecodeLines caps the line count: 4096 lines cover a 16 KiB
+// program completely.
+const maxDecodeLines = 1 << 12
+
+// newDecodeCache returns a cache of the smallest power of two of lines
+// that covers a program of the given word count, capped at
+// maxDecodeLines. Direct mapping uses the word index modulo the line
+// count, so the contiguous words of a program that fits never share a
+// line, and a program that does not fit still runs, missing where its
+// words collide.
+func newDecodeCache[I any](words int) decodeCache[I] {
+	n := 1
+	for n < words && n < maxDecodeLines {
+		n <<= 1
+	}
+	return decodeCache[I]{lines: make([]decodeLine[I], n), mask: uint32(n - 1)}
+}
 
 func (c *decodeCache[I]) lookup(pc, word uint32) (I, bool) {
-	if c.lines == nil {
-		var zero I
-		return zero, false
-	}
-	ln := &c.lines[(pc>>2)&(decodeCacheLines-1)]
+	ln := &c.lines[(pc>>2)&c.mask]
 	if ln.valid && ln.pc == pc && ln.word == word {
 		return ln.ins, true
 	}
@@ -39,8 +50,5 @@ func (c *decodeCache[I]) lookup(pc, word uint32) (I, bool) {
 }
 
 func (c *decodeCache[I]) insert(pc, word uint32, ins I) {
-	if c.lines == nil {
-		c.lines = make([]decodeLine[I], decodeCacheLines)
-	}
-	c.lines[(pc>>2)&(decodeCacheLines-1)] = decodeLine[I]{pc: pc, word: word, valid: true, ins: ins}
+	c.lines[(pc>>2)&c.mask] = decodeLine[I]{pc: pc, word: word, valid: true, ins: ins}
 }

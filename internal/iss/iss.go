@@ -65,11 +65,11 @@ type ARM struct {
 // memory and the stack pointer at the top.
 func NewARM(p *arm.Program, ramKB int) (*ARM, error) {
 	ram := mem.NewRAM(uint32(ramKB)<<10, mem.LittleEndian)
-	if p.Org+p.Size() > ram.Size() {
+	if !ram.InBounds(p.Org, p.Size()) {
 		return nil, fmt.Errorf("iss: program (%d bytes at %#x) exceeds %d KiB RAM", p.Size(), p.Org, ramKB)
 	}
 	ram.LoadWords(p.Org, p.Words)
-	s := &ARM{RAM: ram, Out: io.Discard}
+	s := &ARM{RAM: ram, Out: io.Discard, dcache: newDecodeCache[arm.Instr](len(p.Words))}
 	s.CPU = &arm.CPU{Mem: ram}
 	s.CPU.R[arm.SP] = ram.Size() - 16
 	s.CPU.SetPC(p.Entry)
@@ -185,11 +185,11 @@ type PPC struct {
 // memory, r1 (the stack pointer) at the top.
 func NewPPC(p *ppc.Program, ramKB int) (*PPC, error) {
 	ram := mem.NewRAM(uint32(ramKB)<<10, mem.BigEndian)
-	if p.Org+p.Size() > ram.Size() {
+	if !ram.InBounds(p.Org, p.Size()) {
 		return nil, fmt.Errorf("iss: program (%d bytes at %#x) exceeds %d KiB RAM", p.Size(), p.Org, ramKB)
 	}
 	ram.LoadWords(p.Org, p.Words)
-	s := &PPC{RAM: ram, Out: io.Discard}
+	s := &PPC{RAM: ram, Out: io.Discard, dcache: newDecodeCache[ppc.Instr](len(p.Words))}
 	s.CPU = &ppc.CPU{Mem: ram}
 	s.CPU.R[1] = ram.Size() - 16
 	s.CPU.NextPC = p.Entry

@@ -2,6 +2,7 @@ package iss
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/isa/ppc"
 	"repro/internal/loader"
 	"repro/internal/snap"
+	"repro/internal/workload"
 )
 
 func armProg(t *testing.T, src string) *arm.Program {
@@ -283,5 +285,65 @@ func TestRestoreRejectsImplausibleReportedCount(t *testing.T) {
 	err = s.Restore(snap.NewReader(w.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "implausible reported-value count") {
 		t.Fatalf("got %v, want the implausible-count error", err)
+	}
+}
+
+// TestDecodeCacheSizedToProgram: the cache holds the smallest power of
+// two of lines that covers the program's words, capped at
+// maxDecodeLines.
+func TestDecodeCacheSizedToProgram(t *testing.T) {
+	for _, c := range []struct{ words, lines int }{
+		{0, 1}, {1, 1}, {29, 32}, {32, 32}, {33, 64}, {179, 256}, {4096, 4096}, {5000, 4096},
+	} {
+		if got := len(newDecodeCache[arm.Instr](c.words).lines); got != c.lines {
+			t.Errorf("%d words: %d lines, want %d", c.words, got, c.lines)
+		}
+	}
+	s, err := NewPPC(ppcProg(t, "li r3, 0\nli r0, 1\nsc"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.dcache.lines); got != 4 {
+		t.Fatalf("3-word program: %d lines, want 4", got)
+	}
+}
+
+// TestProgramLargerThanDecodeCache: with the decode cache cut to 8
+// lines every mix kernel outgrows it, so words collide and decode
+// afresh; each still runs to its workload reference on both ISAs.
+func TestProgramLargerThanDecodeCache(t *testing.T) {
+	const n = 20
+	for _, w := range workload.Mix() {
+		ap, err := w.ARMProgram(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewARM(ap, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.dcache = newDecodeCache[arm.Instr](8)
+		if err := a.Run(1 << 30); err != nil {
+			t.Fatalf("%s arm: %v", w.Name, err)
+		}
+		pp, err := w.PPCProgram(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPPC(pp, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.dcache = newDecodeCache[ppc.Instr](8)
+		if err := p.Run(1 << 30); err != nil {
+			t.Fatalf("%s ppc: %v", w.Name, err)
+		}
+		if len(ap.Words) <= 8 || len(pp.Words) <= 8 {
+			t.Fatalf("%s: program fits 8 lines", w.Name)
+		}
+		want := []uint32{w.Ref(n)}
+		if !slices.Equal(a.Reported, want) || !slices.Equal(p.Reported, want) {
+			t.Fatalf("%s: reported arm %x ppc %x, want %x", w.Name, a.Reported, p.Reported, want)
+		}
 	}
 }

@@ -16,27 +16,106 @@ import (
 
 const memSnapVersion = 1
 
-// Snapshot encodes the RAM image, with zero runs compressed (images
-// are mostly zero).
-func (r *RAM) Snapshot(w *snap.Writer) {
-	w.Version(memSnapVersion)
-	w.U32(uint32(len(r.data)))
-	w.ZBytes(r.data)
+// ramSnapVersion tags the RAM record: version 2 is the page-span
+// encoding below. Older records fail the version check.
+const ramSnapVersion = 2
+
+// pageSpan returns the bounds [lo, hi) of the first through last
+// non-zero byte of p, or ok=false when the page is all zero.
+func pageSpan(p *page) (lo, hi int, ok bool) {
+	for lo < pageSize && p[lo] == 0 {
+		lo++
+	}
+	if lo == pageSize {
+		return 0, 0, false
+	}
+	hi = pageSize
+	for p[hi-1] == 0 {
+		hi--
+	}
+	return lo, hi, true
 }
 
-// Restore decodes a RAM snapshot into an image of identical size.
+// Snapshot encodes the image as page-span records: the image size, the
+// record count, then for each page holding a non-zero byte, in
+// ascending order, its index (U32), the offset of its first non-zero
+// byte (U16) and the bytes through its last non-zero byte (Bytes32).
+// Encoding walks the allocated pages only, and the records are
+// canonical: identical images always yield identical bytes.
+func (r *RAM) Snapshot(w *snap.Writer) {
+	type record struct{ idx, lo, hi int }
+	var recs []record
+	for i, p := range r.pages {
+		if p == nil {
+			continue
+		}
+		if lo, hi, ok := pageSpan(p); ok {
+			recs = append(recs, record{i, lo, hi})
+		}
+	}
+	w.Version(ramSnapVersion)
+	w.U32(r.size)
+	w.U32(uint32(len(recs)))
+	for _, rec := range recs {
+		w.U32(uint32(rec.idx))
+		w.U16(uint16(rec.lo))
+		w.Bytes32(r.pages[rec.idx][rec.lo:rec.hi])
+	}
+}
+
+// readPageSpan reads one page-span record and checks it against the
+// image: the index must follow prev and name a page of the image, and
+// the span must be non-empty, start and end on non-zero bytes (the
+// canonical form), and end inside its page and the image.
+func (r *RAM) readPageSpan(rd *snap.Reader, prev int) (idx, off int, data []byte) {
+	idx = int(rd.U32())
+	off = int(rd.U16())
+	data = rd.Bytes32()
+	switch {
+	case rd.Err() != nil:
+	case idx <= prev:
+		rd.Failf("page %d follows page %d", idx, prev)
+	case idx >= len(r.pages):
+		rd.Failf("page %d beyond the image's %d pages", idx, len(r.pages))
+	case len(data) == 0:
+		rd.Failf("page %d: empty span", idx)
+	case data[0] == 0 || data[len(data)-1] == 0:
+		rd.Failf("page %d: span has a zero edge (non-canonical)", idx)
+	case off+len(data) > pageSize || uint64(idx)*pageSize+uint64(off+len(data)) > uint64(r.size):
+		rd.Failf("page %d: span %d+%d runs past the page", idx, off, len(data))
+	}
+	return idx, off, data
+}
+
+// Restore decodes a RAM snapshot into an image of identical size. The
+// records are checked in full on a forked cursor before any page is
+// touched, so a hostile record fails having allocated nothing and a
+// failed restore leaves the image as it was.
 func (r *RAM) Restore(rd *snap.Reader) error {
-	rd.Version("ram", memSnapVersion)
+	rd.Version("ram", ramSnapVersion)
 	size := rd.U32()
-	data := rd.ZBytes()
-	if err := rd.Close("ram"); err != nil {
+	n := rd.U32()
+	if rd.Err() == nil && size != r.size {
+		return fmt.Errorf("mem: ram snapshot is %d bytes, image is %d", size, r.size)
+	}
+	if rd.Err() == nil && uint64(n) > uint64(len(r.pages)) {
+		rd.Failf("%d page records for a %d-page image", n, len(r.pages))
+	}
+	probe := *rd
+	for i, prev := uint32(0), -1; i < n && probe.Err() == nil; i++ {
+		prev, _, _ = r.readPageSpan(&probe, prev)
+	}
+	if err := probe.Close("ram"); err != nil {
 		return err
 	}
-	if int(size) != len(r.data) || len(data) != len(r.data) {
-		return fmt.Errorf("mem: ram snapshot is %d bytes, image is %d", size, len(r.data))
+	clear(r.pages)
+	for i, prev := uint32(0), -1; i < n; i++ {
+		idx, off, data := r.readPageSpan(rd, prev)
+		p := new(page)
+		copy(p[off:], data)
+		r.pages[idx], prev = p, idx
 	}
-	copy(r.data, data)
-	return nil
+	return rd.Close("ram")
 }
 
 func (s *CacheStats) snapshot(w *snap.Writer) {

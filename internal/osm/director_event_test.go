@@ -241,3 +241,53 @@ func TestScanFallbackWithCustomRank(t *testing.T) {
 		t.Fatal("custom rank was not honored; b should have been served first")
 	}
 }
+
+// latchManager grants a token only while open. Opening it is a change
+// outside the token protocol that the manager does not announce: the
+// case Director.Wake exists for.
+type latchManager struct {
+	BaseManager
+	open bool
+}
+
+func (l *latchManager) Allocate(m *Machine, id TokenID) (Token, bool) {
+	return Token{Mgr: l, ID: id}, l.open
+}
+func (l *latchManager) Release(m *Machine, t Token) bool    { return true }
+func (l *latchManager) Inquire(m *Machine, id TokenID) bool { return l.open }
+func (l *latchManager) SleepSafeManager() bool              { return true }
+
+// TestDirectorWake: the event scheduler suspends a machine refused by
+// a sleep-safe manager, so an unannounced change leaves it asleep
+// until the model calls Wake; the scan scheduler re-evaluates every
+// step, sees the change at once, and treats Wake as a no-op.
+func TestDirectorWake(t *testing.T) {
+	for _, eng := range []Engine{EngineEvent, EngineScan} {
+		l := &latchManager{BaseManager: BaseManager{ManagerName: "latch"}}
+		I, S := NewState("I"), NewState("S")
+		I.Connect("pass", S, Alloc(l, 0))
+		d := NewDirector()
+		d.Engine = eng
+		d.AddManager(l)
+		m := NewMachine("m", I)
+		d.AddMachine(m)
+		step := func(n int) {
+			for i := 0; i < n; i++ {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		step(2)
+		l.open = true
+		step(2)
+		if asleep := m.InInitial(); asleep != (eng == EngineEvent) {
+			t.Fatalf("engine %v: machine asleep after an unannounced change = %v", eng, asleep)
+		}
+		d.Wake(m)
+		step(1)
+		if m.State() != S {
+			t.Fatalf("engine %v: machine in %s after Wake, want S", eng, m.State().Name)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package osm
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestUnitManagerAnyUnitPicksFirstFree(t *testing.T) {
 	u := NewUnitManager("fu", 3)
@@ -504,5 +507,84 @@ func TestQueueManagerHolder(t *testing.T) {
 	}
 	if q.Holder(999) != a {
 		t.Fatal("unknown id must report the head (blocked allocators wait on it)")
+	}
+}
+
+// grants collects a manager's outstanding grants in enumeration order.
+func grants(a GrantAuditor) []Grant {
+	var gs []Grant
+	a.OutstandingGrants(func(g Grant) { gs = append(gs, g) })
+	return gs
+}
+
+// TestBuiltinManagersOutstandingGrants: each built-in manager reports
+// exactly its committed grants to the invariant checker
+// (GrantAuditor) — owners where it tracks them, anonymous grants by
+// count where it does not, and nothing for managers that never grant.
+func TestBuiltinManagersOutstandingGrants(t *testing.T) {
+	i := NewState("I")
+	a, b := NewMachine("a", i), NewMachine("b", i)
+
+	u := NewUnitManager("u", 3)
+	u.Allocate(a, 2)
+	if gs := grants(u); !slices.Equal(gs, []Grant{{Owner: a, ID: 2}}) {
+		t.Errorf("unit grants = %v", gs)
+	}
+
+	p := NewPoolManager("p", 3)
+	p.Allocate(a, AnyUnit)
+	p.Allocate(b, AnyUnit)
+	if gs := grants(p); !slices.Equal(gs, []Grant{{ID: AnyUnit}, {ID: AnyUnit}}) {
+		t.Errorf("pool grants = %v", gs)
+	}
+
+	q := NewQueueManager("q", 3)
+	ta, _ := q.Allocate(a, AnyUnit)
+	tb, _ := q.Allocate(b, AnyUnit)
+	q.Release(a, ta)
+	if gs := grants(q); !slices.Equal(gs, []Grant{{Owner: b, ID: tb.ID}}) {
+		t.Errorf("queue grants = %v", gs)
+	}
+
+	rf := NewRegFileManager("r", 8)
+	tok, _ := rf.Allocate(b, UpdateToken(5))
+	rf.CommitAllocate(b, tok)
+	if gs := grants(rf); !slices.Equal(gs, []Grant{{Owner: b, ID: UpdateToken(5)}}) {
+		t.Errorf("regfile grants = %v", gs)
+	}
+
+	reset := NewResetManager("reset")
+	reset.Mark(a)
+	if gs := append(grants(NewBypassManager("fwd")), grants(reset)...); len(gs) != 0 {
+		t.Errorf("bypass and reset grants = %v, want none", gs)
+	}
+}
+
+// TestQueueManagerCheckThenCommit pins the mutation-free predicates
+// check-then-commit callers use: CanAllocate while a slot is free,
+// CanRelease only for the head's token and regardless of any release
+// gate.
+func TestQueueManagerCheckThenCommit(t *testing.T) {
+	q := NewQueueManager("cq", 2)
+	i := NewState("I")
+	a, b := NewMachine("a", i), NewMachine("b", i)
+	if q.Cap() != 2 || !q.CanAllocate() {
+		t.Fatalf("fresh queue: cap %d, can allocate %v", q.Cap(), q.CanAllocate())
+	}
+	ta, _ := q.Allocate(a, AnyUnit)
+	tb, _ := q.Allocate(b, AnyUnit)
+	if q.CanAllocate() {
+		t.Fatal("full queue reports a free slot")
+	}
+	if !q.CanRelease(ta.ID) || q.CanRelease(tb.ID) {
+		t.Fatal("CanRelease must hold for the head's token alone")
+	}
+	q.Release(a, ta)
+	q.ReleaseGate = func(*Machine, Token) bool { return false }
+	if !q.CanAllocate() || !q.CanRelease(tb.ID) || q.CanRelease(ta.ID) {
+		t.Fatal("after the head retires: the slot frees and the next entry can release, gate or not")
+	}
+	if q.Len() != 1 || q.Cap() != 2 {
+		t.Fatalf("len %d cap %d", q.Len(), q.Cap())
 	}
 }

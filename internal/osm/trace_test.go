@@ -1,9 +1,13 @@
 package osm
 
 import (
+	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 func TestRecorderCountsAndHistory(t *testing.T) {
@@ -304,5 +308,66 @@ func TestRecorderConcurrentReadersChained(t *testing.T) {
 	defer chainMu.Unlock()
 	if chainSeen != steps {
 		t.Fatalf("chained tracer saw %d transitions, want %d", chainSeen, steps)
+	}
+}
+
+// TestRecorderSaveLoadRoundTrip: a saved recording restores with its
+// aggregates and window intact and re-encodes byte-identically; a
+// recorder with a smaller Limit keeps the most recent events; every
+// truncation of the encoding and an implausible event count fail.
+func TestRecorderSaveLoadRoundTrip(t *testing.T) {
+	d, _, _ := twoStage(2)
+	rec := NewRecorder()
+	rec.Limit = 4
+	d.Tracer = rec
+	for i := 0; i < 10; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := snap.NewWriter()
+	rec.SaveState(w)
+	enc := w.Bytes()
+
+	got := NewRecorder()
+	if err := got.LoadState(snap.NewReader(enc)); err != nil {
+		t.Fatal(err)
+	}
+	if got.Total() != rec.Total() || got.Checksum() != rec.Checksum() || got.Steps() != rec.Steps() ||
+		got.EdgeCount("acquire") != rec.EdgeCount("acquire") || got.StateEntries("F") != rec.StateEntries("F") {
+		t.Fatal("aggregates differ after LoadState")
+	}
+	if !slices.Equal(got.Events(), rec.Events()) {
+		t.Fatalf("window %v, want %v", got.Events(), rec.Events())
+	}
+	again := snap.NewWriter()
+	got.SaveState(again)
+	if !bytes.Equal(again.Bytes(), enc) {
+		t.Fatal("re-encode differs")
+	}
+
+	small := NewRecorder()
+	small.Limit = 2
+	if err := small.LoadState(snap.NewReader(enc)); err != nil {
+		t.Fatal(err)
+	}
+	if evs := rec.Events(); !slices.Equal(small.Events(), evs[len(evs)-2:]) || small.Total() != rec.Total() {
+		t.Fatalf("clamped window %v, want the last two of %v", small.Events(), evs)
+	}
+
+	for n := 0; n < len(enc); n++ {
+		if NewRecorder().LoadState(snap.NewReader(enc[:n])) == nil {
+			t.Fatalf("truncation to %d of %d bytes loaded", n, len(enc))
+		}
+	}
+	hostile := snap.NewWriter()
+	hostile.Version(recorderVersion)
+	for i := 0; i < 4; i++ {
+		hostile.U64(0)
+	}
+	hostile.Bool(true)
+	hostile.U32(1 << 30)
+	if err := NewRecorder().LoadState(snap.NewReader(hostile.Bytes())); err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("implausible event count: err = %v", err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/loader"
 )
 
 func TestValidate(t *testing.T) {
@@ -140,5 +142,21 @@ func TestResultReportDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "CPI:") || !strings.Contains(a.String(), "instructions:") {
 		t.Fatalf("report missing fields:\n%s", a.String())
+	}
+}
+
+// TestNewRejectsImageWrappingAddressSpace: an image whose origin sits
+// 16 bytes below 2^32 wraps a 32-bit origin+size sum back into the
+// RAM bound. Building either cycle-accurate target from it must return
+// an error, not panic loading the words.
+func TestNewRejectsImageWrappingAddressSpace(t *testing.T) {
+	for _, tc := range []struct {
+		target string
+		arch   loader.Arch
+	}{{"strongarm", loader.ArchARM}, {"ppc750", loader.ArchPPC}} {
+		im := &loader.Image{Arch: tc.arch, Org: 0xfffffff0, Entry: 0xfffffff0, Words: make([]uint32, 8)}
+		if _, err := New(Spec{Target: tc.target, Image: im.Marshal()}); err == nil {
+			t.Errorf("%s: image at %#x built without error", tc.target, im.Org)
+		}
 	}
 }

@@ -3,6 +3,9 @@ package ppc750
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,6 +66,32 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restored state does not snapshot: %v", err)
 		}
 	})
+}
+
+// TestCheckedInSeedsRestore: the checked-in v*-cycle-* corpus entries
+// are real snapshots in the current format, so the fuzzer starts from
+// inputs that reach every component of the decoder. A format change
+// that leaves them stale fails here.
+func TestCheckedInSeedsRestore(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzRestore/v*-cycle-*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checked-in seeds (%v)", err)
+	}
+	for _, name := range files {
+		text, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lit, ok := strings.CutPrefix(string(text), "go test fuzz v1\n[]byte(")
+		lit, ok2 := strings.CutSuffix(lit, ")\n")
+		b, err := strconv.Unquote(lit)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not a one-[]byte corpus entry", name)
+		}
+		if err := fuzzSim(t).Restore([]byte(b)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
 }
 
 // TestRestoreRoundTrip: every seed restores into a fresh model and

@@ -1,143 +1,12 @@
 package snap
 
 import (
-	"bytes"
 	"encoding/binary"
-	"runtime"
 	"testing"
 )
 
 // le32 appends v little-endian, for building hostile streams by hand.
 func le32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
-// TestZBytesHostileHeaderAllocationBounded is the regression test for
-// the wire-trusted pre-allocation: a handful of corrupt header bytes
-// claiming a 1 GiB payload must error out without allocating anything
-// near the claimed total. Before the fix, ZBytes allocated the full
-// wire-claimed capacity before validating a single payload byte.
-func TestZBytesHostileHeaderAllocationBounded(t *testing.T) {
-	const giant = 1 << 30
-	hostile := map[string][]byte{
-		// The ~12-byte attack from the wild: giant total, one run
-		// header, no payload behind it.
-		"truncated-after-pair": le32(le32(le32(nil, giant), 123), 456),
-		// Giant total with no pair bytes at all.
-		"bare-total": le32(nil, giant),
-		// Run overshooting the total.
-		"run-exceeds-total": le32(le32(le32(nil, 64), giant), 0),
-		// Literal length with no literal bytes behind it.
-		"missing-literal": le32(le32(le32(nil, giant), 0), giant),
-		// Zero-progress pairs padding out a giant total.
-		"zero-progress": le32(le32(le32(nil, giant), 0), 0),
-		// Total beyond the absolute ceiling.
-		"over-ceiling": le32(nil, 1<<31-1),
-	}
-	for name, data := range hostile {
-		t.Run(name, func(t *testing.T) {
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			r := NewReader(data)
-			out := r.ZBytes()
-			runtime.ReadMemStats(&after)
-			if r.Err() == nil {
-				t.Fatalf("corrupt input decoded without error to %d bytes", len(out))
-			}
-			if out != nil {
-				t.Fatalf("corrupt input returned non-nil output (%d bytes)", len(out))
-			}
-			// The decoder may not allocate anything proportional to
-			// the claimed total; 1 MiB is orders of magnitude above
-			// what the error path legitimately needs.
-			if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
-				t.Fatalf("error path allocated %d bytes for a %d-byte input", delta, len(data))
-			}
-		})
-	}
-}
-
-// TestZBytesValidGiantZeroRun pins the legitimate counterpart: a real
-// all-zero region compresses to one pair and must still decode.
-func TestZBytesValidGiantZeroRun(t *testing.T) {
-	const n = 1 << 20
-	w := NewWriter()
-	w.ZBytes(make([]byte, n))
-	r := NewReader(w.Bytes())
-	out := r.ZBytes()
-	if err := r.Close("zbytes"); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != n {
-		t.Fatalf("decoded %d bytes, want %d", len(out), n)
-	}
-	for i, b := range out {
-		if b != 0 {
-			t.Fatalf("byte %d = %d, want 0", i, b)
-		}
-	}
-}
-
-// FuzzZBytesDecode feeds arbitrary bytes to the ZBytes reader:
-// whatever the input, decoding must neither panic nor fabricate
-// output that disagrees with the stream.
-func FuzzZBytesDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(le32(nil, 0))
-	f.Add(le32(le32(le32(nil, 1<<30), 123), 456))
-	f.Add(le32(le32(le32(nil, 16), 16), 0))
-	w := NewWriter()
-	w.ZBytes([]byte("literal\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00tail"))
-	f.Add(w.Bytes())
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := NewReader(data)
-		out := r.ZBytes()
-		if r.Err() != nil {
-			if out != nil {
-				t.Fatalf("error set but output non-nil (%d bytes)", len(out))
-			}
-			if r.Remaining() != 0 {
-				t.Fatalf("Remaining() = %d after error, want 0", r.Remaining())
-			}
-			return
-		}
-		// A successful decode must deliver exactly the claimed total
-		// (canonicality of valid encodings is FuzzZBytesRoundTrip's
-		// job; the reader tolerates split literals).
-		claimed := binary.LittleEndian.Uint32(data)
-		if uint32(len(out)) != claimed {
-			t.Fatalf("decoded %d bytes, header claimed %d", len(out), claimed)
-		}
-	})
-}
-
-// FuzzZBytesRoundTrip drives the codec from the data side: every
-// payload must survive encode→decode byte-identically, and the
-// encoding must be canonical (re-encoding the decode changes
-// nothing).
-func FuzzZBytesRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("hello"))
-	f.Add(make([]byte, 64))
-	f.Add(append(make([]byte, 40), 0xff))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		w := NewWriter()
-		w.ZBytes(data)
-		enc := w.Bytes()
-		r := NewReader(enc)
-		out := r.ZBytes()
-		if err := r.Close("zbytes"); err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("round trip mutated data: %d bytes in, %d out", len(data), len(out))
-		}
-		w2 := NewWriter()
-		w2.ZBytes(out)
-		if !bytes.Equal(w2.Bytes(), enc) {
-			t.Fatal("encoding is not canonical: re-encode differs")
-		}
-	})
-}
 
 // FuzzReader drives the whole Reader surface with an op script over
 // arbitrary input: no sequence of reads on any input may panic, and
@@ -150,13 +19,13 @@ func FuzzReader(f *testing.F) {
 	w.Version(3)
 	w.String("component")
 	w.Blob(func(w *Writer) { w.U64(42) })
-	w.ZBytes(make([]byte, 100))
+	w.Bytes32(make([]byte, 100))
 	f.Add([]byte{3, 7, 9, 10, 11, 0}, w.Bytes())
 	f.Fuzz(func(t *testing.T, ops, data []byte) {
 		r := NewReader(data)
 		errSeen := false
 		for _, op := range ops {
-			switch op % 12 {
+			switch op % 11 {
 			case 0:
 				r.U8()
 			case 1:
@@ -181,8 +50,6 @@ func FuzzReader(f *testing.F) {
 				sub := r.Blob()
 				sub.U64()
 				sub.Close("sub")
-			case 11:
-				r.ZBytes()
 			}
 			if errSeen && r.Err() == nil {
 				t.Fatal("sticky error cleared itself")

@@ -39,11 +39,11 @@ type Writer struct {
 	buf []byte
 	err error
 
-	// MaxBlob bounds a single length-prefixed value — Bytes32, String,
-	// a ZBytes payload or a Blob region. Zero selects the format
-	// ceiling, 2^32-1 (the widest length a U32 prefix can carry);
-	// tests lower it to exercise the rejection path without 4 GiB
-	// allocations. Exceeding the bound sets the sticky error.
+	// MaxBlob bounds a single length-prefixed value — Bytes32, String
+	// or a Blob region. Zero selects the format ceiling, 2^32-1 (the
+	// widest length a U32 prefix can carry); tests lower it to
+	// exercise the rejection path without 4 GiB allocations. Exceeding
+	// the bound sets the sticky error.
 	MaxBlob int
 }
 
@@ -187,53 +187,13 @@ func (w *Writer) Blob(f func(*Writer)) {
 	binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
 }
 
-// ZBytes appends data with zero runs compressed: a total length
-// followed by (zero-run, literal) pairs. Simulator RAM images are
-// mostly zero, so checkpoints stay small without a real compressor.
-// The encoding is canonical (maximal zero runs, literals extended
-// until the next run of at least zMin zeros), so identical data always
-// yields identical bytes.
-func (w *Writer) ZBytes(data []byte) {
-	const zMin = 16
-	if w.err != nil {
-		return
-	}
-	if len(data) > w.maxBlob() {
-		w.fail("zbytes: %d-byte value exceeds the %d-byte length-prefix bound", len(data), w.maxBlob())
-		return
-	}
-	w.U32(uint32(len(data)))
-	i := 0
-	for i < len(data) {
-		// Maximal zero run.
-		z := i
-		for z < len(data) && data[z] == 0 {
-			z++
-		}
-		// Literal until a run of zMin zeros (or the end).
-		lit := z
-		zeros := 0
-		for j := z; j < len(data); j++ {
-			if data[j] == 0 {
-				zeros++
-				if zeros == zMin {
-					break
-				}
-			} else {
-				zeros = 0
-				lit = j + 1
-			}
-		}
-		w.U32(uint32(z - i))
-		w.U32(uint32(lit - z))
-		w.buf = append(w.buf, data[z:lit]...)
-		i = lit
-	}
-}
-
 // Reader decodes a snapshot stream. All methods are safe on corrupt
 // or truncated input: the first out-of-bounds read sets a sticky
 // error and subsequent reads return zero values.
+//
+// A Reader is a cursor over its input: copying the value forks an
+// independent cursor over the same bytes, which lets a decoder check
+// a whole region before it commits to anything the region describes.
 type Reader struct {
 	buf []byte
 	pos int
@@ -361,76 +321,6 @@ func (r *Reader) Blob() *Reader {
 		return &Reader{err: r.err}
 	}
 	return NewReader(b)
-}
-
-// ZBytes reads a zero-run-compressed byte string written by
-// Writer.ZBytes.
-//
-// The wire-claimed total is never trusted before the run structure
-// has been walked against the actual input: a corrupt or truncated
-// stream fails having allocated nothing, so hostile snapshot uploads
-// cannot turn a handful of header bytes into a giant allocation. An
-// 8-byte run header can still legitimately expand into megabytes of
-// zeros (RAM images are mostly zero); the absolute zMax ceiling
-// bounds that expansion.
-func (r *Reader) ZBytes() []byte {
-	total := int(r.U32())
-	if r.err != nil {
-		return nil
-	}
-	const zMax = 1 << 30
-	if total < 0 || total > zMax {
-		r.fail("zbytes: implausible total %d", total)
-		return nil
-	}
-	// Cheapest plausibility test first: encoding any payload costs at
-	// least one (zero-run, literal) pair of 8 input bytes.
-	if total > 0 && len(r.buf)-r.pos < 8 {
-		r.fail("zbytes: total %d with only %d input byte(s) remaining",
-			total, len(r.buf)-r.pos)
-		return nil
-	}
-	// Validation pass: walk every run header and literal in place.
-	// Each pair must make progress and stay within total, so the walk
-	// is linear in the input and rejects non-canonical zero-progress
-	// pairs along the way.
-	start := r.pos
-	n := 0
-	for n < total {
-		z := int(r.U32())
-		l := int(r.U32())
-		if r.err != nil {
-			return nil
-		}
-		if z < 0 || l < 0 || n+z+l > total {
-			r.fail("zbytes: run %d+%d exceeds total %d at %d", z, l, total, n)
-			return nil
-		}
-		if z == 0 && l == 0 {
-			r.fail("zbytes: zero-progress run at %d (non-canonical)", n)
-			return nil
-		}
-		if r.take(l) == nil {
-			return nil
-		}
-		n += z + l
-	}
-	// Decode pass over the verified region. The single allocation
-	// happens only now, and extending into the fresh backing array
-	// materializes zero runs without writing them.
-	r.pos = start
-	out := make([]byte, 0, total)
-	for len(out) < total {
-		z := int(r.U32())
-		l := int(r.U32())
-		out = out[:len(out)+z]
-		lit := r.take(l)
-		if lit == nil {
-			return nil // unreachable after validation; keep the reader safe
-		}
-		out = append(out, lit...)
-	}
-	return out
 }
 
 // Close verifies the component's region was fully consumed and its

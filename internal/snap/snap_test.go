@@ -2,7 +2,6 @@ package snap
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 )
 
@@ -71,43 +70,6 @@ func TestBlobBounds(t *testing.T) {
 	}
 }
 
-func TestZBytesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cases := [][]byte{
-		nil,
-		make([]byte, 1000),            // all zero
-		bytes.Repeat([]byte{7}, 1000), // no zeros
-		append(append(make([]byte, 500), 1, 2, 3), make([]byte, 500)...),
-	}
-	for i := 0; i < 20; i++ {
-		b := make([]byte, rng.Intn(4096))
-		for j := range b {
-			if rng.Intn(4) == 0 {
-				b[j] = byte(rng.Intn(256))
-			}
-		}
-		cases = append(cases, b)
-	}
-	for i, data := range cases {
-		w := NewWriter()
-		w.ZBytes(data)
-		r := NewReader(w.Bytes())
-		got := r.ZBytes()
-		if r.Err() != nil {
-			t.Fatalf("case %d: %v", i, r.Err())
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("case %d: round trip mismatch (%d vs %d bytes)", i, len(got), len(data))
-		}
-		// Canonical: re-encoding the decoded data is byte-identical.
-		w2 := NewWriter()
-		w2.ZBytes(got)
-		if !bytes.Equal(w.Bytes(), w2.Bytes()) {
-			t.Fatalf("case %d: re-encode differs", i)
-		}
-	}
-}
-
 func TestTruncationNeverPanics(t *testing.T) {
 	w := NewWriter()
 	w.U32(Magic)
@@ -115,7 +77,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 	w.String("component")
 	w.Blob(func(w *Writer) {
 		w.U64(12345)
-		w.ZBytes(make([]byte, 300))
+		w.Bytes32(make([]byte, 300))
 	})
 	full := w.Bytes()
 	for n := 0; n < len(full); n++ {
@@ -125,7 +87,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 		_ = r.String()
 		b := r.Blob()
 		b.U64()
-		b.ZBytes()
+		b.Bytes32()
 		if r.Err() == nil && b.Err() == nil && b.Close("t") == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded cleanly", n, len(full))
 		}
@@ -174,7 +136,6 @@ func TestWriterRejectsOversizedBlobs(t *testing.T) {
 	}{
 		{"Bytes32", func(w *Writer) { w.Bytes32(big) }},
 		{"String", func(w *Writer) { w.String(string(big)) }},
-		{"ZBytes", func(w *Writer) { w.ZBytes(big) }},
 		{"Blob", func(w *Writer) { w.Blob(func(w *Writer) { w.Bytes32(big[:16]); w.Bytes32(big[:16]) }) }},
 	}
 	for _, tc := range cases {
@@ -195,7 +156,6 @@ func TestWriterRejectsOversizedBlobs(t *testing.T) {
 			// Sticky: everything after the failure is a no-op.
 			w.U64(1)
 			w.Bytes32([]byte{1})
-			w.ZBytes([]byte{1})
 			w.Blob(func(w *Writer) { w.U8(1) })
 			if w.Len() != before {
 				t.Fatalf("writes after error extended the stream by %d bytes", w.Len()-before)
@@ -214,7 +174,6 @@ func TestWriterUnderBoundStillRoundTrips(t *testing.T) {
 	w.MaxBlob = 32
 	w.Bytes32([]byte("ok"))
 	w.String("fine")
-	w.ZBytes(make([]byte, 32))
 	w.Blob(func(w *Writer) { w.U32(5) })
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
@@ -225,9 +184,6 @@ func TestWriterUnderBoundStillRoundTrips(t *testing.T) {
 	}
 	if got := r.String(); got != "fine" {
 		t.Fatalf("String = %q", got)
-	}
-	if got := r.ZBytes(); len(got) != 32 {
-		t.Fatalf("ZBytes len = %d", len(got))
 	}
 	b := r.Blob()
 	if got := b.U32(); got != 5 {
@@ -247,5 +203,22 @@ func TestWriterFailf(t *testing.T) {
 	w.U32(1)
 	if w.Len() != 0 {
 		t.Fatal("write after Failf extended the stream")
+	}
+}
+
+// TestReaderCopyForksCursor: a copied Reader reads on independently of
+// the original, so a decoder can check a region on the copy before
+// committing with the original.
+func TestReaderCopyForksCursor(t *testing.T) {
+	w := NewWriter()
+	w.U32(1)
+	w.U32(2)
+	r := NewReader(w.Bytes())
+	probe := *r
+	if probe.U32() != 1 || probe.U32() != 2 || probe.U32() != 0 || probe.Err() == nil {
+		t.Fatal("probe did not read to a truncation error")
+	}
+	if r.Err() != nil || r.Remaining() != 8 || r.U32() != 1 {
+		t.Fatal("reading the copy moved or poisoned the original")
 	}
 }
