@@ -19,17 +19,23 @@ import (
 // time:
 //
 //   - every primitive becomes one guardInstr carrying its operation,
-//     its pre-resolved fixed identifier or memo slot, and a
-//     concrete-type manager pointer when the manager is one of the
-//     built-ins (pool, queue, regfile, unit, reset, bypass);
+//     its pre-resolved fixed identifier, and a concrete-type manager
+//     pointer when the manager is one of the built-ins (pool, queue,
+//     regfile, unit, reset, bypass);
 //   - the executor dispatches on a dense kind tag and calls the
 //     concrete methods directly, so the calls are statically bound
-//     (and the built-ins' no-op commit/cancel methods disappear
-//     entirely instead of costing an interface call);
-//   - managers of model-defined types keep the interface path, so
+//     (and the built-ins' no-op commit methods disappear entirely
+//     instead of costing an interface call);
+//   - managers of model-defined types keep interface dispatch, so
 //     custom managers — including types embedding a built-in, which a
 //     dynamic type switch deliberately does not match — behave
 //     exactly as interpreted.
+//
+// The executor runs only edges the compile stage proved pure (see
+// tryEdgePure). Every other attempt — an edge that is not pure, or one
+// that meets a gate closure at runtime — runs through the interpreter,
+// exactly as the generated engine's GenFallback does, so transactional
+// semantics have one implementation: Machine.tryEdge.
 //
 // Compiled state is derived: it is rebuilt from the model on demand
 // (AddMachine/AddManager invalidate it) and is never serialized, so
@@ -79,8 +85,7 @@ func (k mgrKind) String() string {
 type guardInstr struct {
 	op   Op
 	kind mgrKind
-	dyn  bool  // identifier comes from an IDFunc via the memo slot
-	slot int32 // memo slot (1-based; 0 = unmemoized fallback)
+	dyn  bool // identifier comes from an IDFunc (resolved by primID)
 
 	fixed TokenID
 	prim  *Primitive // original conjunct: blocked lists, IDFunc, discard
@@ -96,9 +101,8 @@ type guardInstr struct {
 }
 
 // compEdge is one lowered edge: the original edge (for When, Action,
-// destination and tracing) plus its flat instruction array. Every
-// instruction appends exactly one pending transaction, so commit and
-// cancel walk code and pend in lockstep by index.
+// destination, tracing and the interpreter fallback) plus its flat
+// instruction array.
 //
 // pure marks edges the executor may run check-then-commit (see
 // tryEdgePure): the compile stage proved from the built-in managers'
@@ -156,7 +160,6 @@ type CompileStats struct {
 // added. A program is derived state: it is excluded from snapshots
 // and rebuilt on demand instead.
 type GuardProgram struct {
-	dir     *Director
 	states  []*compState
 	byState map[*State]*compState
 	stats   CompileStats
@@ -173,7 +176,7 @@ func (d *Director) Compile() (*GuardProgram, error) {
 		return d.comp, nil
 	}
 	d.ensurePrims()
-	g := &GuardProgram{dir: d, byState: make(map[*State]*compState)}
+	g := &GuardProgram{byState: make(map[*State]*compState)}
 	for _, m := range d.machines {
 		if m.Initial == nil {
 			return nil, fmt.Errorf("osm: compile: machine %s has no initial state", m.Name)
@@ -231,7 +234,6 @@ func (g *GuardProgram) lowerEdge(st *State, e *Edge) (compEdge, error) {
 		ins := guardInstr{
 			op:    p.Op,
 			dyn:   p.ID != nil,
-			slot:  p.slot,
 			fixed: p.FixedID,
 			prim:  p,
 			mgr:   p.Mgr,
@@ -316,10 +318,10 @@ func (g *GuardProgram) lowerEdge(st *State, e *Edge) (compEdge, error) {
 //     the interpreter no request observes that, so no pure check or
 //     applied transaction may run after one either.
 //
-// Model-installed gate closures are a runtime concern: the pure path
-// re-checks for them on every attempt and falls back to the
-// transactional path, so installing a gate after compilation stays
-// correct.
+// Edges that fail the test run through the interpreter. Model-installed
+// gate closures are a runtime concern: the pure path re-checks for them
+// on every attempt and falls back to the interpreter too, so installing
+// a gate after compilation stays correct.
 func pureEdge(code []guardInstr) bool {
 	sawDiscard := false
 	for i := range code {
@@ -382,7 +384,7 @@ func (g *GuardProgram) Disassemble() string {
 				}
 				id := fmt.Sprintf("%d", ins.fixed)
 				if ins.dyn {
-					id = fmt.Sprintf("dyn(slot %d)", ins.slot)
+					id = fmt.Sprintf("dyn(slot %d)", ins.prim.slot)
 				}
 				fmt.Fprintf(&b, "    %2d: %-8s %-10s id=%-12s %s\n",
 					j, ins.op, name, id, ins.kind)
@@ -392,215 +394,17 @@ func (g *GuardProgram) Disassemble() string {
 	return b.String()
 }
 
-// Probe evaluates e's guard for m through the compiled program without
-// committing anything, mirroring Machine.ProbeEdge on the compiled
-// path. It errors when e is not part of the program.
-func (g *GuardProgram) Probe(m *Machine, e *Edge) (bool, error) {
-	cs := g.stateOf(e.From)
-	if cs == nil {
-		return false, fmt.Errorf("osm: compiled probe: state %s is not in the program", e.From.Name)
-	}
-	for i := range cs.edges {
-		if cs.edges[i].e == e {
-			return m.probeCompiled(&cs.edges[i]), nil
-		}
-	}
-	return false, fmt.Errorf("osm: compiled probe: edge %s is not in the program", e.Name)
-}
-
-// instrID resolves the identifier a lowered instruction presents for
-// m: the pre-resolved fixed identifier, or the memoized result of the
-// identifier function (same memo discipline as Machine.primID).
-func (m *Machine) instrID(ins *guardInstr) TokenID {
-	if !ins.dyn {
-		return ins.fixed
-	}
-	return m.instrDynID(ins)
-}
-
-// instrDynID is instrID's slow path: evaluate the identifier function
-// through the memo slot. Split out so instrID's fixed-identifier path
-// inlines into the executor loop.
-func (m *Machine) instrDynID(ins *guardInstr) TokenID {
-	s := int(ins.slot) - 1
-	if s >= 0 && s < len(m.dynID) {
-		if m.dynStamp[s] == m.dynEpoch {
-			return m.dynID[s]
-		}
-		id := ins.prim.ID(m)
-		m.dynID[s] = id
-		m.dynStamp[s] = m.dynEpoch
-		return id
-	}
-	return ins.prim.ID(m)
-}
-
-// allocate issues the instruction's Allocate through the statically
-// bound fast path when the manager is a built-in.
-func (ins *guardInstr) allocate(m *Machine, id TokenID) (Token, bool) {
-	switch ins.kind {
-	case kindUnit:
-		return ins.unit.Allocate(m, id)
-	case kindQueue:
-		return ins.queue.Allocate(m, id)
-	case kindPool:
-		return ins.pool.Allocate(m, id)
-	case kindRegFile:
-		return ins.rf.Allocate(m, id)
-	case kindReset:
-		return ins.reset.Allocate(m, id)
-	case kindBypass:
-		return ins.byp.Allocate(m, id)
-	}
-	return ins.mgr.Allocate(m, id)
-}
-
-// inquire issues the instruction's Inquire (see allocate).
-func (ins *guardInstr) inquire(m *Machine, id TokenID) bool {
-	switch ins.kind {
-	case kindUnit:
-		return ins.unit.Inquire(m, id)
-	case kindQueue:
-		return ins.queue.Inquire(m, id)
-	case kindPool:
-		return ins.pool.Inquire(m, id)
-	case kindRegFile:
-		return ins.rf.Inquire(m, id)
-	case kindReset:
-		return ins.reset.Inquire(m, id)
-	case kindBypass:
-		return ins.byp.Inquire(m, id)
-	}
-	return ins.mgr.Inquire(m, id)
-}
-
-// release issues the instruction's Release (see allocate).
-func (ins *guardInstr) release(m *Machine, tok Token) bool {
-	switch ins.kind {
-	case kindUnit:
-		return ins.unit.Release(m, tok)
-	case kindQueue:
-		return ins.queue.Release(m, tok)
-	case kindPool:
-		return ins.pool.Release(m, tok)
-	case kindRegFile:
-		return ins.rf.Release(m, tok)
-	case kindReset:
-		return ins.reset.Release(m, tok)
-	case kindBypass:
-		return ins.byp.Release(m, tok)
-	}
-	return ins.mgr.Release(m, tok)
-}
-
-// cancelAllocate reverses a tentative grant. Built-in cancel methods
-// are statically bound; the ones a built-in inherits unchanged from
-// BaseManager inline to nothing.
-func (ins *guardInstr) cancelAllocate(m *Machine, tok Token) {
-	switch ins.kind {
-	case kindUnit:
-		ins.unit.CancelAllocate(m, tok)
-	case kindQueue:
-		ins.queue.CancelAllocate(m, tok)
-	case kindPool:
-		ins.pool.CancelAllocate(m, tok)
-	case kindRegFile:
-		ins.rf.CancelAllocate(m, tok)
-	case kindReset, kindBypass:
-		// Allocate never succeeds for these, so there is nothing to
-		// cancel; both inherit BaseManager's no-op anyway.
-	default:
-		ins.mgr.CancelAllocate(m, tok)
-	}
-}
-
-// cancelRelease reverses a tentative release (see cancelAllocate).
-func (ins *guardInstr) cancelRelease(m *Machine, tok Token) {
-	switch ins.kind {
-	case kindUnit:
-		ins.unit.CancelRelease(m, tok)
-	case kindQueue:
-		ins.queue.CancelRelease(m, tok)
-	case kindPool:
-		ins.pool.CancelRelease(m, tok)
-	case kindRegFile, kindReset, kindBypass:
-		// BaseManager no-ops.
-	default:
-		ins.mgr.CancelRelease(m, tok)
-	}
-}
-
-// commitAllocate finalizes a grant. No built-in manager overrides
-// CommitAllocate, so the fast paths vanish entirely.
-func (ins *guardInstr) commitAllocate(m *Machine, tok Token) {
-	switch ins.kind {
-	case kindUnit, kindQueue, kindPool, kindRegFile, kindReset, kindBypass:
-		// BaseManager no-ops.
-	default:
-		ins.mgr.CommitAllocate(m, tok)
-	}
-}
-
-// commitRelease finalizes a release. Among the built-ins only the
-// register file acts on commit (retiring the update and writing the
-// token's Data payload).
-func (ins *guardInstr) commitRelease(m *Machine, tok Token) {
-	switch ins.kind {
-	case kindRegFile:
-		ins.rf.CommitRelease(m, tok)
-	case kindUnit, kindQueue, kindPool, kindReset, kindBypass:
-		// BaseManager no-ops.
-	default:
-		ins.mgr.CommitRelease(m, tok)
-	}
-}
-
-// cancelCompiled reverses the tentative transactions in pend, whose
-// entries correspond index-for-index to the instruction prefix that
-// issued them, and resets the machine's scratch space.
-func (m *Machine) cancelCompiled(code []guardInstr, pend []pendingTxn) {
-	for i := len(pend) - 1; i >= 0; i-- {
-		ins := &code[i]
-		switch ins.op {
-		case OpAllocate:
-			ins.cancelAllocate(m, pend[i].tok)
-		case OpRelease:
-			ins.cancelRelease(m, pend[i].tok)
-		}
-	}
-	m.pend = pend[:0]
-}
-
-// tryEdgeCompiled is the compiled counterpart of Machine.tryEdge. The
-// observable semantics — transaction order, failure attribution, error
-// cases, resulting manager state — are identical to the interpreter's;
-// the differential suites hold the two to trace-checksum identity.
+// tryEdgeCompiled is the compiled counterpart of Machine.tryEdge: pure
+// edges run check-then-commit, every other edge runs through the
+// interpreter itself. The observable semantics — transaction order,
+// failure attribution, error cases, resulting manager state — are the
+// interpreter's; the differential suites hold the engines to
+// trace-checksum identity.
 func (m *Machine) tryEdgeCompiled(ce *compEdge) (bool, error) {
 	if ce.pure {
 		return m.tryEdgePure(ce)
 	}
-	return m.tryEdgeTxn(ce)
-}
-
-// unitCanAllocate mirrors UnitManager.pick for a gate-free manager
-// without mutating anything.
-func unitCanAllocate(u *UnitManager, id TokenID) bool {
-	if id == AnyUnit {
-		for _, o := range u.owner {
-			if o == nil {
-				return true
-			}
-		}
-		return false
-	}
-	return id >= 0 && int(id) < len(u.owner) && u.owner[id] == nil
-}
-
-// rfCanAllocate mirrors RegFileManager.Allocate's admission test
-// without taking the rename slot.
-func rfCanAllocate(r *RegFileManager, id TokenID) bool {
-	reg, update, ok := r.split(id)
-	return ok && update && r.pending[reg] < r.depth()
+	return m.tryEdge(ce.e)
 }
 
 // tryEdgePure runs a pure-classified edge check-then-commit: a first
@@ -613,8 +417,7 @@ func rfCanAllocate(r *RegFileManager, id TokenID) bool {
 // manager's semantics, so it must transact tentatively and cancel,
 // while the compile stage proved (pureEdge) that checking first is
 // equivalent. Gate closures make a manager's availability opaque
-// again, so their presence routes the attempt to the transactional
-// path.
+// again, so their presence routes the attempt to the interpreter.
 func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 	e := ce.e
 	if e.When != nil && !e.When(m) {
@@ -625,7 +428,7 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 		ins := &code[i]
 		id := ins.fixed
 		if ins.dyn {
-			id = m.instrDynID(ins)
+			id = m.primID(ins.prim)
 		}
 		ok := false
 		switch ins.op {
@@ -634,20 +437,20 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			case kindUnit:
 				u := ins.unit
 				if u.AllocGate != nil {
-					return m.tryEdgeTxn(ce)
+					return m.tryEdge(e)
 				}
-				ok = unitCanAllocate(u, id)
+				ok = u.CanAllocate(id)
 			case kindQueue:
 				q := ins.queue
 				ok = q.n < q.capacity
 			case kindPool:
 				p := ins.pool
 				if p.AllocGate != nil {
-					return m.tryEdgeTxn(ce)
+					return m.tryEdge(e)
 				}
 				ok = p.free > 0
 			case kindRegFile:
-				ok = rfCanAllocate(ins.rf, id)
+				ok = ins.rf.CanAllocate(id)
 			case kindChecked:
 				ok = ins.chk.CanAllocate(m, id)
 			}
@@ -683,13 +486,13 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			case kindUnit:
 				u := ins.unit
 				if u.ReleaseGate != nil {
-					return m.tryEdgeTxn(ce)
+					return m.tryEdge(e)
 				}
 				ok = u.busyUntil[tok.ID] <= u.step
 			case kindQueue:
 				q := ins.queue
 				if q.ReleaseGate != nil {
-					return m.tryEdgeTxn(ce)
+					return m.tryEdge(e)
 				}
 				ok = q.n > 0 && q.ring[q.head].id == tok.ID
 			case kindPool, kindRegFile:
@@ -720,7 +523,7 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 		case OpAllocate:
 			id := ins.fixed
 			if ins.dyn {
-				id = m.instrDynID(ins)
+				id = m.primID(ins.prim)
 			}
 			var tok Token
 			switch ins.kind {
@@ -786,183 +589,6 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			m.Name, m.Initial.Name, len(m.tokens), m.tokens[0])
 	}
 	return true, nil
-}
-
-// tryEdgeTxn is the transactional compiled path, used for edges the
-// compile stage could not prove pure (custom managers, conjunctions
-// whose tentative effects are visible to later conjuncts) and as the
-// runtime fallback when a gate closure is installed. It mirrors
-// Machine.tryEdge operation for operation.
-func (m *Machine) tryEdgeTxn(ce *compEdge) (bool, error) {
-	e := ce.e
-	if e.When != nil && !e.When(m) {
-		return false, nil
-	}
-	code := ce.code
-	pend := m.pend[:0]
-	for i := range code {
-		ins := &code[i]
-		// Identifier resolution and manager dispatch are inlined here
-		// rather than routed through the guardInstr helper methods: on
-		// the request loop — the hottest code in a compiled run — even
-		// one statically bound call per conjunct is measurable, and
-		// inlining lets fixed identifiers and built-in managers run
-		// with no calls beyond the manager method itself.
-		id := ins.fixed
-		if ins.dyn {
-			id = m.instrDynID(ins)
-		}
-		switch ins.op {
-		case OpAllocate:
-			var tok Token
-			var ok bool
-			switch ins.kind {
-			case kindUnit:
-				tok, ok = ins.unit.Allocate(m, id)
-			case kindQueue:
-				tok, ok = ins.queue.Allocate(m, id)
-			case kindPool:
-				tok, ok = ins.pool.Allocate(m, id)
-			case kindRegFile:
-				tok, ok = ins.rf.Allocate(m, id)
-			case kindGeneric:
-				tok, ok = ins.mgr.Allocate(m, id)
-			default:
-				tok, ok = ins.allocate(m, id) // reset, bypass
-			}
-			if !ok {
-				m.cancelCompiled(code, pend)
-				m.blocked = append(m.blocked, ins.prim)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim, tok: tok})
-		case OpInquire:
-			var ok bool
-			switch ins.kind {
-			case kindUnit:
-				ok = ins.unit.Inquire(m, id)
-			case kindQueue:
-				ok = ins.queue.Inquire(m, id)
-			case kindPool:
-				ok = ins.pool.Inquire(m, id)
-			case kindRegFile:
-				ok = ins.rf.Inquire(m, id)
-			case kindGeneric:
-				ok = ins.mgr.Inquire(m, id)
-			default:
-				ok = ins.inquire(m, id) // reset, bypass
-			}
-			if !ok {
-				m.cancelCompiled(code, pend)
-				m.blocked = append(m.blocked, ins.prim)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim})
-		case OpRelease:
-			tok, held := m.HeldToken(ins.mgr, id)
-			if !held {
-				m.cancelCompiled(code, pend)
-				return false, fmt.Errorf("osm: machine %s: edge %s releases token %s:%d it does not hold",
-					m.Name, e.Name, ins.mgr.Name(), id)
-			}
-			var ok bool
-			switch ins.kind {
-			case kindUnit:
-				ok = ins.unit.Release(m, tok)
-			case kindQueue:
-				ok = ins.queue.Release(m, tok)
-			case kindPool:
-				ok = ins.pool.Release(m, tok)
-			case kindRegFile:
-				ok = ins.rf.Release(m, tok)
-			case kindGeneric:
-				ok = ins.mgr.Release(m, tok)
-			default:
-				ok = ins.release(m, tok) // reset, bypass
-			}
-			if !ok {
-				m.cancelCompiled(code, pend)
-				m.blocked = append(m.blocked, ins.prim)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim, tok: tok})
-		case OpDiscard:
-			// Discard always succeeds; it takes effect at commit.
-			pend = append(pend, pendingTxn{prim: ins.prim})
-		}
-	}
-	// All conjuncts succeeded: commit simultaneously, in instruction
-	// order like the interpreter.
-	for i := range code {
-		ins := &code[i]
-		switch ins.op {
-		case OpAllocate:
-			m.addToken(pend[i].tok)
-			ins.commitAllocate(m, pend[i].tok)
-		case OpRelease:
-			// Re-read the buffered token: the operation may have
-			// attached a payload after the tentative grant.
-			tok, _ := m.removeToken(ins.mgr, pend[i].tok.ID)
-			ins.commitRelease(m, tok)
-		case OpDiscard:
-			m.commitDiscard(ins.prim)
-		}
-	}
-	m.pend = pend[:0]
-	m.dynEpoch++ // next state is a fresh identifier-resolution epoch
-	if e.Action != nil {
-		e.Action(m)
-	}
-	m.cur = e.To
-	m.moves++
-	if m.cur == m.Initial && len(m.tokens) > 0 {
-		return true, fmt.Errorf("osm: machine %s returned to initial state %s holding %d token(s); first: %s",
-			m.Name, m.Initial.Name, len(m.tokens), m.tokens[0])
-	}
-	return true, nil
-}
-
-// probeCompiled is the compiled counterpart of Machine.ProbeEdge:
-// every primitive is issued tentatively and then cancelled, so the
-// machine and managers are left exactly as found. Releasing a token
-// the machine does not hold probes false rather than erroring.
-func (m *Machine) probeCompiled(ce *compEdge) bool {
-	e := ce.e
-	if e.When != nil && !e.When(m) {
-		return false
-	}
-	code := ce.code
-	pend := m.pend[:0]
-	for i := range code {
-		ins := &code[i]
-		switch ins.op {
-		case OpAllocate:
-			tok, ok := ins.allocate(m, m.instrID(ins))
-			if !ok {
-				m.cancelCompiled(code, pend)
-				return false
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim, tok: tok})
-		case OpInquire:
-			if !ins.inquire(m, m.instrID(ins)) {
-				m.cancelCompiled(code, pend)
-				return false
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim})
-		case OpRelease:
-			tok, held := m.HeldToken(ins.mgr, m.instrID(ins))
-			if !held || !ins.release(m, tok) {
-				m.cancelCompiled(code, pend)
-				return false
-			}
-			pend = append(pend, pendingTxn{prim: ins.prim, tok: tok})
-		case OpDiscard:
-			// Nothing to request.
-			pend = append(pend, pendingTxn{prim: ins.prim})
-		}
-	}
-	m.cancelCompiled(code, pend)
-	return true
 }
 
 // serveCompiled is serveMachine's compiled fast path: it evaluates the

@@ -117,46 +117,6 @@ func TestCompileRejectsInvalidGuards(t *testing.T) {
 	}
 }
 
-// TestCompiledProbeMatchesInterpreted drives the adversarial diff
-// model under the compiled engine and, at every step, cross-checks
-// GuardProgram.Probe against the interpreted Machine.ProbeEdge for
-// every machine and outgoing edge — the probe agreement the invariant
-// checker's scheduler-equivalence pass relies on.
-func TestCompiledProbeMatchesInterpreted(t *testing.T) {
-	md := buildDiffModel(6, 1<<30)
-	md.d.Engine = EngineCompiled
-	g, err := md.d.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if i > 0 && i%17 == 0 {
-			for _, m := range md.d.Machines() {
-				if !m.InInitial() {
-					md.reset.Mark(m)
-					break
-				}
-			}
-		}
-		if err := md.d.Step(); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range md.d.Machines() {
-			for _, e := range m.State().Out {
-				want := m.ProbeEdge(e)
-				got, err := g.Probe(m, e)
-				if err != nil {
-					t.Fatalf("step %d: Probe(%s, %s): %v", i, m.Name, e.Name, err)
-				}
-				if got != want {
-					t.Fatalf("step %d: machine %s edge %s: compiled probe %v, interpreted %v",
-						i, m.Name, e.Name, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestCompiledDevirtualizesBuiltins asserts the core property of the
 // lowering: guards over built-in managers run without touching the
 // TokenManager interface, while custom managers keep it.

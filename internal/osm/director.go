@@ -122,7 +122,7 @@ type Director struct {
 	// model (generated.go), rebuilt lazily after AddMachine/AddManager
 	// invalidate it. Like comp, gen is derived state and is never
 	// serialized.
-	genFns map[string]GenEdge
+	genFns map[string]EdgeFn
 	gen    *GenProgram
 	// useGen is true while the current step serves machines through
 	// their generated edge functions.

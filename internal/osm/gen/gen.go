@@ -16,10 +16,11 @@
 // closure and identifier function reads); everything else is derived
 // from the program. Edges the compile stage could not prove pure, and
 // any attempt made while a runtime gate closure is installed, delegate
-// to the interpreter (Machine.GenFallback), so generated code is an
-// optimization of exactly the cases the pure path covers and never a
-// semantic fork. cmd/osmgen drives this package from go:generate
-// directives in the case-study simulators.
+// to the interpreter (Machine.GenFallback) — the compiled engine's
+// fallback rule — so generated code is an optimization of exactly the
+// cases the pure path covers and never a semantic fork. cmd/osmgen
+// drives this package from go:generate directives in the case-study
+// simulators.
 package gen
 
 import (
@@ -109,16 +110,15 @@ func File(prog *osm.GuardProgram, spec Spec) ([]byte, error) {
 
 	fmt.Fprintf(&b, "\n// genEdges returns the generated edge functions of the model, keyed\n")
 	fmt.Fprintf(&b, "// by osm.GenKey, for Director.AttachGenerated.\n")
-	fmt.Fprintf(&b, "func (%s *%s) genEdges() map[string]osm.GenEdge {\n", spec.Recv, spec.SimType)
-	fmt.Fprintf(&b, "\treturn map[string]osm.GenEdge{\n")
+	fmt.Fprintf(&b, "func (%s *%s) genEdges() map[string]osm.EdgeFn {\n", spec.Recv, spec.SimType)
+	fmt.Fprintf(&b, "\treturn map[string]osm.EdgeFn{\n")
 	for i, ei := range edges {
-		fmt.Fprintf(&b, "\t\t%q: {Try: %s.genTry_%s, Probe: %s.genProbe_%s},\n",
-			osm.GenKey(ei.State, ei.Edge.Name), spec.Recv, names[i], spec.Recv, names[i])
+		fmt.Fprintf(&b, "\t\t%q: %s.genTry_%s,\n", osm.GenKey(ei.State, ei.Edge.Name), spec.Recv, names[i])
 	}
 	fmt.Fprintf(&b, "\t}\n}\n")
 
 	for i, ei := range edges {
-		em := &emitter{spec: spec, b: &b}
+		em := &emitter{spec: spec, b: &b, declared: map[int]bool{}}
 		if err := em.edge(ei, names[i]); err != nil {
 			return nil, fmt.Errorf("gen: state %s, edge %s: %w", ei.State, ei.Edge.Name, err)
 		}
@@ -147,7 +147,7 @@ func ident(s string) string {
 	return b.String()
 }
 
-// emitter renders one edge's Try and Probe functions.
+// emitter renders one edge's function.
 type emitter struct {
 	spec Spec
 	b    *bytes.Buffer
@@ -155,7 +155,7 @@ type emitter struct {
 	// before the first statement that uses them.
 	pend []string
 	// declared marks instruction indexes whose dynamic identifier
-	// variable is already in scope for the function being emitted.
+	// variable is already in scope.
 	declared map[int]bool
 }
 
@@ -234,12 +234,12 @@ func (em *emitter) gates(ei osm.EdgeInfo) ([]string, error) {
 	return conds, nil
 }
 
-// edge emits the Try and Probe functions for one lowered edge.
+// edge emits the function for one lowered edge.
 func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
 	key := osm.GenKey(ei.State, ei.Edge.Name)
-	sig := func(kind, results string) {
-		fmt.Fprintf(em.b, "func (%s *%s) gen%s_%s(m *osm.Machine, e *osm.Edge) %s {\n",
-			em.spec.Recv, em.spec.SimType, kind, base, results)
+	sig := func() {
+		fmt.Fprintf(em.b, "func (%s *%s) genTry_%s(m *osm.Machine, e *osm.Edge) (bool, error) {\n",
+			em.spec.Recv, em.spec.SimType, base)
 	}
 
 	// Edges the compile stage could not prove pure run through the
@@ -248,12 +248,8 @@ func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
 		fmt.Fprintf(em.b, "\n// genTry_%s executes edge %s: %s -> %s through the interpreter\n",
 			base, ei.Edge.Name, ei.State, ei.Edge.To.Name)
 		fmt.Fprintf(em.b, "// (not provably pure).\n")
-		sig("Try", "(bool, error)")
+		sig()
 		em.line("return m.GenFallback(e)")
-		fmt.Fprintf(em.b, "}\n")
-		fmt.Fprintf(em.b, "\n// genProbe_%s probes edge %s through the interpreter.\n", base, ei.Edge.Name)
-		sig("Probe", "bool")
-		em.line("return m.ProbeEdge(e)")
 		fmt.Fprintf(em.b, "}\n")
 		return nil
 	}
@@ -262,31 +258,25 @@ func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
 	if err != nil {
 		return err
 	}
-	whenExpr := ""
-	if ei.Edge.When != nil {
-		x, ok := em.spec.When[key]
-		if !ok {
-			return fmt.Errorf("spec has no expression for the When predicate")
-		}
-		whenExpr = x
-	}
-
 	fmt.Fprintf(em.b, "\n// genTry_%s evaluates and commits edge %s: %s -> %s\n",
 		base, ei.Edge.Name, ei.State, ei.Edge.To.Name)
 	fmt.Fprintf(em.b, "// (%s).\n", edgeSummary(ei))
-	sig("Try", "(bool, error)")
-	em.declared = map[int]bool{}
+	sig()
 	if len(gates) > 0 {
 		em.line("if %s {", strings.Join(gates, " || "))
 		em.line("\treturn m.GenFallback(e)")
 		em.line("}")
 	}
-	if whenExpr != "" {
-		em.line("if !(%s) {", whenExpr)
+	if ei.Edge.When != nil {
+		x, ok := em.spec.When[key]
+		if !ok {
+			return fmt.Errorf("spec has no expression for the When predicate")
+		}
+		em.line("if !(%s) {", x)
 		em.line("\treturn false, nil")
 		em.line("}")
 	}
-	stopped, err := em.checks(ei, key, true)
+	stopped, err := em.checks(ei, key)
 	if err != nil {
 		return err
 	}
@@ -297,43 +287,14 @@ func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
 		em.line("return true, m.GenFinish(e)")
 	}
 	fmt.Fprintf(em.b, "}\n")
-
-	fmt.Fprintf(em.b, "\n// genProbe_%s mirrors genTry_%s without committing anything.\n", base, base)
-	sig("Probe", "bool")
-	em.declared = map[int]bool{}
-	if len(gates) > 0 {
-		em.line("if %s {", strings.Join(gates, " || "))
-		em.line("\treturn m.ProbeEdge(e)")
-		em.line("}")
-	}
-	if whenExpr != "" {
-		em.line("if !(%s) {", whenExpr)
-		em.line("\treturn false")
-		em.line("}")
-	}
-	stopped, err = em.checks(ei, key, false)
-	if err != nil {
-		return err
-	}
-	if !stopped {
-		em.line("return true")
-	}
-	fmt.Fprintf(em.b, "}\n")
 	return nil
 }
 
-// checks emits the mutation-free availability pass. In try mode a
-// refused conjunct records itself with GenBlock and an unheld release
-// errors; in probe mode both simply report false. It reports whether
-// emission stopped at a conjunct that can never succeed (reset and
-// bypass managers never grant allocations).
-func (em *emitter) checks(ei osm.EdgeInfo, key string, try bool) (bool, error) {
-	fail := func(i int) string {
-		if try {
-			return fmt.Sprintf("return m.GenBlock(e, %d), nil", i)
-		}
-		return "return false"
-	}
+// checks emits the mutation-free availability pass: a refused conjunct
+// records itself with GenBlock and an unheld release errors. It
+// reports whether emission stopped at a conjunct that can never
+// succeed (reset and bypass managers never grant allocations).
+func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 	for i, ins := range ei.Code {
 		if ins.Op == osm.OpDiscard {
 			continue // always satisfied; applied in the commit pass
@@ -346,6 +307,7 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string, try bool) (bool, error) {
 		if err != nil {
 			return false, err
 		}
+		fail := fmt.Sprintf("return m.GenBlock(e, %d), nil", i)
 		switch ins.Op {
 		case osm.OpAllocate:
 			switch ins.Kind {
@@ -360,12 +322,12 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string, try bool) (bool, error) {
 			case "reset", "bypass":
 				// These managers never grant an allocation, so the
 				// conjunction can never hold.
-				em.line("%s", fail(i))
+				em.line("%s", fail)
 				return true, nil
 			default:
 				return false, fmt.Errorf("instruction %d: pure edge with %s allocate", i, ins.Kind)
 			}
-			em.line("\t%s", fail(i))
+			em.line("\t%s", fail)
 			em.line("}")
 		case osm.OpInquire:
 			if ins.Kind == "pool" {
@@ -373,27 +335,21 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string, try bool) (bool, error) {
 			} else {
 				em.line("if !%s.Inquire(m, %s) {", mx, id)
 			}
-			em.line("\t%s", fail(i))
+			em.line("\t%s", fail)
 			em.line("}")
 		case osm.OpRelease:
 			em.line("t%d := m.GenFindHeld(%s, %s)", i, mx, id)
-			if try {
-				em.line("if t%d < 0 {", i)
-				em.line("\treturn false, m.GenErrNotHeld(e, %s, %s)", mx, id)
-				em.line("}")
-			} else {
-				em.line("if t%d < 0 {", i)
-				em.line("\treturn false")
-				em.line("}")
-			}
+			em.line("if t%d < 0 {", i)
+			em.line("\treturn false, m.GenErrNotHeld(e, %s, %s)", mx, id)
+			em.line("}")
 			switch ins.Kind {
 			case "unit", "queue":
 				em.line("if !%s.CanRelease(m.GenTokenAt(t%d).ID) {", mx, i)
-				em.line("\t%s", fail(i))
+				em.line("\t%s", fail)
 				em.line("}")
 			case "checked":
 				em.line("if !%s.CanRelease(m, m.GenTokenAt(t%d)) {", mx, i)
-				em.line("\t%s", fail(i))
+				em.line("\t%s", fail)
 				em.line("}")
 			case "pool", "regfile":
 				// Always accepted.

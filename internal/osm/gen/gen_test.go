@@ -47,8 +47,8 @@ func TestFileEmitsMonomorphicFunctions(t *testing.T) {
 	for _, want := range []string{
 		"// Code generated by osmgen; DO NOT EDIT.",
 		"package model",
-		"func (s *Sim) genEdges() map[string]osm.GenEdge {",
-		`"I/go":   {Try: s.genTry_I_go, Probe: s.genProbe_I_go},`,
+		"func (s *Sim) genEdges() map[string]osm.EdgeFn {",
+		`"I/go":   s.genTry_I_go,`,
 		"if s.u.AllocGate != nil {",     // gate fallback
 		"if !(s.ready(m)) {",            // inlined When
 		"if !s.u.CanAllocate(0) {",      // unit fast path

@@ -19,10 +19,11 @@ import "fmt"
 // state. The check-then-commit shape of the compiled engine's pure
 // path (tryEdgePure) is the template: a generated function first
 // decides every conjunct with mutation-free availability reads, then
-// applies the transactions in instruction order, and it must delegate
-// to GenFallback whenever a runtime gate closure makes a manager's
-// availability opaque. The differential suites hold all four engines
-// to trace-checksum identity.
+// applies the transactions in instruction order. Both fast engines
+// share one fallback rule: an edge that is not pure, or an attempt
+// that meets a runtime gate closure, runs through the interpreter
+// (GenFallback). The differential suites hold all four engines to
+// trace-checksum identity.
 //
 // Like a guard program, an attached function set is derived state: it
 // is resolved against the model on demand (AddMachine/AddManager
@@ -38,29 +39,17 @@ import "fmt"
 // which the scheduler reads as an untracked failure.
 type EdgeFn func(m *Machine, e *Edge) (bool, error)
 
-// ProbeFn reports whether e's guard is currently satisfiable for m
-// without committing anything — Machine.ProbeEdge semantics: the When
-// predicate is consulted, the Action never runs, releasing a token
-// the machine does not hold probes false rather than erroring.
-type ProbeFn func(m *Machine, e *Edge) bool
-
-// GenEdge bundles the generated evaluator and probe of one edge.
-type GenEdge struct {
-	Try   EdgeFn
-	Probe ProbeFn
-}
-
-// GenKey is the key under which an edge's functions are attached: the
+// GenKey is the key under which an edge's function is attached: the
 // source state's name and the edge's name. State names are unique
 // within a model's graphs, so the pair identifies the edge; resolution
 // rejects models where it does not.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
 // genEdgeRT is one resolved edge: the model edge plus its generated
-// functions.
+// function.
 type genEdgeRT struct {
 	e  *Edge
-	fn GenEdge
+	fn EdgeFn
 }
 
 // genState is one resolved state: its outgoing edges in priority
@@ -78,7 +67,6 @@ type genState struct {
 // derived state: it is excluded from snapshots and re-resolved on
 // demand instead.
 type GenProgram struct {
-	dir     *Director
 	states  []*genState
 	byState map[*State]*genState
 }
@@ -86,12 +74,12 @@ type GenProgram struct {
 // AttachGenerated installs generated edge functions, keyed by
 // GenKey(state, edge), and resolves them against the current model.
 // Every edge reachable from a registered machine's initial state must
-// have an entry with both Try and Probe set; entries for edges not in
+// have an entry with a non-nil function; entries for edges not in
 // the graph (a model variant compiled out, say) are allowed and
 // ignored. The attachment survives model growth: AddMachine and
 // AddManager invalidate the resolution, which is rebuilt from the
 // same function map on the next use.
-func (d *Director) AttachGenerated(fns map[string]GenEdge) error {
+func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
 	d.genFns = fns
 	d.gen = nil
 	_, err := d.generatedProgram()
@@ -113,7 +101,7 @@ func (d *Director) generatedProgram() (*GenProgram, error) {
 		return nil, fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
 	}
 	d.ensurePrims()
-	g := &GenProgram{dir: d, byState: make(map[*State]*genState)}
+	g := &GenProgram{byState: make(map[*State]*genState)}
 	bound := make(map[string]*Edge, len(d.genFns))
 	for _, m := range d.machines {
 		if m.Initial == nil {
@@ -132,7 +120,7 @@ func (d *Director) generatedProgram() (*GenProgram, error) {
 
 // addGraph resolves the graph reachable from initial, skipping states
 // another machine's walk already covered.
-func (g *GenProgram) addGraph(initial *State, fns map[string]GenEdge, bound map[string]*Edge) error {
+func (g *GenProgram) addGraph(initial *State, fns map[string]EdgeFn, bound map[string]*Edge) error {
 	var walk func(s *State) error
 	walk = func(s *State) error {
 		if _, done := g.byState[s]; done {
@@ -150,8 +138,8 @@ func (g *GenProgram) addGraph(initial *State, fns map[string]GenEdge, bound map[
 			if !ok {
 				return fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
 			}
-			if fn.Try == nil || fn.Probe == nil {
-				return fmt.Errorf("osm: generated: key %q: Try and Probe must both be set", k)
+			if fn == nil {
+				return fmt.Errorf("osm: generated: key %q: function is nil", k)
 			}
 			bound[k] = e
 			gs.edges = append(gs.edges, genEdgeRT{e: e, fn: fn})
@@ -180,22 +168,6 @@ func (g *GenProgram) stateOf(s *State) *genState {
 	return nil
 }
 
-// Probe evaluates e's guard for m through the generated probe without
-// committing anything, mirroring Machine.ProbeEdge on the generated
-// path. It errors when e is not part of the program.
-func (g *GenProgram) Probe(m *Machine, e *Edge) (bool, error) {
-	gs := g.stateOf(e.From)
-	if gs == nil {
-		return false, fmt.Errorf("osm: generated probe: state %s is not in the program", e.From.Name)
-	}
-	for i := range gs.edges {
-		if gs.edges[i].e == e {
-			return gs.edges[i].fn.Probe(m, e), nil
-		}
-	}
-	return false, fmt.Errorf("osm: generated probe: edge %s is not in the program", e.Name)
-}
-
 // serveGenerated is serveMachine's generated fast path: it evaluates
 // the machine's generated outgoing edges in priority order and commits
 // the first satisfied one, maintaining ages and the tracer exactly
@@ -204,7 +176,7 @@ func (d *Director) serveGenerated(m *Machine, gs *genState, wasInitial bool) (bo
 	for i := range gs.edges {
 		ge := &gs.edges[i]
 		before := len(m.blocked)
-		ok, err := ge.fn.Try(m, ge.e)
+		ok, err := ge.fn(m, ge.e)
 		if err != nil {
 			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
 		}
@@ -287,7 +259,8 @@ func (m *Machine) GenFinish(e *Edge) error {
 // GenFallback evaluates e through the interpreter. Generated functions
 // delegate here when a runtime gate closure (UnitManager.AllocGate and
 // friends) makes a manager's availability opaque to the inlined check,
-// and for edges the generator could not prove pure.
+// and for edges the compile stage could not prove pure — the same rule
+// the compiled engine follows.
 func (m *Machine) GenFallback(e *Edge) (bool, error) { return m.tryEdge(e) }
 
 // GenErrNotHeld is the interpreter's release-of-unheld-token error,

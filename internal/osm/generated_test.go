@@ -11,9 +11,9 @@ import (
 // state/edge name) and hand-written generated edge functions written
 // exactly the way internal/osm/gen emits them: gate check, When,
 // mutation-free availability pass, commit pass through the Gen
-// helpers. tries, when non-nil, counts Try invocations so tests can
-// assert the generated path actually ran.
-func genPipeline(tries *int) (*Director, map[string]GenEdge) {
+// helpers. tries, when non-nil, counts edge-function invocations so
+// tests can assert the generated path actually ran.
+func genPipeline(tries *int) (*Director, map[string]EdgeFn) {
 	stages := make([]*UnitManager, 5)
 	states := make([]*State, 6)
 	states[0] = NewState("I")
@@ -40,84 +40,58 @@ func genPipeline(tries *int) (*Director, map[string]GenEdge) {
 			*tries++
 		}
 	}
-	fns := map[string]GenEdge{
-		GenKey("I", "in"): {
-			Try: func(m *Machine, e *Edge) (bool, error) {
-				count()
-				if stages[0].AllocGate != nil {
-					return m.GenFallback(e)
-				}
-				if !stages[0].CanAllocate(0) {
-					return m.GenBlock(e, 0), nil
-				}
-				tk0, _ := stages[0].Allocate(m, 0)
-				m.GenAdd(tk0)
-				return true, m.GenFinish(e)
-			},
-			Probe: func(m *Machine, e *Edge) bool {
-				if stages[0].AllocGate != nil {
-					return m.ProbeEdge(e)
-				}
-				return stages[0].CanAllocate(0)
-			},
+	fns := map[string]EdgeFn{
+		GenKey("I", "in"): func(m *Machine, e *Edge) (bool, error) {
+			count()
+			if stages[0].AllocGate != nil {
+				return m.GenFallback(e)
+			}
+			if !stages[0].CanAllocate(0) {
+				return m.GenBlock(e, 0), nil
+			}
+			tk0, _ := stages[0].Allocate(m, 0)
+			m.GenAdd(tk0)
+			return true, m.GenFinish(e)
 		},
-		GenKey("S5", "out"): {
-			Try: func(m *Machine, e *Edge) (bool, error) {
-				count()
-				if stages[4].ReleaseGate != nil {
-					return m.GenFallback(e)
-				}
-				t0 := m.GenFindHeld(stages[4], 0)
-				if t0 < 0 {
-					return false, m.GenErrNotHeld(e, stages[4], 0)
-				}
-				if !stages[4].CanRelease(m.GenTokenAt(t0).ID) {
-					return m.GenBlock(e, 0), nil
-				}
-				rt0 := m.GenRemoveAt(t0)
-				stages[4].Release(m, rt0)
-				return true, m.GenFinish(e)
-			},
-			Probe: func(m *Machine, e *Edge) bool {
-				if stages[4].ReleaseGate != nil {
-					return m.ProbeEdge(e)
-				}
-				t0 := m.GenFindHeld(stages[4], 0)
-				return t0 >= 0 && stages[4].CanRelease(m.GenTokenAt(t0).ID)
-			},
+		GenKey("S5", "out"): func(m *Machine, e *Edge) (bool, error) {
+			count()
+			if stages[4].ReleaseGate != nil {
+				return m.GenFallback(e)
+			}
+			t0 := m.GenFindHeld(stages[4], 0)
+			if t0 < 0 {
+				return false, m.GenErrNotHeld(e, stages[4], 0)
+			}
+			if !stages[4].CanRelease(m.GenTokenAt(t0).ID) {
+				return m.GenBlock(e, 0), nil
+			}
+			rt0 := m.GenRemoveAt(t0)
+			stages[4].Release(m, rt0)
+			return true, m.GenFinish(e)
 		},
 	}
 	for k := 1; k < 5; k++ {
 		rel, alc := stages[k-1], stages[k]
-		fns[GenKey(fmt.Sprintf("S%d", k), "adv")] = GenEdge{
-			Try: func(m *Machine, e *Edge) (bool, error) {
-				count()
-				if rel.ReleaseGate != nil || alc.AllocGate != nil {
-					return m.GenFallback(e)
-				}
-				t0 := m.GenFindHeld(rel, 0)
-				if t0 < 0 {
-					return false, m.GenErrNotHeld(e, rel, 0)
-				}
-				if !rel.CanRelease(m.GenTokenAt(t0).ID) {
-					return m.GenBlock(e, 0), nil
-				}
-				if !alc.CanAllocate(0) {
-					return m.GenBlock(e, 1), nil
-				}
-				rt0 := m.GenRemoveAt(t0)
-				rel.Release(m, rt0)
-				tk1, _ := alc.Allocate(m, 0)
-				m.GenAdd(tk1)
-				return true, m.GenFinish(e)
-			},
-			Probe: func(m *Machine, e *Edge) bool {
-				if rel.ReleaseGate != nil || alc.AllocGate != nil {
-					return m.ProbeEdge(e)
-				}
-				t0 := m.GenFindHeld(rel, 0)
-				return t0 >= 0 && rel.CanRelease(m.GenTokenAt(t0).ID) && alc.CanAllocate(0)
-			},
+		fns[GenKey(fmt.Sprintf("S%d", k), "adv")] = func(m *Machine, e *Edge) (bool, error) {
+			count()
+			if rel.ReleaseGate != nil || alc.AllocGate != nil {
+				return m.GenFallback(e)
+			}
+			t0 := m.GenFindHeld(rel, 0)
+			if t0 < 0 {
+				return false, m.GenErrNotHeld(e, rel, 0)
+			}
+			if !rel.CanRelease(m.GenTokenAt(t0).ID) {
+				return m.GenBlock(e, 0), nil
+			}
+			if !alc.CanAllocate(0) {
+				return m.GenBlock(e, 1), nil
+			}
+			rt0 := m.GenRemoveAt(t0)
+			rel.Release(m, rt0)
+			tk1, _ := alc.Allocate(m, 0)
+			m.GenAdd(tk1)
+			return true, m.GenFinish(e)
 		}
 	}
 	return d, fns
@@ -160,43 +134,10 @@ func TestGeneratedEngineMatchesEvent(t *testing.T) {
 		}
 	}
 	if tries == 0 {
-		t.Fatal("generated Try functions never ran")
+		t.Fatal("generated edge functions never ran")
 	}
 	if got.String() != want.String() {
 		t.Fatalf("transition traces diverge:\ngenerated:\n%s\nevent:\n%s", got, want)
-	}
-}
-
-// TestGeneratedProbeAgreement cross-checks GenProgram.Probe against
-// the interpreted Machine.ProbeEdge at every step of a generated-
-// engine run.
-func TestGeneratedProbeAgreement(t *testing.T) {
-	d, fns := genPipeline(nil)
-	d.Engine = EngineGenerated
-	if err := d.AttachGenerated(fns); err != nil {
-		t.Fatal(err)
-	}
-	g, err := d.Generated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := d.Step(); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range d.Machines() {
-			for _, e := range m.State().Out {
-				want := m.ProbeEdge(e)
-				got, err := g.Probe(m, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("step %d: machine %s edge %s: generated probe %v, interpreted %v",
-						i, m.Name, e.Name, got, want)
-				}
-			}
-		}
 	}
 }
 
@@ -223,8 +164,8 @@ func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
 }
 
 // TestAttachGeneratedErrors exercises the resolution failure modes:
-// no attachment, a missing key, a half-set entry, and two distinct
-// edges sharing a key.
+// no attachment, a missing key, an entry with a nil function, and two
+// distinct edges sharing a key.
 func TestAttachGeneratedErrors(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d, _ := genPipeline(nil)
@@ -242,13 +183,12 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		}
 	})
 	t.Run("halfSet", func(t *testing.T) {
+		// The key is present but its function is not.
 		d, fns := genPipeline(nil)
-		e := fns[GenKey("I", "in")]
-		e.Probe = nil
-		fns[GenKey("I", "in")] = e
+		fns[GenKey("I", "in")] = nil
 		err := d.AttachGenerated(fns)
-		if err == nil || !strings.Contains(err.Error(), "Try and Probe must both be set") {
-			t.Fatalf("err = %v, want half-set error", err)
+		if err == nil || !strings.Contains(err.Error(), `key "I/in": function is nil`) {
+			t.Fatalf("err = %v, want nil-function error", err)
 		}
 	})
 	t.Run("ambiguous", func(t *testing.T) {
@@ -265,10 +205,9 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		d.AddManager(u)
 		d.AddMachine(NewMachine("m", i))
 		pass := func(m *Machine, e *Edge) (bool, error) { return m.GenFallback(e) }
-		probe := func(m *Machine, e *Edge) bool { return m.ProbeEdge(e) }
-		fns := map[string]GenEdge{}
+		fns := map[string]EdgeFn{}
 		for _, k := range []string{"I/toA", "I/toB", "S/x"} {
-			fns[k] = GenEdge{Try: pass, Probe: probe}
+			fns[k] = pass
 		}
 		err := d.AttachGenerated(fns)
 		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
@@ -278,9 +217,10 @@ func TestAttachGeneratedErrors(t *testing.T) {
 }
 
 // TestGeneratedFallbackOnGate installs an alloc gate mid-run: the
-// generated function must detect it and delegate to the interpreter,
-// preserving semantics (the gate refuses every allocation, so the
-// ring wedges exactly as under the event engine).
+// generated function and the compiled pure path must each detect it
+// and delegate to the interpreter, preserving semantics (the gate
+// refuses every allocation, so the ring wedges exactly as under the
+// event engine).
 func TestGeneratedFallbackOnGate(t *testing.T) {
 	run := func(engine Engine) string {
 		d, fns := genPipeline(nil)
@@ -305,8 +245,11 @@ func TestGeneratedFallbackOnGate(t *testing.T) {
 		}
 		return log.String()
 	}
-	if got, want := run(EngineGenerated), run(EngineEvent); got != want {
-		t.Fatalf("gated traces diverge:\ngenerated:\n%s\nevent:\n%s", got, want)
+	want := run(EngineEvent)
+	for _, eng := range []Engine{EngineGenerated, EngineCompiled} {
+		if got := run(eng); got != want {
+			t.Fatalf("gated traces diverge:\n%v:\n%s\nevent:\n%s", eng, got, want)
+		}
 	}
 }
 
@@ -339,10 +282,9 @@ func BenchmarkDirectorStepIdleGenerated(b *testing.B) {
 		d.AddMachine(NewMachine("m", i))
 	}
 	blockAll := func(m *Machine, e *Edge) (bool, error) { return m.GenFallback(e) }
-	probeAll := func(m *Machine, e *Edge) bool { return m.ProbeEdge(e) }
-	if err := d.AttachGenerated(map[string]GenEdge{
-		"I/go":   {Try: blockAll, Probe: probeAll},
-		"S/stay": {Try: blockAll, Probe: probeAll},
+	if err := d.AttachGenerated(map[string]EdgeFn{
+		"I/go":   blockAll,
+		"S/stay": blockAll,
 	}); err != nil {
 		b.Fatal(err)
 	}

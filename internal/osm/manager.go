@@ -141,8 +141,9 @@ type GrantAuditor interface {
 //     queue CancelAllocate rewind their token sequence exactly.)
 //
 // Managers that cannot promise this simply do not implement the
-// interface and keep the transactional path; the result is identical
-// either way, only slower. The cross-engine differential suites
+// interface, and an edge that allocates from or releases to one runs
+// through the interpreter; the result is identical either way, only
+// slower. The cross-engine differential suites
 // exercise both paths against the interpreter.
 type CheckableManager interface {
 	TokenManager

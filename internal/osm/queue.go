@@ -101,7 +101,7 @@ func (q *QueueManager) CanAllocate() bool { return q.n < q.capacity }
 // CanRelease reports whether a gate-free Release of the held token id
 // would accept: the token is the queue's head. It ignores any
 // installed ReleaseGate — check-then-commit callers must test the
-// gate themselves and take the transactional route when one is
+// gate themselves and fall back to the interpreter when one is
 // installed.
 func (q *QueueManager) CanRelease(id TokenID) bool { return q.n > 0 && q.ring[q.head].id == id }
 

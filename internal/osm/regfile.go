@@ -99,13 +99,16 @@ func (r *RegFileManager) Allocate(m *Machine, id TokenID) (Token, bool) {
 	return Token{Mgr: r, ID: id}, true
 }
 
-// CancelAllocate returns the tentatively taken rename slot.
 // CanAllocate reports whether Allocate(id) would grant, without
 // taking the rename slot. Mutation-free, for check-then-commit
 // callers (the compiled engine's pure path and generated edge
 // functions).
-func (r *RegFileManager) CanAllocate(id TokenID) bool { return rfCanAllocate(r, id) }
+func (r *RegFileManager) CanAllocate(id TokenID) bool {
+	reg, update, ok := r.split(id)
+	return ok && update && r.pending[reg] < r.depth()
+}
 
+// CancelAllocate returns the tentatively taken rename slot.
 func (r *RegFileManager) CancelAllocate(m *Machine, t Token) {
 	reg, _, _ := r.split(t.ID)
 	r.pending[reg]--

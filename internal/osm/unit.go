@@ -88,8 +88,19 @@ func (u *UnitManager) Busy(unit TokenID) uint64 {
 // without transacting anything. It ignores any installed AllocGate —
 // callers on the check-then-commit fast path (the compiled engine's
 // pure path and generated edge functions) must test the gate
-// themselves and take the transactional route when one is installed.
-func (u *UnitManager) CanAllocate(id TokenID) bool { return unitCanAllocate(u, id) }
+// themselves and fall back to the interpreter when one is installed.
+// It mirrors pick.
+func (u *UnitManager) CanAllocate(id TokenID) bool {
+	if id == AnyUnit {
+		for _, o := range u.owner {
+			if o == nil {
+				return true
+			}
+		}
+		return false
+	}
+	return id >= 0 && int(id) < len(u.owner) && u.owner[id] == nil
+}
 
 // CanRelease reports whether a gate-free Release of the held token id
 // would accept: the unit's busy window has expired. Like CanAllocate

@@ -57,10 +57,10 @@ type Spec struct {
 	// Perfect disables caches and TLBs.
 	Perfect bool `json:"perfect,omitempty"`
 	// Engine selects the execution engine on OSM targets: "event"
-	// (default), "scan", "compiled" (guard programs compiled by
-	// osm/compile, executed without interface dispatch) or "generated"
-	// (monomorphic Go edge functions emitted by osmgen and built into
-	// the binary).
+	// (default), "scan", "compiled" (guard programs lowered by
+	// osm.Director.Compile, executed without interface dispatch) or
+	// "generated" (monomorphic Go edge functions emitted by osmgen and
+	// built into the binary).
 	Engine string `json:"engine,omitempty"`
 	// Check installs the runtime OSM invariant checker on the model's
 	// director: token conservation, binding consistency, scheduler

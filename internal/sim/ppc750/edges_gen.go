@@ -14,31 +14,31 @@ import (
 
 // genEdges returns the generated edge functions of the model, keyed
 // by osm.GenKey, for Director.AttachGenerated.
-func (s *Sim) genEdges() map[string]osm.GenEdge {
-	return map[string]osm.GenEdge{
-		"I/fetch":        {Try: s.genTry_I_fetch, Probe: s.genProbe_I_fetch},
-		"Q/Q-reset":      {Try: s.genTry_Q_Q_reset, Probe: s.genProbe_Q_Q_reset},
-		"Q/disp-iu2":     {Try: s.genTry_Q_disp_iu2, Probe: s.genProbe_Q_disp_iu2},
-		"Q/disp-iu1":     {Try: s.genTry_Q_disp_iu1, Probe: s.genProbe_Q_disp_iu1},
-		"Q/disp-lsu":     {Try: s.genTry_Q_disp_lsu, Probe: s.genProbe_Q_disp_lsu},
-		"Q/disp-bpu":     {Try: s.genTry_Q_disp_bpu, Probe: s.genProbe_Q_disp_bpu},
-		"Q/disp-sru":     {Try: s.genTry_Q_disp_sru, Probe: s.genProbe_Q_disp_sru},
-		"Q/rs-iu2":       {Try: s.genTry_Q_rs_iu2, Probe: s.genProbe_Q_rs_iu2},
-		"Q/rs-iu1":       {Try: s.genTry_Q_rs_iu1, Probe: s.genProbe_Q_rs_iu1},
-		"Q/rs-lsu":       {Try: s.genTry_Q_rs_lsu, Probe: s.genProbe_Q_rs_lsu},
-		"Q/rs-bpu":       {Try: s.genTry_Q_rs_bpu, Probe: s.genProbe_Q_rs_bpu},
-		"Q/rs-sru":       {Try: s.genTry_Q_rs_sru, Probe: s.genProbe_Q_rs_sru},
-		"Eiu2/fin-iu2":   {Try: s.genTry_Eiu2_fin_iu2, Probe: s.genProbe_Eiu2_fin_iu2},
-		"C/complete":     {Try: s.genTry_C_complete, Probe: s.genProbe_C_complete},
-		"Eiu1/fin-iu1":   {Try: s.genTry_Eiu1_fin_iu1, Probe: s.genProbe_Eiu1_fin_iu1},
-		"Elsu/fin-lsu":   {Try: s.genTry_Elsu_fin_lsu, Probe: s.genProbe_Elsu_fin_lsu},
-		"Ebpu/fin-bpu":   {Try: s.genTry_Ebpu_fin_bpu, Probe: s.genProbe_Ebpu_fin_bpu},
-		"Esru/fin-sru":   {Try: s.genTry_Esru_fin_sru, Probe: s.genProbe_Esru_fin_sru},
-		"Wiu2/issue-iu2": {Try: s.genTry_Wiu2_issue_iu2, Probe: s.genProbe_Wiu2_issue_iu2},
-		"Wiu1/issue-iu1": {Try: s.genTry_Wiu1_issue_iu1, Probe: s.genProbe_Wiu1_issue_iu1},
-		"Wlsu/issue-lsu": {Try: s.genTry_Wlsu_issue_lsu, Probe: s.genProbe_Wlsu_issue_lsu},
-		"Wbpu/issue-bpu": {Try: s.genTry_Wbpu_issue_bpu, Probe: s.genProbe_Wbpu_issue_bpu},
-		"Wsru/issue-sru": {Try: s.genTry_Wsru_issue_sru, Probe: s.genProbe_Wsru_issue_sru},
+func (s *Sim) genEdges() map[string]osm.EdgeFn {
+	return map[string]osm.EdgeFn{
+		"I/fetch":        s.genTry_I_fetch,
+		"Q/Q-reset":      s.genTry_Q_Q_reset,
+		"Q/disp-iu2":     s.genTry_Q_disp_iu2,
+		"Q/disp-iu1":     s.genTry_Q_disp_iu1,
+		"Q/disp-lsu":     s.genTry_Q_disp_lsu,
+		"Q/disp-bpu":     s.genTry_Q_disp_bpu,
+		"Q/disp-sru":     s.genTry_Q_disp_sru,
+		"Q/rs-iu2":       s.genTry_Q_rs_iu2,
+		"Q/rs-iu1":       s.genTry_Q_rs_iu1,
+		"Q/rs-lsu":       s.genTry_Q_rs_lsu,
+		"Q/rs-bpu":       s.genTry_Q_rs_bpu,
+		"Q/rs-sru":       s.genTry_Q_rs_sru,
+		"Eiu2/fin-iu2":   s.genTry_Eiu2_fin_iu2,
+		"C/complete":     s.genTry_C_complete,
+		"Eiu1/fin-iu1":   s.genTry_Eiu1_fin_iu1,
+		"Elsu/fin-lsu":   s.genTry_Elsu_fin_lsu,
+		"Ebpu/fin-bpu":   s.genTry_Ebpu_fin_bpu,
+		"Esru/fin-sru":   s.genTry_Esru_fin_sru,
+		"Wiu2/issue-iu2": s.genTry_Wiu2_issue_iu2,
+		"Wiu1/issue-iu1": s.genTry_Wiu1_issue_iu1,
+		"Wlsu/issue-lsu": s.genTry_Wlsu_issue_lsu,
+		"Wbpu/issue-bpu": s.genTry_Wbpu_issue_bpu,
+		"Wsru/issue-sru": s.genTry_Wsru_issue_sru,
 	}
 }
 
@@ -60,17 +60,6 @@ func (s *Sim) genTry_I_fetch(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_I_fetch mirrors genTry_I_fetch without committing anything.
-func (s *Sim) genProbe_I_fetch(m *osm.Machine, e *osm.Edge) bool {
-	if !(s.whenFetch(m)) {
-		return false
-	}
-	if !s.fq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_Q_reset evaluates and commits edge Q-reset: Q -> I
 // (inquire reset:0, discard <all>:-2).
 func (s *Sim) genTry_Q_Q_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -79,14 +68,6 @@ func (s *Sim) genTry_Q_Q_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
 	}
 	m.GenDiscard(e, 1)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Q_Q_reset mirrors genTry_Q_Q_reset without committing anything.
-func (s *Sim) genProbe_Q_Q_reset(m *osm.Machine, e *osm.Edge) bool {
-	if !s.reset.Inquire(m, 0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Q_disp_iu2 evaluates and commits edge disp-iu2: Q -> Eiu2
@@ -140,37 +121,6 @@ func (s *Sim) genTry_Q_disp_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_disp_iu2 mirrors genTry_Q_disp_iu2 without committing anything.
-func (s *Sim) genProbe_Q_disp_iu2(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[0].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDisp(s.units[0], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.Inquire(m, 200) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[0].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_disp_iu1 evaluates and commits edge disp-iu1: Q -> Eiu1
 // (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate iu1:0).
 func (s *Sim) genTry_Q_disp_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -220,37 +170,6 @@ func (s *Sim) genTry_Q_disp_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk4, _ := s.units[1].fu.Allocate(m, 0)
 	m.GenAdd(tk4)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Q_disp_iu1 mirrors genTry_Q_disp_iu1 without committing anything.
-func (s *Sim) genProbe_Q_disp_iu1(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[1].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDisp(s.units[1], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.Inquire(m, 200) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[1].fu.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Q_disp_lsu evaluates and commits edge disp-lsu: Q -> Elsu
@@ -304,37 +223,6 @@ func (s *Sim) genTry_Q_disp_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_disp_lsu mirrors genTry_Q_disp_lsu without committing anything.
-func (s *Sim) genProbe_Q_disp_lsu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[2].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDisp(s.units[2], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.Inquire(m, 200) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[2].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_disp_bpu evaluates and commits edge disp-bpu: Q -> Ebpu
 // (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate bpu:0).
 func (s *Sim) genTry_Q_disp_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -384,37 +272,6 @@ func (s *Sim) genTry_Q_disp_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk4, _ := s.units[3].fu.Allocate(m, 0)
 	m.GenAdd(tk4)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Q_disp_bpu mirrors genTry_Q_disp_bpu without committing anything.
-func (s *Sim) genProbe_Q_disp_bpu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[3].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDisp(s.units[3], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.Inquire(m, 200) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[3].fu.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Q_disp_sru evaluates and commits edge disp-sru: Q -> Esru
@@ -468,37 +325,6 @@ func (s *Sim) genTry_Q_disp_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_disp_sru mirrors genTry_Q_disp_sru without committing anything.
-func (s *Sim) genProbe_Q_disp_sru(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[4].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDisp(s.units[4], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.Inquire(m, 200) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[4].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_rs_iu2 evaluates and commits edge rs-iu2: Q -> Wiu2
 // (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate iu2-rs:0).
 func (s *Sim) genTry_Q_rs_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -545,34 +371,6 @@ func (s *Sim) genTry_Q_rs_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk3, _ := s.units[0].rs.Allocate(m, 0)
 	m.GenAdd(tk3)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Q_rs_iu2 mirrors genTry_Q_rs_iu2 without committing anything.
-func (s *Sim) genProbe_Q_rs_iu2(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[0].rs.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDispRS(s.units[0], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[0].rs.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Q_rs_iu1 evaluates and commits edge rs-iu1: Q -> Wiu1
@@ -623,34 +421,6 @@ func (s *Sim) genTry_Q_rs_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_rs_iu1 mirrors genTry_Q_rs_iu1 without committing anything.
-func (s *Sim) genProbe_Q_rs_iu1(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[1].rs.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDispRS(s.units[1], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[1].rs.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_rs_lsu evaluates and commits edge rs-lsu: Q -> Wlsu
 // (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate lsu-rs:0).
 func (s *Sim) genTry_Q_rs_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -697,34 +467,6 @@ func (s *Sim) genTry_Q_rs_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk3, _ := s.units[2].rs.Allocate(m, 0)
 	m.GenAdd(tk3)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Q_rs_lsu mirrors genTry_Q_rs_lsu without committing anything.
-func (s *Sim) genProbe_Q_rs_lsu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[2].rs.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDispRS(s.units[2], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[2].rs.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Q_rs_bpu evaluates and commits edge rs-bpu: Q -> Wbpu
@@ -775,34 +517,6 @@ func (s *Sim) genTry_Q_rs_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_rs_bpu mirrors genTry_Q_rs_bpu without committing anything.
-func (s *Sim) genProbe_Q_rs_bpu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[3].rs.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDispRS(s.units[3], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[3].rs.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Q_rs_sru evaluates and commits edge rs-sru: Q -> Wsru
 // (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate sru-rs:0).
 func (s *Sim) genTry_Q_rs_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -851,34 +565,6 @@ func (s *Sim) genTry_Q_rs_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Q_rs_sru mirrors genTry_Q_rs_sru without committing anything.
-func (s *Sim) genProbe_Q_rs_sru(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[4].rs.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenDispRS(s.units[4], m)) {
-		return false
-	}
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.fq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	if !s.cq.CanAllocate(m, osm.AnyUnit) {
-		return false
-	}
-	if !s.ren.CanAllocate(m, 202) {
-		return false
-	}
-	if !s.units[4].rs.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Eiu2_fin_iu2 evaluates and commits edge fin-iu2: Eiu2 -> C
 // (release iu2:0).
 func (s *Sim) genTry_Eiu2_fin_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -895,21 +581,6 @@ func (s *Sim) genTry_Eiu2_fin_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	rt0 := m.GenRemoveAt(t0)
 	s.units[0].fu.Release(m, rt0)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Eiu2_fin_iu2 mirrors genTry_Eiu2_fin_iu2 without committing anything.
-func (s *Sim) genProbe_Eiu2_fin_iu2(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[0].fu.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[0].fu, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[0].fu.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	return true
 }
 
 // genTry_C_complete evaluates and commits edge complete: C -> I
@@ -946,26 +617,6 @@ func (s *Sim) genTry_C_complete(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_C_complete mirrors genTry_C_complete without committing anything.
-func (s *Sim) genProbe_C_complete(m *osm.Machine, e *osm.Edge) bool {
-	id0 := anyHeld(m)
-	t0 := m.GenFindHeld(s.cq, id0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.cq.CanRelease(m, m.GenTokenAt(t0)) {
-		return false
-	}
-	t1 := m.GenFindHeld(s.ren, 202)
-	if t1 < 0 {
-		return false
-	}
-	if !s.ren.CanRelease(m, m.GenTokenAt(t1)) {
-		return false
-	}
-	return true
-}
-
 // genTry_Eiu1_fin_iu1 evaluates and commits edge fin-iu1: Eiu1 -> C
 // (release iu1:0).
 func (s *Sim) genTry_Eiu1_fin_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -982,21 +633,6 @@ func (s *Sim) genTry_Eiu1_fin_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	rt0 := m.GenRemoveAt(t0)
 	s.units[1].fu.Release(m, rt0)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Eiu1_fin_iu1 mirrors genTry_Eiu1_fin_iu1 without committing anything.
-func (s *Sim) genProbe_Eiu1_fin_iu1(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[1].fu.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[1].fu, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[1].fu.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	return true
 }
 
 // genTry_Elsu_fin_lsu evaluates and commits edge fin-lsu: Elsu -> C
@@ -1017,21 +653,6 @@ func (s *Sim) genTry_Elsu_fin_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Elsu_fin_lsu mirrors genTry_Elsu_fin_lsu without committing anything.
-func (s *Sim) genProbe_Elsu_fin_lsu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[2].fu.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[2].fu, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[2].fu.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	return true
-}
-
 // genTry_Ebpu_fin_bpu evaluates and commits edge fin-bpu: Ebpu -> C
 // (release bpu:0).
 func (s *Sim) genTry_Ebpu_fin_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -1050,21 +671,6 @@ func (s *Sim) genTry_Ebpu_fin_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Ebpu_fin_bpu mirrors genTry_Ebpu_fin_bpu without committing anything.
-func (s *Sim) genProbe_Ebpu_fin_bpu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[3].fu.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[3].fu, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[3].fu.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	return true
-}
-
 // genTry_Esru_fin_sru evaluates and commits edge fin-sru: Esru -> C
 // (release sru:0).
 func (s *Sim) genTry_Esru_fin_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -1081,21 +687,6 @@ func (s *Sim) genTry_Esru_fin_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	rt0 := m.GenRemoveAt(t0)
 	s.units[4].fu.Release(m, rt0)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Esru_fin_sru mirrors genTry_Esru_fin_sru without committing anything.
-func (s *Sim) genProbe_Esru_fin_sru(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[4].fu.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[4].fu, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[4].fu.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	return true
 }
 
 // genTry_Wiu2_issue_iu2 evaluates and commits edge issue-iu2: Wiu2 -> Eiu2
@@ -1124,27 +715,6 @@ func (s *Sim) genTry_Wiu2_issue_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Wiu2_issue_iu2 mirrors genTry_Wiu2_issue_iu2 without committing anything.
-func (s *Sim) genProbe_Wiu2_issue_iu2(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[0].rs.ReleaseGate != nil || s.units[0].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[0].rs, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[0].rs.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.ren.Inquire(m, 201) {
-		return false
-	}
-	if !s.units[0].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Wiu1_issue_iu1 evaluates and commits edge issue-iu1: Wiu1 -> Eiu1
 // (release iu1-rs:0, inquire regfiles+rename:201, allocate iu1:0).
 func (s *Sim) genTry_Wiu1_issue_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -1169,27 +739,6 @@ func (s *Sim) genTry_Wiu1_issue_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk2, _ := s.units[1].fu.Allocate(m, 0)
 	m.GenAdd(tk2)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Wiu1_issue_iu1 mirrors genTry_Wiu1_issue_iu1 without committing anything.
-func (s *Sim) genProbe_Wiu1_issue_iu1(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[1].rs.ReleaseGate != nil || s.units[1].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[1].rs, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[1].rs.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.ren.Inquire(m, 201) {
-		return false
-	}
-	if !s.units[1].fu.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_Wlsu_issue_lsu evaluates and commits edge issue-lsu: Wlsu -> Elsu
@@ -1218,27 +767,6 @@ func (s *Sim) genTry_Wlsu_issue_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Wlsu_issue_lsu mirrors genTry_Wlsu_issue_lsu without committing anything.
-func (s *Sim) genProbe_Wlsu_issue_lsu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[2].rs.ReleaseGate != nil || s.units[2].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[2].rs, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[2].rs.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.ren.Inquire(m, 201) {
-		return false
-	}
-	if !s.units[2].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Wbpu_issue_bpu evaluates and commits edge issue-bpu: Wbpu -> Ebpu
 // (release bpu-rs:0, inquire regfiles+rename:201, allocate bpu:0).
 func (s *Sim) genTry_Wbpu_issue_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -1265,27 +793,6 @@ func (s *Sim) genTry_Wbpu_issue_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_Wbpu_issue_bpu mirrors genTry_Wbpu_issue_bpu without committing anything.
-func (s *Sim) genProbe_Wbpu_issue_bpu(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[3].rs.ReleaseGate != nil || s.units[3].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[3].rs, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[3].rs.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.ren.Inquire(m, 201) {
-		return false
-	}
-	if !s.units[3].fu.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_Wsru_issue_sru evaluates and commits edge issue-sru: Wsru -> Esru
 // (release sru-rs:0, inquire regfiles+rename:201, allocate sru:0).
 func (s *Sim) genTry_Wsru_issue_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -1310,25 +817,4 @@ func (s *Sim) genTry_Wsru_issue_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk2, _ := s.units[4].fu.Allocate(m, 0)
 	m.GenAdd(tk2)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_Wsru_issue_sru mirrors genTry_Wsru_issue_sru without committing anything.
-func (s *Sim) genProbe_Wsru_issue_sru(m *osm.Machine, e *osm.Edge) bool {
-	if s.units[4].rs.ReleaseGate != nil || s.units[4].fu.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.units[4].rs, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.units[4].rs.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.ren.Inquire(m, 201) {
-		return false
-	}
-	if !s.units[4].fu.CanAllocate(0) {
-		return false
-	}
-	return true
 }

@@ -604,9 +604,6 @@ func (s *Sim) dispatchExec(m *osm.Machine) {
 			s.mispredicts++
 		}
 		o.redirect = true
-		if dbgRedirect != nil {
-			dbgRedirect("osm-detect", s.director.StepCount())
-		}
 		s.fetchPC = actual
 		s.fetchHeld = true
 		// Cancel pending wrong-path fetch stalls (an in-flight wrong-
@@ -712,9 +709,6 @@ func (s *Sim) resolveBranch(o *op, cycle uint64) {
 		s.BTIC.Insert(o.pc, o.actualNext)
 	}
 	if o.redirect {
-		if dbgRedirect != nil {
-			dbgRedirect("osm-resolve", cycle)
-		}
 		s.fetchHeld = false
 		s.fetchResumeAt = max64(s.fetchResumeAt, cycle+1)
 	}
@@ -794,11 +788,6 @@ func (s *Sim) stats() Stats {
 	}
 	return st
 }
-
-var dbgRedirect func(string, uint64)
-
-// DbgSetRedirect installs a debug hook (tests only).
-func DbgSetRedirect(f func(string, uint64)) { dbgRedirect = f }
 
 // Director exposes the model's director for tracing and analysis.
 func (s *Sim) Director() *osm.Director { return s.director }

@@ -14,16 +14,16 @@ import (
 
 // genEdges returns the generated edge functions of the model, keyed
 // by osm.GenKey, for Director.AttachGenerated.
-func (s *Sim) genEdges() map[string]osm.GenEdge {
-	return map[string]osm.GenEdge{
-		"I/e0":      {Try: s.genTry_I_e0, Probe: s.genProbe_I_e0},
-		"F/F-reset": {Try: s.genTry_F_F_reset, Probe: s.genProbe_F_F_reset},
-		"F/e1":      {Try: s.genTry_F_e1, Probe: s.genProbe_F_e1},
-		"D/D-reset": {Try: s.genTry_D_D_reset, Probe: s.genProbe_D_D_reset},
-		"D/e2":      {Try: s.genTry_D_e2, Probe: s.genProbe_D_e2},
-		"E/e3":      {Try: s.genTry_E_e3, Probe: s.genProbe_E_e3},
-		"B/e4":      {Try: s.genTry_B_e4, Probe: s.genProbe_B_e4},
-		"W/e5":      {Try: s.genTry_W_e5, Probe: s.genProbe_W_e5},
+func (s *Sim) genEdges() map[string]osm.EdgeFn {
+	return map[string]osm.EdgeFn{
+		"I/e0":      s.genTry_I_e0,
+		"F/F-reset": s.genTry_F_F_reset,
+		"F/e1":      s.genTry_F_e1,
+		"D/D-reset": s.genTry_D_D_reset,
+		"D/e2":      s.genTry_D_e2,
+		"E/e3":      s.genTry_E_e3,
+		"B/e4":      s.genTry_B_e4,
+		"W/e5":      s.genTry_W_e5,
 	}
 }
 
@@ -44,20 +44,6 @@ func (s *Sim) genTry_I_e0(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_I_e0 mirrors genTry_I_e0 without committing anything.
-func (s *Sim) genProbe_I_e0(m *osm.Machine, e *osm.Edge) bool {
-	if s.mf.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	if !(s.whenFetch(m)) {
-		return false
-	}
-	if !s.mf.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_F_F_reset evaluates and commits edge F-reset: F -> I
 // (inquire reset:0, discard <all>:-2).
 func (s *Sim) genTry_F_F_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -66,14 +52,6 @@ func (s *Sim) genTry_F_F_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
 	}
 	m.GenDiscard(e, 1)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_F_F_reset mirrors genTry_F_F_reset without committing anything.
-func (s *Sim) genProbe_F_F_reset(m *osm.Machine, e *osm.Edge) bool {
-	if !s.reset.Inquire(m, 0) {
-		return false
-	}
-	return true
 }
 
 // genTry_F_e1 evaluates and commits edge e1: F -> D
@@ -99,24 +77,6 @@ func (s *Sim) genTry_F_e1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_F_e1 mirrors genTry_F_e1 without committing anything.
-func (s *Sim) genProbe_F_e1(m *osm.Machine, e *osm.Edge) bool {
-	if s.mf.ReleaseGate != nil || s.md.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.mf, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.mf.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.md.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_D_D_reset evaluates and commits edge D-reset: D -> I
 // (inquire reset:0, discard <all>:-2).
 func (s *Sim) genTry_D_D_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -125,14 +85,6 @@ func (s *Sim) genTry_D_D_reset(m *osm.Machine, e *osm.Edge) (bool, error) {
 	}
 	m.GenDiscard(e, 1)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_D_D_reset mirrors genTry_D_D_reset without committing anything.
-func (s *Sim) genProbe_D_D_reset(m *osm.Machine, e *osm.Edge) bool {
-	if !s.reset.Inquire(m, 0) {
-		return false
-	}
-	return true
 }
 
 // genTry_D_e2 evaluates and commits edge e2: D -> E
@@ -170,30 +122,6 @@ func (s *Sim) genTry_D_e2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_D_e2 mirrors genTry_D_e2 without committing anything.
-func (s *Sim) genProbe_D_e2(m *osm.Machine, e *osm.Edge) bool {
-	if s.md.ReleaseGate != nil || s.me.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.md, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.md.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.regs.Inquire(m, 100) {
-		return false
-	}
-	if !s.me.CanAllocate(0) {
-		return false
-	}
-	if !s.regs.CanAllocate(m, 101) {
-		return false
-	}
-	return true
-}
-
 // genTry_E_e3 evaluates and commits edge e3: E -> B
 // (release EX:0, allocate BF:0).
 func (s *Sim) genTry_E_e3(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -217,24 +145,6 @@ func (s *Sim) genTry_E_e3(m *osm.Machine, e *osm.Edge) (bool, error) {
 	return true, m.GenFinish(e)
 }
 
-// genProbe_E_e3 mirrors genTry_E_e3 without committing anything.
-func (s *Sim) genProbe_E_e3(m *osm.Machine, e *osm.Edge) bool {
-	if s.me.ReleaseGate != nil || s.mb.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.me, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.me.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.mb.CanAllocate(0) {
-		return false
-	}
-	return true
-}
-
 // genTry_B_e4 evaluates and commits edge e4: B -> W
 // (release BF:0, allocate WB:0).
 func (s *Sim) genTry_B_e4(m *osm.Machine, e *osm.Edge) (bool, error) {
@@ -256,24 +166,6 @@ func (s *Sim) genTry_B_e4(m *osm.Machine, e *osm.Edge) (bool, error) {
 	tk1, _ := s.mw.Allocate(m, 0)
 	m.GenAdd(tk1)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_B_e4 mirrors genTry_B_e4 without committing anything.
-func (s *Sim) genProbe_B_e4(m *osm.Machine, e *osm.Edge) bool {
-	if s.mb.ReleaseGate != nil || s.mw.AllocGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.mb, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.mb.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	if !s.mw.CanAllocate(0) {
-		return false
-	}
-	return true
 }
 
 // genTry_W_e5 evaluates and commits edge e5: W -> I
@@ -307,26 +199,4 @@ func (s *Sim) genTry_W_e5(m *osm.Machine, e *osm.Edge) (bool, error) {
 	}
 	s.regs.CommitRelease(m, rt1)
 	return true, m.GenFinish(e)
-}
-
-// genProbe_W_e5 mirrors genTry_W_e5 without committing anything.
-func (s *Sim) genProbe_W_e5(m *osm.Machine, e *osm.Edge) bool {
-	if s.mw.ReleaseGate != nil {
-		return m.ProbeEdge(e)
-	}
-	t0 := m.GenFindHeld(s.mw, 0)
-	if t0 < 0 {
-		return false
-	}
-	if !s.mw.CanRelease(m.GenTokenAt(t0).ID) {
-		return false
-	}
-	t1 := m.GenFindHeld(s.regs, 101)
-	if t1 < 0 {
-		return false
-	}
-	if !s.regs.CanRelease(m, m.GenTokenAt(t1)) {
-		return false
-	}
-	return true
 }

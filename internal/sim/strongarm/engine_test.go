@@ -62,45 +62,6 @@ func TestKernelsCorrectUnderGeneratedEngine(t *testing.T) {
 	}
 }
 
-// TestGeneratedProbeMatchesInterpreted drives a kernel under the
-// generated engine and, every cycle, cross-checks GenProgram.Probe
-// against the interpreted Machine.ProbeEdge for every machine and
-// outgoing edge — the probe agreement the invariant checker's
-// scheduler-equivalence pass relies on.
-func TestGeneratedProbeMatchesInterpreted(t *testing.T) {
-	w := workload.ByName("gsm/dec")
-	p, err := w.ARMProgram(w.DefaultN / 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(p, Config{Engine: osm.EngineGenerated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := s.Director().Generated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500 && !s.Done(); i++ {
-		if err := s.StepCycle(); err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range s.Director().Machines() {
-			for _, e := range m.State().Out {
-				want := m.ProbeEdge(e)
-				got, err := g.Probe(m, e)
-				if err != nil {
-					t.Fatalf("cycle %d: Probe(%s, %s): %v", i, m.Name, e.Name, err)
-				}
-				if got != want {
-					t.Fatalf("cycle %d: machine %s edge %s: generated probe %v, interpreted %v",
-						i, m.Name, e.Name, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestEngineCycleAgreement pins the engines' timing equivalence at the
 // simulator level: the same kernel takes exactly the same number of
 // cycles under the scan, event, compiled and generated engines.
