@@ -90,9 +90,9 @@ func (c *CPU) Step() (Instr, error) {
 }
 
 // StepDecoded executes one already-decoded instruction as the
-// instruction at the current PC. Callers (the iss package's decode
-// cache) are responsible for ins being the decode of the word at the
-// PC; the halted and alignment checks of Step still apply.
+// instruction at the current PC. Callers (the iss package's Step and
+// StepFetched) are responsible for ins being the decode of the word at
+// the PC; the halted and alignment checks of Step still apply.
 func (c *CPU) StepDecoded(ins Instr) error {
 	pc := c.R[PC]
 	branched, err := c.Exec(ins)

@@ -87,9 +87,9 @@ func (c *CPU) Step() (Instr, error) {
 }
 
 // StepDecoded executes one already-decoded instruction as the
-// instruction at NextPC. Callers (the iss package's decode cache) are
-// responsible for ins being the decode of the word at NextPC; the
-// halted and alignment checks of Step still apply.
+// instruction at NextPC. Callers (the iss package's Step and
+// StepFetched) are responsible for ins being the decode of the word at
+// NextPC; the halted and alignment checks of Step still apply.
 func (c *CPU) StepDecoded(ins Instr) error {
 	pc := c.NextPC
 	c.NextPC = pc + 4

@@ -3,8 +3,9 @@ package iss
 // decodeCache is a direct-mapped cache of decoded instructions,
 // indexed by instruction-word address. Workload inner loops re-visit
 // the same addresses millions of times; caching the decode removes
-// the field-extraction work from the per-instruction hot path of both
-// functional and micro-architecture simulation.
+// the field-extraction work from Step's per-instruction hot path. A
+// timing model keeps its own fetch-time decodings and executes them
+// through StepFetched, which bypasses this cache.
 //
 // A line is valid only for the exact (address, raw word) pair it was
 // filled with, so self-modifying code — or a reloaded RAM image —

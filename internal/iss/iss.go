@@ -58,7 +58,12 @@ type ARM struct {
 	// Stats counts events.
 	Stats Stats
 
+	// dcache serves Step's decodes. It is sized to the program's
+	// words but allocated on the first Step: a timing model that
+	// decodes at fetch and executes through StepFetched never needs
+	// it.
 	dcache decodeCache[arm.Instr]
+	words  int
 }
 
 // NewARM builds an ARM ISS for the program with ramKB kibibytes of
@@ -69,7 +74,7 @@ func NewARM(p *arm.Program, ramKB int) (*ARM, error) {
 		return nil, fmt.Errorf("iss: program (%d bytes at %#x) exceeds %d KiB RAM", p.Size(), p.Org, ramKB)
 	}
 	ram.LoadWords(p.Org, p.Words)
-	s := &ARM{RAM: ram, Out: io.Discard, dcache: newDecodeCache[arm.Instr](len(p.Words))}
+	s := &ARM{RAM: ram, Out: io.Discard, words: len(p.Words)}
 	s.CPU = &arm.CPU{Mem: ram}
 	s.CPU.R[arm.SP] = ram.Size() - 16
 	s.CPU.SetPC(p.Entry)
@@ -107,32 +112,66 @@ func (s *ARM) swi(c *arm.CPU, num uint32) error {
 // served from a direct-mapped cache validated against the raw
 // instruction word (see decodeCache).
 func (s *ARM) Step() (arm.Instr, error) {
-	c := s.CPU
-	if c.Halted {
-		return arm.Instr{}, fmt.Errorf("arm: step on halted CPU")
+	pc, word, err := s.fetch()
+	if err != nil {
+		return arm.Instr{}, err
 	}
-	pc := c.PC()
-	if pc%4 != 0 {
-		return arm.Instr{}, fmt.Errorf("arm: unaligned PC %#x", pc)
+	if s.dcache.lines == nil {
+		s.dcache = newDecodeCache[arm.Instr](s.words)
 	}
-	word := c.Mem.Read32(pc)
 	ins, hit := s.dcache.lookup(pc, word)
 	if !hit {
-		var err error
-		ins, err = arm.Decode(word)
-		if err != nil {
+		if ins, err = arm.Decode(word); err != nil {
 			return ins, fmt.Errorf("arm: at %#x: %w", pc, err)
 		}
 		s.dcache.insert(pc, word, ins)
 	}
-	if err := c.StepDecoded(ins); err != nil {
-		return ins, err
+	return ins, s.exec(pc, &ins)
+}
+
+// StepFetched executes one instruction like Step, given the decoding a
+// timing model made of the word when it fetched it from the PC. That
+// decoding runs when RAM still holds ins.Raw at the PC; otherwise the
+// current word is decoded afresh, exactly as Step would. The decode
+// cache is neither read nor filled.
+func (s *ARM) StepFetched(ins *arm.Instr) error {
+	pc, word, err := s.fetch()
+	if err != nil {
+		return err
+	}
+	if word != ins.Raw {
+		cur, err := arm.Decode(word)
+		if err != nil {
+			return fmt.Errorf("arm: at %#x: %w", pc, err)
+		}
+		ins = &cur
+	}
+	return s.exec(pc, ins)
+}
+
+// fetch reads the instruction word at the PC of a running CPU.
+func (s *ARM) fetch() (pc, word uint32, err error) {
+	c := s.CPU
+	if c.Halted {
+		return 0, 0, fmt.Errorf("arm: step on halted CPU")
+	}
+	pc = c.PC()
+	if pc%4 != 0 {
+		return 0, 0, fmt.Errorf("arm: unaligned PC %#x", pc)
+	}
+	return pc, c.Mem.Read32(pc), nil
+}
+
+// exec runs the instruction fetched from pc and counts it.
+func (s *ARM) exec(pc uint32, ins *arm.Instr) error {
+	if err := s.CPU.StepDecoded(*ins); err != nil {
+		return err
 	}
 	if s.Trace != nil {
-		s.Trace(pc, ins)
+		s.Trace(pc, *ins)
 	}
 	s.count(ins.Class())
-	return ins, nil
+	return nil
 }
 
 // Run executes until halt or the instruction limit.
@@ -178,7 +217,10 @@ type PPC struct {
 	// Stats counts events.
 	Stats Stats
 
+	// dcache serves Step's decodes, allocated on the first Step (see
+	// ARM).
 	dcache decodeCache[ppc.Instr]
+	words  int
 }
 
 // NewPPC builds a PowerPC ISS for the program with ramKB kibibytes of
@@ -189,7 +231,7 @@ func NewPPC(p *ppc.Program, ramKB int) (*PPC, error) {
 		return nil, fmt.Errorf("iss: program (%d bytes at %#x) exceeds %d KiB RAM", p.Size(), p.Org, ramKB)
 	}
 	ram.LoadWords(p.Org, p.Words)
-	s := &PPC{RAM: ram, Out: io.Discard, dcache: newDecodeCache[ppc.Instr](len(p.Words))}
+	s := &PPC{RAM: ram, Out: io.Discard, words: len(p.Words)}
 	s.CPU = &ppc.CPU{Mem: ram}
 	s.CPU.R[1] = ram.Size() - 16
 	s.CPU.NextPC = p.Entry
@@ -227,32 +269,64 @@ func (s *PPC) sc(c *ppc.CPU) error {
 // served from a direct-mapped cache validated against the raw
 // instruction word (see decodeCache).
 func (s *PPC) Step() (ppc.Instr, error) {
-	c := s.CPU
-	if c.Halted {
-		return ppc.Instr{}, fmt.Errorf("ppc: step on halted CPU")
+	pc, word, err := s.fetch()
+	if err != nil {
+		return ppc.Instr{}, err
 	}
-	pc := c.NextPC
-	if pc%4 != 0 {
-		return ppc.Instr{}, fmt.Errorf("ppc: unaligned PC %#x", pc)
+	if s.dcache.lines == nil {
+		s.dcache = newDecodeCache[ppc.Instr](s.words)
 	}
-	word := c.Mem.Read32(pc)
 	ins, hit := s.dcache.lookup(pc, word)
 	if !hit {
-		var err error
-		ins, err = ppc.Decode(word)
-		if err != nil {
+		if ins, err = ppc.Decode(word); err != nil {
 			return ins, fmt.Errorf("ppc: at %#x: %w", pc, err)
 		}
 		s.dcache.insert(pc, word, ins)
 	}
-	if err := c.StepDecoded(ins); err != nil {
-		return ins, err
+	return ins, s.exec(pc, &ins)
+}
+
+// StepFetched executes one instruction like Step, given the decoding a
+// timing model made of the word when it fetched it from the PC (see
+// ARM.StepFetched).
+func (s *PPC) StepFetched(ins *ppc.Instr) error {
+	pc, word, err := s.fetch()
+	if err != nil {
+		return err
+	}
+	if word != ins.Raw {
+		cur, err := ppc.Decode(word)
+		if err != nil {
+			return fmt.Errorf("ppc: at %#x: %w", pc, err)
+		}
+		ins = &cur
+	}
+	return s.exec(pc, ins)
+}
+
+// fetch reads the instruction word at the PC of a running CPU.
+func (s *PPC) fetch() (pc, word uint32, err error) {
+	c := s.CPU
+	if c.Halted {
+		return 0, 0, fmt.Errorf("ppc: step on halted CPU")
+	}
+	pc = c.NextPC
+	if pc%4 != 0 {
+		return 0, 0, fmt.Errorf("ppc: unaligned PC %#x", pc)
+	}
+	return pc, c.Mem.Read32(pc), nil
+}
+
+// exec runs the instruction fetched from pc and counts it.
+func (s *PPC) exec(pc uint32, ins *ppc.Instr) error {
+	if err := s.CPU.StepDecoded(*ins); err != nil {
+		return err
 	}
 	if s.Trace != nil {
-		s.Trace(pc, ins)
+		s.Trace(pc, *ins)
 	}
 	s.count(ins.Class())
-	return ins, nil
+	return nil
 }
 
 // Run executes until halt or the instruction limit.

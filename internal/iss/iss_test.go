@@ -290,7 +290,8 @@ func TestRestoreRejectsImplausibleReportedCount(t *testing.T) {
 
 // TestDecodeCacheSizedToProgram: the cache holds the smallest power of
 // two of lines that covers the program's words, capped at
-// maxDecodeLines.
+// maxDecodeLines. An ISS allocates it on its first Step, not at
+// construction.
 func TestDecodeCacheSizedToProgram(t *testing.T) {
 	for _, c := range []struct{ words, lines int }{
 		{0, 1}, {1, 1}, {29, 32}, {32, 32}, {33, 64}, {179, 256}, {4096, 4096}, {5000, 4096},
@@ -301,6 +302,12 @@ func TestDecodeCacheSizedToProgram(t *testing.T) {
 	}
 	s, err := NewPPC(ppcProg(t, "li r3, 0\nli r0, 1\nsc"), 64)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(s.dcache.lines); got != 0 {
+		t.Fatalf("before the first Step: %d lines, want 0", got)
+	}
+	if _, err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s.dcache.lines); got != 4 {
@@ -345,5 +352,55 @@ func TestProgramLargerThanDecodeCache(t *testing.T) {
 		if !slices.Equal(a.Reported, want) || !slices.Equal(p.Reported, want) {
 			t.Fatalf("%s: reported arm %x ppc %x, want %x", w.Name, a.Reported, p.Reported, want)
 		}
+	}
+}
+
+// TestStepFetched: a fetch-time decoding runs while RAM still holds
+// its word at the PC; once the word changes, the current word is
+// decoded and run, as Step would. Neither path allocates the decode
+// cache, and a changed word that does not decode fails as Step fails.
+func TestStepFetched(t *testing.T) {
+	a, err := NewARM(armProg(t, "mov r1, #1\nmov r2, #2\nswi #0"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, err := arm.Decode(a.RAM.Read32(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins.Rd = 3 // a decoding that differs from the word, to see which runs
+	if err := a.StepFetched(&ins); err != nil || a.CPU.R[3] != 1 || a.CPU.R[1] != 0 {
+		t.Fatalf("matching word: err %v, r1=%d r3=%d; want the given decoding run", err, a.CPU.R[1], a.CPU.R[3])
+	}
+	a.RAM.Write32(4, armProg(t, "mov r4, #9").Words[0])
+	if err := a.StepFetched(&ins); err != nil || a.CPU.R[4] != 9 || a.Stats.Instrs != 2 {
+		t.Fatalf("rewritten word: err %v, r4=%d, %d instrs; want the current word run", err, a.CPU.R[4], a.Stats.Instrs)
+	}
+	a.RAM.Write32(8, 0xffffffff)
+	if err := a.StepFetched(&ins); err == nil || !strings.Contains(err.Error(), "at 0x8") {
+		t.Fatalf("undecodable word: err %v, want a decode error at 0x8", err)
+	}
+	if ARMDecodeLines(a) != 0 {
+		t.Fatal("StepFetched allocated the decode cache")
+	}
+
+	p, err := NewPPC(ppcProg(t, "li r3, 1\nli r4, 2\nli r0, 1\nsc"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins, err := ppc.Decode(p.RAM.Read32(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins.RT = 5
+	if err := p.StepFetched(&pins); err != nil || p.CPU.R[5] != 1 || p.CPU.R[3] != 0 {
+		t.Fatalf("matching word: err %v, r3=%d r5=%d; want the given decoding run", err, p.CPU.R[3], p.CPU.R[5])
+	}
+	p.RAM.Write32(4, ppcProg(t, "li r6, 9").Words[0])
+	if err := p.StepFetched(&pins); err != nil || p.CPU.R[6] != 9 || p.Stats.Instrs != 2 {
+		t.Fatalf("rewritten word: err %v, r6=%d, %d instrs; want the current word run", err, p.CPU.R[6], p.Stats.Instrs)
+	}
+	if PPCDecodeLines(p) != 0 {
+		t.Fatal("StepFetched allocated the decode cache")
 	}
 }

@@ -58,13 +58,21 @@ func (s CacheStats) HitRate() float64 {
 
 type cacheLine struct {
 	tag   uint32
-	valid bool
 	dirty bool
 	lru   uint64
 }
 
 // Cache is a set-associative cache timing model with true-LRU
 // replacement.
+//
+// Each set holds only its valid lines, in way order: a set is nil
+// until its first refill, grows by one line per refill while it has
+// fewer than Ways, then replaces its least recently used line, and
+// Flush truncates it. This is the dense Ways-wide array exactly, with
+// its invalid ways left out: only Flush invalidates, and a refill
+// takes the first invalid way, so the valid lines of a set are always
+// a prefix of its ways. A program that touches a few dozen lines
+// costs a few dozen lines.
 type Cache struct {
 	cfg   CacheConfig
 	lower Level
@@ -85,11 +93,7 @@ func NewCache(cfg CacheConfig, lower Level) *Cache {
 	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %q: line size %d not a positive power of two", cfg.Name, cfg.LineBytes))
 	}
-	sets := make([][]cacheLine, cfg.Sets)
-	for i := range sets {
-		sets[i] = make([]cacheLine, cfg.Ways)
-	}
-	return &Cache{cfg: cfg, lower: lower, sets: sets}
+	return &Cache{cfg: cfg, lower: lower, sets: make([][]cacheLine, cfg.Sets)}
 }
 
 // Config returns the cache's configuration.
@@ -107,7 +111,7 @@ func (c *Cache) Access(addr uint32, write bool) uint64 {
 	set, tag := c.index(addr)
 	lines := c.sets[set]
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
+		if lines[i].tag == tag {
 			c.Stats.Hits++
 			lines[i].lru = c.tick
 			if write {
@@ -126,26 +130,25 @@ func (c *Cache) Access(addr uint32, write bool) uint64 {
 		// Write-through no-allocate: miss goes straight down.
 		return c.cfg.HitLatency + c.lower.Access(addr, true)
 	}
-	// Refill: evict LRU, fetch the line.
+	// Refill: fetch the line into a free way, or evict the LRU one.
+	lat := c.cfg.HitLatency + c.lower.Access(addr, false)
+	fill := cacheLine{tag: tag, dirty: write && c.cfg.WriteBack, lru: c.tick}
+	if len(lines) < c.cfg.Ways {
+		c.sets[set] = append(lines, fill)
+		return lat
+	}
 	victim := 0
 	for i := range lines {
-		if !lines[i].valid {
-			victim = i
-			break
-		}
 		if lines[i].lru < lines[victim].lru {
 			victim = i
 		}
 	}
-	lat := c.cfg.HitLatency + c.lower.Access(addr, false)
-	if lines[victim].valid {
-		c.Stats.Evictions++
-		if lines[victim].dirty {
-			c.Stats.Writebacks++
-			lat += c.lower.Access(addr, true) // write the victim back
-		}
+	c.Stats.Evictions++
+	if lines[victim].dirty {
+		c.Stats.Writebacks++
+		lat += c.lower.Access(addr, true) // write the victim back
 	}
-	lines[victim] = cacheLine{tag: tag, valid: true, dirty: write && c.cfg.WriteBack, lru: c.tick}
+	lines[victim] = fill
 	return lat
 }
 
@@ -154,7 +157,7 @@ func (c *Cache) Access(addr uint32, write bool) uint64 {
 func (c *Cache) Contains(addr uint32) bool {
 	set, tag := c.index(addr)
 	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
+		if l.tag == tag {
 			return true
 		}
 	}
@@ -163,9 +166,7 @@ func (c *Cache) Contains(addr uint32) bool {
 
 // Flush invalidates every line, pricing nothing.
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
+	for i := range c.sets {
+		c.sets[i] = c.sets[i][:0]
 	}
 }

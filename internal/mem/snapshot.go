@@ -134,7 +134,9 @@ func (s *CacheStats) restore(r *snap.Reader) {
 	s.Writebacks = r.U64()
 }
 
-// Snapshot encodes the cache's line state and statistics.
+// Snapshot encodes the cache's line state and statistics. The record
+// is the dense Ways-wide one: each set writes its valid lines as (tag,
+// valid, dirty, LRU), then an all-zero record for each empty way.
 func (c *Cache) Snapshot(w *snap.Writer) {
 	w.Version(memSnapVersion)
 	w.Int(c.cfg.Sets)
@@ -144,33 +146,61 @@ func (c *Cache) Snapshot(w *snap.Writer) {
 	for _, set := range c.sets {
 		for _, ln := range set {
 			w.U32(ln.tag)
-			w.Bool(ln.valid)
+			w.Bool(true)
 			w.Bool(ln.dirty)
 			w.U64(ln.lru)
+		}
+		for way := len(set); way < c.cfg.Ways; way++ {
+			w.U32(0)
+			w.Bool(false)
+			w.Bool(false)
+			w.U64(0)
 		}
 	}
 }
 
 // Restore decodes a cache snapshot into an identically-organized
-// cache.
+// cache. The whole record is decoded and checked before the cache is
+// touched, so a failed restore leaves it as it was. A record the live
+// model cannot produce is refused: a valid way after an invalid one in
+// its set, or an invalid way with a non-zero field.
 func (c *Cache) Restore(r *snap.Reader) error {
-	r.Version("cache "+c.cfg.Name, memSnapVersion)
-	sets, ways := r.Int(), r.Int()
+	name := "cache " + c.cfg.Name
+	r.Version(name, memSnapVersion)
+	nsets, ways := r.Int(), r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if sets != c.cfg.Sets || ways != c.cfg.Ways {
+	if nsets != c.cfg.Sets || ways != c.cfg.Ways {
 		return fmt.Errorf("mem: cache %s snapshot is %dx%d, cache is %dx%d",
-			c.cfg.Name, sets, ways, c.cfg.Sets, c.cfg.Ways)
+			c.cfg.Name, nsets, ways, c.cfg.Sets, c.cfg.Ways)
 	}
-	c.tick = r.U64()
-	c.Stats.restore(r)
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{tag: r.U32(), valid: r.Bool(), dirty: r.Bool(), lru: r.U64()}
+	tick := r.U64()
+	var stats CacheStats
+	stats.restore(r)
+	sets := make([][]cacheLine, nsets)
+	for i := range sets {
+		for way := 0; way < ways && r.Err() == nil; way++ {
+			ln := cacheLine{tag: r.U32()}
+			valid := r.Bool()
+			ln.dirty = r.Bool()
+			ln.lru = r.U64()
+			switch {
+			case r.Err() != nil:
+			case valid && len(sets[i]) < way:
+				r.Failf("set %d way %d: valid after an invalid way", i, way)
+			case valid:
+				sets[i] = append(sets[i], ln)
+			case ln != cacheLine{}:
+				r.Failf("set %d way %d: invalid way with non-zero fields", i, way)
+			}
 		}
 	}
-	return r.Close("cache " + c.cfg.Name)
+	if err := r.Close(name); err != nil {
+		return err
+	}
+	c.sets, c.tick, c.Stats = sets, tick, stats
+	return nil
 }
 
 // Snapshot encodes the TLB's resident translations and statistics.

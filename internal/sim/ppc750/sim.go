@@ -114,9 +114,13 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instrs)
 }
 
-// decoded caches the static per-instruction facts (the program text
-// is immutable, so each word decodes once).
+// decoded holds the static facts of one instruction word, decoded
+// once at fetch; the ISS executes that decoding at dispatch
+// (iss.PPC.StepFetched). An entry is keyed to the RAM word it was
+// decoded from, so a fetch that finds a different word at its PC (a
+// store into code) decodes afresh.
 type decoded struct {
+	word  uint32
 	ins   ppc.Instr
 	ok    bool
 	class ppc.Class
@@ -417,11 +421,6 @@ func (s *Sim) buildModel() error {
 			slow.Action = func(m *osm.Machine) { s.dispatchExec(m) }
 		}
 	}
-	// Only the execute-stage releases can free a resource a senior
-	// machine waits on (a junior that issued ahead of a senior
-	// reservation-station waiter vacating the function unit), so only
-	// those transitions trigger the director's rescan.
-	restartEdges := make(map[*osm.Edge]bool)
 	for _, u := range s.units {
 		u := u
 		issue := u.w.Connect("issue-"+u.name, u.e,
@@ -430,10 +429,14 @@ func (s *Sim) buildModel() error {
 			osm.Alloc(u.fu, 0))
 		issue.Action = func(m *osm.Machine) { s.enterExec(m, u) }
 
-		fin := u.e.Connect("fin-"+u.name, cSt, osm.Release(u.fu, 0))
-		restartEdges[fin] = true
+		u.e.Connect("fin-"+u.name, cSt, osm.Release(u.fu, 0))
 	}
-	d.RestartPolicy = func(m *osm.Machine, e *osm.Edge) bool { return restartEdges[e] }
+	// Only the execute-stage releases can free a resource a senior
+	// machine waits on (a junior that issued ahead of a senior
+	// reservation-station waiter vacating the function unit), so only
+	// those transitions trigger the director's rescan. They are
+	// exactly the edges into C.
+	d.RestartPolicy = func(m *osm.Machine, e *osm.Edge) bool { return e.To == cSt }
 
 	complete := cSt.Connect("complete", iSt,
 		osm.ReleaseF(s.cq, anyHeld),
@@ -550,22 +553,28 @@ func (s *Sim) takenRedirect(o *op, step uint64) {
 	}
 }
 
-// decode returns the cached static decoding of the word at pc.
+// outsideImage is the decoding of a PC beyond the RAM image: none.
+var outsideImage decoded
+
+// decode returns the static decoding of the word at pc, reusing the
+// table's entry while RAM still holds the word it was decoded from.
 func (s *Sim) decode(pc uint32) *decoded {
-	if d, ok := s.decodeCache[pc]; ok {
+	if !s.ISS.RAM.InBounds(pc, 4) {
+		return &outsideImage
+	}
+	word := s.ISS.RAM.Read32(pc)
+	if d, ok := s.decodeCache[pc]; ok && d.word == word {
 		return d
 	}
-	d := &decoded{}
-	if s.ISS.RAM.InBounds(pc, 4) {
-		if ins, err := ppc.Decode(s.ISS.RAM.Read32(pc)); err == nil {
-			d.ins, d.ok = ins, true
-			d.class = ins.Class()
-			d.srcs = trackedSrcs(&ins)
-			d.dsts, d.gprs = trackedDsts(&ins)
-			if len(d.srcs) > maxSrcs || len(d.dsts) > maxDsts {
-				panic(fmt.Sprintf("ppc750: %v at %#x exceeds the operand bounds (%d sources, %d destinations)",
-					ins.Op, pc, len(d.srcs), len(d.dsts)))
-			}
+	d := &decoded{word: word}
+	if ins, err := ppc.Decode(word); err == nil {
+		d.ins, d.ok = ins, true
+		d.class = ins.Class()
+		d.srcs = trackedSrcs(&ins)
+		d.dsts, d.gprs = trackedDsts(&ins)
+		if len(d.srcs) > maxSrcs || len(d.dsts) > maxDsts {
+			panic(fmt.Sprintf("ppc750: %v at %#x exceeds the operand bounds (%d sources, %d destinations)",
+				ins.Op, pc, len(d.srcs), len(d.dsts)))
 		}
 	}
 	s.decodeCache[pc] = d
@@ -586,7 +595,7 @@ func (s *Sim) dispatchExec(m *osm.Machine) {
 	s.dispatched++
 	s.deriveTiming(o)
 	s.ISS.CPU.NextPC = o.pc
-	if _, err := s.ISS.Step(); err != nil {
+	if err := s.ISS.StepFetched(&o.ins); err != nil {
 		s.execErr = fmt.Errorf("at %#x: %w", o.pc, err)
 		s.fetchStop = true
 		s.squashYounger(m)

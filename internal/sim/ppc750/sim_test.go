@@ -2,6 +2,7 @@ package ppc750
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa/ppc"
@@ -422,4 +423,77 @@ func TestSmallMachinePopulation(t *testing.T) {
 	if s.ISS.Reported[0] != w.Ref(40) {
 		t.Error("checksum wrong with small population")
 	}
+}
+
+// TestRefetchAfterCodeStore: a word rewritten in RAM after it was
+// fetched is decoded afresh at its next fetch, so the op's instruction,
+// class and scoreboard operands describe the word the ISS executes,
+// not the one first decoded at that PC.
+func TestRefetchAfterCodeStore(t *testing.T) {
+	p, err := ppc.Assemble(`
+	li r6, 3
+	li r7, 4
+	li r4, 200
+	mtctr r4
+loop:
+	addi r3, r3, 1
+	bdnz loop
+` + exit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := ppc.Assemble("\tadd r5, r6, r7\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := repl.Words[0]
+	ins, err := ppc.Decode(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, perfect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := p.Org + 16 // the loop's addi
+	// fetched returns the newest in-flight op at target fetched after
+	// age, if any.
+	fetched := func(after uint64) (*op, uint64) {
+		var found *op
+		var age uint64
+		for i := range s.ops {
+			o := &s.ops[i]
+			if !o.m.InInitial() && o.pc == target && o.m.Age > after && o.m.Age > age {
+				found, age = o, o.m.Age
+			}
+		}
+		return found, age
+	}
+	step := func(until func() bool) {
+		t.Helper()
+		for i := 0; !until(); i++ {
+			if i == 200 {
+				t.Fatal("no fetch of the rewritten word within 200 cycles")
+			}
+			if err := s.StepCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var first uint64
+	step(func() bool { _, first = fetched(0); return first != 0 })
+	if o, _ := fetched(0); o.ins.Raw == word {
+		t.Fatal("the original word already decodes as the replacement")
+	}
+	s.ISS.RAM.Write32(target, word)
+	var o *op
+	step(func() bool { o, _ = fetched(first); return o != nil })
+	if o.ins.Raw != word || o.ins.Op != ppc.ADD || o.ins.RT != 5 || o.class != ins.Class() {
+		t.Fatalf("refetched op carries %#x (%v r%d), want the rewritten %#x", o.ins.Raw, o.ins.Op, o.ins.RT, word)
+	}
+	dsts, gprs := trackedDsts(&ins)
+	if !slices.Equal(o.srcs, trackedSrcs(&ins)) || !slices.Equal(o.dsts, dsts) || o.gprDsts != gprs {
+		t.Fatalf("refetched op reads %v and writes %v, want %v and %v", o.srcs, o.dsts, trackedSrcs(&ins), dsts)
+	}
+	step(func() bool { return s.ISS.CPU.R[5] == 7 })
 }

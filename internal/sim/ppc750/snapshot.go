@@ -14,8 +14,8 @@ import (
 // newest-writer entry — is a (machine index, age) pair. A snapshot
 // therefore holds exactly Machines op records in registration order,
 // whatever the run length. Decode-derived facts (instruction, class,
-// operand lists) are re-derived from the restored RAM image; program
-// text is immutable in this model.
+// operand lists) are not serialized: they are decoded again from the
+// word the restored RAM image holds at each op's PC.
 
 const simSnapVersion = 2
 

@@ -56,18 +56,21 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instrs)
 }
 
-// opCtx is the per-operation payload flowing with each machine.
-// decoded caches the static per-instruction facts the timing model
-// needs; the program text is immutable, so each word decodes once.
+// decoded holds the static facts of one instruction word that the
+// timing model needs: the instruction the ISS will execute and its
+// scoreboard operands. Each fetched word is decoded once, at fetch,
+// and the ISS executes that decoding (iss.ARM.StepFetched). An entry
+// is keyed to the RAM word it was decoded from, so a fetch that finds
+// a different word at its PC (a store into code) decodes afresh.
 type decoded struct {
-	ins      arm.Instr
-	ok       bool
-	srcs     []int
-	dsts     []int
-	class    arm.Class
-	isBranch bool
+	word uint32
+	ins  arm.Instr
+	ok   bool
+	srcs []int
+	dsts []int
 }
 
+// opCtx is the per-operation payload flowing with each machine.
 type opCtx struct {
 	pc       uint32
 	ins      arm.Instr
@@ -242,20 +245,24 @@ func (s *Sim) buildModel(cfg Config) error {
 	return nil
 }
 
-// decode returns the cached static decoding of the word at pc.
+// outsideImage is the decoding of a PC beyond the RAM image: none.
+var outsideImage decoded
+
+// decode returns the static decoding of the word at pc, reusing the
+// table's entry while RAM still holds the word it was decoded from.
 func (s *Sim) decode(pc uint32) *decoded {
-	if d, ok := s.decodeCache[pc]; ok {
+	if !s.ISS.RAM.InBounds(pc, 4) {
+		return &outsideImage
+	}
+	word := s.ISS.RAM.Read32(pc)
+	if d, ok := s.decodeCache[pc]; ok && d.word == word {
 		return d
 	}
-	d := &decoded{}
-	if s.ISS.RAM.InBounds(pc, 4) {
-		if ins, err := arm.Decode(s.ISS.RAM.Read32(pc)); err == nil {
-			d.ins, d.ok = ins, true
-			d.srcs = trackedSrcs(&ins)
-			d.dsts = trackedDsts(&ins)
-			d.class = ins.Class()
-			d.isBranch = ins.IsBranch()
-		}
+	d := &decoded{word: word}
+	if ins, err := arm.Decode(word); err == nil {
+		d.ins, d.ok = ins, true
+		d.srcs = trackedSrcs(&ins)
+		d.dsts = trackedDsts(&ins)
 	}
 	s.decodeCache[pc] = d
 	return d
@@ -290,7 +297,7 @@ func (s *Sim) execute(m *osm.Machine, cfg Config) {
 
 	expected := op.pc + 4
 	s.ISS.CPU.SetPC(op.pc)
-	if _, err := s.ISS.Step(); err != nil {
+	if err := s.ISS.StepFetched(&op.ins); err != nil {
 		// Surface the error by halting; Run reports it.
 		s.execErr = fmt.Errorf("at %#x: %w", op.pc, err)
 		s.haltFetch(m)

@@ -2,6 +2,7 @@ package strongarm
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa/arm"
@@ -432,4 +433,76 @@ func TestConditionFailedLoadSkipsCache(t *testing.T) {
 	if st.DCache.Accesses != 0 {
 		t.Errorf("condition-failed loads accessed the dcache %d times", st.DCache.Accesses)
 	}
+}
+
+// TestRefetchAfterCodeStore: a word rewritten in RAM after it was
+// fetched is decoded afresh at its next fetch, so the operation's
+// instruction and scoreboard operands describe the word the ISS
+// executes, not the one first decoded at that PC.
+func TestRefetchAfterCodeStore(t *testing.T) {
+	p, err := arm.Assemble(`
+	mov r6, #3
+	mov r7, #4
+	mov r1, #0
+loop:
+	add r1, r1, #1
+	cmp r1, #100
+	bne loop
+` + exit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := arm.Assemble("\tadd r5, r6, r7\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := repl.Words[0]
+	ins, err := arm.Decode(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, perfect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := p.Org + 12 // the loop's add
+	// fetched returns the newest in-flight operation at target fetched
+	// after age, if any.
+	fetched := func(after uint64) (*opCtx, uint64) {
+		var found *opCtx
+		var age uint64
+		for _, m := range s.director.Machines() {
+			if op, _ := m.Ctx.(*opCtx); op != nil && !m.InInitial() && op.pc == target && m.Age > after && m.Age > age {
+				found, age = op, m.Age
+			}
+		}
+		return found, age
+	}
+	step := func(until func() bool) {
+		t.Helper()
+		for i := 0; !until(); i++ {
+			if i == 200 {
+				t.Fatal("no fetch of the rewritten word within 200 cycles")
+			}
+			if err := s.StepCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var first uint64
+	step(func() bool { _, first = fetched(0); return first != 0 })
+	if op, _ := fetched(0); op.ins.Raw == word {
+		t.Fatal("the original word already decodes as the replacement")
+	}
+	s.ISS.RAM.Write32(target, word)
+	var op *opCtx
+	step(func() bool { op, _ = fetched(first); return op != nil })
+	if op.ins.Raw != word || op.ins.Op != arm.ADD || op.ins.Rd != 5 {
+		t.Fatalf("refetched op carries %#x (%v r%d), want the rewritten %#x", op.ins.Raw, op.ins.Op, op.ins.Rd, word)
+	}
+	if !slices.Equal(op.srcs, trackedSrcs(&ins)) || !slices.Equal(op.dsts, trackedDsts(&ins)) {
+		t.Fatalf("refetched op reads %v and writes %v, want %v and %v",
+			op.srcs, op.dsts, trackedSrcs(&ins), trackedDsts(&ins))
+	}
+	step(func() bool { return s.ISS.CPU.R[5] == 7 })
 }

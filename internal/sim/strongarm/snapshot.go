@@ -12,9 +12,9 @@ import (
 // Full-simulator checkpointing. A snapshot must be taken between
 // cycles (never from inside an edge action); Restore targets a fresh
 // simulator built with New from the same program and Config. Decode-
-// derived operation facts (instruction, operand lists) are re-derived
-// from the restored RAM image through the decode cache instead of
-// being serialized — program text is immutable in this model.
+// derived operation facts (instruction, operand lists) are not
+// serialized: they are decoded again from the word the restored RAM
+// image holds at each operation's PC.
 
 const simSnapVersion = 1
 
