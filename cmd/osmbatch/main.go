@@ -13,7 +13,10 @@
 // The -jobs file is a JSON array of job objects:
 //
 //	[{"arch": "arm", "workload": "gsm/dec", "n": 500},
-//	 {"arch": "ppc", "workload": "mpeg2/enc"}]
+//	 {"arch": "ppc", "workload": "mpeg2/enc", "engine": "scan"}]
+//
+// A job runs under its own "engine" unless -scheduler is given, which
+// replaces every job's engine.
 package main
 
 import (
@@ -28,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/batch"
+	"repro/internal/osm"
 )
 
 func main() {
@@ -40,7 +44,7 @@ func run() int {
 		jobsFile  = flag.String("jobs", "", "JSON file with the job array")
 		mix       = flag.Bool("mix", false, "run the standard mixed ARM+PPC set over every workload")
 		n         = flag.Int("n", 0, "iteration count for -mix jobs (0 = per-workload default)")
-		scheduler = flag.String("scheduler", "event", "execution engine: event, scan, compiled or generated")
+		scheduler = flag.String("scheduler", "", "execution engine for every job: event, scan, compiled or generated (default: each job's own, else event)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-job checkpoint files (enables resume)")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 = none)")
 		deadline  = flag.Duration("deadline", 0, "per-job wall-clock deadline (0 = none)")
@@ -83,20 +87,8 @@ func run() int {
 	if len(jobs) == 0 {
 		return fail(fmt.Errorf("empty job set"))
 	}
-	switch *scheduler {
-	case "event", "scan", "compiled", "generated":
-	default:
-		return fail(fmt.Errorf("unknown scheduler %q (want event, scan, compiled or generated)", *scheduler))
-	}
-	for i := range jobs {
-		jobs[i].Engine = *scheduler
-		jobs[i].Check = jobs[i].Check || *check
-		if *maxCycles > 0 {
-			jobs[i].MaxCycles = *maxCycles
-		}
-	}
-	if *injectAt > 0 {
-		jobs[0].PanicAt = *injectAt
+	if err := applyFlags(jobs, *scheduler, *check, *maxCycles, *injectAt); err != nil {
+		return fail(err)
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -160,4 +152,28 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// applyFlags writes the per-job command-line settings into jobs: a
+// non-empty scheduler replaces every job's engine, check and a nonzero
+// maxCycles apply to every job, and a nonzero injectAt faults the
+// first job. An engine named in a jobs file is not checked here; the
+// job's construction refuses it and fails that job alone.
+func applyFlags(jobs []batch.Job, scheduler string, check bool, maxCycles, injectAt uint64) error {
+	if _, err := osm.ParseEngine(scheduler); err != nil {
+		return fmt.Errorf("-scheduler: %w", err)
+	}
+	for i := range jobs {
+		if scheduler != "" {
+			jobs[i].Engine = scheduler
+		}
+		jobs[i].Check = jobs[i].Check || check
+		if maxCycles > 0 {
+			jobs[i].MaxCycles = maxCycles
+		}
+	}
+	if injectAt > 0 {
+		jobs[0].PanicAt = injectAt
+	}
+	return nil
 }

@@ -31,15 +31,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/gate"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -92,12 +91,7 @@ func main() {
 
 	var wp *gate.WireProxy
 	if *wireAddr != "" {
-		network, laddr := "tcp", *wireAddr
-		if path, ok := strings.CutPrefix(*wireAddr, "unix:"); ok {
-			network, laddr = "unix", path
-			os.Remove(path)
-		}
-		ln, err := net.Listen(network, laddr)
+		ln, err := wire.Listen(*wireAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "osmgate:", err)
 			os.Exit(1)

@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/gate"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // hostport normalizes a listen address into something another process
@@ -121,12 +122,7 @@ func main() {
 		// "unix:/path/to.sock" selects a unix-domain socket — the
 		// lowest-latency transport for same-host clients; anything
 		// else is a TCP host:port.
-		network, laddr := "tcp", *wireAddr
-		if path, ok := strings.CutPrefix(*wireAddr, "unix:"); ok {
-			network, laddr = "unix", path
-			os.Remove(path) // a stale socket from a previous run blocks bind
-		}
-		ln, err := net.Listen(network, laddr)
+		ln, err := wire.Listen(*wireAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "osmserve:", err)
 			os.Exit(1)

@@ -13,10 +13,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/osm"
-	"repro/internal/osm/invariant"
-	"repro/internal/sim/ppc750"
-	"repro/internal/sim/strongarm"
+	"repro/internal/runner"
 	"repro/internal/snap"
 	"repro/internal/store"
 	"repro/internal/workload"
@@ -153,65 +150,19 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// batchSim is the model-independent driver surface; both case-study
-// simulators implement it.
-type batchSim interface {
-	StepCycle() error
-	Cycle() uint64
-	Done() bool
-	Snapshot() ([]byte, error)
-	Restore([]byte) error
-}
-
-// buildSim constructs the job's simulator plus a finalizer extracting
-// (cycles, instrs, reported) after the run drains.
-func buildSim(j Job) (batchSim, func() (uint64, uint64, []uint32, error), error) {
-	w := workload.ByName(j.Workload)
-	if w == nil {
-		return nil, nil, fmt.Errorf("batch: unknown workload %q", j.Workload)
-	}
-	eng, err := osm.ParseEngine(j.Engine)
-	if err != nil {
-		return nil, nil, fmt.Errorf("batch: %v", err)
-	}
+// newInstance builds the job's model through runner.New, the
+// construction every entry point shares.
+func newInstance(j Job) (*runner.Instance, error) {
+	spec := runner.Spec{Workload: j.Workload, N: j.N, Engine: j.Engine, Check: j.Check}
 	switch j.Arch {
 	case "arm":
-		p, err := w.ARMProgram(j.N)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := strongarm.New(p, strongarm.Config{Engine: eng})
-		if err != nil {
-			return nil, nil, err
-		}
-		if j.Check {
-			invariant.Attach(s.Director())
-		}
-		fin := func() (uint64, uint64, []uint32, error) {
-			st, err := s.Finalize()
-			return st.Cycles, st.Instrs, s.ISS.Reported, err
-		}
-		return s, fin, nil
+		spec.Target = "strongarm"
 	case "ppc":
-		p, err := w.PPCProgram(j.N)
-		if err != nil {
-			return nil, nil, err
-		}
-		s, err := ppc750.New(p, ppc750.Config{Engine: eng})
-		if err != nil {
-			return nil, nil, err
-		}
-		if j.Check {
-			invariant.Attach(s.Director())
-		}
-		fin := func() (uint64, uint64, []uint32, error) {
-			st, err := s.Finalize()
-			return st.Cycles, st.Instrs, s.ISS.Reported, err
-		}
-		return s, fin, nil
+		spec.Target = "ppc750"
 	default:
-		return nil, nil, fmt.Errorf("batch: unknown arch %q (want arm or ppc)", j.Arch)
+		return nil, fmt.Errorf("batch: unknown arch %q (want arm or ppc)", j.Arch)
 	}
+	return runner.New(spec)
 }
 
 // Run executes the batch and returns the manifest. Results are in job
@@ -282,7 +233,7 @@ func (r *Runner) runJob(j Job) (res Result) {
 		}
 	}()
 
-	s, finalize, err := buildSim(j)
+	s, err := newInstance(j)
 	if err != nil {
 		res.Status = StatusError
 		res.Error = err.Error()
@@ -294,7 +245,7 @@ func (r *Runner) runJob(j Job) (res Result) {
 			// A stale or corrupt checkpoint must not kill the job:
 			// rebuild and start over.
 			r.logf("job %s: checkpoint unusable (%v), restarting", j.Name, err)
-			s, finalize, err = buildSim(j)
+			s, err = newInstance(j)
 			if err != nil {
 				res.Status = StatusError
 				res.Error = err.Error()
@@ -355,10 +306,10 @@ func (r *Runner) runJob(j Job) (res Result) {
 		}
 	}
 
-	cycles, instrs, reported, err := finalize()
-	res.Cycles, res.Instrs, res.Reported = cycles, instrs, reported
-	if instrs > 0 {
-		res.CPI = float64(cycles) / float64(instrs)
+	fin, err := s.Finalize()
+	res.Cycles, res.Instrs, res.Reported = fin.Cycles, fin.Instrs, fin.Reported
+	if fin.Instrs > 0 {
+		res.CPI = float64(fin.Cycles) / float64(fin.Instrs)
 	}
 	if err != nil {
 		res.Status = StatusError
@@ -366,7 +317,7 @@ func (r *Runner) runJob(j Job) (res Result) {
 		return res
 	}
 	if w := workload.ByName(j.Workload); w != nil && w.Ref != nil {
-		ok := len(reported) == 1 && reported[0] == w.Ref(j.N)
+		ok := len(fin.Reported) == 1 && fin.Reported[0] == w.Ref(j.N)
 		res.RefOK = &ok
 		if !ok {
 			res.Status = StatusError
@@ -376,7 +327,7 @@ func (r *Runner) runJob(j Job) (res Result) {
 	}
 	res.Status = StatusOK
 	r.removeCheckpoint(j)
-	r.logf("job %s: ok (%d cycles, %d instrs)", j.Name, cycles, instrs)
+	r.logf("job %s: ok (%d cycles, %d instrs)", j.Name, fin.Cycles, fin.Instrs)
 	return res
 }
 
@@ -457,7 +408,7 @@ func (r *Runner) checkpointStore() (*store.Store, error) {
 }
 
 // writeCheckpoint persists the job's state into the checkpoint store.
-func (r *Runner) writeCheckpoint(j Job, s batchSim) error {
+func (r *Runner) writeCheckpoint(j Job, s *runner.Instance) error {
 	if r.CheckpointDir == "" {
 		return fmt.Errorf("batch: CheckpointEvery set without CheckpointDir")
 	}

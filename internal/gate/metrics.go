@@ -1,14 +1,15 @@
 package gate
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/prom"
 )
 
 // Metrics is the gateway's hand-rolled Prometheus instrumentation,
-// in the same stdlib-only style as the worker's (internal/server):
-// atomic counters plus scrape-time gauges.
+// rendered through the same internal/prom writers as the worker's
+// (internal/server): atomic counters plus scrape-time gauges.
 type Metrics struct {
 	ProxiedHTTP     atomic.Uint64 // HTTP requests forwarded to a worker
 	ProxiedWire     atomic.Uint64 // wire frames forwarded to a worker
@@ -42,45 +43,33 @@ func (m *Metrics) migrations() uint64 {
 // Render writes every metric in the Prometheus text exposition
 // format.
 func (m *Metrics) Render(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-
 	if m.Workers != nil {
 		byState := m.Workers()
-		fmt.Fprintf(w, "# HELP osmgate_workers Registered workers by state.\n")
-		fmt.Fprintf(w, "# TYPE osmgate_workers gauge\n")
-		for _, st := range workerStates {
-			fmt.Fprintf(w, "osmgate_workers{state=%q} %d\n", st, byState[string(st)])
+		samples := make([]prom.Sample, len(workerStates))
+		for i, st := range workerStates {
+			samples[i] = prom.Sample{Label: string(st), Value: uint64(byState[string(st)])}
 		}
+		prom.Family(w, "osmgate_workers", "gauge", "Registered workers by state.", "state", samples...)
 	}
 	routes := 0
 	if m.Routes != nil {
 		routes = m.Routes()
 	}
-	fmt.Fprintf(w, "# HELP osmgate_sessions_routed Sessions with a live route entry.\n")
-	fmt.Fprintf(w, "# TYPE osmgate_sessions_routed gauge\nosmgate_sessions_routed %d\n", routes)
-
-	fmt.Fprintf(w, "# HELP osmgate_proxied_requests_total Requests forwarded to workers, by plane.\n")
-	fmt.Fprintf(w, "# TYPE osmgate_proxied_requests_total counter\n")
-	fmt.Fprintf(w, "osmgate_proxied_requests_total{plane=\"http\"} %d\n", m.ProxiedHTTP.Load())
-	fmt.Fprintf(w, "osmgate_proxied_requests_total{plane=\"wire\"} %d\n", m.ProxiedWire.Load())
-
-	fmt.Fprintf(w, "# HELP osmgate_backpressure_total Worker backpressure propagated to clients, by plane.\n")
-	fmt.Fprintf(w, "# TYPE osmgate_backpressure_total counter\n")
-	fmt.Fprintf(w, "osmgate_backpressure_total{plane=\"http\"} %d\n", m.BackpressHTTP.Load())
-	fmt.Fprintf(w, "osmgate_backpressure_total{plane=\"wire\"} %d\n", m.BackpressWire.Load())
-
-	fmt.Fprintf(w, "# HELP osmgate_migrations_total Completed session migrations, by reason.\n")
-	fmt.Fprintf(w, "# TYPE osmgate_migrations_total counter\n")
-	fmt.Fprintf(w, "osmgate_migrations_total{reason=\"drain\"} %d\n", m.MigrationsDrain.Load())
-	fmt.Fprintf(w, "osmgate_migrations_total{reason=\"rebalance\"} %d\n", m.MigrationsRebalance.Load())
-	fmt.Fprintf(w, "osmgate_migrations_total{reason=\"resurrect\"} %d\n", m.MigrationsResurrect.Load())
-
-	counter("osmgate_migration_failures_total", "Migrations that failed and were rolled back.", m.MigrationFailures.Load())
-	counter("osmgate_proxy_errors_total", "Forwards that failed to reach their worker.", m.ProxyErrors.Load())
-	counter("osmgate_sessions_created_total", "Sessions placed through the gateway.", m.SessionsCreated.Load())
-	counter("osmgate_sessions_evicted_total", "Sessions deleted through the gateway.", m.SessionsEvicted.Load())
-	counter("osmgate_wire_connections_total", "Client wire connections accepted.", m.WireConnections.Load())
-	counter("osmgate_health_probes_total", "Worker health probes issued.", m.HealthProbes.Load())
+	prom.Gauge(w, "osmgate_sessions_routed", "Sessions with a live route entry.", routes)
+	prom.Family(w, "osmgate_proxied_requests_total", "counter", "Requests forwarded to workers, by plane.", "plane",
+		prom.Sample{Label: "http", Value: m.ProxiedHTTP.Load()},
+		prom.Sample{Label: "wire", Value: m.ProxiedWire.Load()})
+	prom.Family(w, "osmgate_backpressure_total", "counter", "Worker backpressure propagated to clients, by plane.", "plane",
+		prom.Sample{Label: "http", Value: m.BackpressHTTP.Load()},
+		prom.Sample{Label: "wire", Value: m.BackpressWire.Load()})
+	prom.Family(w, "osmgate_migrations_total", "counter", "Completed session migrations, by reason.", "reason",
+		prom.Sample{Label: "drain", Value: m.MigrationsDrain.Load()},
+		prom.Sample{Label: "rebalance", Value: m.MigrationsRebalance.Load()},
+		prom.Sample{Label: "resurrect", Value: m.MigrationsResurrect.Load()})
+	prom.Counter(w, "osmgate_migration_failures_total", "Migrations that failed and were rolled back.", m.MigrationFailures.Load())
+	prom.Counter(w, "osmgate_proxy_errors_total", "Forwards that failed to reach their worker.", m.ProxyErrors.Load())
+	prom.Counter(w, "osmgate_sessions_created_total", "Sessions placed through the gateway.", m.SessionsCreated.Load())
+	prom.Counter(w, "osmgate_sessions_evicted_total", "Sessions deleted through the gateway.", m.SessionsEvicted.Load())
+	prom.Counter(w, "osmgate_wire_connections_total", "Client wire connections accepted.", m.WireConnections.Load())
+	prom.Counter(w, "osmgate_health_probes_total", "Worker health probes issued.", m.HealthProbes.Load())
 }

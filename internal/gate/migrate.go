@@ -105,7 +105,7 @@ func (g *Gateway) pickTarget(id, exclude string) string {
 // deleted best-effort), so a failed migration degrades to "session
 // stayed put".
 func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
-	status, _, blob, err := g.do(http.MethodGet, src.Addr+"/v1/sessions/"+id+"/snapshot", "", nil)
+	status, _, blob, err := g.doMethod(http.MethodGet, src.Addr+"/v1/sessions/"+id+"/snapshot", "", nil)
 	if err != nil {
 		return fmt.Errorf("snapshot from %s: %w", src.ID, err)
 	}
@@ -125,7 +125,7 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 		}
 		rt.create = create
 	}
-	status, _, body, err := g.do(http.MethodPost, dst.Addr+"/v1/sessions", "application/json", rt.create)
+	status, _, body, err := g.doMethod(http.MethodPost, dst.Addr+"/v1/sessions", "application/json", rt.create)
 	if err != nil {
 		return fmt.Errorf("create on %s: %w", dst.ID, err)
 	}
@@ -136,10 +136,10 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 	// target — a previous attempt's leftover; the restore below
 	// overwrites its state, so proceed.
 
-	status, _, body, err = g.do(http.MethodPost, dst.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
+	status, _, body, err = g.doMethod(http.MethodPost, dst.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
 	if err != nil || status != http.StatusOK {
 		// Roll the target copy back so a retry starts clean.
-		g.do(http.MethodDelete, dst.Addr+"/v1/sessions/"+id, "", nil)
+		g.doMethod(http.MethodDelete, dst.Addr+"/v1/sessions/"+id, "", nil)
 		if err != nil {
 			return fmt.Errorf("restore on %s: %w", dst.ID, err)
 		}
@@ -149,7 +149,7 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 	// The target owns the session now; losing the source copy is the
 	// point. Best-effort — a failed delete leaves an orphan the
 	// source's idle janitor will collect.
-	if status, _, body, err := g.do(http.MethodDelete, src.Addr+"/v1/sessions/"+id, "", nil); err != nil || status != http.StatusOK {
+	if status, _, body, err := g.doMethod(http.MethodDelete, src.Addr+"/v1/sessions/"+id, "", nil); err != nil || status != http.StatusOK {
 		g.logf("migrate %s: deleting source copy on %s: status %d err %v %s", id, src.ID, status, err, trimBody(body))
 	}
 	return nil
@@ -160,7 +160,7 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 // and trace limit. This is what lets a restarted gateway migrate
 // sessions it did not place.
 func (g *Gateway) deriveCreate(src Worker, id string) ([]byte, error) {
-	status, _, body, err := g.do(http.MethodGet, src.Addr+"/v1/sessions/"+id, "", nil)
+	status, _, body, err := g.doMethod(http.MethodGet, src.Addr+"/v1/sessions/"+id, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("session info from %s: %w", src.ID, err)
 	}
@@ -221,7 +221,7 @@ func (g *Gateway) DrainWorker(id string) (int, error) {
 	// Stop admissions on the worker. Best-effort: if the worker is
 	// already wedged we still migrate what we can from the route table.
 	var reported []string
-	if status, _, body, err := g.do(http.MethodPost, addr+"/v1/admin/drain", "application/json", []byte("{}")); err == nil && status == http.StatusOK {
+	if status, _, body, err := g.doMethod(http.MethodPost, addr+"/v1/admin/drain", "application/json", []byte("{}")); err == nil && status == http.StatusOK {
 		var resp struct {
 			Sessions []string `json:"sessions"`
 		}
@@ -328,7 +328,7 @@ func (g *Gateway) discoverRoute(id string) (*route, bool) {
 		return cands[len(seen)+i].ID < cands[len(seen)+j].ID
 	})
 	for _, w := range cands {
-		status, _, _, err := g.do(http.MethodGet, w.Addr+"/v1/sessions/"+id, "", nil)
+		status, _, _, err := g.doMethod(http.MethodGet, w.Addr+"/v1/sessions/"+id, "", nil)
 		if err == nil && status == http.StatusOK {
 			g.logf("discovered session %s on worker %s, route adopted", id, w.ID)
 			return g.adoptRoute(id, w.ID), true
@@ -391,7 +391,7 @@ func (g *Gateway) resurrect(id string) (*route, error) {
 
 	var lastErr error
 	for _, cand := range g.placementOrder(id) {
-		status, _, body, err := g.do(http.MethodPost, cand.Addr+"/v1/sessions", "application/json", create)
+		status, _, body, err := g.doMethod(http.MethodPost, cand.Addr+"/v1/sessions", "application/json", create)
 		if err != nil {
 			lastErr = err
 			continue
@@ -403,9 +403,9 @@ func (g *Gateway) resurrect(id string) (*route, error) {
 			}
 			return nil, lastErr
 		}
-		status, _, body, err = g.do(http.MethodPost, cand.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
+		status, _, body, err = g.doMethod(http.MethodPost, cand.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
 		if err != nil || status != http.StatusOK {
-			g.do(http.MethodDelete, cand.Addr+"/v1/sessions/"+id, "", nil)
+			g.doMethod(http.MethodDelete, cand.Addr+"/v1/sessions/"+id, "", nil)
 			if err == nil {
 				err = fmt.Errorf("restore on %s: status %d: %s", cand.ID, status, trimBody(body))
 			}

@@ -186,7 +186,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sawBackpressure := false
 	for _, cand := range candidates {
-		status, hdr, respBody, err := g.do(http.MethodPost, cand.Addr+"/v1/sessions", "application/json", placed)
+		status, hdr, respBody, err := g.doMethod(http.MethodPost, cand.Addr+"/v1/sessions", "application/json", placed)
 		if err != nil {
 			g.Metrics.ProxyErrors.Add(1)
 			g.logf("create %s on %s: %v", id, cand.ID, err)
@@ -235,7 +235,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 
 	var all []server.Info
 	for _, wk := range targets {
-		status, _, body, err := g.do(http.MethodGet, wk.Addr+"/v1/sessions", "", nil)
+		status, _, body, err := g.doMethod(http.MethodGet, wk.Addr+"/v1/sessions", "", nil)
 		if err != nil || status != http.StatusOK {
 			continue
 		}
@@ -380,11 +380,7 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, work
 	w.Write(body)
 }
 
-// do issues one bounded request with an optional body.
-func (g *Gateway) do(method, url, contentType string, body []byte) (int, http.Header, []byte, error) {
-	return g.doMethod(method, url, contentType, body)
-}
-
+// doMethod issues one bounded request with an optional body.
 func (g *Gateway) doMethod(method, url, contentType string, body []byte) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {

@@ -1,19 +1,14 @@
 package gate
 
 import (
-	"bufio"
-	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
-	"time"
 
 	"repro/internal/wire"
 )
 
-// WireProxy serves the binary wire protocol on the gateway: client
-// frames are routed by session id and forwarded to the owning
+// WireProxy is the gateway's wire plane: a wire.Server whose handler
+// routes client frames by session id and forwards them to the owning
 // worker's wire listener over a pooled connection per worker. The
 // gateway stamps its own request id on the worker hop and rewrites
 // the response's id back to the client's, so many clients multiplex
@@ -21,134 +16,11 @@ import (
 // including backpressure — cross the hop verbatim, keeping the
 // two-plane contract identical whether a client talks to a worker
 // directly or through the fabric.
-type WireProxy struct {
-	g *Gateway
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-
-	connWG sync.WaitGroup
-}
+type WireProxy = wire.Server
 
 // NewWireProxy returns a wire proxy over the gateway.
 func NewWireProxy(g *Gateway) *WireProxy {
-	return &WireProxy{g: g, conns: make(map[net.Conn]struct{})}
-}
-
-// Serve accepts client connections until the listener fails or
-// Shutdown closes it. It blocks; run it in its own goroutine.
-func (wp *WireProxy) Serve(ln net.Listener) error {
-	wp.mu.Lock()
-	if wp.draining {
-		wp.mu.Unlock()
-		return errors.New("gate: wire proxy draining")
-	}
-	wp.ln = ln
-	wp.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			wp.mu.Lock()
-			draining := wp.draining
-			wp.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		wp.mu.Lock()
-		if wp.draining {
-			wp.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		wp.conns[conn] = struct{}{}
-		wp.connWG.Add(1)
-		wp.mu.Unlock()
-		wp.g.Metrics.WireConnections.Add(1)
-		go wp.serveConn(conn)
-	}
-}
-
-// Shutdown drains client connections with the same contract as the
-// worker's wire server: pending requests complete and flush before
-// their connections close; the context bounds the wait.
-func (wp *WireProxy) Shutdown(ctx context.Context) error {
-	wp.mu.Lock()
-	wp.draining = true
-	ln := wp.ln
-	conns := make([]net.Conn, 0, len(wp.conns))
-	for c := range wp.conns {
-		conns = append(conns, c)
-	}
-	wp.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-	done := make(chan struct{})
-	go func() {
-		wp.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		for _, c := range conns {
-			c.Close()
-		}
-		return ctx.Err()
-	}
-}
-
-// connWriter serializes response frames from concurrent forwarders
-// onto one buffered client connection.
-type connWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-}
-
-func (cw *connWriter) write(f wire.Frame) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if err := wire.WriteFrame(cw.bw, f); err == nil {
-		cw.bw.Flush()
-	}
-}
-
-func (wp *WireProxy) serveConn(conn net.Conn) {
-	defer wp.connWG.Done()
-	cw := &connWriter{bw: bufio.NewWriter(conn)}
-	br := bufio.NewReader(conn)
-	var handlers sync.WaitGroup
-	for {
-		f, err := wire.ReadFrame(br)
-		if err != nil {
-			break
-		}
-		handlers.Add(1)
-		go func(f wire.Frame) {
-			defer handlers.Done()
-			wp.handle(cw, f)
-		}(f)
-	}
-	handlers.Wait()
-	cw.mu.Lock()
-	cw.bw.Flush()
-	cw.mu.Unlock()
-	conn.Close()
-	wp.mu.Lock()
-	delete(wp.conns, conn)
-	wp.mu.Unlock()
-}
-
-func (wp *WireProxy) nack(cw *connWriter, reqID uint32, code wire.NackCode, msg string) {
-	cw.write(wire.Frame{Op: wire.OpNack, ReqID: reqID, Payload: (&wire.Nack{Code: code, Msg: msg}).Encode()})
+	return &wire.Server{Handler: g.handleFrame, Connections: &g.Metrics.WireConnections}
 }
 
 // sessionOf extracts the session id a request frame addresses.
@@ -175,24 +47,23 @@ func sessionOf(f wire.Frame) (string, error) {
 	}
 }
 
-// handle serves one client frame: hello locally, everything else
-// forwarded to the session's worker under the route read lock.
-func (wp *WireProxy) handle(cw *connWriter, f wire.Frame) {
-	g := wp.g
+// handleFrame serves one client frame: hello locally, everything
+// else forwarded to the session's worker under the route read lock.
+func (g *Gateway) handleFrame(w *wire.ResponseWriter, f wire.Frame) {
 	if f.Op == wire.OpHello {
 		var req wire.HelloRequest
 		if err := req.Decode(f.Payload); err != nil {
-			wp.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			w.Nack(f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
-		cw.write(wire.Frame{Op: wire.OpHello, ReqID: f.ReqID,
+		w.Write(wire.Frame{Op: wire.OpHello, ReqID: f.ReqID,
 			Payload: (&wire.HelloResponse{Server: "osmgate", MaxPayload: wire.MaxPayload}).Encode()})
 		return
 	}
 
 	id, err := sessionOf(f)
 	if err != nil {
-		wp.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+		w.Nack(f.ReqID, wire.NackBadRequest, err.Error())
 		return
 	}
 
@@ -203,13 +74,13 @@ func (wp *WireProxy) handle(cw *connWriter, f wire.Frame) {
 		rt, err := g.ensureRoute(id)
 		if err != nil {
 			if errors.Is(err, errNoRoute) {
-				wp.nack(cw, f.ReqID, wire.NackNotFound, "session "+id+" not found")
+				w.Nack(f.ReqID, wire.NackNotFound, "session "+id+" not found")
 			} else {
-				wp.nack(cw, f.ReqID, wire.NackInternal, err.Error())
+				w.Nack(f.ReqID, wire.NackInternal, err.Error())
 			}
 			return
 		}
-		resp, _, ok := wp.forward(cw, rt, id, f)
+		resp, ok := g.forwardFrame(w, rt, id, f)
 		if !ok {
 			return // error already nacked
 		}
@@ -229,36 +100,34 @@ func (wp *WireProxy) handle(cw *connWriter, f wire.Frame) {
 		}
 		// Rewrite the worker-hop request id back to the client's.
 		resp.ReqID = f.ReqID
-		cw.write(resp)
+		w.Write(resp)
 		return
 	}
 }
 
-// forward proxies one frame under the route read lock. ok=false means
-// the failure was already answered with a NACK.
-func (wp *WireProxy) forward(cw *connWriter, rt *route, id string, f wire.Frame) (wire.Frame, string, bool) {
-	g := wp.g
+// forwardFrame proxies one frame under the route read lock. ok=false
+// means the failure was already answered with a NACK.
+func (g *Gateway) forwardFrame(w *wire.ResponseWriter, rt *route, id string, f wire.Frame) (wire.Frame, bool) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
 	if rt.dead || rt.worker == "" {
-		wp.nack(cw, f.ReqID, wire.NackNotFound, "session "+id+" not found")
-		return wire.Frame{}, "", false
+		w.Nack(f.ReqID, wire.NackNotFound, "session "+id+" not found")
+		return wire.Frame{}, false
 	}
 	workerID := rt.worker
-	resp, err := wp.roundTrip(workerID, f)
+	resp, err := g.roundTripFrame(workerID, f)
 	if err != nil {
 		g.Metrics.ProxyErrors.Add(1)
-		wp.nack(cw, f.ReqID, wire.NackInternal, fmt.Sprintf("worker %s: %v", workerID, err))
-		return wire.Frame{}, "", false
+		w.Nack(f.ReqID, wire.NackInternal, fmt.Sprintf("worker %s: %v", workerID, err))
+		return wire.Frame{}, false
 	}
 	g.Metrics.ProxiedWire.Add(1)
-	return resp, workerID, true
+	return resp, true
 }
 
-// roundTrip forwards one frame over the pooled connection to a
+// roundTripFrame forwards one frame over the pooled connection to a
 // worker, redialing once if the pooled connection has died.
-func (wp *WireProxy) roundTrip(workerID string, f wire.Frame) (wire.Frame, error) {
-	g := wp.g
+func (g *Gateway) roundTripFrame(workerID string, f wire.Frame) (wire.Frame, error) {
 	c, err := g.wireClient(workerID)
 	if err != nil {
 		return wire.Frame{}, err

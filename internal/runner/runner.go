@@ -1,7 +1,7 @@
 // Package runner owns the target-independent construction and
 // reporting logic shared by every simulation entry point: the CLI
-// driver (cmd/osmsim), the batch driver and the HTTP service
-// (cmd/osmserve). A Spec names a target plus exactly one program
+// driver (cmd/osmsim), the batch driver (internal/batch) and the HTTP
+// service (cmd/osmserve). A Spec names a target plus exactly one program
 // source (built-in workload, assembly text or a loader image);
 // Run executes it to completion for any target, and New builds a
 // steppable Instance — step, peek, snapshot, restore — for the
@@ -407,32 +407,17 @@ func New(spec Spec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
+	eng, _ := osm.ParseEngine(spec.Engine)
+	var in *Instance
+	// The per-cycle hooks are method values on the concrete model, so
+	// StepCycle costs one indirect call and no interface dispatch.
 	switch spec.Target {
 	case "strongarm":
-		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := strongarm.New(armProg, strongarm.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return nil, err
 		}
-		if eng == osm.EngineCompiled {
-			// Compile eagerly so model errors surface at session
-			// creation, not on the first step.
-			if _, err := s.Director().Compile(); err != nil {
-				return nil, err
-			}
-		}
-		if eng == osm.EngineGenerated {
-			// Resolve the generated edge functions eagerly for the same
-			// reason.
-			if _, err := s.Director().Generated(); err != nil {
-				return nil, err
-			}
-		}
-		if spec.Check {
-			invariant.Attach(s.Director())
-		}
-		return &Instance{
-			spec:     spec,
+		in = &Instance{
 			arch:     "arm",
 			director: s.Director(),
 			step:     s.StepCycle,
@@ -446,28 +431,13 @@ func New(spec Spec) (*Instance, error) {
 			},
 			regs:    func() []Reg { return armRegs(s.ISS) },
 			readMem: ramReader(s.ISS.RAM),
-		}, nil
+		}
 	case "ppc750":
-		eng, _ := osm.ParseEngine(spec.Engine)
 		s, err := ppc750.New(ppcProg, ppc750.Config{Hier: spec.hier(), Engine: eng})
 		if err != nil {
 			return nil, err
 		}
-		if eng == osm.EngineCompiled {
-			if _, err := s.Director().Compile(); err != nil {
-				return nil, err
-			}
-		}
-		if eng == osm.EngineGenerated {
-			if _, err := s.Director().Generated(); err != nil {
-				return nil, err
-			}
-		}
-		if spec.Check {
-			invariant.Attach(s.Director())
-		}
-		return &Instance{
-			spec:     spec,
+		in = &Instance{
 			arch:     "ppc",
 			director: s.Director(),
 			step:     s.StepCycle,
@@ -481,13 +451,28 @@ func New(spec Spec) (*Instance, error) {
 			},
 			regs:    func() []Reg { return ppcRegs(s.ISS) },
 			readMem: ramReader(s.ISS.RAM),
-		}, nil
-	default:
-		if !knownTarget(spec.Target) {
-			return nil, fmt.Errorf("unknown target %q", spec.Target)
 		}
+	default:
+		// Programs validated the target, so it is a known one.
 		return nil, fmt.Errorf("%w: %s", ErrNotSteppable, spec.Target)
 	}
+	in.spec = spec
+	// Lower the engine's guards eagerly so model errors surface at
+	// construction, not on the first step.
+	switch eng {
+	case osm.EngineCompiled:
+		if _, err := in.director.Compile(); err != nil {
+			return nil, err
+		}
+	case osm.EngineGenerated:
+		if _, err := in.director.Generated(); err != nil {
+			return nil, err
+		}
+	}
+	if spec.Check {
+		invariant.Attach(in.director)
+	}
+	return in, nil
 }
 
 func armResult(target string, st strongarm.Stats, is *iss.ARM) Result {

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/prom"
 )
 
 // stepLatencyBuckets are the step-latency histogram upper bounds in
@@ -13,62 +13,11 @@ var stepLatencyBuckets = []float64{
 	0.0001, 0.0003, 0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10,
 }
 
-// Histogram is a fixed-bucket latency histogram in the Prometheus
-// cumulative style (each bucket counts observations <= its bound).
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64 // len(bounds)+1; the last slot is +Inf
-	sum    float64
-	total  uint64
-}
-
-// NewHistogram returns a histogram over the given upper bounds
-// (ascending, in seconds).
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.sum += v
-	h.total++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// write renders the histogram in the text exposition format.
-func (h *Histogram) write(w io.Writer, name string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, b, cum)
-	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, cum)
-}
-
 // Metrics is the service's hand-rolled Prometheus instrumentation:
 // atomic counters, a live-sessions gauge closure and a fixed-bucket
-// step-latency histogram, rendered by WriteTo in the text exposition
-// format. No client library — the stdlib-only constraint is part of
-// the design.
+// step-latency histogram, rendered by Render in the text exposition
+// format (internal/prom). No client library — the stdlib-only
+// constraint is part of the design.
 type Metrics struct {
 	SessionsCreated  atomic.Uint64
 	SessionsRejected atomic.Uint64 // admission-control 429s
@@ -95,12 +44,12 @@ type Metrics struct {
 	// read at scrape time.
 	QueueDepth func() int
 
-	StepLatency *Histogram
+	StepLatency *prom.Histogram
 }
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{StepLatency: NewHistogram(stepLatencyBuckets)}
+	return &Metrics{StepLatency: prom.NewHistogram(stepLatencyBuckets)}
 }
 
 // Evicted returns the total evictions across reasons.
@@ -108,53 +57,37 @@ func (m *Metrics) Evicted() uint64 {
 	return m.EvictedAPI.Load() + m.EvictedIdle.Load() + m.EvictedDrain.Load()
 }
 
+// scrape reads a scrape-time gauge; an unwired one reads zero.
+func scrape(f func() int) int {
+	if f == nil {
+		return 0
+	}
+	return f()
+}
+
 // Render writes every metric in the Prometheus text exposition
 // format.
 func (m *Metrics) Render(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	live := 0
-	if m.Live != nil {
-		live = m.Live()
-	}
-	fmt.Fprintf(w, "# HELP osmserve_sessions_live Sessions currently resident.\n")
-	fmt.Fprintf(w, "# TYPE osmserve_sessions_live gauge\nosmserve_sessions_live %d\n", live)
-
-	counter("osmserve_sessions_created_total", "Sessions admitted and created.", m.SessionsCreated.Load())
-	counter("osmserve_sessions_rejected_total", "Session creations refused by admission control.", m.SessionsRejected.Load())
-
-	fmt.Fprintf(w, "# HELP osmserve_sessions_evicted_total Sessions removed, by reason.\n")
-	fmt.Fprintf(w, "# TYPE osmserve_sessions_evicted_total counter\n")
-	fmt.Fprintf(w, "osmserve_sessions_evicted_total{reason=\"api\"} %d\n", m.EvictedAPI.Load())
-	fmt.Fprintf(w, "osmserve_sessions_evicted_total{reason=\"idle\"} %d\n", m.EvictedIdle.Load())
-	fmt.Fprintf(w, "osmserve_sessions_evicted_total{reason=\"drain\"} %d\n", m.EvictedDrain.Load())
-
-	counter("osmserve_cycles_simulated_total", "Clock cycles simulated by step requests.", m.Cycles.Load())
-	counter("osmserve_step_requests_total", "Step requests served.", m.StepRequests.Load())
-	counter("osmserve_request_panics_total", "Requests that panicked and were isolated.", m.Panics.Load())
-
-	fmt.Fprintf(w, "# HELP osmserve_snapshot_bytes_total Snapshot bytes transferred, by direction.\n")
-	fmt.Fprintf(w, "# TYPE osmserve_snapshot_bytes_total counter\n")
-	fmt.Fprintf(w, "osmserve_snapshot_bytes_total{dir=\"download\"} %d\n", m.SnapshotBytesOut.Load())
-	fmt.Fprintf(w, "osmserve_snapshot_bytes_total{dir=\"upload\"} %d\n", m.SnapshotBytesIn.Load())
-
-	counter("osmserve_http_requests_total", "HTTP requests received.", m.HTTPRequests.Load())
-	counter("osmserve_wire_requests_total", "Binary wire-protocol requests received.", m.WireRequests.Load())
-	counter("osmserve_wire_nacks_total", "Binary wire-protocol requests refused with a NACK.", m.WireNacks.Load())
-	counter("osmserve_wire_connections_total", "Binary wire-protocol connections accepted.", m.WireConnections.Load())
-	counter("osmserve_steps_rejected_total", "Step requests refused by run-queue backpressure.", m.StepsRejected.Load())
-	counter("osmserve_sessions_parked_total", "Idle-evicted sessions parked as snapshot blobs.", m.SessionsParked.Load())
-	counter("osmserve_step_quanta_total", "Scheduler quanta executed.", m.StepQuanta.Load())
-
-	depth := 0
-	if m.QueueDepth != nil {
-		depth = m.QueueDepth()
-	}
-	fmt.Fprintf(w, "# HELP osmserve_step_queue_depth Step jobs in flight (queued or running).\n")
-	fmt.Fprintf(w, "# TYPE osmserve_step_queue_depth gauge\nosmserve_step_queue_depth %d\n", depth)
-
-	fmt.Fprintf(w, "# HELP osmserve_step_latency_seconds Step request service latency.\n")
-	fmt.Fprintf(w, "# TYPE osmserve_step_latency_seconds histogram\n")
-	m.StepLatency.write(w, "osmserve_step_latency_seconds")
+	prom.Gauge(w, "osmserve_sessions_live", "Sessions currently resident.", scrape(m.Live))
+	prom.Counter(w, "osmserve_sessions_created_total", "Sessions admitted and created.", m.SessionsCreated.Load())
+	prom.Counter(w, "osmserve_sessions_rejected_total", "Session creations refused by admission control.", m.SessionsRejected.Load())
+	prom.Family(w, "osmserve_sessions_evicted_total", "counter", "Sessions removed, by reason.", "reason",
+		prom.Sample{Label: "api", Value: m.EvictedAPI.Load()},
+		prom.Sample{Label: "idle", Value: m.EvictedIdle.Load()},
+		prom.Sample{Label: "drain", Value: m.EvictedDrain.Load()})
+	prom.Counter(w, "osmserve_cycles_simulated_total", "Clock cycles simulated by step requests.", m.Cycles.Load())
+	prom.Counter(w, "osmserve_step_requests_total", "Step requests served.", m.StepRequests.Load())
+	prom.Counter(w, "osmserve_request_panics_total", "Requests that panicked and were isolated.", m.Panics.Load())
+	prom.Family(w, "osmserve_snapshot_bytes_total", "counter", "Snapshot bytes transferred, by direction.", "dir",
+		prom.Sample{Label: "download", Value: m.SnapshotBytesOut.Load()},
+		prom.Sample{Label: "upload", Value: m.SnapshotBytesIn.Load()})
+	prom.Counter(w, "osmserve_http_requests_total", "HTTP requests received.", m.HTTPRequests.Load())
+	prom.Counter(w, "osmserve_wire_requests_total", "Binary wire-protocol requests received.", m.WireRequests.Load())
+	prom.Counter(w, "osmserve_wire_nacks_total", "Binary wire-protocol requests refused with a NACK.", m.WireNacks.Load())
+	prom.Counter(w, "osmserve_wire_connections_total", "Binary wire-protocol connections accepted.", m.WireConnections.Load())
+	prom.Counter(w, "osmserve_steps_rejected_total", "Step requests refused by run-queue backpressure.", m.StepsRejected.Load())
+	prom.Counter(w, "osmserve_sessions_parked_total", "Idle-evicted sessions parked as snapshot blobs.", m.SessionsParked.Load())
+	prom.Counter(w, "osmserve_step_quanta_total", "Scheduler quanta executed.", m.StepQuanta.Load())
+	prom.Gauge(w, "osmserve_step_queue_depth", "Step jobs in flight (queued or running).", scrape(m.QueueDepth))
+	m.StepLatency.Write(w, "osmserve_step_latency_seconds", "Step request service latency.")
 }

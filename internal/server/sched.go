@@ -52,8 +52,7 @@ type stepJob struct {
 
 // scheduler owns the run queue and worker pool.
 type scheduler struct {
-	m       *Manager
-	quantum uint64
+	m *Manager
 
 	// slots is the admission semaphore: one slot per job anywhere in
 	// the scheduler (queued or running). Its capacity equals the run
@@ -66,13 +65,12 @@ type scheduler struct {
 	wg   sync.WaitGroup
 }
 
-func newScheduler(m *Manager, workers int, queue int, quantum uint64) *scheduler {
+func newScheduler(m *Manager, workers int, queue int) *scheduler {
 	sc := &scheduler{
-		m:       m,
-		quantum: quantum,
-		slots:   make(chan struct{}, queue),
-		runq:    make(chan *stepJob, queue),
-		stop:    make(chan struct{}),
+		m:     m,
+		slots: make(chan struct{}, queue),
+		runq:  make(chan *stepJob, queue),
+		stop:  make(chan struct{}),
 	}
 	sc.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -202,8 +200,8 @@ func (sc *scheduler) quantumRun(j *stepJob) (completed bool) {
 	// quantum.
 	const rampCap = 1024
 	budget := j.want - j.res.Stepped
-	if budget > sc.quantum {
-		budget = sc.quantum
+	if budget > stepQuantum {
+		budget = stepQuantum
 	}
 	var ran, next uint64 = 0, 1
 	for ran < budget && !s.inst.Done() {

@@ -27,6 +27,18 @@ import (
 // MaxSessionIDLen bounds a client-supplied session id.
 const MaxSessionIDLen = 64
 
+// Fixed service limits.
+const (
+	// maxStepDeadline caps a step request's deadline.
+	maxStepDeadline = 30 * time.Second
+	// maxMemRead caps a single memory-peek request.
+	maxMemRead = 1 << 20
+	// stepQuantum is the cycle slice a worker runs before a step job
+	// returns to the run queue. Smaller quanta trade throughput for
+	// fairness under many concurrently stepping sessions.
+	stepQuantum = 4096
+)
+
 // State is a session lifecycle state.
 type State string
 
@@ -55,24 +67,15 @@ type Config struct {
 	// MaxStepCycles caps the cycles of a single step request
 	// (default 50M).
 	MaxStepCycles uint64
-	// MaxStepDeadline caps a step request's deadline (default 30s).
-	MaxStepDeadline time.Duration
 	// DefaultStepDeadline applies when a step request names none
 	// (default 10s).
 	DefaultStepDeadline time.Duration
 	// TraceLimit is the default Recorder retention per session
 	// (default 4096 events; sessions may override at creation).
 	TraceLimit int
-	// MaxMemRead caps a single memory-peek request (default 1 MiB).
-	MaxMemRead uint32
 	// Workers sizes the step scheduler's worker pool — the bound on
 	// concurrently executing simulation quanta (default GOMAXPROCS).
 	Workers int
-	// StepQuantum is the cycle slice a worker runs before a step job
-	// returns to the run queue (default 4096). Smaller quanta trade
-	// throughput for fairness under many concurrently stepping
-	// sessions.
-	StepQuantum uint64
 	// MaxQueuedSteps bounds step jobs in flight (queued + running)
 	// across both protocol planes; submissions beyond it are refused
 	// with backpressure — HTTP 429, wire NackBackpressure (default
@@ -104,23 +107,14 @@ func (c *Config) fill() {
 	if c.MaxStepCycles == 0 {
 		c.MaxStepCycles = 50_000_000
 	}
-	if c.MaxStepDeadline == 0 {
-		c.MaxStepDeadline = 30 * time.Second
-	}
 	if c.DefaultStepDeadline == 0 {
 		c.DefaultStepDeadline = 10 * time.Second
 	}
 	if c.TraceLimit == 0 {
 		c.TraceLimit = 4096
 	}
-	if c.MaxMemRead == 0 {
-		c.MaxMemRead = 1 << 20
-	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.StepQuantum == 0 {
-		c.StepQuantum = 4096
 	}
 	if c.MaxQueuedSteps == 0 {
 		c.MaxQueuedSteps = 1024
@@ -290,7 +284,7 @@ func NewManager(cfg Config) *Manager {
 		sessions: make(map[string]*Session),
 	}
 	m.Metrics.Live = m.LiveCount
-	m.sched = newScheduler(m, cfg.Workers, cfg.MaxQueuedSteps, cfg.StepQuantum)
+	m.sched = newScheduler(m, cfg.Workers, cfg.MaxQueuedSteps)
 	m.Metrics.QueueDepth = m.sched.depth
 	return m
 }
@@ -595,8 +589,8 @@ func (m *Manager) Step(s *Session, n uint64, deadline time.Duration) (StepResult
 	if deadline <= 0 {
 		deadline = m.cfg.DefaultStepDeadline
 	}
-	if deadline > m.cfg.MaxStepDeadline {
-		deadline = m.cfg.MaxStepDeadline
+	if deadline > maxStepDeadline {
+		deadline = maxStepDeadline
 	}
 
 	j := &stepJob{
@@ -672,8 +666,8 @@ func (m *Manager) CheckInvariants(s *Session) (uint64, []invariant.Violation) {
 
 // ReadMem copies a range of the session's simulated memory.
 func (m *Manager) ReadMem(s *Session, addr, n uint32) ([]byte, error) {
-	if n > m.cfg.MaxMemRead {
-		return nil, fmt.Errorf("%w: read of %d bytes exceeds the %d-byte cap", ErrConflict, n, m.cfg.MaxMemRead)
+	if n > maxMemRead {
+		return nil, fmt.Errorf("%w: read of %d bytes exceeds the %d-byte cap", ErrConflict, n, maxMemRead)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

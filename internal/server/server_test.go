@@ -728,26 +728,106 @@ func TestLoadConcurrentSessions(t *testing.T) {
 func TestMetricsRender(t *testing.T) {
 	m := NewMetrics()
 	m.SessionsCreated.Add(3)
+	m.SessionsRejected.Add(4)
+	m.EvictedAPI.Add(5)
+	m.EvictedIdle.Add(6)
+	m.EvictedDrain.Add(7)
+	m.Cycles.Add(123456789)
+	m.StepRequests.Add(8)
+	m.Panics.Add(9)
+	m.SnapshotBytesOut.Add(10)
+	m.SnapshotBytesIn.Add(11)
+	m.HTTPRequests.Add(12)
+	m.StepsRejected.Add(13)
+	m.StepQuanta.Add(14)
+	m.WireRequests.Add(15)
+	m.WireNacks.Add(16)
+	m.WireConnections.Add(17)
+	m.SessionsParked.Add(18)
+	m.Live = func() int { return 19 }
+	m.QueueDepth = func() int { return 20 }
 	m.StepLatency.Observe(0.002)
 	m.StepLatency.Observe(0.5)
 	m.StepLatency.Observe(99)
 	var b strings.Builder
 	m.Render(&b)
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE osmserve_sessions_live gauge",
-		"# TYPE osmserve_step_latency_seconds histogram",
-		"osmserve_sessions_created_total 3",
-		`osmserve_step_latency_seconds_bucket{le="0.003"} 1`,
-		`osmserve_step_latency_seconds_bucket{le="1"} 2`,
-		`osmserve_step_latency_seconds_bucket{le="+Inf"} 3`,
-		"osmserve_step_latency_seconds_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("metrics output missing %q:\n%s", want, out)
-		}
+	if got := b.String(); got != goldenMetrics {
+		t.Fatalf("metrics output differs from the golden rendering:\n%s", got)
 	}
 }
+
+// goldenMetrics is the exposition text for TestMetricsRender's
+// counter values. Scrapers and dashboards key on these names, labels
+// and HELP strings, so any change to it is a change to the service's
+// observable contract.
+const goldenMetrics = `# HELP osmserve_sessions_live Sessions currently resident.
+# TYPE osmserve_sessions_live gauge
+osmserve_sessions_live 19
+# HELP osmserve_sessions_created_total Sessions admitted and created.
+# TYPE osmserve_sessions_created_total counter
+osmserve_sessions_created_total 3
+# HELP osmserve_sessions_rejected_total Session creations refused by admission control.
+# TYPE osmserve_sessions_rejected_total counter
+osmserve_sessions_rejected_total 4
+# HELP osmserve_sessions_evicted_total Sessions removed, by reason.
+# TYPE osmserve_sessions_evicted_total counter
+osmserve_sessions_evicted_total{reason="api"} 5
+osmserve_sessions_evicted_total{reason="idle"} 6
+osmserve_sessions_evicted_total{reason="drain"} 7
+# HELP osmserve_cycles_simulated_total Clock cycles simulated by step requests.
+# TYPE osmserve_cycles_simulated_total counter
+osmserve_cycles_simulated_total 123456789
+# HELP osmserve_step_requests_total Step requests served.
+# TYPE osmserve_step_requests_total counter
+osmserve_step_requests_total 8
+# HELP osmserve_request_panics_total Requests that panicked and were isolated.
+# TYPE osmserve_request_panics_total counter
+osmserve_request_panics_total 9
+# HELP osmserve_snapshot_bytes_total Snapshot bytes transferred, by direction.
+# TYPE osmserve_snapshot_bytes_total counter
+osmserve_snapshot_bytes_total{dir="download"} 10
+osmserve_snapshot_bytes_total{dir="upload"} 11
+# HELP osmserve_http_requests_total HTTP requests received.
+# TYPE osmserve_http_requests_total counter
+osmserve_http_requests_total 12
+# HELP osmserve_wire_requests_total Binary wire-protocol requests received.
+# TYPE osmserve_wire_requests_total counter
+osmserve_wire_requests_total 15
+# HELP osmserve_wire_nacks_total Binary wire-protocol requests refused with a NACK.
+# TYPE osmserve_wire_nacks_total counter
+osmserve_wire_nacks_total 16
+# HELP osmserve_wire_connections_total Binary wire-protocol connections accepted.
+# TYPE osmserve_wire_connections_total counter
+osmserve_wire_connections_total 17
+# HELP osmserve_steps_rejected_total Step requests refused by run-queue backpressure.
+# TYPE osmserve_steps_rejected_total counter
+osmserve_steps_rejected_total 13
+# HELP osmserve_sessions_parked_total Idle-evicted sessions parked as snapshot blobs.
+# TYPE osmserve_sessions_parked_total counter
+osmserve_sessions_parked_total 18
+# HELP osmserve_step_quanta_total Scheduler quanta executed.
+# TYPE osmserve_step_quanta_total counter
+osmserve_step_quanta_total 14
+# HELP osmserve_step_queue_depth Step jobs in flight (queued or running).
+# TYPE osmserve_step_queue_depth gauge
+osmserve_step_queue_depth 20
+# HELP osmserve_step_latency_seconds Step request service latency.
+# TYPE osmserve_step_latency_seconds histogram
+osmserve_step_latency_seconds_bucket{le="0.0001"} 0
+osmserve_step_latency_seconds_bucket{le="0.0003"} 0
+osmserve_step_latency_seconds_bucket{le="0.001"} 0
+osmserve_step_latency_seconds_bucket{le="0.003"} 1
+osmserve_step_latency_seconds_bucket{le="0.01"} 1
+osmserve_step_latency_seconds_bucket{le="0.03"} 1
+osmserve_step_latency_seconds_bucket{le="0.1"} 1
+osmserve_step_latency_seconds_bucket{le="0.3"} 1
+osmserve_step_latency_seconds_bucket{le="1"} 2
+osmserve_step_latency_seconds_bucket{le="3"} 2
+osmserve_step_latency_seconds_bucket{le="10"} 2
+osmserve_step_latency_seconds_bucket{le="+Inf"} 3
+osmserve_step_latency_seconds_sum 99.502
+osmserve_step_latency_seconds_count 3
+`
 
 // TestEngineSelectionOverHTTP pins the wire-level engine field: a raw
 // session-create body with "engine": "compiled" or "engine":

@@ -1,165 +1,26 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
-
-	"context"
 )
 
-// WireServer serves the binary wire protocol (internal/wire) over a
-// listener, sharing the Manager — session table, step scheduler,
-// metrics — with the HTTP control plane. The hot path (step, register
-// and memory peeks, trace pulls) runs here without JSON marshalling
-// or per-request connection setup; everything else (create, list,
-// snapshot, restore, evict) stays on HTTP.
-//
-// Per connection: one reader goroutine parses frames and dispatches
-// each request to its own goroutine, so a long step on one session
-// never blocks a register peek on another multiplexed over the same
-// connection. Responses are serialized through one buffered writer
-// and flushed per response. Errors travel as NACK frames whose codes
-// mirror the HTTP status mapping, so both planes present one
-// backpressure and lifecycle contract.
-type WireServer struct {
-	m *Manager
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-
-	connWG sync.WaitGroup
-}
+// WireServer is the worker's wire plane: a wire.Server whose handler
+// serves the hot path (step, register and memory peeks, trace pulls)
+// over the Manager it shares with the HTTP control plane — session
+// table, step scheduler, metrics — without JSON marshalling or
+// per-request connection setup; everything else (create, list,
+// snapshot, restore, evict) stays on HTTP. Errors travel as NACK
+// frames whose codes mirror the HTTP status mapping, so both planes
+// present one backpressure and lifecycle contract.
+type WireServer = wire.Server
 
 // NewWireServer returns a wire server over the manager.
 func NewWireServer(m *Manager) *WireServer {
-	return &WireServer{m: m, conns: make(map[net.Conn]struct{})}
-}
-
-// Serve accepts connections until the listener fails or Shutdown
-// closes it. It blocks; run it in its own goroutine.
-func (ws *WireServer) Serve(ln net.Listener) error {
-	ws.mu.Lock()
-	if ws.draining {
-		ws.mu.Unlock()
-		return ErrDraining
-	}
-	ws.ln = ln
-	ws.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			ws.mu.Lock()
-			draining := ws.draining
-			ws.mu.Unlock()
-			if draining {
-				return nil
-			}
-			return err
-		}
-		ws.mu.Lock()
-		if ws.draining {
-			ws.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		ws.conns[conn] = struct{}{}
-		ws.connWG.Add(1)
-		ws.mu.Unlock()
-		ws.m.Metrics.WireConnections.Add(1)
-		go ws.serveConn(conn)
-	}
-}
-
-// Shutdown drains the wire plane: it closes the listener, stops the
-// connection readers, waits for in-flight requests to complete and
-// their responses to flush, then closes the connections. The context
-// bounds the wait; on expiry remaining connections are torn down
-// immediately.
-func (ws *WireServer) Shutdown(ctx context.Context) error {
-	ws.mu.Lock()
-	ws.draining = true
-	ln := ws.ln
-	conns := make([]net.Conn, 0, len(ws.conns))
-	for c := range ws.conns {
-		conns = append(conns, c)
-	}
-	ws.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	// A past read deadline unblocks each reader's pending ReadFrame;
-	// the reader then waits out its handlers, flushes and closes.
-	for _, c := range conns {
-		c.SetReadDeadline(time.Now())
-	}
-	done := make(chan struct{})
-	go func() {
-		ws.connWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		for _, c := range conns {
-			c.Close()
-		}
-		return ctx.Err()
-	}
-}
-
-// connWriter serializes response frames from concurrent handlers
-// onto one buffered connection writer, flushing per response.
-type connWriter struct {
-	mu sync.Mutex
-	bw *bufio.Writer
-}
-
-func (cw *connWriter) write(f wire.Frame) {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if err := wire.WriteFrame(cw.bw, f); err == nil {
-		cw.bw.Flush()
-	}
-	// A write error means the peer is gone; the reader will observe
-	// the same failure and retire the connection.
-}
-
-func (ws *WireServer) serveConn(conn net.Conn) {
-	defer ws.connWG.Done()
-	cw := &connWriter{bw: bufio.NewWriter(conn)}
-	br := bufio.NewReader(conn)
-	var handlers sync.WaitGroup
-	for {
-		f, err := wire.ReadFrame(br)
-		if err != nil {
-			break
-		}
-		ws.m.Metrics.WireRequests.Add(1)
-		handlers.Add(1)
-		go func(f wire.Frame) {
-			defer handlers.Done()
-			ws.handle(cw, f)
-		}(f)
-	}
-	// Drain contract: every dispatched request completes and its
-	// response frame is flushed before the connection closes.
-	handlers.Wait()
-	cw.mu.Lock()
-	cw.bw.Flush()
-	cw.mu.Unlock()
-	conn.Close()
-	ws.mu.Lock()
-	delete(ws.conns, conn)
-	ws.mu.Unlock()
+	return &wire.Server{Handler: m.handleFrame, Connections: &m.Metrics.WireConnections}
 }
 
 // nackFor maps manager errors onto NACK codes, mirroring
@@ -179,32 +40,32 @@ func nackFor(err error) wire.NackCode {
 	}
 }
 
-func (ws *WireServer) nack(cw *connWriter, reqID uint32, code wire.NackCode, msg string) {
-	ws.m.Metrics.WireNacks.Add(1)
-	cw.write(wire.Frame{Op: wire.OpNack, ReqID: reqID, Payload: (&wire.Nack{Code: code, Msg: msg}).Encode()})
+func (m *Manager) nackFrame(w *wire.ResponseWriter, reqID uint32, code wire.NackCode, msg string) {
+	m.Metrics.WireNacks.Add(1)
+	w.Nack(reqID, code, msg)
 }
 
-// handle serves one request frame. Panics are isolated per request,
-// exactly like the HTTP plane: counted, the session (if resolved)
-// poisoned, and answered with an internal NACK.
-func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
+// handleFrame serves one request frame, counting it first. Panics are
+// isolated per request, exactly like the HTTP plane: counted, the
+// session (if resolved) poisoned, and answered with an internal NACK.
+func (m *Manager) handleFrame(w *wire.ResponseWriter, f wire.Frame) {
+	m.Metrics.WireRequests.Add(1)
 	var s *Session
 	defer func() {
 		if p := recover(); p != nil {
-			ws.m.Metrics.Panics.Add(1)
+			m.Metrics.Panics.Add(1)
 			if s != nil {
 				s.Poison(fmt.Errorf("request panic: %v", p))
 			}
-			ws.nack(cw, f.ReqID, wire.NackInternal, fmt.Sprintf("request panic: %v", p))
+			m.nackFrame(w, f.ReqID, wire.NackInternal, fmt.Sprintf("request panic: %v", p))
 		}
 	}()
 
-	m := ws.m
 	reply := func(payload []byte) {
-		cw.write(wire.Frame{Op: f.Op, ReqID: f.ReqID, Payload: payload})
+		w.Write(wire.Frame{Op: f.Op, ReqID: f.ReqID, Payload: payload})
 	}
 	fail := func(err error) {
-		ws.nack(cw, f.ReqID, nackFor(err), err.Error())
+		m.nackFrame(w, f.ReqID, nackFor(err), err.Error())
 	}
 	// Resolve the session named by the request, or NACK. The id stays
 	// in s for the panic isolator above.
@@ -222,7 +83,7 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	case wire.OpHello:
 		var req wire.HelloRequest
 		if err := req.Decode(f.Payload); err != nil {
-			ws.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			m.nackFrame(w, f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
 		reply((&wire.HelloResponse{Server: "osmserve", MaxPayload: wire.MaxPayload}).Encode())
@@ -230,7 +91,7 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	case wire.OpStep:
 		var req wire.StepRequest
 		if err := req.Decode(f.Payload); err != nil {
-			ws.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			m.nackFrame(w, f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
 		if !resolve(req.Session) {
@@ -258,7 +119,7 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	case wire.OpRegisters:
 		var req wire.RegistersRequest
 		if err := req.Decode(f.Payload); err != nil {
-			ws.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			m.nackFrame(w, f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
 		if !resolve(req.Session) {
@@ -274,7 +135,7 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	case wire.OpMem:
 		var req wire.MemRequest
 		if err := req.Decode(f.Payload); err != nil {
-			ws.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			m.nackFrame(w, f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
 		if !resolve(req.Session) {
@@ -290,7 +151,7 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	case wire.OpTrace:
 		var req wire.TraceRequest
 		if err := req.Decode(f.Payload); err != nil {
-			ws.nack(cw, f.ReqID, wire.NackBadRequest, err.Error())
+			m.nackFrame(w, f.ReqID, wire.NackBadRequest, err.Error())
 			return
 		}
 		if !resolve(req.Session) {
@@ -306,6 +167,6 @@ func (ws *WireServer) handle(cw *connWriter, f wire.Frame) {
 	default:
 		// ParseHeader already rejects unknown ops; a request-only op
 		// arriving here (OpNack) is a protocol violation.
-		ws.nack(cw, f.ReqID, wire.NackBadRequest, fmt.Sprintf("op %s is not a request", f.Op))
+		m.nackFrame(w, f.ReqID, wire.NackBadRequest, fmt.Sprintf("op %s is not a request", f.Op))
 	}
 }

@@ -30,6 +30,10 @@
 // integers, length-prefixed strings, sticky-error bounds-checked
 // reads — so the decoder never panics on hostile input; FuzzFrame
 // keeps it that way.
+//
+// Client and Dial are the calling side. Server and Listen are the
+// serving side, shared by both service tiers: osmserve's wire plane
+// and osmgate's wire proxy differ only in their request handler.
 package wire
 
 import (
