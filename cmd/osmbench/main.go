@@ -11,8 +11,6 @@
 //	osmbench -speed ppc      # OSM vs SystemC-style speed (§5.2)
 //	osmbench -validate       # PPC-750 timing validation (§5.2)
 //	osmbench -fig2           # reservation-station paths (Figure 2)
-//	osmbench -engines        # execution-engine comparison (DESIGN.md §12-13)
-//	osmbench -json           # engine matrix as JSON (per-workload cycles/sec)
 //	osmbench -speed ppc -engine compiled   # one engine for -speed runs
 //	osmbench -scale 4        # iteration-count multiplier
 //
@@ -24,7 +22,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -48,8 +45,6 @@ func run() int {
 		validate   = flag.Bool("validate", false, "PPC-750 timing validation")
 		fig2       = flag.Bool("fig2", false, "reservation-station (Figure 2) comparison")
 		engineName = flag.String("engine", "", "execution engine for the -speed OSM models: event | scan | compiled | generated")
-		engines    = flag.Bool("engines", false, "compare execution engines (generated, compiled, event, scan) on both OSM case studies")
-		jsonOut    = flag.Bool("json", false, "emit the per-workload engine matrix as JSON on stdout")
 		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.Int("scale", experiments.DefaultScale, "workload iteration multiplier")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -147,32 +142,6 @@ func run() int {
 		}
 		experiments.ValidateTable(rows).Fprint(os.Stdout)
 		fmt.Println()
-	}
-	if *all || *engines {
-		ran = true
-		arm, ppc, err := experiments.SpeedEngines(*scale)
-		if err != nil {
-			fail(err)
-			return code
-		}
-		experiments.EngineSpeedTable("Execution engines: StrongARM (speedup vs scan and event references)", arm).Fprint(os.Stdout)
-		fmt.Println()
-		experiments.EngineSpeedTable("Execution engines: PPC-750 (speedup vs scan and event references)", ppc).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *jsonOut {
-		ran = true
-		samples, err := experiments.EngineMatrix(*scale)
-		if err != nil {
-			fail(err)
-			return code
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(samples); err != nil {
-			fail(err)
-			return code
-		}
 	}
 	if *all || *fig2 {
 		ran = true

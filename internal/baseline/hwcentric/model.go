@@ -78,8 +78,13 @@ func (s Stats) CPI() float64 {
 
 const notDone = math.MaxUint64
 
-// hwDecoded caches the static per-instruction facts.
+// hwDecoded caches the static facts of one instruction word, decoded
+// once at fetch; the ISS executes that decoding at dispatch
+// (iss.PPC.StepFetched). An entry is keyed to the RAM word it was
+// decoded from, so a fetch that finds a different word at its PC (a
+// store into code) decodes afresh.
 type hwDecoded struct {
+	word  uint32
 	ins   ppc.Instr
 	ok    bool
 	class ppc.Class
@@ -234,19 +239,25 @@ func dstIdx(ins *ppc.Instr) (out []int, gprs int) {
 	return out, gprs
 }
 
-// decode returns the cached static decoding of the word at pc.
+// outsideImage is the decoding of a PC beyond the RAM image: none.
+var outsideImage hwDecoded
+
+// decode returns the static decoding of the word at pc, reusing the
+// table's entry while RAM still holds the word it was decoded from.
 func (s *Sim) decode(pc uint32) *hwDecoded {
-	if d, ok := s.decodeCache[pc]; ok {
+	if !s.ISS.RAM.InBounds(pc, 4) {
+		return &outsideImage
+	}
+	word := s.ISS.RAM.Read32(pc)
+	if d, ok := s.decodeCache[pc]; ok && d.word == word {
 		return d
 	}
-	d := &hwDecoded{}
-	if s.ISS.RAM.InBounds(pc, 4) {
-		if ins, err := ppc.Decode(s.ISS.RAM.Read32(pc)); err == nil {
-			d.ins, d.ok = ins, true
-			d.class = ins.Class()
-			d.srcs = srcIdx(&ins)
-			d.dsts, d.gprs = dstIdx(&ins)
-		}
+	d := &hwDecoded{word: word}
+	if ins, err := ppc.Decode(word); err == nil {
+		d.ins, d.ok = ins, true
+		d.class = ins.Class()
+		d.srcs = srcIdx(&ins)
+		d.dsts, d.gprs = dstIdx(&ins)
 	}
 	s.decodeCache[pc] = d
 	return d

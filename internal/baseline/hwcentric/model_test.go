@@ -1,9 +1,11 @@
 package hwcentric
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa/ppc"
+	"repro/internal/mem"
 	"repro/internal/sim/ppc750"
 	"repro/internal/workload"
 )
@@ -151,4 +153,80 @@ func TestDecodeTopOfAddressSpace(t *testing.T) {
 	if d := s.decode(0xfffffffc); d.ok {
 		t.Fatal("a word beyond the RAM image decoded as an instruction")
 	}
+}
+
+// TestRefetchAfterCodeStore: a word rewritten in RAM after it was
+// fetched is decoded afresh at its next fetch, so the op's instruction,
+// class and register operands describe the word the ISS executes, not
+// the one first decoded at that PC.
+func TestRefetchAfterCodeStore(t *testing.T) {
+	p, err := ppc.Assemble(`
+	li r6, 3
+	li r7, 4
+	li r4, 200
+	mtctr r4
+loop:
+	addi r3, r3, 1
+	bdnz loop
+	li r0, 1
+	sc
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl, err := ppc.Assemble("\tadd r5, r6, r7\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := repl.Words[0]
+	ins, err := ppc.Decode(word)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, Config{Hier: mem.HierarchyConfig{DisableCaches: true, DisableTLBs: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := p.Org + 16 // the loop's addi
+	seen := map[*hwOp]bool{}
+	// fetched returns an op at target in the fetch queue that no
+	// earlier call returned, if any.
+	fetched := func() *hwOp {
+		for _, o := range s.iq {
+			if o.pc == target && !seen[o] {
+				seen[o] = true
+				return o
+			}
+		}
+		return nil
+	}
+	step := func(until func() bool) {
+		t.Helper()
+		for i := 0; !until(); i++ {
+			if i == 200 {
+				t.Fatal("condition not reached within 200 cycles")
+			}
+			s.K.Step()
+			if s.execErr != nil {
+				t.Fatal(s.execErr)
+			}
+		}
+	}
+	var o *hwOp
+	step(func() bool { o = fetched(); return o != nil })
+	if o.ins.Raw == word {
+		t.Fatal("the original word already decodes as the replacement")
+	}
+	for fetched() != nil { // everything queued now predates the store
+	}
+	s.ISS.RAM.Write32(target, word)
+	step(func() bool { o = fetched(); return o != nil })
+	if o.ins.Raw != word || o.ins.Op != ppc.ADD || o.ins.RT != 5 || o.class != ins.Class() {
+		t.Fatalf("refetched op carries %#x (%v r%d), want the rewritten %#x", o.ins.Raw, o.ins.Op, o.ins.RT, word)
+	}
+	dsts, gprs := dstIdx(&ins)
+	if !slices.Equal(o.srcs, srcIdx(&ins)) || !slices.Equal(o.dsts, dsts) || o.gprs != gprs {
+		t.Fatalf("refetched op reads %v and writes %v, want %v and %v", o.srcs, o.dsts, srcIdx(&ins), dsts)
+	}
+	step(func() bool { return s.ISS.CPU.R[5] == 7 })
 }

@@ -303,7 +303,7 @@ func (d *dispatchUnit) execute(o *hwOp, cycle uint64) bool {
 	}
 	s.deriveTiming(o)
 	s.ISS.CPU.NextPC = o.pc
-	if _, err := s.ISS.Step(); err != nil {
+	if err := s.ISS.StepFetched(&o.ins); err != nil {
 		s.execErr = fmt.Errorf("at %#x: %w", o.pc, err)
 		s.fetch.stop = true
 		return false

@@ -298,93 +298,6 @@ func SpeedARM(scale int, eng osm.Engine) ([]SpeedResult, error) {
 	}, nil
 }
 
-// SpeedEngines measures both OSM case studies under every execution
-// engine over their full benchmark mixes. Within each group the rows
-// are ordered generated, compiled, event, scan: EngineSpeedTable
-// reads the event-driven default from the next-to-last row and the
-// scan reference interpreter from the last.
-func SpeedEngines(scale int) (arm, ppc []SpeedResult, err error) {
-	for _, eng := range []osm.Engine{osm.EngineGenerated, osm.EngineCompiled, osm.EngineEvent, osm.EngineScan} {
-		cycles, instrs, wall, err := speedARMOSM(scale, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		arm = append(arm, speedResult("StrongARM "+eng.String(), cycles, instrs, wall))
-		cycles, instrs, wall, err = speedPPCOSM(scale, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		ppc = append(ppc, speedResult("PPC-750 "+eng.String(), cycles, instrs, wall))
-	}
-	return arm, ppc, nil
-}
-
-// EngineSample is one (target, workload, engine) speed measurement of
-// the engine matrix. The JSON field names are the osmbench -json
-// output format.
-type EngineSample struct {
-	Target       string  `json:"target"`
-	Workload     string  `json:"workload"`
-	Engine       string  `json:"engine"`
-	Cycles       uint64  `json:"cycles"`
-	Instrs       uint64  `json:"instrs"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	CyclesPerSec float64 `json:"cycles_per_sec"`
-}
-
-// EngineMatrix measures each workload of both case studies under all
-// four execution engines, one sample per (target, workload, engine) —
-// the machine-readable form of the engine comparison.
-func EngineMatrix(scale int) ([]EngineSample, error) {
-	var samples []EngineSample
-	add := func(target, wl string, eng osm.Engine, cycles, instrs uint64, wall time.Duration) {
-		samples = append(samples, EngineSample{
-			Target: target, Workload: wl, Engine: eng.String(),
-			Cycles: cycles, Instrs: instrs,
-			WallSeconds:  wall.Seconds(),
-			CyclesPerSec: float64(cycles) / wall.Seconds(),
-		})
-	}
-	engines := []osm.Engine{osm.EngineGenerated, osm.EngineCompiled, osm.EngineEvent, osm.EngineScan}
-	for _, w := range workload.All() {
-		for _, eng := range engines {
-			p, err := w.ARMProgram(w.DefaultN * scale)
-			if err != nil {
-				return nil, err
-			}
-			model, err := strongarm.New(p, strongarm.Config{Engine: eng})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			st, err := model.Run(10_000_000_000)
-			if err != nil {
-				return nil, fmt.Errorf("strongarm %s/%v: %w", w.Name, eng, err)
-			}
-			add("strongarm", w.Name, eng, st.Cycles, st.Instrs, time.Since(start))
-		}
-	}
-	for _, w := range workload.Mix() {
-		for _, eng := range engines {
-			p, err := w.PPCProgram(w.DefaultN * scale)
-			if err != nil {
-				return nil, err
-			}
-			model, err := ppc750.New(p, ppc750.Config{Engine: eng})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			st, err := model.Run(10_000_000_000)
-			if err != nil {
-				return nil, fmt.Errorf("ppc750 %s/%v: %w", w.Name, eng, err)
-			}
-			add("ppc750", w.Name, eng, st.Cycles, st.Instrs, time.Since(start))
-		}
-	}
-	return samples, nil
-}
-
 // SpeedPPC measures simulation speed of the PowerPC 750 OSM model
 // and the SystemC-style baseline (the paper reports the OSM model at
 // 4x the SystemC model's speed). The OSM model runs under eng.
@@ -427,24 +340,6 @@ func SpeedTable(title string, rs []SpeedResult) *stats.Table {
 		ratio := r.CyclesPerSec / rs[len(rs)-1].CyclesPerSec
 		t.AddRowf(r.Name, r.Cycles, r.Wall.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0f", r.CyclesPerSec), fmt.Sprintf("%.2fx", ratio))
-	}
-	return t
-}
-
-// EngineSpeedTable renders per-engine speed results with speedup
-// columns against both reference points: the scan reference
-// interpreter (the last row, the paper's Figure 3 semantics run
-// naively) and the event-driven default engine (the next-to-last
-// row, what users get without an Engine override).
-func EngineSpeedTable(title string, rs []SpeedResult) *stats.Table {
-	t := stats.NewTable(title, "simulator", "cycles", "wall", "cycles/sec", "vs scan", "vs event")
-	scan := rs[len(rs)-1].CyclesPerSec
-	event := rs[len(rs)-2].CyclesPerSec
-	for _, r := range rs {
-		t.AddRowf(r.Name, r.Cycles, r.Wall.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", r.CyclesPerSec),
-			fmt.Sprintf("%.2fx", r.CyclesPerSec/scan),
-			fmt.Sprintf("%.2fx", r.CyclesPerSec/event))
 	}
 	return t
 }

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/osm"
+	"repro/internal/sim/ppc750"
+	"repro/internal/sim/strongarm"
+	"repro/internal/workload"
 )
 
 func TestTable1ShapeMatchesPaper(t *testing.T) {
@@ -121,59 +124,52 @@ func TestSpeedPPCShape(t *testing.T) {
 	}
 }
 
-// TestEngineMatrixShape checks the machine-readable engine matrix
-// behind osmbench -json: every (target, workload) pair is measured
-// under all four engines, and within a pair the engines agree on the
-// simulated cycle count (speed may differ, timing must not).
-func TestEngineMatrixShape(t *testing.T) {
-	samples, err := EngineMatrix(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type key struct{ target, wl string }
-	byPair := map[key]map[string]EngineSample{}
-	for _, s := range samples {
-		if s.Cycles == 0 || s.CyclesPerSec <= 0 {
-			t.Errorf("%s/%s/%s: empty measurement: %+v", s.Target, s.Workload, s.Engine, s)
-		}
-		k := key{s.Target, s.Workload}
-		if byPair[k] == nil {
-			byPair[k] = map[string]EngineSample{}
-		}
-		byPair[k][s.Engine] = s
-	}
-	for k, engs := range byPair {
-		if len(engs) != 4 {
-			t.Errorf("%s/%s: %d engines measured, want 4", k.target, k.wl, len(engs))
-		}
-		ref := engs["scan"]
-		for name, s := range engs {
-			if s.Cycles != ref.Cycles {
-				t.Errorf("%s/%s: %s simulated %d cycles, scan %d", k.target, k.wl, name, s.Cycles, ref.Cycles)
+// TestEnginesAgreeOnCycles runs every workload of both case studies
+// under all four execution engines: speed may differ, the simulated
+// cycle count must not.
+func TestEnginesAgreeOnCycles(t *testing.T) {
+	agree := func(target, wl string, run func(osm.Engine) (uint64, error)) {
+		t.Helper()
+		var ref uint64
+		for _, eng := range []osm.Engine{osm.EngineScan, osm.EngineEvent, osm.EngineCompiled, osm.EngineGenerated} {
+			cycles, err := run(eng)
+			if err != nil {
+				t.Fatalf("%s %s/%v: %v", target, wl, eng, err)
+			}
+			if eng == osm.EngineScan {
+				ref = cycles
+			} else if cycles != ref {
+				t.Errorf("%s %s: %v simulated %d cycles, scan %d", target, wl, eng, cycles, ref)
 			}
 		}
 	}
-	targets := map[string]bool{}
-	for k := range byPair {
-		targets[k.target] = true
+	for _, w := range workload.All() {
+		agree("strongarm", w.Name, func(eng osm.Engine) (uint64, error) {
+			p, err := w.ARMProgram(w.DefaultN)
+			if err != nil {
+				return 0, err
+			}
+			model, err := strongarm.New(p, strongarm.Config{Engine: eng})
+			if err != nil {
+				return 0, err
+			}
+			st, err := model.Run(10_000_000_000)
+			return st.Cycles, err
+		})
 	}
-	if !targets["strongarm"] || !targets["ppc750"] {
-		t.Errorf("matrix misses a case study: %v", targets)
-	}
-}
-
-func TestEngineSpeedTableReferences(t *testing.T) {
-	rs := []SpeedResult{
-		{Name: "generated", CyclesPerSec: 400},
-		{Name: "compiled", CyclesPerSec: 300},
-		{Name: "event", CyclesPerSec: 200},
-		{Name: "scan", CyclesPerSec: 100},
-	}
-	out := EngineSpeedTable("t", rs).String()
-	for _, want := range []string{"vs scan", "vs event", "4.00x", "2.00x", "1.50x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("engine table lacks %q:\n%s", want, out)
-		}
+	for _, w := range workload.Mix() {
+		agree("ppc750", w.Name, func(eng osm.Engine) (uint64, error) {
+			p, err := w.PPCProgram(w.DefaultN)
+			if err != nil {
+				return 0, err
+			}
+			model, err := ppc750.New(p, ppc750.Config{Engine: eng})
+			if err != nil {
+				return 0, err
+			}
+			st, err := model.Run(10_000_000_000)
+			return st.Cycles, err
+		})
 	}
 }
 

@@ -85,10 +85,11 @@ func BenchmarkDirectorStepEventDriven(b *testing.B) {
 }
 
 // BenchmarkDirectorStepPipelineCompiled runs the saturated ring
-// through compiled guard programs (EngineCompiled). The CI bench-smoke
-// job holds it to within 10% of the event-driven interpreter on this
-// micro-model; the macro speedups are measured in
-// internal/experiments (SpeedEngines).
+// through compiled guard programs (EngineCompiled). The CI
+// bench-regression job gates it, with the default engine's and the
+// generated engine's step benchmarks, at 10% against the base branch;
+// the whole-model engine speeds are the ledger's
+// *.osm.engine.*.cycles_per_s metrics (bench/).
 func BenchmarkDirectorStepPipelineCompiled(b *testing.B) {
 	d := benchPipeline()
 	d.Engine = EngineCompiled

@@ -5,11 +5,16 @@ import (
 	"strings"
 )
 
-// This file implements the compiled execution engine (EngineCompiled):
-// a compile stage that lowers a model's state graphs into flat,
-// cache-friendly guard programs, and an executor that runs them under
-// the event-driven scheduler without interface dispatch on the hot
-// path.
+// This file implements the compile stage and the compiled execution
+// engine (EngineCompiled). The compile stage lowers a model's state
+// graphs into one flat, cache-friendly guard program — the only
+// resolved form of a model: the compiled engine executes it, the Go
+// code generator (internal/osm/gen) emits edge functions from it, and
+// the generated engine runs those functions bound into its edges
+// (generated.go). The executor tries one lowered edge without
+// interface dispatch on the hot path; the director's one serve loop
+// (serveMachine) walks a state's lowered edges under the event-driven
+// scheduler.
 //
 // The interpreted evaluator (Machine.tryEdge) walks each edge's
 // []Primitive and issues every transaction through the TokenManager
@@ -101,8 +106,9 @@ type guardInstr struct {
 }
 
 // compEdge is one lowered edge: the original edge (for When, Action,
-// destination, tracing and the interpreter fallback) plus its flat
-// instruction array.
+// destination, tracing and the interpreter fallback), its flat
+// instruction array, and — once Director.Generated has bound them —
+// its generated edge function.
 //
 // pure marks edges the executor may run check-then-commit (see
 // tryEdgePure): the compile stage proved from the built-in managers'
@@ -124,6 +130,8 @@ type compEdge struct {
 	// compiles its own program, so one scratch per lowered edge
 	// suffices.
 	scratch []int32
+	// fn is the edge's generated function, bound by Director.Generated.
+	fn EdgeFn
 }
 
 // compState is one lowered state: its outgoing edges in priority
@@ -155,14 +163,18 @@ type CompileStats struct {
 }
 
 // GuardProgram is a model lowered to flat guard instruction arrays,
-// executed by the compiled engine (EngineCompiled). Build one with
-// Director.Compile; it stays valid until machines or managers are
-// added. A program is derived state: it is excluded from snapshots
-// and rebuilt on demand instead.
+// executed by the compiled engine (EngineCompiled) and, with generated
+// functions bound into its edges, by the generated engine. Build one
+// with Director.Compile; it stays valid until machines or managers
+// are added. A program is derived state: it is excluded from
+// snapshots and rebuilt on demand instead.
 type GuardProgram struct {
 	states  []*compState
 	byState map[*State]*compState
 	stats   CompileStats
+	// bound reports that the director's attached generated functions
+	// are bound into the edges (Director.Generated).
+	bound bool
 }
 
 // Compile lowers every state graph reachable from the registered
@@ -181,45 +193,30 @@ func (d *Director) Compile() (*GuardProgram, error) {
 		if m.Initial == nil {
 			return nil, fmt.Errorf("osm: compile: machine %s has no initial state", m.Name)
 		}
-		if err := g.addGraph(m.Initial); err != nil {
-			return nil, err
+		if _, done := g.byState[m.Initial]; done {
+			continue // another machine's walk covered this graph
+		}
+		for _, s := range reachable(m.Initial) {
+			if _, done := g.byState[s]; done {
+				continue
+			}
+			cs := &compState{prog: g, s: s}
+			g.byState[s] = cs
+			g.states = append(g.states, cs)
+			for _, e := range s.Out {
+				ce, err := g.lowerEdge(s, e)
+				if err != nil {
+					return nil, err
+				}
+				cs.edges = append(cs.edges, ce)
+				g.stats.Edges++
+			}
+			s.comp = cs // fast state→program lookup for the executor
 		}
 	}
 	g.stats.States = len(g.states)
-	for _, cs := range g.states {
-		cs.s.comp = cs // fast state→program lookup for the executor
-	}
 	d.comp = g
 	return g, nil
-}
-
-// addGraph lowers the graph reachable from initial, skipping states
-// another machine's walk already covered.
-func (g *GuardProgram) addGraph(initial *State) error {
-	var walk func(s *State) error
-	walk = func(s *State) error {
-		if _, done := g.byState[s]; done {
-			return nil
-		}
-		cs := &compState{prog: g, s: s}
-		g.byState[s] = cs
-		g.states = append(g.states, cs)
-		for _, e := range s.Out {
-			ce, err := g.lowerEdge(s, e)
-			if err != nil {
-				return err
-			}
-			cs.edges = append(cs.edges, ce)
-			g.stats.Edges++
-		}
-		for _, e := range s.Out {
-			if err := walk(e.To); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(initial)
 }
 
 // lowerEdge translates an edge's primitive conjunction into a guard
@@ -347,17 +344,20 @@ func pureEdge(code []guardInstr) bool {
 }
 
 // stateOf returns the lowered form of s, or nil when s is not part of
-// the program (the graph was mutated after compilation; the caller
-// falls back to the interpreter).
+// the program or its edges changed after compilation (the graph was
+// mutated; the caller falls back to the interpreter).
 func (g *GuardProgram) stateOf(s *State) *compState {
-	if cs := s.comp; cs != nil && cs.prog == g {
-		return cs
-	}
-	if cs, ok := g.byState[s]; ok {
+	cs := s.comp
+	if cs == nil || cs.prog != g {
+		if cs = g.byState[s]; cs == nil {
+			return nil
+		}
 		s.comp = cs // re-stamp after another program overwrote it
-		return cs
 	}
-	return nil
+	if len(cs.edges) != len(s.Out) {
+		return nil // edges were added or removed after lowering
+	}
+	return cs
 }
 
 // Stats returns the program's lowering statistics.
@@ -589,34 +589,4 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			m.Name, m.Initial.Name, len(m.tokens), m.tokens[0])
 	}
 	return true, nil
-}
-
-// serveCompiled is serveMachine's compiled fast path: it evaluates the
-// machine's lowered outgoing edges in priority order and commits the
-// first satisfied one, maintaining ages and the tracer exactly like
-// the interpreted path.
-func (d *Director) serveCompiled(m *Machine, cs *compState, wasInitial bool) (bool, *Edge, error) {
-	for i := range cs.edges {
-		ce := &cs.edges[i]
-		before := len(m.blocked)
-		ok, err := m.tryEdgeCompiled(ce)
-		if err != nil {
-			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
-		}
-		if !ok {
-			if len(m.blocked) == before {
-				m.sched.untracked = true
-			}
-			continue
-		}
-		if wasInitial && !m.InInitial() {
-			d.nextAge++
-			m.Age = d.nextAge
-		}
-		if d.Tracer != nil {
-			d.Tracer.Transition(d.step, m, ce.e)
-		}
-		return true, ce.e, nil
-	}
-	return false, nil, nil
 }

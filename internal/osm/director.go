@@ -70,9 +70,6 @@ type Director struct {
 	RestartPolicy func(m *Machine, e *Edge) bool
 	// Tracer, if non-nil, observes every committed transition.
 	Tracer Tracer
-	// OnDeadlock, if non-nil, is consulted when CheckDeadlock finds a
-	// cyclic wait; returning nil suppresses the abort.
-	OnDeadlock func(cycle []*Machine) error
 	// CheckDeadlock enables wait-for-cycle detection on steps where
 	// no machine could move. Deadlocks are pathological (a cyclic
 	// pipeline); the director aborts with ErrDeadlock when one is
@@ -109,24 +106,14 @@ type Director struct {
 	// primInit records that identifier slots were assigned and the
 	// machines' memo tables sized; reset by AddMachine.
 	primInit bool
-	// comp is the compiled guard program (compiled.go), built lazily
-	// when Engine is EngineCompiled; invalidated by AddMachine and
-	// AddManager. Compiled state is derived from the model and is
+	// comp is the model's lowered form (compiled.go), built lazily
+	// when Engine is EngineCompiled or EngineGenerated; invalidated by
+	// AddMachine and AddManager. It is derived from the model and is
 	// never serialized: Snapshot ignores it and Restore keeps it.
 	comp *GuardProgram
-	// useComp is true while the current step serves machines through
-	// their compiled programs.
-	useComp bool
 	// genFns holds the generated edge functions installed with
-	// AttachGenerated; gen is their resolution against the current
-	// model (generated.go), rebuilt lazily after AddMachine/AddManager
-	// invalidate it. Like comp, gen is derived state and is never
-	// serialized.
+	// AttachGenerated (generated.go); Generated binds them into comp.
 	genFns map[string]EdgeFn
-	gen    *GenProgram
-	// useGen is true while the current step serves machines through
-	// their generated edge functions.
-	useGen bool
 }
 
 // NewDirector returns an empty director with default (age-based)
@@ -140,7 +127,6 @@ func (d *Director) AddMachine(ms ...*Machine) {
 	d.ev.init = false
 	d.primInit = false
 	d.comp = nil
-	d.gen = nil
 }
 
 // AddManager registers a token manager. Managers implementing Stepper
@@ -155,7 +141,6 @@ func (d *Director) AddManager(ms ...TokenManager) {
 	}
 	d.ev.init = false
 	d.comp = nil
-	d.gen = nil
 }
 
 // Machines returns the registered machines in registration order.
@@ -207,18 +192,17 @@ func (d *Director) ensurePrims() {
 	d.primInit = true
 }
 
-// assignPrimSlots walks the state graph from initial and gives every
-// dynamic primitive (ID != nil) without a slot the next free slot
-// number in this graph. It returns the highest slot in use, i.e. the
-// memo table size machines of this graph need. Assignment is
-// idempotent: primitives keep their slot across walks, so machines
-// sharing a graph agree on the numbering.
-func assignPrimSlots(initial *State) int {
+// reachable returns the states reachable from initial in depth-first
+// preorder, each state's successors in edge priority order. It is the
+// one walk of a state graph: slot assignment, the compile stage (and
+// so the generated binding and the emitted edges_gen.go order) and
+// Restore's state-name lookup all see states in this order.
+func reachable(initial *State) []*State {
 	var states []*State
 	seen := make(map[*State]bool)
 	var walk func(s *State)
 	walk = func(s *State) {
-		if seen[s] {
+		if s == nil || seen[s] {
 			return
 		}
 		seen[s] = true
@@ -228,6 +212,17 @@ func assignPrimSlots(initial *State) int {
 		}
 	}
 	walk(initial)
+	return states
+}
+
+// assignPrimSlots gives every dynamic primitive (ID != nil) reachable
+// from initial without a slot the next free slot number in this
+// graph. It returns the highest slot in use, i.e. the memo table size
+// machines of this graph need. Assignment is idempotent: primitives
+// keep their slot across walks, so machines sharing a graph agree on
+// the numbering.
+func assignPrimSlots(initial *State) int {
+	states := reachable(initial)
 	next := int32(0)
 	for _, s := range states {
 		for _, e := range s.Out {
@@ -252,33 +247,37 @@ func assignPrimSlots(initial *State) int {
 	return int(next)
 }
 
-// serveMachine evaluates m's outgoing edges in priority order and
-// commits the first satisfied one, maintaining ages and the tracer.
-// Both schedulers serve machines through it. The second result is the
-// committed edge. On failure it leaves the failed primitives of the
-// final pass in m.blocked and records in m.sched.untracked whether
-// any edge failed outside the token protocol (a When predicate).
+// serveMachine is the director's one loop over a state's edges: it
+// tries m's outgoing edges in priority order and commits the first
+// satisfied one, maintaining ages and the tracer. Every engine serves
+// machines through it and differs only in how one edge is tried:
+// Machine.tryEdge for the event and scan engines, tryEdgeCompiled for
+// the compiled engine, the bound EdgeFn for the generated one. The
+// fast engines look the state's lowering up once per serve; a state
+// the program does not know (the graph was mutated after lowering) is
+// served by the interpreter. The second result is the committed edge.
+// On failure it leaves the failed primitives of the final pass in
+// m.blocked and records in m.sched.untracked whether any edge failed
+// outside the token protocol (a When predicate).
 func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	wasInitial := m.InInitial()
 	m.blocked = m.blocked[:0] // keep only this pass's failures
 	m.sched.untracked = false
-	if d.useGen {
-		if gs := d.gen.stateOf(m.cur); gs != nil {
-			return d.serveGenerated(m, gs, wasInitial)
-		}
-		// A state unknown to the program (the graph was mutated after
-		// resolution) falls back to the interpreted path.
+	var cs *compState
+	if eng := d.engine(); eng == EngineCompiled || eng == EngineGenerated {
+		cs = d.comp.stateOf(m.cur)
 	}
-	if d.useComp {
-		if cs := d.comp.stateOf(m.cur); cs != nil {
-			return d.serveCompiled(m, cs, wasInitial)
-		}
-		// A state unknown to the program (the graph was mutated after
-		// compilation) falls back to the interpreted path.
-	}
-	for _, e := range m.cur.Out {
+	for i, e := range m.cur.Out {
 		before := len(m.blocked)
-		ok, err := m.tryEdge(e)
+		var ok bool
+		var err error
+		if cs == nil {
+			ok, err = m.tryEdge(e)
+		} else if ce := &cs.edges[i]; d.Engine == EngineGenerated {
+			ok, err = ce.fn(m, e)
+		} else {
+			ok, err = m.tryEdgeCompiled(ce)
+		}
 		if err != nil {
 			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
 		}
@@ -303,8 +302,6 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 // stepScan is the reference scheduler: the paper's Figure 3, executed
 // over the full machine population every control step.
 func (d *Director) stepScan() error {
-	d.useComp = false
-	d.useGen = false
 	d.ensurePrims()
 	for _, s := range d.steppers {
 		s.BeginStep(d.step)
@@ -397,9 +394,6 @@ func (d *Director) deadlockCheck() error {
 	cyc := d.findWaitCycle()
 	if cyc == nil {
 		return nil
-	}
-	if d.OnDeadlock != nil {
-		return d.OnDeadlock(cyc)
 	}
 	return fmt.Errorf("%w: %s", ErrDeadlock, cycleString(cyc))
 }

@@ -143,26 +143,23 @@ func (d *Director) initEvent() {
 }
 
 // stepEvent runs one control step under the event-driven scheduler.
-// It serves both the interpreted event engine and the compiled engine,
-// which differ only in how serveMachine evaluates guards.
+// It serves the event, compiled and generated engines, which differ
+// only in how serveMachine tries an edge; the fast engines lower the
+// model on their first step.
 func (d *Director) stepEvent() error {
+	var err error
 	switch d.Engine {
 	case EngineCompiled:
 		if d.comp == nil {
-			if _, err := d.Compile(); err != nil {
-				return err
-			}
+			_, err = d.Compile()
 		}
-		d.useComp, d.useGen = true, false
 	case EngineGenerated:
-		if d.gen == nil {
-			if _, err := d.generatedProgram(); err != nil {
-				return err
-			}
+		if d.comp == nil || !d.comp.bound {
+			_, err = d.Generated()
 		}
-		d.useComp, d.useGen = false, true
-	default:
-		d.useComp, d.useGen = false, false
+	}
+	if err != nil {
+		return err
 	}
 	ev := &d.ev
 	if !ev.init {

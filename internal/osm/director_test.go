@@ -258,38 +258,6 @@ func TestDirectorDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestDirectorDeadlockHandlerCanSuppress(t *testing.T) {
-	x := NewUnitManager("X", 1)
-	y := NewUnitManager("Y", 1)
-	ia, sa, ta := NewState("Ia"), NewState("Sa"), NewState("Ta")
-	ia.Connect("a0", sa, Alloc(x, 0))
-	sa.Connect("a1", ta, Alloc(y, 0), Release(x, 0))
-	ta.Connect("a2", ia, Release(y, 0))
-	ib, sb, tb := NewState("Ib"), NewState("Sb"), NewState("Tb")
-	ib.Connect("b0", sb, Alloc(y, 0))
-	sb.Connect("b1", tb, Alloc(x, 0), Release(y, 0))
-	tb.Connect("b2", ib, Release(x, 0))
-	d := NewDirector()
-	d.CheckDeadlock = true
-	called := 0
-	d.OnDeadlock = func(cycle []*Machine) error {
-		called++
-		if len(cycle) != 2 {
-			t.Errorf("cycle length = %d, want 2", len(cycle))
-		}
-		return nil
-	}
-	d.AddManager(x, y)
-	d.AddMachine(NewMachine("a", ia), NewMachine("b", ib))
-	d.Step()
-	if err := d.Step(); err != nil {
-		t.Fatalf("suppressed deadlock must not abort: %v", err)
-	}
-	if called != 1 {
-		t.Fatalf("handler called %d times, want 1", called)
-	}
-}
-
 func TestDirectorNoFalseDeadlockOnPlainStall(t *testing.T) {
 	// One machine stalled on a busy unit is a stall, not a deadlock.
 	i, f := NewState("I"), NewState("F")

@@ -4,28 +4,32 @@ import "fmt"
 
 // Engine selects the director's execution engine. All engines produce
 // the identical transition schedule — the differential tests in
-// internal/experiments check this trace-for-trace — and differ only in
-// how much work a control step costs:
+// internal/experiments check this trace-for-trace — and share one
+// serve loop (Director.serveMachine): a machine's outgoing edges are
+// tried in priority order and the first whose guard holds commits.
+// They differ only in how a control step picks the machines to serve
+// and how one edge is tried:
 //
 //   - EngineEvent (the default) is the event-driven scheduler of
 //     director_event.go: machines sleep on the managers that refused
-//     them and only woken machines are re-evaluated.
+//     them and only woken machines are re-evaluated. Edges are tried
+//     by the interpreter, Machine.tryEdge.
 //   - EngineScan is the reference scheduler, the paper's Figure 3
-//     executed verbatim over the full machine population every step.
-//   - EngineCompiled keeps the event-driven scheduling but executes
-//     guards through a compiled guard program (compiled.go): flat
-//     per-edge instruction arrays with pre-resolved managers,
+//     executed verbatim over the full machine population every step,
+//     with the same interpreter.
+//   - EngineCompiled keeps the event-driven scheduling but tries
+//     edges through the compile stage's guard program (compiled.go):
+//     flat per-edge instruction arrays with pre-resolved managers,
 //     pre-computed identifier slots and concrete-type fast paths for
 //     the built-in managers, so the hot loop runs without interface
 //     dispatch. The interpreted engines remain the differential
 //     oracle.
 //   - EngineGenerated also keeps the event-driven scheduling but
-//     executes guards through generated Go edge functions
-//     (generated.go) attached with Director.AttachGenerated — one
-//     monomorphic function per edge, typically emitted by
-//     internal/osm/gen from the same elaborated structures Compile
-//     consumes, with When predicates and manager fast paths inlined
-//     at source level.
+//     tries edges through generated Go edge functions (generated.go)
+//     attached with Director.AttachGenerated and bound into that same
+//     guard program — one monomorphic function per edge, typically
+//     emitted by internal/osm/gen from the program itself, with When
+//     predicates and manager fast paths inlined at source level.
 type Engine uint8
 
 const (

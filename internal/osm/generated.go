@@ -7,13 +7,15 @@ import "fmt"
 // to Go source. Where the compiled engine (compiled.go) interprets
 // flat guard instruction arrays, the generated engine calls one
 // monomorphic Go function per edge — typically emitted by
-// internal/osm/gen from the same elaborated structures Compile
-// consumes, with the edge's When predicate, identifier resolution and
-// concrete manager fast paths inlined at source level, so the Go
-// compiler sees through the whole guard.
+// internal/osm/gen from the compile stage's guard program, with the
+// edge's When predicate, identifier resolution and concrete manager
+// fast paths inlined at source level, so the Go compiler sees through
+// the whole guard.
 //
-// The scheduling contract is unchanged: generated functions run under
-// the event-driven step loop (director_event.go) and must reproduce
+// The functions run from that same program: Director.Generated binds
+// each attached function into its lowered edge, and the director's
+// one serve loop (serveMachine) calls it under the event-driven
+// scheduler (director_event.go). A generated function must reproduce
 // the interpreter's observable semantics exactly — transaction order,
 // blocked-primitive attribution, error cases, resulting manager
 // state. The check-then-commit shape of the compiled engine's pure
@@ -25,11 +27,10 @@ import "fmt"
 // (GenFallback). The differential suites hold all four engines to
 // trace-checksum identity.
 //
-// Like a guard program, an attached function set is derived state: it
-// is resolved against the model on demand (AddMachine/AddManager
-// invalidate the resolution, not the attachment) and never
-// serialized, so snapshots taken under any engine restore under any
-// other.
+// Like the program it is bound into, the binding is derived state:
+// AddMachine/AddManager invalidate the program, not the attachment,
+// and nothing of it is serialized, so snapshots taken under any
+// engine restore under any other.
 
 // EdgeFn evaluates one edge's guard for m and, when the whole
 // conjunction holds, commits it: applies the transactions, runs the
@@ -45,157 +46,86 @@ type EdgeFn func(m *Machine, e *Edge) (bool, error)
 // rejects models where it does not.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
-// genEdgeRT is one resolved edge: the model edge plus its generated
-// function.
-type genEdgeRT struct {
-	e  *Edge
-	fn EdgeFn
-}
-
-// genState is one resolved state: its outgoing edges in priority
-// order.
-type genState struct {
-	prog  *GenProgram
-	s     *State
-	edges []genEdgeRT
-}
-
-// GenProgram is an attached generated-function set resolved against
-// the model's state graphs, executed by the generated engine
-// (EngineGenerated). Build one by calling Director.AttachGenerated;
-// it stays valid until machines or managers are added. A program is
-// derived state: it is excluded from snapshots and re-resolved on
-// demand instead.
-type GenProgram struct {
-	states  []*genState
-	byState map[*State]*genState
-}
-
 // AttachGenerated installs generated edge functions, keyed by
-// GenKey(state, edge), and resolves them against the current model.
+// GenKey(state, edge), and checks them against the current model.
 // Every edge reachable from a registered machine's initial state must
 // have an entry with a non-nil function; entries for edges not in
 // the graph (a model variant compiled out, say) are allowed and
-// ignored. The attachment survives model growth: AddMachine and
-// AddManager invalidate the resolution, which is rebuilt from the
-// same function map on the next use.
+// ignored. Attaching builds nothing: the generated engine binds the
+// functions into the guard program on its first step (Generated). The
+// attachment survives model growth: AddMachine and AddManager
+// invalidate the program, which is rebuilt and rebound from the same
+// function map on the next use.
 func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
 	d.genFns = fns
-	d.gen = nil
-	_, err := d.generatedProgram()
-	return err
-}
-
-// Generated returns the resolved generated-edge program, resolving it
-// against the current model on first use. It errors when no function
-// set is attached or the attachment does not cover the model. Setting
-// Engine to EngineGenerated resolves implicitly on the first Step;
-// calling Generated directly surfaces resolution errors early.
-func (d *Director) Generated() (*GenProgram, error) { return d.generatedProgram() }
-
-func (d *Director) generatedProgram() (*GenProgram, error) {
-	if d.gen != nil {
-		return d.gen, nil
+	if d.comp != nil {
+		d.comp.bound = false
 	}
-	if d.genFns == nil {
-		return nil, fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
-	}
-	d.ensurePrims()
-	g := &GenProgram{byState: make(map[*State]*genState)}
-	bound := make(map[string]*Edge, len(d.genFns))
+	bound := make(map[string]*Edge, len(fns))
+	walked := make(map[*State]bool, 1)
 	for _, m := range d.machines {
 		if m.Initial == nil {
-			return nil, fmt.Errorf("osm: generated: machine %s has no initial state", m.Name)
+			return fmt.Errorf("osm: generated: machine %s has no initial state", m.Name)
 		}
-		if err := g.addGraph(m.Initial, d.genFns, bound); err != nil {
-			return nil, err
+		if walked[m.Initial] {
+			continue
 		}
-	}
-	for _, gs := range g.states {
-		gs.s.gen = gs // fast state→program lookup for the executor
-	}
-	d.gen = g
-	return g, nil
-}
-
-// addGraph resolves the graph reachable from initial, skipping states
-// another machine's walk already covered.
-func (g *GenProgram) addGraph(initial *State, fns map[string]EdgeFn, bound map[string]*Edge) error {
-	var walk func(s *State) error
-	walk = func(s *State) error {
-		if _, done := g.byState[s]; done {
-			return nil
-		}
-		gs := &genState{prog: g, s: s}
-		g.byState[s] = gs
-		g.states = append(g.states, gs)
-		for _, e := range s.Out {
-			k := GenKey(s.Name, e.Name)
-			if prev, dup := bound[k]; dup && prev != e {
-				return fmt.Errorf("osm: generated: key %q is ambiguous: two distinct edges share state and edge names", k)
-			}
-			fn, ok := fns[k]
-			if !ok {
-				return fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
-			}
-			if fn == nil {
-				return fmt.Errorf("osm: generated: key %q: function is nil", k)
-			}
-			bound[k] = e
-			gs.edges = append(gs.edges, genEdgeRT{e: e, fn: fn})
-		}
-		for _, e := range s.Out {
-			if err := walk(e.To); err != nil {
-				return err
+		walked[m.Initial] = true
+		for _, s := range reachable(m.Initial) {
+			for _, e := range s.Out {
+				if _, err := genFn(fns, bound, s, e); err != nil {
+					return err
+				}
 			}
 		}
-		return nil
-	}
-	return walk(initial)
-}
-
-// stateOf returns the resolved form of s, or nil when s is not part of
-// the program (the graph was mutated after resolution; the caller
-// falls back to the interpreted path).
-func (g *GenProgram) stateOf(s *State) *genState {
-	if gs := s.gen; gs != nil && gs.prog == g {
-		return gs
-	}
-	if gs, ok := g.byState[s]; ok {
-		s.gen = gs // re-stamp after another program overwrote it
-		return gs
 	}
 	return nil
 }
 
-// serveGenerated is serveMachine's generated fast path: it evaluates
-// the machine's generated outgoing edges in priority order and commits
-// the first satisfied one, maintaining ages and the tracer exactly
-// like the interpreted path.
-func (d *Director) serveGenerated(m *Machine, gs *genState, wasInitial bool) (bool, *Edge, error) {
-	for i := range gs.edges {
-		ge := &gs.edges[i]
-		before := len(m.blocked)
-		ok, err := ge.fn(m, ge.e)
-		if err != nil {
-			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
-		}
-		if !ok {
-			if len(m.blocked) == before {
-				m.sched.untracked = true
-			}
-			continue
-		}
-		if wasInitial && !m.InInitial() {
-			d.nextAge++
-			m.Age = d.nextAge
-		}
-		if d.Tracer != nil {
-			d.Tracer.Transition(d.step, m, ge.e)
-		}
-		return true, ge.e, nil
+// Generated returns the guard program Compile returns, with the
+// attached generated functions bound into its edges, compiling and
+// binding on first use. It errors when no function set is attached or
+// the attachment does not cover the model. Setting Engine to
+// EngineGenerated binds implicitly on the first Step; calling
+// Generated directly surfaces binding errors early.
+func (d *Director) Generated() (*GuardProgram, error) {
+	if d.genFns == nil {
+		return nil, fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
 	}
-	return false, nil, nil
+	g, err := d.Compile()
+	if err != nil || g.bound {
+		return g, err
+	}
+	bound := make(map[string]*Edge, len(d.genFns))
+	for _, cs := range g.states {
+		for i := range cs.edges {
+			ce := &cs.edges[i]
+			if ce.fn, err = genFn(d.genFns, bound, cs.s, ce.e); err != nil {
+				return nil, err
+			}
+		}
+	}
+	g.bound = true
+	return g, nil
+}
+
+// genFn looks up the function attached for edge e of state s. bound
+// records the edge each key resolved to so far, so a key two distinct
+// edges share is rejected as ambiguous.
+func genFn(fns map[string]EdgeFn, bound map[string]*Edge, s *State, e *Edge) (EdgeFn, error) {
+	k := GenKey(s.Name, e.Name)
+	if prev, dup := bound[k]; dup && prev != e {
+		return nil, fmt.Errorf("osm: generated: key %q is ambiguous: two distinct edges share state and edge names", k)
+	}
+	fn, ok := fns[k]
+	if !ok {
+		return nil, fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
+	}
+	if fn == nil {
+		return nil, fmt.Errorf("osm: generated: key %q: function is nil", k)
+	}
+	bound[k] = e
+	return fn, nil
 }
 
 // The helpers below are the narrow surface generated code is written

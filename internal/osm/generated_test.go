@@ -163,6 +163,54 @@ func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
 	}
 }
 
+// TestGeneratedBindsCompiledProgram checks that the generated engine
+// runs from the compile stage's program: Generated returns the very
+// program Compile returns, with a function bound into every edge.
+func TestGeneratedBindsCompiledProgram(t *testing.T) {
+	d, fns := genPipeline(nil)
+	if err := d.AttachGenerated(fns); err != nil {
+		t.Fatal(err)
+	}
+	g, err := d.Generated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := d.Compile(); err != nil || c != g {
+		t.Fatalf("Compile() = %p, %v; want the generated program %p", c, err, g)
+	}
+	if !g.bound || g.Stats().Edges != len(fns) {
+		t.Fatalf("bound = %v over %d edges, want bound over %d", g.bound, g.Stats().Edges, len(fns))
+	}
+	for _, cs := range g.states {
+		for i := range cs.edges {
+			if cs.edges[i].fn == nil {
+				t.Errorf("edge %s/%s has no bound function", cs.s.Name, cs.edges[i].e.Name)
+			}
+		}
+	}
+}
+
+// TestInterpretedEnginesHoldNoProgram pins the heap property the
+// event and scan engines rely on: attaching generated functions and
+// stepping leaves the director without a lowered program.
+func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
+	for _, eng := range []Engine{EngineEvent, EngineScan} {
+		d, fns := genPipeline(nil)
+		d.Engine = eng
+		if err := d.AttachGenerated(fns); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d.comp != nil {
+			t.Errorf("%v: director holds a lowered program after 50 steps", eng)
+		}
+	}
+}
+
 // TestAttachGeneratedErrors exercises the resolution failure modes:
 // no attachment, a missing key, an entry with a nil function, and two
 // distinct edges sharing a key.
@@ -214,6 +262,20 @@ func TestAttachGeneratedErrors(t *testing.T) {
 			t.Fatalf("err = %v, want ambiguity error", err)
 		}
 	})
+}
+
+// TestNoInitialStateIsAnError checks that a machine without an
+// initial state is reported by AttachGenerated and Compile as an
+// error rather than crashing the graph walk.
+func TestNoInitialStateIsAnError(t *testing.T) {
+	d := NewDirector()
+	d.AddMachine(&Machine{Name: "orphan"})
+	if err := d.AttachGenerated(map[string]EdgeFn{}); err == nil || !strings.Contains(err.Error(), "machine orphan has no initial state") {
+		t.Fatalf("AttachGenerated() = %v, want a no-initial-state error", err)
+	}
+	if _, err := d.Compile(); err == nil || !strings.Contains(err.Error(), "machine orphan has no initial state") {
+		t.Fatalf("Compile() = %v, want a no-initial-state error", err)
+	}
 }
 
 // TestGeneratedFallbackOnGate installs an alloc gate mid-run: the

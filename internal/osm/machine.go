@@ -17,9 +17,6 @@ type State struct {
 	// installed guard program (compiled.go); stateOf validates the
 	// owning program before trusting it.
 	comp *compState
-	// gen likewise caches the state's resolution in the most recently
-	// installed generated-edge program (generated.go).
-	gen *genState
 }
 
 // NewState returns a named state with no outgoing edges.

@@ -120,30 +120,18 @@ func (c *SnapCtx) managerIndex(mgr TokenManager) int {
 }
 
 // stateByName resolves a state name in the graph reachable from
-// initial, caching the traversal per distinct initial state (machines
-// of one model share a state graph).
+// initial, caching the name table per distinct initial state (machines
+// of one model share a state graph). Names must be unique within the
+// graph.
 func (c *SnapCtx) stateByName(initial *State, name string) (*State, error) {
 	byName, ok := c.states[initial]
 	if !ok {
 		byName = make(map[string]*State)
-		var walk func(s *State) error
-		walk = func(s *State) error {
-			if prev, seen := byName[s.Name]; seen {
-				if prev != s {
-					return fmt.Errorf("osm: snapshot: duplicate state name %q", s.Name)
-				}
-				return nil
+		for _, s := range reachable(initial) {
+			if _, dup := byName[s.Name]; dup {
+				return nil, fmt.Errorf("osm: snapshot: duplicate state name %q", s.Name)
 			}
 			byName[s.Name] = s
-			for _, e := range s.Out {
-				if err := walk(e.To); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := walk(initial); err != nil {
-			return nil, err
 		}
 		c.states[initial] = byName
 	}
