@@ -4,15 +4,13 @@
 //
 // Usage:
 //
-//	osmbench -all
-//	osmbench -table 1        # StrongARM validation (paper Table 1)
-//	osmbench -table 2        # source code line counts (paper Table 2)
+//	osmbench                 # every deterministic table: Table 1, Table 2,
+//	                         # the §5.2 validation, Figure 2, the ablations
+//	osmbench -scale 1        # the same at the scale checked in as
+//	                         # internal/experiments/testdata/paper_tables.txt
 //	osmbench -speed arm      # OSM vs SimpleScalar-style speed (§5.1)
 //	osmbench -speed ppc      # OSM vs SystemC-style speed (§5.2)
-//	osmbench -validate       # PPC-750 timing validation (§5.2)
-//	osmbench -fig2           # reservation-station paths (Figure 2)
-//	osmbench -speed ppc -engine compiled   # one engine for -speed runs
-//	osmbench -scale 4        # iteration-count multiplier
+//	osmbench -speed ppc -engine generated   # one engine for -speed runs
 //
 // Profiling the simulator hot path:
 //
@@ -40,12 +38,8 @@ func main() {
 // before the process exits.
 func run() int {
 	var (
-		table      = flag.Int("table", 0, "regenerate paper table 1 or 2")
-		speed      = flag.String("speed", "", "speed comparison: arm or ppc")
-		validate   = flag.Bool("validate", false, "PPC-750 timing validation")
-		fig2       = flag.Bool("fig2", false, "reservation-station (Figure 2) comparison")
+		speed      = flag.String("speed", "", "measure simulation speed instead: arm or ppc")
 		engineName = flag.String("engine", "", "execution engine for the -speed OSM models: event | scan | compiled | generated")
-		all        = flag.Bool("all", false, "run every experiment")
 		scale      = flag.Int("scale", experiments.DefaultScale, "workload iteration multiplier")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -58,6 +52,11 @@ func run() int {
 		code = 1
 	}
 
+	if *speed != "" && *speed != "arm" && *speed != "ppc" {
+		fmt.Fprintf(os.Stderr, "osmbench: -speed %q: want arm or ppc\n", *speed)
+		flag.Usage()
+		return 2
+	}
 	eng, err := osm.ParseEngine(*engineName)
 	if err != nil {
 		fail(err)
@@ -92,70 +91,28 @@ func run() int {
 		}()
 	}
 
-	ran := false
-	if *all || *table == 1 {
-		ran = true
-		rows, err := experiments.Table1(*scale)
-		if err != nil {
-			fail(err)
-			return code
-		}
-		experiments.Table1Table(rows).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *all || *table == 2 {
-		ran = true
-		rows, baselines, err := experiments.Table2()
-		if err != nil {
-			fail(err)
-			return code
-		}
-		experiments.Table2Table(rows, baselines).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *all || *speed == "arm" {
-		ran = true
+	switch *speed {
+	case "arm":
 		rs, err := experiments.SpeedARM(*scale, eng)
 		if err != nil {
 			fail(err)
 			return code
 		}
 		experiments.SpeedTable("Simulation speed: StrongARM (paper §5.1: OSM 650k vs SimpleScalar 550k cyc/s)", rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *all || *speed == "ppc" {
-		ran = true
+	case "ppc":
 		rs, err := experiments.SpeedPPC(*scale, eng)
 		if err != nil {
 			fail(err)
 			return code
 		}
 		experiments.SpeedTable("Simulation speed: PPC-750 (paper §5.2: OSM at 4x the SystemC model)", rs).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *all || *validate {
-		ran = true
-		rows, err := experiments.ValidatePPC(*scale)
+	default:
+		p, err := experiments.RunPaper(*scale)
 		if err != nil {
 			fail(err)
 			return code
 		}
-		experiments.ValidateTable(rows).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if *all || *fig2 {
-		ran = true
-		rows, err := experiments.Fig2(*scale)
-		if err != nil {
-			fail(err)
-			return code
-		}
-		experiments.Fig2Table(rows).Fprint(os.Stdout)
-		fmt.Println()
-	}
-	if !ran {
-		flag.Usage()
-		return 2
+		p.Fprint(os.Stdout)
 	}
 	return code
 }

@@ -10,6 +10,7 @@
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The root-level benchmarks in bench_test.go drive the same
-// experiment code as cmd/osmbench.
+// results. internal/experiments computes every number of the
+// evaluation; cmd/osmbench prints it, and the scale-1 output is checked
+// in as internal/experiments/testdata/paper_tables.txt.
 package repro

@@ -1,17 +1,22 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (Section 5). Both cmd/osmbench and the
-// repository's benchmark suite drive these functions; EXPERIMENTS.md
-// records paper-versus-measured for each.
+// paper's evaluation (Section 5). It is the only code that computes
+// the paper's deterministic numbers: cmd/osmbench prints them,
+// RunPaper's rendering at scale 1 is checked in as
+// testdata/paper_tables.txt, and EXPERIMENTS.md quotes that file next
+// to the paper's figures.
 package experiments
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/baseline/hwcentric"
 	"repro/internal/baseline/sscalar"
+	"repro/internal/isa/ppc"
 	"repro/internal/mem"
 	"repro/internal/osm"
 	"repro/internal/sim/ppc750"
@@ -23,6 +28,76 @@ import (
 // DefaultScale multiplies each kernel's default iteration count in
 // the full experiment runs.
 const DefaultScale = 4
+
+// maxCycles bounds every run; no experiment comes near it.
+const maxCycles = 10_000_000_000
+
+// pctOver returns how much x exceeds ref, in percent of ref.
+func pctOver(x, ref uint64) float64 {
+	return 100 * (float64(x) - float64(ref)) / float64(ref)
+}
+
+// ppcCycles runs p to completion on the PPC-750 model under cfg.
+func ppcCycles(p *ppc.Program, cfg ppc750.Config) (uint64, error) {
+	s, err := ppc750.New(p, cfg)
+	if err != nil {
+		return 0, err
+	}
+	st, err := s.Run(maxCycles)
+	return st.Cycles, err
+}
+
+// Paper holds every deterministic number of the evaluation at one
+// scale: Table 1, Table 2, the §5.2 timing validation, Figure 2 and
+// the ablations. Wall-clock speed is not among them; osmbench -speed
+// measures it.
+type Paper struct {
+	Table1    []Table1Row
+	Table2    []Table2Row
+	Validate  []ValidRow
+	Fig2      []Fig2Result
+	Ablations []AblationRow
+}
+
+// RunPaper computes every deterministic table at the given scale.
+func RunPaper(scale int) (*Paper, error) {
+	var p Paper
+	var err error
+	if p.Table1, err = Table1(scale); err != nil {
+		return nil, err
+	}
+	if p.Table2, err = Table2(); err != nil {
+		return nil, err
+	}
+	if p.Validate, err = ValidatePPC(scale); err != nil {
+		return nil, err
+	}
+	if p.Fig2, err = Fig2(scale); err != nil {
+		return nil, err
+	}
+	if p.Ablations, err = Ablations(scale); err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// Fprint renders the tables in the order of the paper's evaluation,
+// one blank line apart. This is osmbench's output without a mode flag.
+func (p *Paper) Fprint(w io.Writer) {
+	tables := []*stats.Table{
+		Table1Table(p.Table1),
+		Table2Table(p.Table2),
+		ValidateTable(p.Validate),
+		Fig2Table(p.Fig2),
+		AblationTable(p.Ablations),
+	}
+	for i, t := range tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		t.Fprint(w)
+	}
+}
 
 // Table1Row is one row of the StrongARM validation table: the OSM
 // model's cycle count against the external timing oracle, with the
@@ -63,7 +138,7 @@ func Table1(scale int) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		oStats, err := oracle.Run(10_000_000_000)
+		oStats, err := oracle.Run(maxCycles)
 		if err != nil {
 			return nil, fmt.Errorf("oracle %s: %w", w.Name, err)
 		}
@@ -74,7 +149,7 @@ func Table1(scale int) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		mStats, err := model.Run(10_000_000_000)
+		mStats, err := model.Run(maxCycles)
 		if err != nil {
 			return nil, fmt.Errorf("model %s: %w", w.Name, err)
 		}
@@ -85,7 +160,7 @@ func Table1(scale int) ([]Table1Row, error) {
 			Bench:        w.Name,
 			OracleCycles: oStats.Cycles,
 			ModelCycles:  mStats.Cycles,
-			DiffPct:      100 * (float64(mStats.Cycles) - float64(oStats.Cycles)) / float64(oStats.Cycles),
+			DiffPct:      pctOver(mStats.Cycles, oStats.Cycles),
 		})
 	}
 	return rows, nil
@@ -101,7 +176,8 @@ func Table1Table(rows []Table1Row) *stats.Table {
 	return t
 }
 
-// Table2Row is one row of the source-code-size table.
+// Table2Row is one row of the source-code-size table. A baseline row
+// fills only the column of the processor it models.
 type Table2Row struct {
 	Part string
 	SA   int
@@ -117,85 +193,83 @@ func repoRoot() (string, error) {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file))), nil
 }
 
-// Table2 counts the source lines of the two OSM processor models,
-// split into the paper's four categories, plus the baselines'
-// sizes for the comparison made in the surrounding text.
-func Table2() ([]Table2Row, map[string]int, error) {
+// checkpointFile is the file that holds a package's checkpoint code.
+const checkpointFile = "snapshot.go"
+
+// Table2 counts the source lines of the two OSM processor models in
+// the paper's categories, then the two baselines, in display order.
+//
+// The counting rule is one for models and baselines alike. A part's
+// size is the comment- and blank-free lines of its non-test Go files
+// (stats.CountFileLoC). Each simulator counts its own timing code plus
+// the hardware-layer modules it runs on: the memory subsystem
+// (internal/mem) and, on the PPC-750 side, the branch predictor
+// (ppc750/bpred.go). Three kinds of code are left out on every side:
+// instruction semantics (internal/isa, internal/iss), which all the
+// simulators share and the paper does not count; checkpoint code (each
+// package's snapshot.go), which neither the paper's models nor its
+// baselines have; and the generated-engine bindings (gen_spec.go,
+// edges_gen.go).
+//
+// An OSM model splits into "Modules with TMI" (its token-manager file,
+// strongarm/regs.go or ppc750/rename.go), "Modules without TMI" (the
+// hardware-layer modules) and "Decoding and OSM init." (its sim.go,
+// which decodes operations, builds the machines and derives timing).
+// A baseline counts its whole package plus the hardware-layer modules
+// of the processor it models, under that processor's column.
+func Table2() ([]Table2Row, error) {
 	root, err := repoRoot()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	j := func(parts ...string) string { return filepath.Join(append([]string{root}, parts...)...) }
-
-	// Category mapping (DESIGN.md documents the classification):
-	//  - "Modules with TMI": the token-manager modules of each model.
-	//  - "Modules without TMI": the memory subsystem and predictors
-	//    (hardware layer only — shared, counted once per model use).
-	//  - "Decoding and OSM init.": the per-model glue that decodes
-	//    operations and initializes machine contexts and timing.
-	//  - "Miscellaneous": run control and statistics (counted within
-	//    the model files; zero here because the glue files carry it).
-	saTMI, err := stats.CountFilesLoC(j("internal", "sim", "strongarm", "regs.go"))
-	if err != nil {
-		return nil, nil, err
+	var countErr error
+	count := func(n int, err error) int {
+		if err != nil && countErr == nil {
+			countErr = err
+		}
+		return n
 	}
-	saGlue, err := stats.CountFilesLoC(j("internal", "sim", "strongarm", "sim.go"))
-	if err != nil {
-		return nil, nil, err
+	file := func(parts ...string) int {
+		return count(stats.CountFilesLoC(filepath.Join(append([]string{root}, parts...)...)))
 	}
-	ppcTMI, err := stats.CountFilesLoC(j("internal", "sim", "ppc750", "rename.go"))
-	if err != nil {
-		return nil, nil, err
-	}
-	ppcGlue, err := stats.CountFilesLoC(j("internal", "sim", "ppc750", "sim.go"))
-	if err != nil {
-		return nil, nil, err
-	}
-	ppcPred, err := stats.CountFilesLoC(j("internal", "sim", "ppc750", "bpred.go"))
-	if err != nil {
-		return nil, nil, err
-	}
-	memLoC, err := stats.CountDirLoC(j("internal", "mem"))
-	if err != nil {
-		return nil, nil, err
+	dir := func(parts ...string) int {
+		return count(stats.CountDirLoC(filepath.Join(append([]string{root}, parts...)...), checkpointFile))
 	}
 
+	saHW := dir("internal", "mem")
+	ppcHW := saHW + file("internal", "sim", "ppc750", "bpred.go")
 	rows := []Table2Row{
-		{Part: "Modules with TMI", SA: saTMI, PPC: ppcTMI},
-		{Part: "Modules without TMI", SA: memLoC, PPC: memLoC + ppcPred},
-		{Part: "Decoding and OSM init.", SA: saGlue, PPC: ppcGlue},
+		{Part: "Modules with TMI", SA: file("internal", "sim", "strongarm", "regs.go"), PPC: file("internal", "sim", "ppc750", "rename.go")},
+		{Part: "Modules without TMI", SA: saHW, PPC: ppcHW},
+		{Part: "Decoding and OSM init.", SA: file("internal", "sim", "strongarm", "sim.go"), PPC: file("internal", "sim", "ppc750", "sim.go")},
 	}
-	saTotal, ppcTotal := 0, 0
+	total := Table2Row{Part: "Total"}
 	for _, r := range rows {
-		saTotal += r.SA
-		ppcTotal += r.PPC
+		total.SA += r.SA
+		total.PPC += r.PPC
 	}
-	rows = append(rows, Table2Row{Part: "Total", SA: saTotal, PPC: ppcTotal})
-
-	// Baseline sizes for the in-text comparison.
-	ssLoC, err := stats.CountDirLoC(j("internal", "baseline", "sscalar"))
-	if err != nil {
-		return nil, nil, err
+	rows = append(rows, total,
+		Table2Row{Part: "baseline: sscalar (SimpleScalar-style ARM)", SA: dir("internal", "baseline", "sscalar") + saHW},
+		Table2Row{Part: "baseline: hwcentric (SystemC-style PPC)", PPC: dir("internal", "baseline", "hwcentric") + ppcHW},
+	)
+	if countErr != nil {
+		return nil, countErr
 	}
-	hwLoC, err := stats.CountDirLoC(j("internal", "baseline", "hwcentric"))
-	if err != nil {
-		return nil, nil, err
-	}
-	baselines := map[string]int{
-		"sscalar (SimpleScalar-style ARM)": ssLoC + memLoC,
-		"hwcentric (SystemC-style PPC)":    hwLoC + memLoC + ppcPred,
-	}
-	return rows, baselines, nil
+	return rows, nil
 }
 
-// Table2Table renders the rows in the paper's Table 2 layout.
-func Table2Table(rows []Table2Row, baselines map[string]int) *stats.Table {
+// Table2Table renders the rows in the paper's Table 2 layout. A zero
+// count, the column a baseline does not model, renders blank.
+func Table2Table(rows []Table2Row) *stats.Table {
 	t := stats.NewTable("Table 2: source code line numbers", "parts", "SA-1100", "PPC-750")
-	for _, r := range rows {
-		t.AddRowf(r.Part, r.SA, r.PPC)
+	cell := func(n int) string {
+		if n == 0 {
+			return ""
+		}
+		return strconv.Itoa(n)
 	}
-	for name, loc := range baselines {
-		t.AddRowf("baseline: "+name, "", loc)
+	for _, r := range rows {
+		t.AddRow(r.Part, cell(r.SA), cell(r.PPC))
 	}
 	return t
 }
@@ -230,7 +304,7 @@ func speedARMOSM(scale int, eng osm.Engine) (cycles, instrs uint64, wall time.Du
 			return 0, 0, 0, err
 		}
 		start := time.Now()
-		st, err := model.Run(10_000_000_000)
+		st, err := model.Run(maxCycles)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -253,7 +327,7 @@ func speedPPCOSM(scale int, eng osm.Engine) (cycles, instrs uint64, wall time.Du
 			return 0, 0, 0, err
 		}
 		start := time.Now()
-		st, err := model.Run(10_000_000_000)
+		st, err := model.Run(maxCycles)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -284,7 +358,7 @@ func SpeedARM(scale int, eng osm.Engine) ([]SpeedResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		bst, err := base.Run(10_000_000_000)
+		bst, err := base.Run(maxCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -318,7 +392,7 @@ func SpeedPPC(scale int, eng osm.Engine) ([]SpeedResult, error) {
 			return nil, err
 		}
 		start := time.Now()
-		hst, err := hw.Run(10_000_000_000)
+		hst, err := hw.Run(maxCycles)
 		if err != nil {
 			return nil, err
 		}
@@ -359,16 +433,11 @@ type ValidRow struct {
 func ValidatePPC(scale int) ([]ValidRow, error) {
 	var rows []ValidRow
 	for _, w := range workload.Mix() {
-		n := w.DefaultN * scale
-		p, err := w.PPCProgram(n)
+		p, err := w.PPCProgram(w.DefaultN * scale)
 		if err != nil {
 			return nil, err
 		}
-		model, err := ppc750.New(p, ppc750.Config{})
-		if err != nil {
-			return nil, err
-		}
-		st, err := model.Run(10_000_000_000)
+		osmCycles, err := ppcCycles(p, ppc750.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -376,16 +445,11 @@ func ValidatePPC(scale int) ([]ValidRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		hst, err := hw.Run(10_000_000_000)
+		hst, err := hw.Run(maxCycles)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ValidRow{
-			Bench:     w.Name,
-			OSMCycles: st.Cycles,
-			HWCycles:  hst.Cycles,
-			DiffPct:   100 * (float64(st.Cycles) - float64(hst.Cycles)) / float64(hst.Cycles),
-		})
+		rows = append(rows, ValidRow{Bench: w.Name, OSMCycles: osmCycles, HWCycles: hst.Cycles, DiffPct: pctOver(osmCycles, hst.Cycles)})
 	}
 	return rows, nil
 }
@@ -415,31 +479,19 @@ type Fig2Result struct {
 func Fig2(scale int) ([]Fig2Result, error) {
 	var rows []Fig2Result
 	for _, w := range workload.Mix() {
-		n := w.DefaultN * scale
-		p, err := w.PPCProgram(n)
+		p, err := w.PPCProgram(w.DefaultN * scale)
 		if err != nil {
 			return nil, err
 		}
-		withRS, err := ppc750.New(p, ppc750.Config{})
+		withRS, err := ppcCycles(p, ppc750.Config{})
 		if err != nil {
 			return nil, err
 		}
-		a, err := withRS.Run(10_000_000_000)
+		withoutRS, err := ppcCycles(p, ppc750.Config{NoReservationStations: true})
 		if err != nil {
 			return nil, err
 		}
-		withoutRS, err := ppc750.New(p, ppc750.Config{NoReservationStations: true})
-		if err != nil {
-			return nil, err
-		}
-		b, err := withoutRS.Run(10_000_000_000)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig2Result{
-			Bench: w.Name, WithRS: a.Cycles, WithoutRS: b.Cycles,
-			SpeedupPct: 100 * (float64(b.Cycles) - float64(a.Cycles)) / float64(a.Cycles),
-		})
+		rows = append(rows, Fig2Result{Bench: w.Name, WithRS: withRS, WithoutRS: withoutRS, SpeedupPct: pctOver(withoutRS, withRS)})
 	}
 	return rows, nil
 }
@@ -450,6 +502,171 @@ func Fig2Table(rows []Fig2Result) *stats.Table {
 		"benchmark", "with RS", "without RS", "RS benefit")
 	for _, r := range rows {
 		t.AddRowf(r.Bench, r.WithRS, r.WithoutRS, fmt.Sprintf("%+.2f%%", r.SpeedupPct))
+	}
+	return t
+}
+
+// AblationRow is one configuration of a design-choice ablation: the
+// cycles a model takes on a fixed workload under that configuration,
+// and the change against the ablation's first configuration.
+type AblationRow struct {
+	Ablation string
+	Workload string
+	Config   string
+	Cycles   uint64
+	DeltaPct float64
+}
+
+// l2Sweep reads a 64 KiB array line by line, eight passes: a working
+// set that overflows an 8 KiB first-level D-cache but fits a 256 KiB L2.
+const l2Sweep = `
+	li r6, 8
+outer:
+	lis r4, 2            ; base 0x20000
+	li r5, 2048          ; 2048 lines of 32 bytes
+loop:
+	lwz r3, 0(r4)
+	addi r4, r4, 32
+	addi r5, r5, -1
+	cmpwi r5, 0
+	bgt loop
+	addi r6, r6, -1
+	cmpwi r6, 0
+	bgt outer
+	li r3, 0
+	li r0, 1
+	sc
+`
+
+// variant is one configuration of an ablation.
+type variant struct {
+	config string
+	cycles func() (uint64, error)
+}
+
+// onARM runs the kernels at scale times their default iteration count
+// on the StrongARM model under cfg and sums their cycles.
+func onARM(scale int, cfg strongarm.Config, ws ...*workload.Workload) func() (uint64, error) {
+	return func() (uint64, error) {
+		var sum uint64
+		for _, w := range ws {
+			p, err := w.ARMProgram(w.DefaultN * scale)
+			if err != nil {
+				return 0, err
+			}
+			s, err := strongarm.New(p, cfg)
+			if err != nil {
+				return 0, err
+			}
+			st, err := s.Run(maxCycles)
+			if err != nil {
+				return 0, err
+			}
+			sum += st.Cycles
+		}
+		return sum, nil
+	}
+}
+
+// onPPC runs the kernel at scale times its default iteration count on
+// the PPC-750 model under cfg.
+func onPPC(scale int, cfg ppc750.Config, w *workload.Workload) func() (uint64, error) {
+	return func() (uint64, error) {
+		p, err := w.PPCProgram(w.DefaultN * scale)
+		if err != nil {
+			return 0, err
+		}
+		return ppcCycles(p, cfg)
+	}
+}
+
+// sweepOn runs l2Sweep on the PPC-750 model with hierarchy h.
+func sweepOn(h mem.HierarchyConfig) func() (uint64, error) {
+	return func() (uint64, error) {
+		p, err := ppc.Assemble(l2Sweep)
+		if err != nil {
+			return 0, err
+		}
+		return ppcCycles(p, ppc750.Config{Hier: h})
+	}
+}
+
+// Ablations measures the design choices DESIGN.md calls out as cycle
+// counts: the director's outer-loop restart on the in-order model
+// (cycle-identical by construction), the SA-110 multiplier's early
+// termination, the memory hierarchy, the 750's front-end widths and a
+// back-side L2. Each ablation's first configuration is the reference
+// its DeltaPct is measured against.
+func Ablations(scale int) ([]AblationRow, error) {
+	gsmEnc, mpeg2Dec, g721Enc := workload.ByName("gsm/enc"), workload.ByName("mpeg2/dec"), workload.ByName("g721/enc")
+	label := func(w *workload.Workload) string { return fmt.Sprintf("%s n=%d", w.Name, w.DefaultN*scale) }
+	slow := mem.DefaultHierarchyConfig()
+	slow.MemLatency, slow.TLBMissPenalty = 100, 100
+	noL2 := mem.HierarchyConfig{
+		ICacheKB: 8, DCacheKB: 8, Ways: 2, LineBytes: 32,
+		MemLatency: 60, TLBEntries: 64, WriteBack: true,
+	}
+	withL2 := noL2
+	withL2.L2KB, withL2.L2Latency = 256, 6
+
+	ablations := []struct {
+		name, workload string
+		variants       []variant
+	}{
+		{"director restart", "6 MediaBench kernels", []variant{
+			{"no restart", onARM(scale, strongarm.Config{}, workload.All()...)},
+			{"restart", onARM(scale, strongarm.Config{Restart: true}, workload.All()...)},
+		}},
+		{"multiplier", label(gsmEnc), []variant{
+			{"early termination", onARM(scale, strongarm.Config{}, gsmEnc)},
+			{"fixed worst case", onARM(scale, strongarm.Config{FixedMul: true}, gsmEnc)},
+		}},
+		{"memory hierarchy", label(mpeg2Dec), []variant{
+			{"SA-1100", onARM(scale, strongarm.Config{Hier: mem.DefaultHierarchyConfig()}, mpeg2Dec)},
+			{"perfect", onARM(scale, strongarm.Config{Hier: mem.HierarchyConfig{DisableCaches: true, DisableTLBs: true}}, mpeg2Dec)},
+			{"slow memory", onARM(scale, strongarm.Config{Hier: slow}, mpeg2Dec)},
+		}},
+		{"750 front end", label(g721Enc), []variant{
+			{"750 default", onPPC(scale, ppc750.Config{}, g721Enc)},
+			{"narrow", onPPC(scale, ppc750.Config{FetchQueue: 2, CompletionQueue: 2, DispatchWidth: 1, CompleteWidth: 1}, g721Enc)},
+			{"wide", onPPC(scale, ppc750.Config{FetchQueue: 12, CompletionQueue: 12, RenameBuffers: 12}, g721Enc)},
+		}},
+		{"back-side L2", "64 KiB sweep x8", []variant{
+			{"no L2", sweepOn(noL2)},
+			{"256 KiB L2", sweepOn(withL2)},
+		}},
+	}
+	var rows []AblationRow
+	for _, a := range ablations {
+		var ref uint64
+		for i, v := range a.variants {
+			cycles, err := v.cycles()
+			if err != nil {
+				return nil, fmt.Errorf("ablation %s, %s: %w", a.name, v.config, err)
+			}
+			if i == 0 {
+				ref = cycles
+			}
+			rows = append(rows, AblationRow{
+				Ablation: a.name, Workload: a.workload, Config: v.config,
+				Cycles: cycles, DeltaPct: pctOver(cycles, ref),
+			})
+		}
+	}
+	return rows, nil
+}
+
+// AblationTable renders the ablation rows, naming each ablation and
+// its workload on its first row only.
+func AblationTable(rows []AblationRow) *stats.Table {
+	t := stats.NewTable("Ablations: cycles per configuration (change vs the ablation's first row)",
+		"ablation", "workload", "configuration", "cycles", "change")
+	for i, r := range rows {
+		if i > 0 && r.Ablation == rows[i-1].Ablation {
+			t.AddRowf("", "", r.Config, r.Cycles, fmt.Sprintf("%+.2f%%", r.DeltaPct))
+		} else {
+			t.AddRowf(r.Ablation, r.Workload, r.Config, r.Cycles)
+		}
 	}
 	return t
 }

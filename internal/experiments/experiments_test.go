@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/osm"
@@ -11,11 +14,57 @@ import (
 	"repro/internal/workload"
 )
 
-func TestTable1ShapeMatchesPaper(t *testing.T) {
-	rows, err := Table1(1)
+// paperTables is the checked-in rendering of RunPaper(1), and
+// regenerate is the one command that rewrites it.
+const (
+	paperTables = "testdata/paper_tables.txt"
+	regenerate  = "go run ./cmd/osmbench -scale 1 > internal/experiments/testdata/paper_tables.txt"
+)
+
+// paperAt1 computes the scale-1 tables once per test binary: the file
+// check and the shape tests below read the same rows.
+var paperAt1 = sync.OnceValues(func() (*Paper, error) { return RunPaper(1) })
+
+func paper(t *testing.T) *Paper {
+	t.Helper()
+	p, err := paperAt1()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p
+}
+
+// TestPaperTablesFile pins every deterministic number of the
+// evaluation. EXPERIMENTS.md quotes the checked-in file, so a change
+// that moves a cycle count or a line count fails here until the file
+// is regenerated and the quotes follow.
+func TestPaperTablesFile(t *testing.T) {
+	var got bytes.Buffer
+	paper(t).Fprint(&got)
+	want, err := os.ReadFile(paperTables)
+	if err != nil {
+		t.Fatalf("%v; regenerate it with\n\t%s", err, regenerate)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(gotLines) && i < len(wantLines) && gotLines[i] == wantLines[i] {
+		i++
+	}
+	line := func(ls []string) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "(end of output)"
+	}
+	t.Fatalf("%s differs from the code at line %d:\n code: %q\n file: %q\nregenerate it with\n\t%s\nand update the numbers EXPERIMENTS.md quotes from it",
+		paperTables, i+1, line(gotLines), line(wantLines), regenerate)
+}
+
+func TestTable1ShapeMatchesPaper(t *testing.T) {
+	rows := paper(t).Table1
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want the 6 MediaBench kernels", len(rows))
 	}
@@ -37,14 +86,14 @@ func TestTable1ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
-	rows, baselines, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total Table2Row
+	rows := paper(t).Table2
+	var total, hw Table2Row
 	for _, r := range rows {
-		if r.Part == "Total" {
+		switch {
+		case r.Part == "Total":
 			total = r
+		case strings.Contains(r.Part, "hwcentric"):
+			hw = r
 		}
 	}
 	if total.SA == 0 || total.PPC == 0 {
@@ -57,14 +106,75 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 	if total.PPC <= total.SA {
 		t.Errorf("PPC-750 model (%d) should be larger than SA-1100 (%d)", total.PPC, total.SA)
 	}
-	for name, loc := range baselines {
-		if strings.Contains(name, "hwcentric") && float64(loc) < 0.8*float64(total.PPC) {
-			t.Errorf("hardware-centric baseline (%d) implausibly small next to the OSM PPC model (%d)", loc, total.PPC)
-		}
+	if float64(hw.PPC) < 0.8*float64(total.PPC) {
+		t.Errorf("hardware-centric baseline (%d) implausibly small next to the OSM PPC model (%d)", hw.PPC, total.PPC)
 	}
-	out := Table2Table(rows, baselines).String()
+	out := Table2Table(rows).String()
 	if !strings.Contains(out, "Modules with TMI") {
 		t.Errorf("table rendering wrong:\n%s", out)
+	}
+}
+
+// TestTable2BaselineColumns: the table renders the same on every run,
+// and each baseline's count sits under the processor it models — the
+// ARM sscalar under SA-1100, the PPC hwcentric under PPC-750.
+func TestTable2BaselineColumns(t *testing.T) {
+	render := func() string {
+		rows, err := Table2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Table2Table(rows).String()
+	}
+	out := render()
+	if again := render(); again != out {
+		t.Fatalf("two renderings differ:\n%s\n%s", out, again)
+	}
+	lines := strings.Split(out, "\n")
+	header := lines[1]
+	for part, column := range map[string]string{
+		"baseline: sscalar":   "SA-1100",
+		"baseline: hwcentric": "PPC-750",
+	} {
+		found := false
+		for _, l := range lines {
+			if !strings.HasPrefix(l, part) {
+				continue
+			}
+			found = true
+			// The part names hold no digits, so the first digit starts
+			// the count.
+			at := strings.IndexAny(l, "0123456789")
+			if want := strings.Index(header, column); at != want {
+				t.Errorf("%s: count at column %d, want %d (under %s):\n%s", part, at, want, column, out)
+			}
+		}
+		if !found {
+			t.Errorf("no %q row:\n%s", part, out)
+		}
+	}
+}
+
+// TestAblationShapes pins the direction of each ablation the prose in
+// EXPERIMENTS.md states; the file check pins the counts themselves.
+func TestAblationShapes(t *testing.T) {
+	rows := paper(t).Ablations
+	delta := map[string]float64{}
+	for _, r := range rows {
+		delta[r.Ablation+"/"+r.Config] = r.DeltaPct
+	}
+	if d := delta["director restart/restart"]; d != 0 {
+		t.Errorf("the outer-loop restart changed the in-order model's cycles by %+.2f%%", d)
+	}
+	for _, costs := range []string{"multiplier/fixed worst case", "memory hierarchy/slow memory", "750 front end/narrow"} {
+		if d, ok := delta[costs]; !ok || d <= 0 {
+			t.Errorf("%s: change %+.2f%% (present %v), want more cycles", costs, d, ok)
+		}
+	}
+	for _, saves := range []string{"memory hierarchy/perfect", "back-side L2/256 KiB L2"} {
+		if d, ok := delta[saves]; !ok || d >= 0 {
+			t.Errorf("%s: change %+.2f%% (present %v), want fewer cycles", saves, d, ok)
+		}
 	}
 }
 
@@ -174,10 +284,7 @@ func TestEnginesAgreeOnCycles(t *testing.T) {
 }
 
 func TestValidatePPCWithinTolerance(t *testing.T) {
-	rows, err := ValidatePPC(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paper(t).Validate
 	for _, r := range rows {
 		// MediaBench-like kernels agree within 8%; spec/crc (a
 		// mispredicted branch every few instructions) amplifies the
@@ -197,10 +304,7 @@ func TestValidatePPCWithinTolerance(t *testing.T) {
 }
 
 func TestFig2ReservationStationsHelp(t *testing.T) {
-	rows, err := Fig2(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paper(t).Fig2
 	helped := 0
 	for _, r := range rows {
 		if r.WithRS < r.WithoutRS {

@@ -230,7 +230,8 @@ func (r *Recorder) SaveState(w *snap.Writer) {
 // window is clamped to the recorder's own Limit (keeping the most
 // recent events) so a snapshot taken under a larger retention restores
 // cleanly into a smaller one; aggregates are retention-independent and
-// restore exactly.
+// restore exactly. The state must fill rd's region: trailing bytes
+// fail the load. On any error the recording is unchanged.
 func (r *Recorder) LoadState(rd *snap.Reader) error {
 	rd.Version("recorder", recorderVersion)
 	total := rd.U64()
@@ -264,6 +265,9 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 	}
 	stateEnter, err := loadCountMap(rd)
 	if err != nil {
+		return err
+	}
+	if err := rd.Close("recorder"); err != nil {
 		return err
 	}
 	if r.Limit > 0 && len(evs) > r.Limit {

@@ -371,3 +371,26 @@ func TestRecorderSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("implausible event count: err = %v", err)
 	}
 }
+
+// TestRecorderLoadRejectsTrailingBytes: the state must fill its
+// region; a trailing byte fails the load and the recording stays as it
+// was.
+func TestRecorderLoadRejectsTrailingBytes(t *testing.T) {
+	d, _, _ := twoStage(2)
+	rec := NewRecorder()
+	d.Tracer = rec
+	for i := 0; i < 10; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := snap.NewWriter()
+	rec.SaveState(w)
+	total, sum := rec.Total(), rec.Checksum()
+	if err := rec.LoadState(snap.NewReader(append(w.Bytes(), 0))); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Fatalf("trailing byte: err = %v", err)
+	}
+	if rec.Total() != total || rec.Checksum() != sum {
+		t.Fatalf("failed load changed the recording: total %d sum %x, want %d %x", rec.Total(), rec.Checksum(), total, sum)
+	}
+}

@@ -782,7 +782,8 @@ func IsSessionSnapshot(data []byte) bool {
 // snapshot. The session returns to the paused state (or effectively
 // done, discovered on the next step). The snapshot carries the
 // originating session's trace state and restores it — migration does
-// not reset the whole-run checksum.
+// not reset the whole-run checksum. An unreadable trace section fails
+// the restore with ErrConflict and leaves the session unchanged.
 func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	ss, err := DecodeSessionSnapshot(data)
 	if err != nil {
@@ -803,20 +804,21 @@ func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("%w: cannot restore a %s session", ErrConflict, state)
 	}
+	// Decode the trace before the instance is touched: an unreadable
+	// recorder section refuses the restore and leaves the session as
+	// it was, instead of silently restarting its whole-run checksum.
+	rec := osm.NewRecorder()
+	rec.Limit = s.rec.Limit
+	if tracer != nil {
+		if err := rec.LoadState(tracer); err != nil {
+			return 0, fmt.Errorf("%w: snapshot trace-recorder section: %v", ErrConflict, err)
+		}
+	}
 	if err := s.inst.Restore(blob); err != nil {
 		s.poison(err)
 		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
 	}
-	s.rec.Reset()
-	if tracer != nil {
-		if err := s.rec.LoadState(tracer); err != nil {
-			// The simulator state is already restored and consistent;
-			// only the trace continuity is lost. Start a fresh trace
-			// rather than failing the whole restore.
-			s.rec.Reset()
-			m.logf("session %s: snapshot trace state unreadable, trace restarted: %v", s.ID, err)
-		}
-	}
+	*s.rec = *rec // the director traces into s.rec; fill it in place
 	s.meta.Lock()
 	s.meta.result = nil
 	s.meta.errMsg = ""

@@ -489,6 +489,58 @@ func TestRemovedInputsRejected(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesUnreadableTrace: a valid snapshot whose
+// trace-recorder section is four junk bytes is refused with 409 before
+// the session is touched. The trace total and checksum stay as they
+// were, and the session still steps to the checksum of a run that
+// never saw the upload.
+func TestRestoreRefusesUnreadableTrace(t *testing.T) {
+	spec := diffSpecs[0]
+	ref := runRef(t, spec)
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	info := cl.create(spec)
+	cl.step(info.ID, 500)
+	resp, good := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	ss, err := DecodeSessionSnapshot(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := snap.NewWriter()
+	w.U32(snap.Magic)
+	w.String(sessHeader)
+	w.Version(sessVersion)
+	w.String(ss.Target)
+	w.U64(ss.Cycle)
+	w.Bytes32(ss.Blob)
+	w.U8(sessFlagTracer)
+	w.Bytes32([]byte{0xde, 0xad, 0xbe, 0xef})
+
+	// Step past the snapshot, so a restore that went half-way would
+	// show in the cycle as well as in the trace.
+	cl.step(info.ID, 100)
+	before := cl.info(info.ID)
+	resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", w.Bytes(), "application/octet-stream")
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "trace-recorder") {
+		t.Fatalf("restore with a junk trace section: status %d (%s), want 409 naming the section", resp.StatusCode, body)
+	}
+	after := cl.info(info.ID)
+	if after.TraceTotal != before.TraceTotal || after.TraceChecksum != before.TraceChecksum ||
+		after.Cycle != before.Cycle || after.State != before.State {
+		t.Fatalf("refused restore changed the session: before %+v, after %+v", before, after)
+	}
+	final := cl.stepToDone(info.ID, 10_000)
+	if final.Cycle != ref.cycles {
+		t.Fatalf("finished at %d cycles, want %d", final.Cycle, ref.cycles)
+	}
+	if got := cl.info(info.ID).TraceChecksum; got != ref.checksum {
+		t.Fatalf("trace checksum %s, want %s", got, ref.checksum)
+	}
+}
+
 func TestMemAndTraceEndpoints(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
@@ -167,5 +168,21 @@ func TestRestoreRejectsBadRefs(t *testing.T) {
 	}
 	if err := fuzzSim(t).Restore(b); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range writer ref: got %v, want a range error", err)
+	}
+}
+
+// TestRenameRestoreBoundsResultCount: each result time is 8 bytes, so
+// a region claiming as many results as it has bytes is refused as
+// implausible before anything is allocated for them.
+func TestRenameRestoreBoundsResultCount(t *testing.T) {
+	const pad = 4096
+	w := snap.NewWriter()
+	w.Version(renamerSnapVersion)
+	w.U64(0)   // cycle
+	w.Int(pad) // result count: every remaining byte
+	w.Bytes32(make([]byte, pad-4))
+	err := newRenamer(6).RestoreState(nil, snap.NewReader(w.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "implausible") {
+		t.Fatalf("result count of %d in %d bytes: err = %v, want implausible", pad, pad, err)
 	}
 }

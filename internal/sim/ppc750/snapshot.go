@@ -301,8 +301,10 @@ func (r *renamer) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	if err := rd.Err(); err != nil {
 		return err
 	}
-	if n < 0 || n > rd.Remaining() {
-		return fmt.Errorf("regfiles+rename: implausible result count %d", n)
+	// Each result time is 8 bytes; a count the region cannot hold fails
+	// before allocation.
+	if n < 0 || n > rd.Remaining()/8 {
+		return fmt.Errorf("regfiles+rename: implausible result count %d (%d bytes remaining)", n, rd.Remaining())
 	}
 	r.resultTimes = r.resultTimes[:0]
 	for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -47,8 +48,8 @@ func CountFileLoC(path string) (int, error) {
 }
 
 // CountDirLoC sums the source lines of the non-test Go files directly
-// inside dir.
-func CountDirLoC(dir string) (int, error) {
+// inside dir, except the files named in exclude.
+func CountDirLoC(dir string, exclude ...string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
@@ -56,7 +57,7 @@ func CountDirLoC(dir string) (int, error) {
 	total := 0
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") || slices.Contains(exclude, name) {
 			continue
 		}
 		n, err := CountFileLoC(filepath.Join(dir, name))

@@ -79,6 +79,10 @@ func TestCountDirLoC(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("loc = %d, want 2 (tests and non-Go excluded)", n)
 	}
+	os.WriteFile(filepath.Join(dir, "snapshot.go"), []byte("package a\nvar S = 1\n"), 0o644)
+	if n, _ := CountDirLoC(dir, "snapshot.go"); n != 2 {
+		t.Fatalf("loc excluding snapshot.go = %d, want 2", n)
+	}
 	if _, err := CountDirLoC(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing dir must error")
 	}

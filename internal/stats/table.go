@@ -65,18 +65,21 @@ func (t *Table) Fprint(w io.Writer) {
 	if t.Title != "" {
 		fmt.Fprintln(w, t.Title)
 	}
+	// Cells are padded to their column's width; a line carries no
+	// trailing blanks, so rendered tables can be checked in as text.
 	line := func(cells []string) {
+		var b strings.Builder
 		for i, width := range widths {
 			c := ""
 			if i < len(cells) {
 				c = cells[i]
 			}
 			if i > 0 {
-				fmt.Fprint(w, "  ")
+				b.WriteString("  ")
 			}
-			fmt.Fprintf(w, "%-*s", width, c)
+			fmt.Fprintf(&b, "%-*s", width, c)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
 	}
 	line(t.headers)
 	rule := make([]string, len(t.headers))
