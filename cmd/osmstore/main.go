@@ -236,12 +236,10 @@ func queryAt(dir, runName string, cycle uint64) (atResult, error) {
 		rec.Limit = meta.TraceLimit
 		blob = ss.Blob
 		start = ss.Cycle
-		if ss.Tracer != nil {
-			// Carry the parked trace forward so the replayed checksum
-			// covers the whole run, exactly as a resurrection would.
-			if err := rec.LoadState(ss.Tracer); err != nil {
-				return atResult{}, fmt.Errorf("session %s: trace state: %w", runName, err)
-			}
+		// Carry the parked trace forward so the replayed checksum
+		// covers the whole run, exactly as a resurrection would.
+		if err := rec.LoadState(ss.Tracer); err != nil {
+			return atResult{}, fmt.Errorf("session %s: trace state: %w", runName, err)
 		}
 	case batch.IsCheckpoint(data):
 		kind = "ckpt"

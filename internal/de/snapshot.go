@@ -24,9 +24,9 @@ func (k *Kernel) Snapshot(w *snap.Writer) error {
 	return nil
 }
 
-// Restore decodes a kernel snapshot. Module and OnEdge registrations
-// are untouched; pending events are discarded (there are none in a
-// valid snapshot's source).
+// Restore decodes a kernel snapshot into a fresh kernel (no events
+// scheduled, as in a valid snapshot's source). Module and OnEdge
+// registrations are untouched.
 func (k *Kernel) Restore(r *snap.Reader) error {
 	r.Version("kernel", kernelSnapVersion)
 	now, nextEdge := r.U64(), r.U64()
@@ -34,7 +34,6 @@ func (k *Kernel) Restore(r *snap.Reader) error {
 	if err := r.Close("kernel"); err != nil {
 		return err
 	}
-	k.events = k.events[:0]
 	k.now, k.nextEdge, k.cycle, k.seq = now, nextEdge, cycle, seq
 	return nil
 }

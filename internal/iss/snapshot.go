@@ -30,16 +30,7 @@ func snapshotReported(w *snap.Writer, reported []uint32) {
 }
 
 func restoreReported(r *snap.Reader) []uint32 {
-	n := r.Int()
-	if r.Err() != nil {
-		return nil
-	}
-	// Each value takes four bytes: a count the input cannot hold is
-	// refused before it sizes an allocation.
-	if n < 0 || n > r.Remaining()/4 {
-		r.Failf("implausible reported-value count %d", n)
-		return nil
-	}
+	n := r.Count(r.Int(), 4, "reported-value")
 	out := make([]uint32, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, r.U32())

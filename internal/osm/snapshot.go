@@ -19,14 +19,14 @@ import (
 // Director.Step calls). At a boundary every two-phase transaction has
 // committed or cancelled, so no tentative manager state exists, and
 // the event-driven scheduler's derived state (wait lists, ready set,
-// serve list) is reconstructed rather than persisted: restore marks
-// the scheduler uninitialized and the next step re-evaluates every
-// machine, which commits the identical transition schedule — serving
-// a blocked machine is side-effect free, and the scan-equivalence
-// argument in director_event.go does not depend on the ready set
-// being minimal. The differential checkpoint tests in
-// internal/experiments verify this trace-for-trace under both
-// schedulers.
+// serve list) is reconstructed rather than persisted: restore fills a
+// freshly built director, whose scheduler is not yet initialized, so
+// the next step re-evaluates every machine, which commits the
+// identical transition schedule — serving a blocked machine is
+// side-effect free, and the scan-equivalence argument in
+// director_event.go does not depend on the ready set being minimal.
+// The differential checkpoint tests in internal/experiments verify
+// this trace-for-trace under both schedulers.
 
 // Snapshotter is implemented by token managers whose state must
 // survive checkpoint/restore. Director.Snapshot requires it of every
@@ -175,9 +175,10 @@ func (d *Director) Snapshot(w *snap.Writer) error {
 
 // Restore decodes a snapshot written by Snapshot into this director,
 // which must have been built identically (same machines and managers
-// in the same registration order). The event-driven scheduler is
-// reinitialized on the next step; the restored schedule is
-// transition-identical to the uninterrupted run under both schedulers.
+// in the same registration order) and not yet stepped. The
+// event-driven scheduler initializes on the next step; the restored
+// schedule is transition-identical to the uninterrupted run under
+// both schedulers.
 func (d *Director) Restore(r *snap.Reader) error {
 	c := d.snapCtx()
 	r.Version("director", directorSnapVersion)
@@ -225,7 +226,6 @@ func (d *Director) Restore(r *snap.Reader) error {
 	}
 	d.step = step
 	d.nextAge = nextAge
-	d.ev.init = false // derived scheduler state is rebuilt on the next step
 	return nil
 }
 
@@ -258,11 +258,7 @@ func (m *Machine) restore(c *SnapCtx, r *snap.Reader) error {
 	if err != nil {
 		return fmt.Errorf("machine %s: %w", m.Name, err)
 	}
-	// A token record is 24 bytes; don't let a hostile count size the
-	// allocation beyond what the input could hold.
-	if n < 0 || n > r.Remaining()/24 {
-		return fmt.Errorf("osm: restore: machine %s: implausible token count %d", m.Name, n)
-	}
+	n = r.Count(n, 24, "token") // a token record is 24 bytes
 	toks := make([]Token, 0, n)
 	for i := 0; i < n; i++ {
 		mi := r.Int()
@@ -287,10 +283,6 @@ func (m *Machine) restore(c *SnapCtx, r *snap.Reader) error {
 	m.Age = age
 	m.Tag = tag
 	m.tokens = toks
-	m.blocked = m.blocked[:0]
-	m.pend = m.pend[:0]
-	m.dynEpoch++ // the restored binding is a fresh resolution epoch
-	m.sched = machineSched{}
 	return nil
 }
 
@@ -354,10 +346,6 @@ func (q *QueueManager) RestoreState(c *SnapCtx, r *snap.Reader) error {
 	if n < 0 || n > q.capacity {
 		return fmt.Errorf("queue %s: entry count %d out of range [0,%d]", q.ManagerName, n, q.capacity)
 	}
-	for i := range q.ring {
-		q.ring[i] = queueEntry{}
-	}
-	q.head = 0
 	q.n = n
 	q.seq = seq
 	for i := 0; i < n; i++ {
@@ -465,13 +453,7 @@ func (b *BypassManager) SnapshotState(c *SnapCtx, w *snap.Writer) {
 func (b *BypassManager) RestoreState(c *SnapCtx, r *snap.Reader) error {
 	r.Version("bypass", managerSnapVersion)
 	step := r.U64()
-	n := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > r.Remaining()/24 {
-		return fmt.Errorf("bypass %s: implausible entry count %d", b.ManagerName, n)
-	}
+	n := r.Count(r.Int(), 24, "entry")
 	entries := make(map[int]bypassEntry, n)
 	for i := 0; i < n; i++ {
 		reg := r.Int()

@@ -226,12 +226,13 @@ func (r *Recorder) SaveState(w *snap.Writer) {
 	saveCountMap(w, r.stateEnter)
 }
 
-// LoadState replaces the recording with a saved one. The retained
-// window is clamped to the recorder's own Limit (keeping the most
-// recent events) so a snapshot taken under a larger retention restores
-// cleanly into a smaller one; aggregates are retention-independent and
-// restore exactly. The state must fill rd's region: trailing bytes
-// fail the load. On any error the recording is unchanged.
+// LoadState fills a fresh recorder (nothing recorded yet) with a
+// saved recording. The retained window is clamped to the recorder's
+// own Limit (keeping the most recent events) so a snapshot taken under
+// a larger retention restores cleanly into a smaller one; aggregates
+// are retention-independent and restore exactly. The state must fill
+// rd's region: trailing bytes fail the load. On any error the
+// recording is unchanged.
 func (r *Recorder) LoadState(rd *snap.Reader) error {
 	rd.Version("recorder", recorderVersion)
 	total := rd.U64()
@@ -239,16 +240,7 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 	first := rd.U64()
 	last := rd.U64()
 	any := rd.Bool()
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	// An event encodes to at least 8 + 4×4 bytes; an implausible count
-	// fails before allocation, like every untrusted decoder here.
-	if n > rd.Remaining()/24 {
-		rd.Failf("recorder: implausible event count %d (%d bytes remaining)", n, rd.Remaining())
-		return rd.Err()
-	}
+	n := rd.Count(int(rd.U32()), 8+4*4, "event") // step + four string prefixes
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
 		evs = append(evs, Event{
@@ -259,22 +251,15 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 			To:      rd.String(),
 		})
 	}
-	edgeCount, err := loadCountMap(rd)
-	if err != nil {
-		return err
-	}
-	stateEnter, err := loadCountMap(rd)
-	if err != nil {
-		return err
-	}
+	edgeCount := loadCountMap(rd)
+	stateEnter := loadCountMap(rd)
 	if err := rd.Close("recorder"); err != nil {
 		return err
 	}
 	if r.Limit > 0 && len(evs) > r.Limit {
 		evs = evs[len(evs)-r.Limit:]
 	}
-	r.events = append(r.events[:0], evs...)
-	r.start = 0
+	r.events = evs
 	r.total = total
 	r.sum = sum
 	r.firstStep = first
@@ -298,21 +283,14 @@ func saveCountMap(w *snap.Writer, m map[string]uint64) {
 	}
 }
 
-func loadCountMap(rd *snap.Reader) (map[string]uint64, error) {
-	n := int(rd.U32())
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
-	if n > rd.Remaining()/12 {
-		rd.Failf("recorder: implausible count-map size %d (%d bytes remaining)", n, rd.Remaining())
-		return nil, rd.Err()
-	}
+func loadCountMap(rd *snap.Reader) map[string]uint64 {
+	n := rd.Count(int(rd.U32()), 4+8, "count-map entry") // key prefix + count
 	m := make(map[string]uint64, n)
 	for i := 0; i < n; i++ {
 		k := rd.String()
 		m[k] = rd.U64()
 	}
-	return m, rd.Err()
+	return m
 }
 
 // Reset clears the recording.

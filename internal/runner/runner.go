@@ -320,8 +320,17 @@ func (in *Instance) Done() bool { return in.done() }
 // Snapshot encodes the full simulation state (internal/snap format).
 func (in *Instance) Snapshot() ([]byte, error) { return in.snapshot() }
 
-// Restore replaces the simulation state from a snapshot.
-func (in *Instance) Restore(blob []byte) error { return in.restore(blob) }
+// Restore fills a freshly built instance with a snapshot's state. An
+// instance that has stepped is refused: models restore by filling in
+// what a fresh build leaves at its initial values, so a restore over
+// a run would mix the two. After a failed restore the instance is
+// half-filled; discard it.
+func (in *Instance) Restore(blob []byte) error {
+	if c := in.cycle(); c != 0 {
+		return fmt.Errorf("runner: restore into an instance already at cycle %d (build a fresh one)", c)
+	}
+	return in.restore(blob)
+}
 
 // Finalize checks end-of-run invariants and returns the result.
 func (in *Instance) Finalize() (Result, error) { return in.finalize() }

@@ -89,9 +89,9 @@ type Config struct {
 	// worker.
 	ParkDir string
 	// Build, if non-nil, replaces runner.New as the session
-	// constructor — the seam scale tests use to host tens of
-	// thousands of scripted sessions without tens of thousands of
-	// simulator RAM images.
+	// constructor, at create and at every restore — the seam scale
+	// tests use to host tens of thousands of scripted sessions
+	// without tens of thousands of simulator RAM images.
 	Build func(runner.Spec) (*runner.Instance, error)
 	// Logf, if non-nil, receives one line per notable event.
 	Logf func(format string, args ...any)
@@ -132,11 +132,13 @@ type Session struct {
 	ID   string
 	Spec runner.Spec
 
-	// traceLimit is the recorder retention the session was created
-	// with — immutable, so info and park can report it without taking
-	// the simulator mutex.
+	// arch and traceLimit are fixed at create — immutable, so info,
+	// list and park read them without taking the simulator mutex.
+	arch       string
 	traceLimit int
 
+	// mu guards inst and rec. Restore replaces both, so every read of
+	// either holds it.
 	mu   sync.Mutex
 	inst *runner.Instance
 	rec  *osm.Recorder
@@ -204,25 +206,15 @@ type Info struct {
 
 // info snapshots the metadata mirror. withSpec additionally attaches
 // the full originating spec and trace limit.
-func (s *Session) info(arch string, withSpec bool) Info {
-	inf := s.infoBase(arch)
-	if withSpec {
-		spec := s.Spec
-		inf.Spec = &spec
-		inf.TraceLimit = s.traceLimit
-	}
-	return inf
-}
-
-func (s *Session) infoBase(arch string) Info {
+func (s *Session) info(withSpec bool) Info {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	return Info{
+	inf := Info{
 		ID:            s.ID,
 		State:         s.meta.state,
 		Target:        s.Spec.Target,
 		Workload:      s.Spec.Workload,
-		Arch:          arch,
+		Arch:          s.arch,
 		Cycle:         s.meta.cycle,
 		CyclesStepped: s.meta.cyclesStepped,
 		Done:          s.meta.done,
@@ -233,6 +225,12 @@ func (s *Session) infoBase(arch string) Info {
 		Error:         s.meta.errMsg,
 		Result:        s.meta.result,
 	}
+	if withSpec {
+		spec := s.Spec
+		inf.Spec = &spec
+		inf.TraceLimit = s.traceLimit
+	}
+	return inf
 }
 
 // Errors mapped to HTTP statuses by the handler layer.
@@ -501,7 +499,7 @@ func (m *Manager) CreateWithID(id string, spec runner.Spec, traceLimit int) (*Se
 	rec.Limit = traceLimit
 	inst.Director().Tracer = rec
 
-	s := &Session{ID: id, Spec: inst.Spec(), traceLimit: traceLimit, inst: inst, rec: rec}
+	s := &Session{ID: id, Spec: inst.Spec(), arch: inst.Arch(), traceLimit: traceLimit, inst: inst, rec: rec}
 	now := time.Now()
 	s.meta.state = StateCreated
 	s.meta.created = now
@@ -557,7 +555,7 @@ func (m *Manager) List() []Info {
 	m.mu.Unlock()
 	infos := make([]Info, 0, len(ss))
 	for _, s := range ss {
-		infos = append(infos, s.info(s.inst.Arch(), false))
+		infos = append(infos, s.info(false))
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos
@@ -642,7 +640,7 @@ func (s *Session) Poison(err error) { s.poison(err) }
 
 // Info returns the session's current summary, including the full
 // originating spec (single-session surface; lists omit it).
-func (m *Manager) Info(s *Session) Info { return s.info(s.inst.Arch(), true) }
+func (m *Manager) Info(s *Session) Info { return s.info(true) }
 
 // Registers returns the session's named architectural registers.
 func (m *Manager) Registers(s *Session) (uint64, []runner.Reg) {
@@ -689,12 +687,13 @@ func (s *Session) touch() {
 // The session-snapshot wire format: the internal/snap stream the
 // simulators produce, wrapped with a header binding it to the target
 // so a snapshot cannot be restored into a mismatched model, then a
-// flags byte and, when sessFlagTracer is set, the session's Recorder
-// state (whole-run trace totals, checksum and retained window). A
-// session migrated between workers — or parked and resurrected —
-// therefore keeps its full-run trace checksum, not just the tail
-// after the hop. This build reads version 2 only; any other version
-// gets the version error.
+// flags byte and the session's Recorder state (whole-run trace
+// totals, checksum and retained window). A session migrated between
+// workers — or parked and resurrected — therefore keeps its full-run
+// trace checksum, not just the tail after the hop. This build reads
+// version 2 only, and only with the flags byte every writer sets
+// (sessFlagTracer): any other version or flags value gets an error
+// naming it, as do bytes after the recorder section.
 const (
 	sessHeader     = "osmserve-session"
 	sessVersion    = 2
@@ -740,9 +739,8 @@ type SessionSnapshot struct {
 	Target string
 	Cycle  uint64
 	Blob   []byte
-	// Tracer is a reader over the recorder state, nil when the
-	// snapshot carries none (flag unset). Blob and Tracer alias the
-	// input data.
+	// Tracer is a reader over the recorder state. Blob and Tracer
+	// alias the input data.
 	Tracer *snap.Reader
 }
 
@@ -762,10 +760,11 @@ func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	ss.Target = r.String()
 	ss.Cycle = r.U64()
 	ss.Blob = r.Bytes32()
-	if flags := r.U8(); flags&sessFlagTracer != 0 {
-		ss.Tracer = r.Blob()
+	if flags := r.U8(); r.Err() == nil && flags != sessFlagTracer {
+		return SessionSnapshot{}, fmt.Errorf("session snapshot flags %#x, this build reads %#x", flags, sessFlagTracer)
 	}
-	if err := r.Err(); err != nil {
+	ss.Tracer = r.Blob()
+	if err := r.Close("session snapshot"); err != nil {
 		return SessionSnapshot{}, err
 	}
 	return ss, nil
@@ -779,23 +778,38 @@ func IsSessionSnapshot(data []byte) bool {
 }
 
 // Restore replaces the session's simulation state from an uploaded
-// snapshot. The session returns to the paused state (or effectively
-// done, discovered on the next step). The snapshot carries the
-// originating session's trace state and restores it — migration does
-// not reset the whole-run checksum. An unreadable trace section fails
-// the restore with ErrConflict and leaves the session unchanged.
+// snapshot. It fills a model freshly built from the session's spec,
+// and a fresh Recorder, from the snapshot, and swaps both into the
+// session only once every section has restored: any failure is an
+// ErrConflict that leaves the session exactly as it was. Direct
+// uploads, migration and park resurrection all come through here.
+// The session returns to the paused state (or effectively done,
+// discovered on the next step), keeping the originating session's
+// whole-run trace checksum.
 func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	ss, err := DecodeSessionSnapshot(data)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
 	}
-	target, cycle, blob, tracer := ss.Target, ss.Cycle, ss.Blob, ss.Tracer
+	if ss.Target != s.Spec.Target {
+		return 0, fmt.Errorf("%w: snapshot is for target %s, session is %s", ErrConflict, ss.Target, s.Spec.Target)
+	}
+	rec := osm.NewRecorder()
+	rec.Limit = s.traceLimit
+	if err := rec.LoadState(ss.Tracer); err != nil {
+		return 0, fmt.Errorf("%w: snapshot trace-recorder section: %v", ErrConflict, err)
+	}
+	inst, err := m.cfg.Build(s.Spec)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
+	}
+	inst.Director().Tracer = rec
+	if err := inst.Restore(ss.Blob); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if target != s.Spec.Target {
-		return 0, fmt.Errorf("%w: snapshot is for target %s, session is %s", ErrConflict, target, s.Spec.Target)
-	}
 	s.meta.Lock()
 	state := s.meta.state
 	s.meta.Unlock()
@@ -804,29 +818,15 @@ func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	default:
 		return 0, fmt.Errorf("%w: cannot restore a %s session", ErrConflict, state)
 	}
-	// Decode the trace before the instance is touched: an unreadable
-	// recorder section refuses the restore and leaves the session as
-	// it was, instead of silently restarting its whole-run checksum.
-	rec := osm.NewRecorder()
-	rec.Limit = s.rec.Limit
-	if tracer != nil {
-		if err := rec.LoadState(tracer); err != nil {
-			return 0, fmt.Errorf("%w: snapshot trace-recorder section: %v", ErrConflict, err)
-		}
-	}
-	if err := s.inst.Restore(blob); err != nil {
-		s.poison(err)
-		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	*s.rec = *rec // the director traces into s.rec; fill it in place
+	s.inst, s.rec = inst, rec
 	s.meta.Lock()
 	s.meta.result = nil
 	s.meta.errMsg = ""
 	s.meta.Unlock()
 	s.syncMeta(StatePaused)
 	m.Metrics.SnapshotBytesIn.Add(uint64(len(data)))
-	m.logf("session %s: restored at cycle %d", s.ID, cycle)
-	return s.inst.Cycle(), nil
+	m.logf("session %s: restored at cycle %d", s.ID, ss.Cycle)
+	return inst.Cycle(), nil
 }
 
 // AdminDrain stops admitting sessions and reports the ids still

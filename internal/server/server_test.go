@@ -621,8 +621,8 @@ func TestPanicIsolationPoisonsSession(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "broken") {
 		t.Fatalf("step on poisoned session: status %d: %s", resp.StatusCode, data)
 	}
-	if s.info("arm", false).State != StateBroken {
-		t.Fatalf("session state %q, want broken", s.info("arm", false).State)
+	if s.info(false).State != StateBroken {
+		t.Fatalf("session state %q, want broken", s.info(false).State)
 	}
 	// Other sessions are unaffected.
 	other := cl.create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 20})

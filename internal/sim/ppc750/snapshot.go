@@ -148,10 +148,7 @@ func (s *Sim) Restore(data []byte) error {
 	s.mispredicts = r.U64()
 	if msg := r.String(); msg != "" {
 		s.execErr = errors.New(msg)
-	} else {
-		s.execErr = nil
 	}
-	s.fetchCount = 0 // reset at the start of every cycle
 
 	// Op table: one record per machine, decoded in place.
 	tb := r.Blob()
@@ -165,7 +162,6 @@ func (s *Sim) Restore(data []byte) error {
 	for i := range s.ops {
 		b := tb.Blob()
 		o := &s.ops[i]
-		*o = op{m: o.m, slot: o.slot}
 		o.pc = b.U32()
 		o.predictedNext = b.U32()
 		o.actualNext = b.U32()
@@ -297,16 +293,7 @@ func (r *renamer) SnapshotState(c *osm.SnapCtx, w *snap.Writer) {
 func (r *renamer) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	rd.Version("regfiles+rename", renamerSnapVersion)
 	r.cycle = rd.U64()
-	n := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	// Each result time is 8 bytes; a count the region cannot hold fails
-	// before allocation.
-	if n < 0 || n > rd.Remaining()/8 {
-		return fmt.Errorf("regfiles+rename: implausible result count %d (%d bytes remaining)", n, rd.Remaining())
-	}
-	r.resultTimes = r.resultTimes[:0]
+	n := rd.Count(rd.Int(), 8, "result") // each result time is 8 bytes
 	for i := 0; i < n; i++ {
 		r.resultTimes = append(r.resultTimes, rd.U64())
 	}

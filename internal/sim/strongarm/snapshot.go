@@ -102,10 +102,7 @@ func (s *Sim) Restore(data []byte) error {
 	s.stallCycles = r.U64()
 	if msg := r.String(); msg != "" {
 		s.execErr = errors.New(msg)
-	} else {
-		s.execErr = nil
 	}
-	s.enteredE = false
 
 	nm := r.Int()
 	if err := r.Err(); err != nil {
@@ -121,7 +118,6 @@ func (s *Sim) Restore(data []byte) error {
 			return err
 		}
 		if !has {
-			m.Ctx = nil
 			continue
 		}
 		b := r.Blob()
@@ -185,13 +181,7 @@ func (r *regFile) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 		r.pending[i] = rd.Int()
 		r.readyAt[i] = rd.U64()
 	}
-	n := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if n < 0 || n > rd.Remaining()/16 {
-		return fmt.Errorf("regfile+fwd: implausible writer count %d", n)
-	}
+	n := rd.Count(rd.Int(), 16, "writer") // machine index + destination count
 	r.writers = make(map[*osm.Machine][]int, n)
 	for i := 0; i < n; i++ {
 		m := c.Machine(rd.Int())

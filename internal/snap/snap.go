@@ -221,10 +221,27 @@ func (r *Reader) fail(format string, args ...any) {
 }
 
 // Failf sets the reader's sticky error (first failure wins), so
-// callers that perform their own semantic validation — element-count
-// plausibility, per-field caps — poison the stream the same way an
+// callers that perform their own semantic validation — per-field
+// caps, cross-references — poison the stream the same way an
 // out-of-bounds read would.
 func (r *Reader) Failf(format string, args ...any) { r.fail(format, args...) }
+
+// Count bounds an element count the input claims: n elements of at
+// least each bytes apiece (each > 0) must fit the bytes left. A count
+// that does not, or a negative one, fails the reader as an
+// "implausible <what> count", so no decoder sizes an allocation on a
+// claimed count alone. Count returns n, or 0 once the reader has
+// failed (keeping the first error).
+func (r *Reader) Count(n, each int, what string) int {
+	if r.err != nil {
+		return 0
+	}
+	if n < 0 || n > r.Remaining()/each {
+		r.fail("implausible %s count %d (%d bytes remaining)", what, n, r.Remaining())
+		return 0
+	}
+	return n
+}
 
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {

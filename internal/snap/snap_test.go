@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -220,5 +221,51 @@ func TestReaderCopyForksCursor(t *testing.T) {
 	}
 	if r.Err() != nil || r.Remaining() != 8 || r.U32() != 1 {
 		t.Fatal("reading the copy moved or poisoned the original")
+	}
+}
+
+// TestReaderCount: a claimed count passes only when that many
+// elements fit the bytes left; anything else, a negative count among
+// them (what int(U32) yields for 0x80000000 on a 32-bit build), fails
+// as an implausible count, and a reader that has already failed
+// returns 0 and keeps its first error.
+func TestReaderCount(t *testing.T) {
+	cases := []struct {
+		name    string
+		left, n int // bytes left, claimed count
+		want    int
+		wantErr string
+	}{
+		{"negative", 16, -1 << 31, 0, "implausible thing count -2147483648 (16 bytes remaining)"},
+		{"zero", 0, 0, 0, ""},
+		{"exact fit", 16, 4, 4, ""},
+		{"one over", 16, 5, 0, "implausible thing count 5 (16 bytes remaining)"},
+		{"partial element", 15, 4, 0, "implausible thing count 4"},
+	}
+	for _, c := range cases {
+		r := NewReader(make([]byte, c.left))
+		got := r.Count(c.n, 4, "thing")
+		if got != c.want {
+			t.Errorf("%s: Count = %d, want %d", c.name, got, c.want)
+		}
+		if c.wantErr == "" {
+			if r.Err() != nil {
+				t.Errorf("%s: err = %v", c.name, r.Err())
+			}
+			if r.Remaining() != c.left {
+				t.Errorf("%s: Count consumed input", c.name)
+			}
+			continue
+		}
+		if r.Err() == nil || !strings.Contains(r.Err().Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want %q", c.name, r.Err(), c.wantErr)
+		}
+	}
+
+	r := NewReader(make([]byte, 16))
+	r.Failf("first")
+	first := r.Err()
+	if got := r.Count(1, 4, "thing"); got != 0 || r.Err() != first {
+		t.Fatalf("Count after an error = %d with err %v, want 0 keeping %v", got, r.Err(), first)
 	}
 }

@@ -72,16 +72,12 @@ func DecodeIndex(data []byte) (run string, entries []Entry, err error) {
 	r.Version("store index", indexVersion)
 	run = r.String()
 	n := int(r.U32())
-	if r.Err() != nil {
-		return "", nil, r.Err()
-	}
-	if n < 0 || n > maxIndexEntries {
+	if n > maxIndexEntries {
 		return "", nil, fmt.Errorf("store index: implausible entry count %d", n)
 	}
-	// An entry costs at least 28 bytes (cycle+len+sum+count); don't
-	// allocate more entries than the input could possibly hold.
-	if rem := r.Remaining(); n > rem/28 {
-		return "", nil, fmt.Errorf("store index: %d entries claimed with %d bytes remaining", n, rem)
+	n = r.Count(n, 28, "store index entry") // cycle+len+sum+count
+	if r.Err() != nil {
+		return "", nil, r.Err()
 	}
 	entries = make([]Entry, 0, n)
 	var prevCycle uint64
@@ -90,7 +86,7 @@ func DecodeIndex(data []byte) (run string, entries []Entry, err error) {
 		e.Cycle = r.U64()
 		e.Len = r.U64()
 		e.Sum = r.U64()
-		nc := int(r.U32())
+		nc := r.Count(int(r.U32()), 12, "store index chunk") // sum+len
 		if r.Err() != nil {
 			return "", nil, r.Err()
 		}
@@ -98,9 +94,6 @@ func DecodeIndex(data []byte) (run string, entries []Entry, err error) {
 			return "", nil, fmt.Errorf("store index: entries not strictly ordered at cycle %d", e.Cycle)
 		}
 		prevCycle = e.Cycle
-		if nc < 0 || nc > r.Remaining()/12 {
-			return "", nil, fmt.Errorf("store index: entry %d claims %d chunks with %d bytes remaining", i, nc, r.Remaining())
-		}
 		e.Chunks = make([]ChunkRef, 0, nc)
 		var total uint64
 		for j := 0; j < nc; j++ {

@@ -386,12 +386,9 @@ func boundedString(r *snap.Reader) string {
 // wire-claimed count alone.
 func boundedCount(r *snap.Reader, max, minSize int, what string) int {
 	n := int(r.U32())
-	if r.Err() != nil {
+	if n > max {
+		r.Failf("wire: implausible %s count %d (cap %d)", what, n, max)
 		return 0
 	}
-	if n > max || n*minSize > r.Remaining() {
-		r.Failf("wire: implausible %s count %d (%d bytes remaining)", what, n, r.Remaining())
-		return 0
-	}
-	return n
+	return r.Count(n, minSize, what)
 }
