@@ -211,9 +211,8 @@ func queryAt(dir, runName string, cycle uint64) (atResult, error) {
 	}
 
 	// The stored record tells us how to rebuild its simulator: a
-	// parked osmserve session carries the target and (via the .park
-	// metadata) the originating spec; a batch checkpoint carries the
-	// job identity.
+	// parked osmserve session snapshot names its spec and trace limit;
+	// a batch checkpoint carries the job identity.
 	var (
 		kind  string
 		spec  runner.Spec
@@ -228,12 +227,8 @@ func queryAt(dir, runName string, cycle uint64) (atResult, error) {
 		if err != nil {
 			return atResult{}, err
 		}
-		meta, err := server.ReadParkMeta(dir, runName)
-		if err != nil {
-			return atResult{}, fmt.Errorf("session %s: park metadata needed to rebuild the model: %w", runName, err)
-		}
-		spec = meta.Spec
-		rec.Limit = meta.TraceLimit
+		spec = ss.Spec
+		rec.Limit = ss.TraceLimit
 		blob = ss.Blob
 		start = ss.Cycle
 		// Carry the parked trace forward so the replayed checksum
@@ -247,14 +242,8 @@ func queryAt(dir, runName string, cycle uint64) (atResult, error) {
 		if err != nil {
 			return atResult{}, err
 		}
-		spec = runner.Spec{Workload: c.Job.Workload, N: c.Job.N, MaxCycles: c.Job.MaxCycles}
-		switch c.Job.Arch {
-		case "arm":
-			spec.Target = "strongarm"
-		case "ppc":
-			spec.Target = "ppc750"
-		default:
-			return atResult{}, fmt.Errorf("checkpoint for unknown arch %q", c.Job.Arch)
+		if spec, err = c.Job.Spec(); err != nil {
+			return atResult{}, err
 		}
 		rec.Limit = 256
 		blob = c.Blob

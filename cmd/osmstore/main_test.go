@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,7 +30,7 @@ func parkOne(t *testing.T, dir string, spec runner.Spec, steps uint64) (string, 
 	id := s.ID
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(server.ParkMetaPath(dir, id)); err == nil {
+		if _, err := server.ReadParkMeta(dir, id); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

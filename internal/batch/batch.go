@@ -150,17 +150,27 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// newInstance builds the job's model through runner.New, the
-// construction every entry point shares.
-func newInstance(j Job) (*runner.Instance, error) {
-	spec := runner.Spec{Workload: j.Workload, N: j.N, Engine: j.Engine, Check: j.Check}
+// Spec returns the runner spec of the job's model: arch arm runs on
+// the StrongARM, ppc on the PPC-750.
+func (j Job) Spec() (runner.Spec, error) {
+	spec := runner.Spec{Workload: j.Workload, N: j.N, MaxCycles: j.MaxCycles, Engine: j.Engine, Check: j.Check}
 	switch j.Arch {
 	case "arm":
 		spec.Target = "strongarm"
 	case "ppc":
 		spec.Target = "ppc750"
 	default:
-		return nil, fmt.Errorf("batch: unknown arch %q (want arm or ppc)", j.Arch)
+		return runner.Spec{}, fmt.Errorf("batch: unknown arch %q (want arm or ppc)", j.Arch)
+	}
+	return spec, nil
+}
+
+// newInstance builds the job's model through runner.New, the
+// construction every entry point shares.
+func newInstance(j Job) (*runner.Instance, error) {
+	spec, err := j.Spec()
+	if err != nil {
+		return nil, err
 	}
 	return runner.New(spec)
 }

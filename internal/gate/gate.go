@@ -3,16 +3,16 @@
 // workers, proxies both protocol planes (HTTP/JSON and the binary
 // wire protocol), propagates worker backpressure to clients, and
 // performs live session migration — snapshot on the source worker,
-// restore onto the target, atomically repoint the route — for worker
+// place it on the target, atomically repoint the route — for worker
 // drain, manual rebalance, and resurrection of parked (idle-evicted)
 // sessions. It is the library behind cmd/osmgate.
 //
 // The gateway holds no simulation state. Its per-session footprint is
-// one route entry: the owning worker plus the original create body
-// (needed to re-create the session elsewhere during a migration).
-// Every session-scoped request holds the route's read lock for the
-// duration of the forward; a migration takes the write lock, so the
-// snapshot→restore→repoint sequence observes no concurrent traffic
+// one route entry: the owning worker. A session snapshot names the
+// session's spec, so the snapshot alone places the session on another
+// worker. Every session-scoped request holds the route's read lock for
+// the duration of the forward; a migration takes the write lock, so
+// the snapshot→place→repoint sequence observes no concurrent traffic
 // and a client request issued mid-migration simply lands on the new
 // worker — no cycle is lost and none is run twice.
 package gate
@@ -69,14 +69,12 @@ type Worker struct {
 	LastSeen time.Time   `json:"last_seen"`
 }
 
-// route is the gateway's per-session state: the owning worker and the
-// create body that re-creates the session on another worker. The
+// route is the gateway's per-session state: the owning worker. The
 // RWMutex is the migration barrier — see the package comment.
 type route struct {
 	mu     sync.RWMutex
 	worker string
-	create []byte // JSON create body with the id pinned
-	dead   bool   // a failed resurrection; entry already unmapped
+	dead   bool // a failed resurrection; entry already unmapped
 }
 
 // Config parameterizes a Gateway. Zero values select the defaults.

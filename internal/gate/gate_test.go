@@ -645,7 +645,7 @@ func TestStaleRouteNackPassthrough(t *testing.T) {
 
 // An idle-evicted session parks its snapshot; the next touch through
 // the gateway resurrects it — transparently, with full trace
-// continuity — and consumes the park metadata.
+// continuity — and consumes the park.
 func TestParkAndResurrect(t *testing.T) {
 	spec := diffSpecs[0]
 	ref := runRef(t, spec)
@@ -679,7 +679,7 @@ func TestParkAndResurrect(t *testing.T) {
 		t.Fatalf("parked at cycle %d, want %d", meta.Cycle, cut)
 	}
 	if got := server.BlobChecksum(blob); got != meta.Checksum {
-		t.Fatalf("park blob checksum %s, metadata says %s", got, meta.Checksum)
+		t.Fatalf("park blob checksum %s, store entry says %s", got, meta.Checksum)
 	}
 	if w.mgr.LiveCount() != 0 {
 		t.Fatal("worker still hosts the parked session")
@@ -694,7 +694,7 @@ func TestParkAndResurrect(t *testing.T) {
 		t.Fatalf("resurrected on %q", at)
 	}
 	if _, _, err := server.LoadPark(dir, id); err == nil {
-		t.Fatal("park metadata not consumed by resurrection")
+		t.Fatal("park not consumed by resurrection")
 	}
 	if v := metricValue(t, f.cl.metrics(), `osmgate_migrations_total{reason="resurrect"}`); v != 1 {
 		t.Fatalf("resurrect metric = %d, want 1", v)
@@ -726,11 +726,11 @@ func TestParkAndResurrect(t *testing.T) {
 // ---- gateway restart: migrate sessions the gateway did not place ----
 
 // A gateway restarted between session creation and worker drain has
-// no route table and no recorded create bodies. Draining a worker
-// through the new gateway must still migrate every resident session —
-// routes are adopted from the worker's own session list and create
-// bodies re-derived from session info — and the finished runs must be
-// trace-checksum-identical to uninterrupted in-process runs.
+// no route table. Draining a worker through the new gateway must still
+// migrate every resident session — routes are adopted from the
+// worker's own session list, and each session's snapshot names its
+// spec — and the finished runs must be trace-checksum-identical to
+// uninterrupted in-process runs.
 func TestDifferentialDrainAfterGatewayRestart(t *testing.T) {
 	for _, spec := range diffSpecs {
 		spec := spec
@@ -768,8 +768,8 @@ func TestDifferentialDrainAfterGatewayRestart(t *testing.T) {
 			f2 := startFabric(t, Config{}, wA, wB)
 
 			// Drain wA through the new gateway: it must adopt wA's
-			// resident sessions from the worker's own list and
-			// re-derive their create bodies to migrate them.
+			// resident sessions from the worker's own list and place
+			// their snapshots on wB.
 			moved, err := f2.g.DrainWorker("wA")
 			if err != nil {
 				t.Fatalf("drain after restart: %v", err)
@@ -823,5 +823,104 @@ func TestDifferentialDrainAfterGatewayRestart(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// ---- placement over a stale copy, and deleting a parked session ----
+
+// A migration onto a worker that already holds a stale copy of the
+// session under its id — the leftover of an earlier attempt whose
+// reply was lost — overwrites that copy with the current state, and
+// the run ends trace-checksum-identical to the in-process run. A
+// client PUT through the gateway is refused: placement is the
+// gateway's job.
+func TestMigrationOverwritesStaleCopy(t *testing.T) {
+	spec := diffSpecs[0]
+	ref := runRef(t, spec)
+	wA := startWorker(t, "wA", server.Config{IdleTimeout: -1})
+	wB := startWorker(t, "wB", server.Config{IdleTimeout: -1})
+	f := startFabric(t, Config{}, wA, wB)
+	workers := map[string]*testWorker{"wA": wA, "wB": wB}
+
+	info, from := f.cl.create(spec)
+	id := info.ID
+	to := map[string]string{"wA": "wB", "wB": "wA"}[from]
+	f.cl.step(id, 1000)
+	resp, stale := f.cl.do("GET", "/v1/sessions/"+id+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	direct := &gclient{t: t, base: workers[to].hs.URL, hc: workers[to].hs.Client()}
+	if resp, body := direct.do("PUT", "/v1/sessions/"+id, stale, "application/octet-stream"); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("planting the stale copy on %s: status %d: %s", to, resp.StatusCode, body)
+	}
+	if resp, body := f.cl.do("PUT", "/v1/sessions/"+id, stale, "application/octet-stream"); resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("client PUT through the gateway: status %d (%s), want 405", resp.StatusCode, body)
+	}
+	cut := ref.cycles / 2
+	f.cl.step(id, cut-1000)
+
+	var mig struct{ From, To string }
+	resp, data := f.cl.doJSON("POST", "/v1/admin/migrate", map[string]string{"session": id, "to": to}, &mig)
+	if resp.StatusCode != http.StatusOK || mig.From != from || mig.To != to {
+		t.Fatalf("migrate: status %d: %s", resp.StatusCode, data)
+	}
+	if got, at := f.cl.infoAt(id); got.Cycle != cut || at != to {
+		t.Fatalf("after migration: cycle %d on %s, want %d on %s", got.Cycle, at, cut, to)
+	}
+	if n := workers[from].mgr.LiveCount(); n != 0 {
+		t.Fatalf("source %s still hosts %d sessions", from, n)
+	}
+	var final server.StepResult
+	for i := 0; !final.Done; i++ {
+		if i > 10_000 {
+			t.Fatal("session did not finish")
+		}
+		final = f.cl.step(id, 2000)
+	}
+	if final.Cycle != ref.cycles || fmt.Sprint(final.Result.Reported) != fmt.Sprint(ref.reported) {
+		t.Fatalf("finished at %d cycles reporting %v, want %d reporting %v", final.Cycle, final.Result.Reported, ref.cycles, ref.reported)
+	}
+	compareRegs(t, spec.Target, ref.regs, f.cl.registers(id))
+	if endInfo, _ := f.cl.infoAt(id); endInfo.TraceChecksum != ref.checksum {
+		t.Fatalf("trace checksum %s after overwriting the stale copy, want %s", endInfo.TraceChecksum, ref.checksum)
+	}
+	if v := metricValue(t, f.cl.metrics(), "osmgate_migration_failures_total"); v != 0 {
+		t.Fatalf("migration failures = %d", v)
+	}
+}
+
+// DELETE through a gateway with no route for a parked session consumes
+// the park (200), and a second DELETE finds nothing (404).
+func TestDeleteConsumesPark(t *testing.T) {
+	dir := t.TempDir()
+	w := startWorker(t, "w1", server.Config{IdleTimeout: 100 * time.Millisecond, ParkDir: dir})
+	f1 := startFabric(t, Config{ParkDir: dir}, w)
+	info, _ := f1.cl.create(diffSpecs[0])
+	id := info.ID
+	f1.cl.step(id, 1000)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := server.ReadParkMeta(dir, id); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("session was never parked")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	f2 := startFabric(t, Config{ParkDir: dir}, w)
+	if resp, body := f2.cl.do("DELETE", "/v1/sessions/"+id, nil, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete of a parked session: status %d: %s", resp.StatusCode, body)
+	}
+	if _, err := server.ReadParkMeta(dir, id); err == nil {
+		t.Fatal("park not consumed by the delete")
+	}
+	if resp, body := f2.cl.do("DELETE", "/v1/sessions/"+id, nil, ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("second delete: status %d (%s), want 404", resp.StatusCode, body)
+	}
+	if w.mgr.LiveCount() != 0 || f2.g.RouteCount() != 0 {
+		t.Fatalf("delete left %d sessions and %d routes", w.mgr.LiveCount(), f2.g.RouteCount())
 	}
 }

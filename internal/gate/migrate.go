@@ -15,13 +15,13 @@ import (
 var errNoRoute = errors.New("gate: no route for session")
 
 // Migrate moves one session to another worker: snapshot on the
-// source, create-with-id + restore on the target, delete the source
-// copy, repoint the route. The route's write lock is held throughout,
-// so no client request observes the intermediate states — a request
-// issued mid-migration blocks and then lands on the new worker. The
-// session snapshot carries the trace recorder, so cycle counts,
-// registers, reported values and the whole-run trace checksum are all
-// byte-identical across the move.
+// source, place that snapshot on the target in one request, delete
+// the source copy, repoint the route. The route's write lock is held
+// throughout, so no client request observes the intermediate states —
+// a request issued mid-migration blocks and then lands on the new
+// worker. The session snapshot carries the trace recorder, so cycle
+// counts, registers, reported values and the whole-run trace checksum
+// are all byte-identical across the move.
 //
 // target "" lets the ring choose (the session's preference order,
 // skipping the source). reason is the metrics label: "drain",
@@ -66,7 +66,7 @@ func (g *Gateway) Migrate(id, target, reason string) (from, to string, err error
 		return from, to, fmt.Errorf("gate: target worker %s not registered", to)
 	}
 
-	if err := g.moveSession(id, rt, src, dst); err != nil {
+	if err := g.moveSession(id, src, dst); err != nil {
 		g.Metrics.MigrationFailures.Add(1)
 		g.logf("migrate %s %s->%s (%s): %v", id, from, to, reason, err)
 		return from, to, err
@@ -99,12 +99,12 @@ func (g *Gateway) pickTarget(id, exclude string) string {
 	return ""
 }
 
-// moveSession performs the snapshot -> create -> restore -> delete
-// legs. Caller holds the route's write lock. On any failure the
-// source copy is left running (the target-side partial copy is
-// deleted best-effort), so a failed migration degrades to "session
+// moveSession performs the snapshot -> place -> delete legs. Caller
+// holds the route's write lock. Placement is all or nothing on the
+// target, so on any failure the source copy is left running and the
+// target holds nothing new: a failed migration degrades to "session
 // stayed put".
-func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
+func (g *Gateway) moveSession(id string, src, dst Worker) error {
 	status, _, blob, err := g.doMethod(http.MethodGet, src.Addr+"/v1/sessions/"+id+"/snapshot", "", nil)
 	if err != nil {
 		return fmt.Errorf("snapshot from %s: %w", src.ID, err)
@@ -112,40 +112,9 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("snapshot from %s: status %d: %s", src.ID, status, trimBody(blob))
 	}
-
-	if len(rt.create) == 0 {
-		// A gateway that did not place this session (it restarted, or
-		// adopted the route from a worker's resident list) has no
-		// recorded create body. The source worker's session info
-		// carries the full originating spec — rebuild the body from
-		// that, and cache it on the route for the next hop.
-		create, err := g.deriveCreate(src, id)
-		if err != nil {
-			return fmt.Errorf("no create body recorded for %s: %w", id, err)
-		}
-		rt.create = create
+	if err := g.place(dst, id, blob); err != nil {
+		return err
 	}
-	status, _, body, err := g.doMethod(http.MethodPost, dst.Addr+"/v1/sessions", "application/json", rt.create)
-	if err != nil {
-		return fmt.Errorf("create on %s: %w", dst.ID, err)
-	}
-	if status != http.StatusCreated && status != http.StatusConflict {
-		return fmt.Errorf("create on %s: status %d: %s", dst.ID, status, trimBody(body))
-	}
-	// StatusConflict means a copy with this id already exists on the
-	// target — a previous attempt's leftover; the restore below
-	// overwrites its state, so proceed.
-
-	status, _, body, err = g.doMethod(http.MethodPost, dst.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
-	if err != nil || status != http.StatusOK {
-		// Roll the target copy back so a retry starts clean.
-		g.doMethod(http.MethodDelete, dst.Addr+"/v1/sessions/"+id, "", nil)
-		if err != nil {
-			return fmt.Errorf("restore on %s: %w", dst.ID, err)
-		}
-		return fmt.Errorf("restore on %s: status %d: %s", dst.ID, status, trimBody(body))
-	}
-
 	// The target owns the session now; losing the source copy is the
 	// point. Best-effort — a failed delete leaves an orphan the
 	// source's idle janitor will collect.
@@ -155,33 +124,25 @@ func (g *Gateway) moveSession(id string, rt *route, src, dst Worker) error {
 	return nil
 }
 
-// deriveCreate rebuilds a session's create body from the hosting
-// worker's single-session info, which reports the originating spec
-// and trace limit. This is what lets a restarted gateway migrate
-// sessions it did not place.
-func (g *Gateway) deriveCreate(src Worker, id string) ([]byte, error) {
-	status, _, body, err := g.doMethod(http.MethodGet, src.Addr+"/v1/sessions/"+id, "", nil)
-	if err != nil {
-		return nil, fmt.Errorf("session info from %s: %w", src.ID, err)
+// place enters a session snapshot on a worker under the session's id:
+// one PUT, which the worker admits, restores and enters atomically. A
+// 409 there means a copy with this id is already resident — one a
+// lost reply of an earlier attempt left behind — so the snapshot is
+// restored over that copy instead, which the worker refuses unless
+// the copy is of the snapshot's spec.
+func (g *Gateway) place(w Worker, id string, snapshot []byte) error {
+	url := w.Addr + "/v1/sessions/" + id
+	status, _, body, err := g.doMethod(http.MethodPut, url, "application/octet-stream", snapshot)
+	if err == nil && status == http.StatusConflict {
+		status, _, body, err = g.doMethod(http.MethodPost, url+"/restore", "application/octet-stream", snapshot)
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("session info from %s: status %d: %s", src.ID, status, trimBody(body))
+	switch {
+	case err != nil:
+		return fmt.Errorf("placing on %s: %w", w.ID, err)
+	case status != http.StatusCreated && status != http.StatusOK:
+		return fmt.Errorf("placing on %s: status %d: %s", w.ID, status, trimBody(body))
 	}
-	var info server.Info
-	if err := json.Unmarshal(body, &info); err != nil {
-		return nil, fmt.Errorf("session info from %s: %w", src.ID, err)
-	}
-	if info.Spec == nil {
-		return nil, fmt.Errorf("session info from %s carries no spec (worker predates spec reporting?)", src.ID)
-	}
-	traceLimit := info.TraceLimit
-	req := server.CreateRequest{Spec: *info.Spec, ID: id, TraceLimit: &traceLimit}
-	create, err := json.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
-	g.logf("derived create body for %s from worker %s", id, src.ID)
-	return create, nil
+	return nil
 }
 
 // DrainWorker migrates every session routed to the worker onto the
@@ -234,9 +195,9 @@ func (g *Gateway) DrainWorker(id string) (int, error) {
 
 	// Migrate everything the route table maps to this worker, plus
 	// any session the worker itself reports that the gateway has no
-	// route for — a restarted gateway adopts those strays (the create
-	// body is re-derived from the worker's session info during the
-	// move), so no session is stranded on the draining worker.
+	// route for — a restarted gateway adopts those strays (the
+	// snapshot names everything the target needs), so no session is
+	// stranded on the draining worker.
 	g.mu.Lock()
 	var resident []string
 	routed := make(map[string]bool)
@@ -297,7 +258,7 @@ func (g *Gateway) ensureRoute(id string) (*route, error) {
 	if rt, ok := g.discoverRoute(id); ok {
 		return rt, nil
 	}
-	if g.cfg.ParkDir == "" {
+	if g.cfg.ParkDir == "" || !server.ValidSessionID(id) {
 		return nil, fmt.Errorf("%w: %s", errNoRoute, id)
 	}
 	return g.resurrect(id)
@@ -338,9 +299,7 @@ func (g *Gateway) discoverRoute(id string) (*route, bool) {
 }
 
 // adoptRoute installs a route for a session the gateway did not place
-// (or returns the existing route if a concurrent adoption won). The
-// create body is left empty; the first migration re-derives it from
-// the hosting worker.
+// (or returns the existing route if a concurrent adoption won).
 func (g *Gateway) adoptRoute(id, workerID string) *route {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -383,32 +342,9 @@ func (g *Gateway) resurrect(id string) (*route, error) {
 		return nil, fmt.Errorf("%w: %s", errNoRoute, id)
 	}
 
-	req := server.CreateRequest{Spec: meta.Spec, ID: id, TraceLimit: &meta.TraceLimit}
-	create, err := json.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
-
 	var lastErr error
 	for _, cand := range g.placementOrder(id) {
-		status, _, body, err := g.doMethod(http.MethodPost, cand.Addr+"/v1/sessions", "application/json", create)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if status != http.StatusCreated {
-			lastErr = fmt.Errorf("create on %s: status %d: %s", cand.ID, status, trimBody(body))
-			if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-				continue
-			}
-			return nil, lastErr
-		}
-		status, _, body, err = g.doMethod(http.MethodPost, cand.Addr+"/v1/sessions/"+id+"/restore", "application/octet-stream", blob)
-		if err != nil || status != http.StatusOK {
-			g.doMethod(http.MethodDelete, cand.Addr+"/v1/sessions/"+id, "", nil)
-			if err == nil {
-				err = fmt.Errorf("restore on %s: status %d: %s", cand.ID, status, trimBody(body))
-			}
+		if err := g.place(cand, id, blob); err != nil {
 			lastErr = err
 			continue
 		}
@@ -416,7 +352,6 @@ func (g *Gateway) resurrect(id string) (*route, error) {
 			g.logf("resurrect %s: consuming park: %v", id, err)
 		}
 		rt.worker = cand.ID
-		rt.create = create
 		ok = true
 		g.Metrics.MigrationsResurrect.Add(1)
 		g.logf("resurrected parked session %s (cycle %d) on %s", id, meta.Cycle, cand.ID)

@@ -38,6 +38,9 @@ func timeoutCtx(d time.Duration) (context.Context, context.CancelFunc) {
 //	POST /v1/admin/migrate  move one session {session, to}
 //	GET  /healthz           gateway liveness + fleet summary
 //	GET  /metrics           Prometheus text
+//
+// A client PUT of a session snapshot is refused (405): placing a
+// session on a worker is the gateway's job.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
@@ -48,6 +51,10 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/admin/migrate", g.handleAdminMigrate)
 	mux.HandleFunc("POST /v1/sessions", g.handleCreate)
 	mux.HandleFunc("GET /v1/sessions", g.handleList)
+	mux.HandleFunc("PUT /v1/sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Allow", "GET, DELETE")
+		writeError(w, http.StatusMethodNotAllowed, "the gateway places sessions; create one with POST /v1/sessions")
+	})
 	mux.HandleFunc("/v1/sessions/{id}", g.handleSession)
 	mux.HandleFunc("/v1/sessions/{id}/{op}", g.handleSession)
 	return mux
@@ -195,7 +202,7 @@ func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
 		g.Metrics.ProxiedHTTP.Add(1)
 		switch status {
 		case http.StatusCreated:
-			rt := &route{worker: cand.ID, create: placed}
+			rt := &route{worker: cand.ID}
 			g.mu.Lock()
 			g.routes[id] = rt
 			g.mu.Unlock()

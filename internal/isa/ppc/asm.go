@@ -102,9 +102,18 @@ func (a *passembler) pass(src string, second bool) error {
 		if err := a.statement(line); err != nil {
 			return fmt.Errorf("ppc asm: line %d: %w", lineNo+1, err)
 		}
+		if a.pc-a.org > maxImageBytes {
+			return fmt.Errorf("ppc asm: line %d: image exceeds %d bytes", lineNo+1, maxImageBytes)
+		}
 	}
 	return nil
 }
+
+// maxImageBytes bounds the assembled image. Sources arrive from
+// untrusted specs, and a single `.space` line can otherwise demand
+// gigabytes; each statement adds at most maxImageBytes, and the
+// per-line check fires before uint32 address arithmetic can wrap.
+const maxImageBytes = 16 << 20
 
 func (a *passembler) emit(w uint32) {
 	if a.pass2 {
@@ -338,6 +347,9 @@ func (a *passembler) statement(line string) error {
 		if n%4 != 0 {
 			return fmt.Errorf(".space %d not a word multiple", n)
 		}
+		if n > maxImageBytes {
+			return fmt.Errorf(".space %d exceeds the %d-byte image limit", n, maxImageBytes)
+		}
 		for k := uint32(0); k < n/4; k++ {
 			a.emit(0)
 		}
@@ -552,6 +564,12 @@ func (a *passembler) statement(line string) error {
 }
 
 func (a *passembler) rotate(base string, ops []string, rc bool) error {
+	switch {
+	case base == "rlwinm" && len(ops) != 5:
+		return fmt.Errorf("rlwinm takes rA, rS, sh, mb, me")
+	case base != "rlwinm" && len(ops) != 3:
+		return fmt.Errorf("%s takes rA, rS, n", base)
+	}
 	rA, err := parseReg(ops[0])
 	if err != nil {
 		return err
@@ -563,9 +581,6 @@ func (a *passembler) rotate(base string, ops []string, rc bool) error {
 	ins := Instr{Op: RLWINM, RT: rS, RA: rA, Rc: rc}
 	switch base {
 	case "rlwinm":
-		if len(ops) != 5 {
-			return fmt.Errorf("rlwinm takes rA, rS, sh, mb, me")
-		}
 		sh, err1 := a.value(ops[2])
 		mb, err2 := a.value(ops[3])
 		me, err3 := a.value(ops[4])
@@ -574,9 +589,6 @@ func (a *passembler) rotate(base string, ops []string, rc bool) error {
 		}
 		ins.SH, ins.MB, ins.ME = int(sh&31), int(mb&31), int(me&31)
 	default:
-		if len(ops) != 3 {
-			return fmt.Errorf("%s takes rA, rS, n", base)
-		}
 		n, err := a.value(ops[2])
 		if err != nil {
 			return err

@@ -23,6 +23,7 @@ const maxBodyBytes = 64 << 20
 //	POST   /v1/sessions                create (JSON spec)
 //	GET    /v1/sessions                list
 //	GET    /v1/sessions/{id}           info
+//	PUT    /v1/sessions/{id}           place from a snapshot under id
 //	DELETE /v1/sessions/{id}           evict
 //	POST   /v1/sessions/{id}/step      step N cycles under a deadline
 //	GET    /v1/sessions/{id}/registers peek architectural registers
@@ -44,6 +45,7 @@ func (m *Manager) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/sessions", m.handleCreate)
 	mux.HandleFunc("GET /v1/sessions", m.handleList)
 	mux.HandleFunc("GET /v1/sessions/{id}", m.withSession(m.handleInfo))
+	mux.HandleFunc("PUT /v1/sessions/{id}", m.handlePlace)
 	mux.HandleFunc("DELETE /v1/sessions/{id}", m.handleEvict)
 	mux.HandleFunc("POST /v1/sessions/{id}/step", m.withSession(m.handleStep))
 	mux.HandleFunc("GET /v1/sessions/{id}/registers", m.withSession(m.handleRegisters))
@@ -171,12 +173,33 @@ func (m *Manager) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if req.TraceLimit != nil {
 		traceLimit = *req.TraceLimit
 	}
+	if traceLimit < 0 {
+		writeError(w, http.StatusBadRequest, "trace_limit must be >= 0")
+		return
+	}
 	s, err := m.CreateWithID(req.ID, req.Spec, traceLimit)
 	if err != nil {
 		if errors.Is(err, runner.ErrNotSteppable) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		writeAPIError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, m.Info(s))
+}
+
+// handlePlace enters a session from an uploaded session snapshot
+// under the path's id (201 with its info), all or nothing: a refused
+// snapshot, or an id already resident, is a 409 and enters nothing.
+func (m *Manager) handlePlace(w http.ResponseWriter, r *http.Request) {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading snapshot body: "+err.Error())
+		return
+	}
+	s, err := m.CreateFromSnapshot(r.PathValue("id"), data)
+	if err != nil {
 		writeAPIError(w, err)
 		return
 	}

@@ -1,56 +1,33 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/store"
 )
 
 // Session parking: instead of discarding an idle-evicted session's
 // state, the janitor writes its final snapshot to Config.ParkDir so a
 // gateway can resurrect the session later on any worker. The park
-// directory is an internal/store root: the snapshot blob is chunked,
-// deduplicated and compressed into the store under the session id
-// (run = session id, cycle = park cycle), and a small JSON metadata
-// file binds the id to its originating spec:
-//
-//	<id>.park         JSON metadata: spec, target, cycle, and the
-//	                  whole-blob checksum the restore is verified
-//	                  against
-//	chunks/, runs/    the store's content-addressed chunk files and
-//	                  per-run indexes
-//
-// Metadata is written with store.WriteAtomic so a concurrent reader
-// never observes a torn park. Store chunks left unreferenced after a
-// park is consumed are reclaimed by ParkGC (`osmstore gc` or the
-// janitor hook). The store's GC roots are its run indexes alone; the
-// park format is known only to this package.
+// directory is an internal/store root, and a park is one store entry:
+// the session snapshot, chunked, deduplicated and compressed under
+// run = session id, cycle = park cycle. The snapshot names the
+// session's spec and trace limit, so nothing else is written beside
+// it; the store writes the run index last and atomically, so a
+// concurrent reader never observes a torn park. Store chunks left
+// unreferenced after a park is consumed are reclaimed by ParkGC
+// (`osmstore gc` or the janitor hook).
 
-// ParkMeta is the parked-session metadata record.
+// ParkMeta describes a parked session's store entry.
 type ParkMeta struct {
-	ID string `json:"id"`
+	Cycle uint64
 	// Checksum is the 64-bit FNV-1a digest of the snapshot blob,
-	// formatted %016x; the blob reassembled from the store is
-	// verified against it.
-	Checksum string `json:"checksum"`
-	Target   string `json:"target"`
-	Cycle    uint64 `json:"cycle"`
-	// TraceLimit is the session's recorder retention, so resurrection
-	// recreates the session with the same trace window.
-	TraceLimit int         `json:"trace_limit"`
-	Spec       runner.Spec `json:"spec"`
-	ParkedAt   time.Time   `json:"parked_at"`
+	// formatted %016x (BlobChecksum's form); the store verifies the
+	// reassembled blob against it.
+	Checksum string
 }
-
-// ParkMetaPath returns the metadata path for a session id.
-func ParkMetaPath(dir, id string) string { return filepath.Join(dir, id+".park") }
 
 // BlobChecksum returns the content name of a snapshot blob: its
 // 64-bit FNV-1a digest formatted %016x.
@@ -60,37 +37,36 @@ func BlobChecksum(blob []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// ReadParkMeta reads and validates a parked session's metadata record
-// without touching the blob. Unknown fields are refused, so a record
-// naming an option this build no longer has fails loudly instead of
-// resurrecting under different settings.
-func ReadParkMeta(dir, id string) (ParkMeta, error) {
-	raw, err := os.ReadFile(ParkMetaPath(dir, id))
+// openPark opens the park store and finds a parked session's entry. A
+// missing park is a wrapped store.ErrNotFound, so callers can tell
+// "never parked" from damage.
+func openPark(dir, id string) (*store.Store, ParkMeta, error) {
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
-		return ParkMeta{}, err
+		return nil, ParkMeta{}, err
 	}
-	var meta ParkMeta
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&meta); err != nil {
-		return ParkMeta{}, fmt.Errorf("park metadata for %s: %w", id, err)
+	entries, err := st.Entries(id)
+	if err != nil {
+		return nil, ParkMeta{}, fmt.Errorf("park for %s: %w", id, err)
 	}
-	if meta.ID != id {
-		return ParkMeta{}, fmt.Errorf("park metadata for %s names session %s", id, meta.ID)
+	if len(entries) == 0 {
+		return nil, ParkMeta{}, fmt.Errorf("%w: no park for session %s", store.ErrNotFound, id)
 	}
-	return meta, nil
+	e := entries[len(entries)-1]
+	return st, ParkMeta{Cycle: e.Cycle, Checksum: fmt.Sprintf("%016x", e.Sum)}, nil
 }
 
-// LoadPark reads a parked session's metadata and its blob from the
-// chunk store, verifying the blob against its recorded checksum. A
-// missing park returns os.ErrNotExist (wrapped), so callers can
-// distinguish "never parked" from damage.
+// ReadParkMeta reports a parked session's store entry without reading
+// the blob.
+func ReadParkMeta(dir, id string) (ParkMeta, error) {
+	_, meta, err := openPark(dir, id)
+	return meta, err
+}
+
+// LoadPark reads a parked session's entry and its snapshot from the
+// chunk store, verified against the entry's checksum.
 func LoadPark(dir, id string) (ParkMeta, []byte, error) {
-	meta, err := ReadParkMeta(dir, id)
-	if err != nil {
-		return ParkMeta{}, nil, err
-	}
-	st, err := store.Open(dir, store.Options{})
+	st, meta, err := openPark(dir, id)
 	if err != nil {
 		return ParkMeta{}, nil, err
 	}
@@ -98,24 +74,20 @@ func LoadPark(dir, id string) (ParkMeta, []byte, error) {
 	if err != nil {
 		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: %w", id, err)
 	}
-	if got := BlobChecksum(blob); got != meta.Checksum {
-		return ParkMeta{}, nil, fmt.Errorf("park blob for %s: checksum %s, content named %s", id, got, meta.Checksum)
-	}
 	return meta, blob, nil
 }
 
-// ConsumePark removes a parked session's metadata and drops the
-// session's run from the store index after resurrection. The chunks
+// ConsumePark drops a parked session's run from the store index after
+// resurrection or deletion; a missing park is an error. The chunks
 // themselves stay until the next GC sweep — concurrent readers that
 // already hold the entry list can still reassemble — at which point
 // anything no other run references is reclaimed.
 func ConsumePark(dir, id string) error {
-	if st, err := store.Open(dir, store.Options{}); err == nil {
-		if err := st.DeleteRun(id); err != nil {
-			return err
-		}
+	st, _, err := openPark(dir, id)
+	if err != nil {
+		return err
 	}
-	return os.Remove(ParkMetaPath(dir, id))
+	return st.DeleteRun(id)
 }
 
 // parkStore lazily opens the chunk store rooted at ParkDir.
@@ -141,24 +113,13 @@ func (m *Manager) park(s *Session) error {
 	if err != nil {
 		return err
 	}
+	// A park is the run's only entry: one left by an earlier park that
+	// was never consumed must not outlive this one.
+	if err := st.DeleteRun(s.ID); err != nil {
+		return err
+	}
 	stats, err := st.Put(s.ID, cycle, data)
 	if err != nil {
-		return err
-	}
-	meta := ParkMeta{
-		ID:         s.ID,
-		Checksum:   BlobChecksum(data),
-		Target:     s.Spec.Target,
-		Cycle:      cycle,
-		TraceLimit: s.traceLimit,
-		Spec:       s.Spec,
-		ParkedAt:   time.Now().UTC(),
-	}
-	raw, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := store.WriteAtomic(ParkMetaPath(m.cfg.ParkDir, s.ID), raw); err != nil {
 		return err
 	}
 	m.Metrics.SessionsParked.Add(1)

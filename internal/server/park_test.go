@@ -43,23 +43,23 @@ func TestParkStoreRoundTripByteIdentity(t *testing.T) {
 	if !bytes.Equal(blob, want) {
 		t.Fatal("park round trip through the store is not byte-identical")
 	}
-	if meta.Cycle != cycle || meta.Target != "strongarm" || meta.TraceLimit != 128 {
-		t.Fatalf("park metadata = %+v", meta)
+	if meta.Cycle != cycle || meta.Checksum != BlobChecksum(want) {
+		t.Fatalf("park entry = %+v", meta)
 	}
-	// Restoring the parked blob into a fresh session continues the
-	// run with trace continuity (cycle and checksum carried over).
+	// Placing the parked blob on a fresh manager continues the run
+	// with trace continuity (cycle and checksum carried over), under
+	// the spec and trace limit the snapshot names.
 	m2 := NewManager(Config{IdleTimeout: -1})
 	defer m2.Close()
-	s2, err := m2.CreateWithID(s.ID, meta.Spec, meta.TraceLimit)
+	s2, err := m2.CreateFromSnapshot(s.ID, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := m2.Restore(s2, blob)
-	if err != nil {
-		t.Fatal(err)
+	if got := m2.Info(s2); got.Cycle != cycle || got.TraceChecksum != m.Info(s).TraceChecksum {
+		t.Fatalf("placed at cycle %d with trace %s, parked at %d with %s", got.Cycle, got.TraceChecksum, cycle, m.Info(s).TraceChecksum)
 	}
-	if got != cycle {
-		t.Fatalf("restored at cycle %d, parked at %d", got, cycle)
+	if s2.Spec.Target != "strongarm" || s2.Spec.Workload != "dsp/fir" || s2.traceLimit != 128 {
+		t.Fatalf("placed session has spec %+v, trace limit %d", s2.Spec, s2.traceLimit)
 	}
 }
 
@@ -123,9 +123,9 @@ func TestParkGCAfterConsumeLeavesNothingUnreferenced(t *testing.T) {
 	}
 }
 
-// A park record naming a field this build does not have — here the
-// removed "scan" spec option — is refused, not resurrected under
-// different settings, and the blob is never loaded.
+// A parked snapshot whose spec names a field this build does not
+// have — here the removed "scan" spec option — is refused, not
+// resurrected under different settings.
 func TestParkMetaRejectsUnknownFields(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{IdleTimeout: -1, ParkDir: dir})
@@ -140,17 +140,30 @@ func TestParkMetaRejectsUnknownFields(t *testing.T) {
 	if err := m.park(s); err != nil {
 		t.Fatal(err)
 	}
-	path := ParkMetaPath(dir, s.ID)
-	raw, err := os.ReadFile(path)
+	meta, blob, err := LoadPark(dir, s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw = bytes.Replace(raw, []byte(`"spec": {`), []byte(`"spec": {"scan": true, `), 1)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	l := layoutOf(t, blob)
+	l.spec = strings.Replace(l.spec, "{", `{"scan":true,`, 1)
+	st, err := m.parkStore()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadPark(dir, s.ID); err == nil || !strings.Contains(err.Error(), `unknown field "scan"`) {
-		t.Fatalf("LoadPark of a park naming scan: got %v, want the unknown-field error", err)
+	if _, err := st.Put(s.ID, meta.Cycle, l.bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_, blob, err = LoadPark(dir, s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(Config{IdleTimeout: -1})
+	defer m2.Close()
+	if _, err := m2.CreateFromSnapshot(s.ID, blob); err == nil || !strings.Contains(err.Error(), `unknown field "scan"`) {
+		t.Fatalf("placing a park naming scan: got %v, want the unknown-field error", err)
+	}
+	if n := m2.LiveCount(); n != 0 {
+		t.Fatalf("refused placement left %d sessions", n)
 	}
 }
 
@@ -255,27 +268,6 @@ func TestParkContentDedup(t *testing.T) {
 	}
 }
 
-// Session info carries the originating spec on the single-session
-// surface only — the gateway's create-body re-derivation depends on
-// it; lists must stay lean.
-func TestInfoSpecExposure(t *testing.T) {
-	m := NewManager(Config{IdleTimeout: -1})
-	defer m.Close()
-	s, err := m.Create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 40}, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf := m.Info(s)
-	if inf.Spec == nil || inf.Spec.Target != "strongarm" || inf.TraceLimit != 77 {
-		t.Fatalf("single-session info lacks spec: %+v", inf)
-	}
-	for _, li := range m.List() {
-		if li.Spec != nil || li.TraceLimit != 0 {
-			t.Fatalf("list info leaks spec: %+v", li)
-		}
-	}
-}
-
 // The janitor parks idle-evicted sessions into the store and its GC
 // hook reclaims consumed parks without disturbing live ones.
 func TestJanitorParksIntoStore(t *testing.T) {
@@ -291,7 +283,7 @@ func TestJanitorParksIntoStore(t *testing.T) {
 	id := s.ID
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := os.Stat(ParkMetaPath(dir, id)); err == nil {
+		if _, err := ReadParkMeta(dir, id); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -311,6 +303,41 @@ func TestJanitorParksIntoStore(t *testing.T) {
 	for _, de := range des {
 		if strings.HasSuffix(de.Name(), ".snap") {
 			t.Fatalf("legacy blob %s written", de.Name())
+		}
+	}
+}
+
+// A park replaces any earlier park of the same id, even one at a later
+// cycle: a restarted worker reuses its server-assigned ids, and a
+// resurrection must never pick up the previous process's session.
+func TestReparkReplacesPark(t *testing.T) {
+	dir := t.TempDir()
+	for i, spec := range []runner.Spec{
+		{Target: "strongarm", Workload: "gsm/dec", N: 60},
+		{Target: "strongarm", Workload: "dsp/fir", N: 40},
+	} {
+		m := NewManager(Config{IdleTimeout: -1, ParkDir: dir})
+		s, err := m.Create(spec, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Step(s, uint64(3000-2000*i), time.Second); err != nil {
+			t.Fatal(err)
+		}
+		want, cycle, err := m.Snapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.park(s); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		meta, blob, err := LoadPark(dir, s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Cycle != cycle || !bytes.Equal(blob, want) {
+			t.Fatalf("%s: park loads cycle %d, parked at %d (byte-identical: %v)", spec.Workload, meta.Cycle, cycle, bytes.Equal(blob, want))
 		}
 	}
 }

@@ -1,35 +1,70 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/osm"
 	"repro/internal/runner"
 	"repro/internal/snap"
 )
 
-// sessionBytes re-encodes a decoded session snapshot with the given
-// flags byte, so a test can damage one field of a real snapshot.
-func sessionBytes(t testing.TB, ss SessionSnapshot, flags uint8) []byte {
+// sessionLayout is the session-snapshot layout field by field, the
+// one test encoder: a test decodes a real snapshot with layoutOf,
+// damages a field or picks an older version, and encodes it back with
+// bytes. Versions 1 and 2 name the target where version 3 has the spec
+// and trace limit, and version 1 ends after the blob.
+type sessionLayout struct {
+	version    uint16
+	target     string // versions 1 and 2
+	spec       string // JSON; version 3
+	traceLimit int    // version 3
+	cycle      uint64
+	blob       []byte
+	flags      uint8
+	tracer     []byte // the recorder section
+}
+
+func layoutOf(t testing.TB, data []byte) sessionLayout {
 	t.Helper()
-	rec := osm.NewRecorder()
-	tracer := *ss.Tracer // a fork: ss stays readable
-	if err := rec.LoadState(&tracer); err != nil {
+	r := snap.NewReader(data)
+	if r.U32() != snap.Magic || r.String() != sessHeader {
+		t.Fatal("not in the session wire format")
+	}
+	l := sessionLayout{version: r.U16(), spec: r.String(), traceLimit: r.Int(), cycle: r.U64(), blob: r.Bytes32(), flags: r.U8(), tracer: r.Bytes32()}
+	if err := r.Close("session snapshot"); err != nil || l.version != 3 {
+		t.Fatalf("session snapshot version %d: %v", l.version, err)
+	}
+	var spec runner.Spec
+	if err := json.Unmarshal([]byte(l.spec), &spec); err != nil {
 		t.Fatal(err)
 	}
+	l.target = spec.Target
+	return l
+}
+
+func (l sessionLayout) bytes() []byte {
 	w := snap.NewWriter()
 	w.U32(snap.Magic)
 	w.String(sessHeader)
-	w.Version(sessVersion)
-	w.String(ss.Target)
-	w.U64(ss.Cycle)
-	w.Bytes32(ss.Blob)
-	w.U8(flags)
-	w.Blob(rec.SaveState)
+	w.Version(l.version)
+	if l.version >= 3 {
+		w.String(l.spec)
+		w.Int(l.traceLimit)
+	} else {
+		w.String(l.target)
+	}
+	w.U64(l.cycle)
+	w.Bytes32(l.blob)
+	if l.version >= 2 {
+		w.U8(l.flags)
+		w.Bytes32(l.tracer)
+	}
 	return w.Bytes()
 }
 
@@ -46,18 +81,16 @@ type hostileSnapshot struct {
 // trailing byte.
 func hostileSnapshots(t testing.TB, good []byte) []hostileSnapshot {
 	t.Helper()
-	ss, err := DecodeSessionSnapshot(good)
-	if err != nil {
-		t.Fatal(err)
+	flipped := layoutOf(t, good)
+	flipped.blob = append([]byte(nil), flipped.blob...)
+	for i := len(flipped.blob) - 40; i < len(flipped.blob); i++ {
+		flipped.blob[i] ^= 0xff
 	}
-	flipped := ss
-	flipped.Blob = append([]byte(nil), ss.Blob...)
-	for i := len(flipped.Blob) - 40; i < len(flipped.Blob); i++ {
-		flipped.Blob[i] ^= 0xff
-	}
+	flags0 := layoutOf(t, good)
+	flags0.flags = 0
 	return []hostileSnapshot{
-		{"flipped model tail", sessionBytes(t, flipped, sessFlagTracer)},
-		{"flags 0", sessionBytes(t, ss, 0)},
+		{"flipped model tail", flipped.bytes()},
+		{"flags 0", flags0.bytes()},
 		{"trailing byte", append(append([]byte(nil), good...), 0)},
 	}
 }
@@ -220,8 +253,8 @@ func FuzzSessionRestore(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		target := diffSpecs[0].Target
-		if ss, err := DecodeSessionSnapshot(data); err == nil && sessions[ss.Target] != nil {
-			target = ss.Target
+		if ss, err := DecodeSessionSnapshot(data); err == nil && sessions[ss.Spec.Target] != nil {
+			target = ss.Spec.Target
 		}
 		s := sessions[target]
 		before := observe(s)
@@ -245,4 +278,188 @@ func FuzzSessionRestore(f *testing.F) {
 			t.Fatalf("restoring the paused session back: %v", err)
 		}
 	})
+}
+
+// TestRestoreRefusesOtherSpec: a snapshot restores only into a session
+// of its own spec. A dsp/fir snapshot uploaded into a gsm/dec session
+// of the same target gets 409 naming both, leaves the session's state,
+// cycle and whole-run trace as they were, and the session then steps
+// to gsm/dec's reference cycles, reported values and trace checksum.
+func TestRestoreRefusesOtherSpec(t *testing.T) {
+	spec := diffSpecs[0]
+	ref := runRef(t, spec)
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	info := cl.create(spec)
+	cl.step(info.ID, 500)
+	other := cl.create(runner.Spec{Target: spec.Target, Workload: "dsp/fir", N: 20})
+	cl.step(other.ID, 500)
+	resp, foreign := cl.do("GET", "/v1/sessions/"+other.ID+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	before := cl.info(info.ID)
+	resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", foreign, "application/octet-stream")
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "dsp/fir") || !strings.Contains(string(body), "gsm/dec") {
+		t.Fatalf("restore of another spec's snapshot: status %d (%s), want 409 naming both", resp.StatusCode, body)
+	}
+	if after := cl.info(info.ID); !sameSession(before, after) {
+		t.Fatalf("refused restore changed the session: before %+v, after %+v", before, after)
+	}
+	final := cl.stepToDone(info.ID, 10_000)
+	if final.Cycle != ref.cycles || fmt.Sprint(final.Result.Reported) != fmt.Sprint(ref.reported) {
+		t.Fatalf("finished at %d cycles reporting %v, want %d reporting %v", final.Cycle, final.Result.Reported, ref.cycles, ref.reported)
+	}
+	if got := cl.info(info.ID).TraceChecksum; got != ref.checksum {
+		t.Fatalf("trace checksum %s, want %s", got, ref.checksum)
+	}
+}
+
+// TestPlaceFromSnapshot: on both models, a session's snapshot PUT under
+// a fresh id enters a paused session at the snapshot's cycle (201),
+// which steps to the reference run's cycles, registers, reported
+// values and whole-run trace checksum. A second PUT of the id, now
+// resident, gets 409.
+func TestPlaceFromSnapshot(t *testing.T) {
+	_, cl, done := newTestServer(t, Config{})
+	defer done()
+	for _, spec := range diffSpecs {
+		ref := runRef(t, spec)
+		info := cl.create(spec)
+		cut := ref.cycles / 2
+		cl.step(info.ID, cut)
+		resp, good := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: snapshot: status %d", spec.Target, resp.StatusCode)
+		}
+		id := "placed-" + spec.Target
+		resp, body := cl.do("PUT", "/v1/sessions/"+id, good, "application/octet-stream")
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("%s: PUT: status %d: %s", spec.Target, resp.StatusCode, body)
+		}
+		var placed Info
+		if err := json.Unmarshal(body, &placed); err != nil {
+			t.Fatal(err)
+		}
+		if placed.ID != id || placed.Cycle != cut || placed.State != StatePaused || placed.Target != spec.Target {
+			t.Fatalf("%s: placed %+v, want %s paused at cycle %d", spec.Target, placed, id, cut)
+		}
+		if resp, body := cl.do("PUT", "/v1/sessions/"+id, good, "application/octet-stream"); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("%s: PUT onto a resident id: status %d (%s), want 409", spec.Target, resp.StatusCode, body)
+		}
+		final := cl.stepToDone(id, 10_000)
+		if final.Cycle != ref.cycles || final.Result.Instrs != ref.instrs || fmt.Sprint(final.Result.Reported) != fmt.Sprint(ref.reported) {
+			t.Fatalf("%s: placed run finished at %d cycles, %d instrs, reporting %v; want %d, %d, %v",
+				spec.Target, final.Cycle, final.Result.Instrs, final.Result.Reported, ref.cycles, ref.instrs, ref.reported)
+		}
+		compareRegs(t, spec.Target+"/placed", ref.regs, cl.registers(id))
+		if got := cl.info(id).TraceChecksum; got != ref.checksum {
+			t.Fatalf("%s: placed trace checksum %s, want %s", spec.Target, got, ref.checksum)
+		}
+	}
+}
+
+// TestPlaceRefusesHostileSnapshots: on both models, each upload a
+// restore must refuse, PUT under a fresh id, is refused with 409 and
+// enters nothing: the live count is unchanged, the id answers 404, and
+// a later create can still use it.
+func TestPlaceRefusesHostileSnapshots(t *testing.T) {
+	mgr, cl, done := newTestServer(t, Config{})
+	defer done()
+	for _, spec := range diffSpecs {
+		info := cl.create(spec)
+		cl.step(info.ID, 500)
+		resp, good := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: snapshot: status %d", spec.Target, resp.StatusCode)
+		}
+		for i, bad := range hostileSnapshots(t, good) {
+			id := fmt.Sprintf("hostile-%s-%d", spec.Target, i)
+			live := mgr.LiveCount()
+			resp, body := cl.do("PUT", "/v1/sessions/"+id, bad.data, "application/octet-stream")
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("%s/%s: PUT: status %d (%s), want 409", spec.Target, bad.name, resp.StatusCode, body)
+			}
+			if got := mgr.LiveCount(); got != live {
+				t.Fatalf("%s/%s: refused PUT changed the live count %d -> %d", spec.Target, bad.name, live, got)
+			}
+			if resp, _ := cl.do("GET", "/v1/sessions/"+id, nil, ""); resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("%s/%s: refused id answers %d, want 404", spec.Target, bad.name, resp.StatusCode)
+			}
+			resp, body = cl.doJSON("POST", "/v1/sessions", CreateRequest{Spec: spec, ID: id}, nil)
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("%s/%s: create under the refused id: status %d: %s", spec.Target, bad.name, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
+// A negative trace limit is refused at create (400) and inside a
+// snapshot (409): a recorder with one panicked its worker on the
+// first transition, taking every session of the process down.
+func TestNegativeTraceLimitRefused(t *testing.T) {
+	mgr, cl, done := newTestServer(t, Config{})
+	defer done()
+	limit := -1
+	resp, body := cl.doJSON("POST", "/v1/sessions", CreateRequest{Spec: diffSpecs[0], TraceLimit: &limit}, nil)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trace_limit") {
+		t.Fatalf("create with trace_limit -1: status %d: %s", resp.StatusCode, body)
+	}
+	info := cl.create(diffSpecs[0])
+	cl.step(info.ID, 100)
+	resp, good := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	l := layoutOf(t, good)
+	l.traceLimit = -1
+	resp, body = cl.do("PUT", "/v1/sessions/negative", l.bytes(), "application/octet-stream")
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "trace limit -1") {
+		t.Fatalf("PUT of a snapshot with trace limit -1: status %d: %s", resp.StatusCode, body)
+	}
+	if n := mgr.LiveCount(); n != 1 {
+		t.Fatalf("%d sessions live, want 1", n)
+	}
+}
+
+// TestConcurrentPlaceOneWins: placements of one snapshot under one id
+// race; exactly one enters the session (201) and every other gets 409,
+// so an id is never resident twice.
+func TestConcurrentPlaceOneWins(t *testing.T) {
+	mgr, cl, done := newTestServer(t, Config{})
+	defer done()
+	info := cl.create(diffSpecs[0])
+	cl.step(info.ID, 300)
+	resp, good := cl.do("GET", "/v1/sessions/"+info.ID+"/snapshot", nil, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: status %d", resp.StatusCode)
+	}
+	const n = 6
+	codes := make([]int, n)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s, err := mgr.CreateFromSnapshot("raced", good)
+			switch {
+			case err == nil && s.ID == "raced":
+				codes[i] = http.StatusCreated
+			case errors.Is(err, ErrConflict):
+				codes[i] = http.StatusConflict
+			default:
+				t.Errorf("placement %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	won := 0
+	for _, c := range codes {
+		if c == http.StatusCreated {
+			won++
+		}
+	}
+	if won != 1 || mgr.LiveCount() != 2 {
+		t.Fatalf("%d placements won (codes %v), %d sessions live; want 1 and 2", won, codes, mgr.LiveCount())
+	}
 }

@@ -10,6 +10,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -83,10 +85,9 @@ type Config struct {
 	MaxQueuedSteps int
 	// ParkDir, when set, makes the idle-eviction janitor park a final
 	// snapshot of each session it evicts instead of discarding the
-	// state: the blob lands in this directory content-named by its
-	// FNV-1a checksum, next to a per-session metadata file, so a
-	// gateway (cmd/osmgate) can resurrect the session later on any
-	// worker.
+	// state: the snapshot goes into the chunk store rooted here, under
+	// the session id, so a gateway (cmd/osmgate) can resurrect the
+	// session later on any worker.
 	ParkDir string
 	// Build, if non-nil, replaces runner.New as the session
 	// constructor, at create and at every restore — the seam scale
@@ -132,10 +133,12 @@ type Session struct {
 	ID   string
 	Spec runner.Spec
 
-	// arch and traceLimit are fixed at create — immutable, so info,
-	// list and park read them without taking the simulator mutex.
+	// arch, traceLimit and specJSON (Spec's JSON form, which snapshots
+	// carry) are fixed at create — immutable, so info, list, snapshot
+	// and park read them without taking the simulator mutex.
 	arch       string
 	traceLimit int
+	specJSON   []byte
 
 	// mu guards inst and rec. Restore replaces both, so every read of
 	// either holds it.
@@ -194,22 +197,13 @@ type Info struct {
 	LastUsed      time.Time      `json:"last_used"`
 	Error         string         `json:"error,omitempty"`
 	Result        *runner.Result `json:"result,omitempty"`
-
-	// Spec and TraceLimit are reported on single-session info only
-	// (not list responses — Spec can carry a whole program image).
-	// They let a gateway that did not place this session re-derive
-	// its create body, so drain and rebalance survive gateway
-	// restarts.
-	Spec       *runner.Spec `json:"spec,omitempty"`
-	TraceLimit int          `json:"trace_limit,omitempty"`
 }
 
-// info snapshots the metadata mirror. withSpec additionally attaches
-// the full originating spec and trace limit.
-func (s *Session) info(withSpec bool) Info {
+// info snapshots the metadata mirror.
+func (s *Session) info() Info {
 	s.meta.Lock()
 	defer s.meta.Unlock()
-	inf := Info{
+	return Info{
 		ID:            s.ID,
 		State:         s.meta.state,
 		Target:        s.Spec.Target,
@@ -225,12 +219,6 @@ func (s *Session) info(withSpec bool) Info {
 		Error:         s.meta.errMsg,
 		Result:        s.meta.result,
 	}
-	if withSpec {
-		spec := s.Spec
-		inf.Spec = &spec
-		inf.TraceLimit = s.traceLimit
-	}
-	return inf
 }
 
 // Errors mapped to HTTP statuses by the handler layer.
@@ -453,11 +441,38 @@ func ValidSessionID(id string) bool {
 
 // CreateWithID admits and builds a new session. An empty id selects a
 // server-assigned one; a non-empty id is the caller's (the gateway
-// places sessions under globally-routable ids this way) and must be
-// valid and unused. The admission slot is reserved before the
-// (comparatively slow) simulator construction so concurrent creates
-// cannot overshoot MaxSessions.
+// places new sessions under globally routable ids this way) and must
+// be valid and unused.
 func (m *Manager) CreateWithID(id string, spec runner.Spec, traceLimit int) (*Session, error) {
+	return m.create(id, SessionSnapshot{Spec: spec, TraceLimit: traceLimit})
+}
+
+// CreateFromSnapshot places a session from a session snapshot under
+// id, all or nothing: it admits and builds the snapshot's spec as
+// create does, restores into the fresh model as Restore does, and
+// enters the session, paused, only once every section has restored.
+// A refused snapshot, or an id already resident, is an ErrConflict
+// that enters nothing. This is how the gateway migrates and
+// resurrects sessions.
+func (m *Manager) CreateFromSnapshot(id string, data []byte) (*Session, error) {
+	ss, err := DecodeSessionSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConflict, err)
+	}
+	s, err := m.create(id, ss)
+	if err == nil {
+		m.Metrics.SnapshotBytesIn.Add(uint64(len(data)))
+	}
+	return s, err
+}
+
+// create admits a session under id (empty: a server-assigned one),
+// builds it from ss — restoring ss's state when it is a decoded
+// snapshot — and enters it in the table only if that succeeds. The
+// admission slot is reserved before the (comparatively slow)
+// simulator construction so concurrent creates cannot overshoot
+// MaxSessions.
+func (m *Manager) create(id string, ss SessionSnapshot) (*Session, error) {
 	if id != "" && !ValidSessionID(id) {
 		return nil, fmt.Errorf("%w: invalid session id %q", ErrConflict, id)
 	}
@@ -466,11 +481,9 @@ func (m *Manager) CreateWithID(id string, spec runner.Spec, traceLimit int) (*Se
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if id != "" {
-		if _, dup := m.sessions[id]; dup {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("%w: session %s already exists", ErrConflict, id)
-		}
+	if _, dup := m.sessions[id]; dup {
+		m.mu.Unlock()
+		return nil, fmt.Errorf("%w: session %s already exists", ErrConflict, id)
 	}
 	if len(m.sessions)+m.reserved >= m.cfg.MaxSessions {
 		m.mu.Unlock()
@@ -484,43 +497,40 @@ func (m *Manager) CreateWithID(id string, spec runner.Spec, traceLimit int) (*Se
 	}
 	m.mu.Unlock()
 
-	release := func() {
+	inst, rec, err := m.build(ss, ss.TraceLimit)
+	if err != nil {
 		m.mu.Lock()
 		m.reserved--
 		m.mu.Unlock()
-	}
-
-	inst, err := m.cfg.Build(spec)
-	if err != nil {
-		release()
 		return nil, err
 	}
-	rec := osm.NewRecorder()
-	rec.Limit = traceLimit
-	inst.Director().Tracer = rec
-
-	s := &Session{ID: id, Spec: inst.Spec(), arch: inst.Arch(), traceLimit: traceLimit, inst: inst, rec: rec}
-	now := time.Now()
+	s := &Session{ID: id, Spec: inst.Spec(), arch: inst.Arch(), traceLimit: ss.TraceLimit, inst: inst, rec: rec}
+	s.specJSON, _ = json.Marshal(&s.Spec)
 	s.meta.state = StateCreated
-	s.meta.created = now
-	s.meta.lastUsed = now
+	s.meta.created = time.Now()
+	s.meta.lastUsed = s.meta.created
+	if ss.Tracer != nil {
+		s.syncMeta(StatePaused)
+	}
 
 	m.mu.Lock()
 	m.reserved--
-	if m.draining {
-		m.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if _, dup := m.sessions[id]; dup {
+	switch {
+	case m.draining:
+		err = ErrDraining
+	case m.sessions[id] != nil:
 		// Two concurrent creates raced on the same caller-supplied id
 		// and both reserved a slot; the loser backs out.
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: session %s already exists", ErrConflict, id)
+		err = fmt.Errorf("%w: session %s already exists", ErrConflict, id)
+	default:
+		m.sessions[id] = s
 	}
-	m.sessions[id] = s
 	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	m.Metrics.SessionsCreated.Add(1)
-	m.logf("session %s: created (%s %s)", id, spec.Target, spec.Workload)
+	m.logf("session %s: created at cycle %d (%s %s)", id, ss.Cycle, ss.Spec.Target, ss.Spec.Workload)
 	return s, nil
 }
 
@@ -555,7 +565,7 @@ func (m *Manager) List() []Info {
 	m.mu.Unlock()
 	infos := make([]Info, 0, len(ss))
 	for _, s := range ss {
-		infos = append(infos, s.info(false))
+		infos = append(infos, s.info())
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	return infos
@@ -638,9 +648,8 @@ func (s *Session) poison(err error) {
 // (an in-handler panic may have left the simulator inconsistent).
 func (s *Session) Poison(err error) { s.poison(err) }
 
-// Info returns the session's current summary, including the full
-// originating spec (single-session surface; lists omit it).
-func (m *Manager) Info(s *Session) Info { return s.info(true) }
+// Info returns the session's current summary.
+func (m *Manager) Info(s *Session) Info { return s.info() }
 
 // Registers returns the session's named architectural registers.
 func (m *Manager) Registers(s *Session) (uint64, []runner.Reg) {
@@ -684,19 +693,21 @@ func (s *Session) touch() {
 	s.meta.Unlock()
 }
 
-// The session-snapshot wire format: the internal/snap stream the
-// simulators produce, wrapped with a header binding it to the target
-// so a snapshot cannot be restored into a mismatched model, then a
-// flags byte and the session's Recorder state (whole-run trace
-// totals, checksum and retained window). A session migrated between
-// workers — or parked and resurrected — therefore keeps its full-run
-// trace checksum, not just the tail after the hop. This build reads
-// version 2 only, and only with the flags byte every writer sets
-// (sessFlagTracer): any other version or flags value gets an error
-// naming it, as do bytes after the recorder section.
+// The session-snapshot wire format: a header, then the session's
+// runner.Spec (JSON) and trace limit, the cycle, the internal/snap
+// stream the simulator produces, a flags byte and the session's
+// Recorder state (whole-run trace totals, checksum and retained
+// window). A snapshot is therefore the whole session: it names the
+// model it restores into, so it cannot be restored into another, and
+// a session placed from it on another worker — migrated, or parked
+// and resurrected — keeps its full-run trace checksum, not just the
+// tail after the hop. This build reads version 3 only, and only with
+// the flags byte every writer sets (sessFlagTracer): any other
+// version or flags value gets an error naming it, as do bytes after
+// the recorder section and spec fields this build does not have.
 const (
 	sessHeader     = "osmserve-session"
-	sessVersion    = 2
+	sessVersion    = 3
 	sessFlagTracer = 1 // recorder state present
 )
 
@@ -725,7 +736,8 @@ func (m *Manager) snapshotLocked(s *Session) ([]byte, uint64, error) {
 	w.U32(snap.Magic)
 	w.String(sessHeader)
 	w.Version(sessVersion)
-	w.String(s.Spec.Target)
+	w.Bytes32(s.specJSON)
+	w.Int(s.traceLimit)
 	w.U64(cycle)
 	w.Bytes32(blob)
 	w.U8(sessFlagTracer)
@@ -734,20 +746,22 @@ func (m *Manager) snapshotLocked(s *Session) ([]byte, uint64, error) {
 }
 
 // SessionSnapshot is the decoded form of the session-snapshot wire
-// format: the target-bound simulator blob plus the recorder state.
+// format: the session's spec and trace limit, the simulator blob and
+// the recorder state.
 type SessionSnapshot struct {
-	Target string
-	Cycle  uint64
-	Blob   []byte
+	Spec       runner.Spec
+	TraceLimit int
+	Cycle      uint64
+	Blob       []byte
 	// Tracer is a reader over the recorder state. Blob and Tracer
 	// alias the input data.
 	Tracer *snap.Reader
 }
 
 // DecodeSessionSnapshot parses the session-snapshot wire format
-// without touching any session — the shared decoder behind Restore
-// and offline consumers (osmstore's time-travel query replays parked
-// snapshots through it).
+// without touching any session — the shared decoder behind Restore,
+// CreateFromSnapshot and offline consumers (osmstore's time-travel
+// query replays parked snapshots through it).
 func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	var ss SessionSnapshot
 	r := snap.NewReader(data)
@@ -757,7 +771,8 @@ func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	if version := r.U16(); version != sessVersion {
 		return ss, fmt.Errorf("session snapshot version %d, this build reads %d", version, sessVersion)
 	}
-	ss.Target = r.String()
+	spec := r.Bytes32()
+	ss.TraceLimit = r.Int()
 	ss.Cycle = r.U64()
 	ss.Blob = r.Bytes32()
 	if flags := r.U8(); r.Err() == nil && flags != sessFlagTracer {
@@ -766,6 +781,17 @@ func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	ss.Tracer = r.Blob()
 	if err := r.Close("session snapshot"); err != nil {
 		return SessionSnapshot{}, err
+	}
+	if ss.TraceLimit < 0 {
+		return SessionSnapshot{}, fmt.Errorf("session snapshot trace limit %d", ss.TraceLimit)
+	}
+	dec := json.NewDecoder(bytes.NewReader(spec))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&ss.Spec); err != nil {
+		return SessionSnapshot{}, fmt.Errorf("session snapshot spec: %w", err)
+	}
+	if dec.InputOffset() != int64(len(spec)) {
+		return SessionSnapshot{}, errors.New("session snapshot spec: bytes after the JSON object")
 	}
 	return ss, nil
 }
@@ -778,34 +804,26 @@ func IsSessionSnapshot(data []byte) bool {
 }
 
 // Restore replaces the session's simulation state from an uploaded
-// snapshot. It fills a model freshly built from the session's spec,
-// and a fresh Recorder, from the snapshot, and swaps both into the
-// session only once every section has restored: any failure is an
-// ErrConflict that leaves the session exactly as it was. Direct
-// uploads, migration and park resurrection all come through here.
-// The session returns to the paused state (or effectively done,
-// discovered on the next step), keeping the originating session's
-// whole-run trace checksum.
+// snapshot of the same spec. It fills a model freshly built from the
+// spec, and a fresh Recorder, from the snapshot, and swaps both into
+// the session only once every section has restored: any failure,
+// including a snapshot of another spec, is an ErrConflict that leaves
+// the session exactly as it was. Direct uploads come through here,
+// and so does the gateway when a placement finds a copy of the
+// session already resident. The session returns to the paused state
+// (or effectively done, discovered on the next step), keeping the
+// originating session's whole-run trace checksum.
 func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	ss, err := DecodeSessionSnapshot(data)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
 	}
-	if ss.Target != s.Spec.Target {
-		return 0, fmt.Errorf("%w: snapshot is for target %s, session is %s", ErrConflict, ss.Target, s.Spec.Target)
+	if spec, _ := json.Marshal(&ss.Spec); !bytes.Equal(spec, s.specJSON) {
+		return 0, fmt.Errorf("%w: snapshot is of %.200s, session is %.200s", ErrConflict, spec, s.specJSON)
 	}
-	rec := osm.NewRecorder()
-	rec.Limit = s.traceLimit
-	if err := rec.LoadState(ss.Tracer); err != nil {
-		return 0, fmt.Errorf("%w: snapshot trace-recorder section: %v", ErrConflict, err)
-	}
-	inst, err := m.cfg.Build(s.Spec)
+	inst, rec, err := m.build(ss, s.traceLimit)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	inst.Director().Tracer = rec
-	if err := inst.Restore(ss.Blob); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrConflict, err)
+		return 0, err
 	}
 
 	s.mu.Lock()
@@ -827,6 +845,31 @@ func (m *Manager) Restore(s *Session, data []byte) (uint64, error) {
 	m.Metrics.SnapshotBytesIn.Add(uint64(len(data)))
 	m.logf("session %s: restored at cycle %d", s.ID, ss.Cycle)
 	return inst.Cycle(), nil
+}
+
+// build constructs ss's spec into a fresh model and a fresh Recorder
+// retaining traceLimit events and, when ss is a decoded snapshot
+// (Tracer set), fills both from it — the one construction behind
+// create, placement and Restore. Nothing else is touched, so a failed
+// restore (an ErrConflict) changes nothing.
+func (m *Manager) build(ss SessionSnapshot, traceLimit int) (*runner.Instance, *osm.Recorder, error) {
+	inst, err := m.cfg.Build(ss.Spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	rec := osm.NewRecorder()
+	rec.Limit = traceLimit
+	inst.Director().Tracer = rec
+	if ss.Tracer == nil {
+		return inst, rec, nil
+	}
+	if err := rec.LoadState(ss.Tracer); err != nil {
+		return nil, nil, fmt.Errorf("%w: snapshot trace-recorder section: %v", ErrConflict, err)
+	}
+	if err := inst.Restore(ss.Blob); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrConflict, err)
+	}
+	return inst, rec, nil
 }
 
 // AdminDrain stops admitting sessions and reports the ids still

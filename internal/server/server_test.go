@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/osm"
 	"repro/internal/runner"
-	"repro/internal/snap"
 )
 
 // ---- client helpers ----
@@ -263,25 +262,14 @@ func TestSnapshotRestoreAcrossServers(t *testing.T) {
 		doneA()
 
 		// In-process restore of the same wire bytes: the tail
-		// reference for the trace checksum.
-		rd := snap.NewReader(wrapped)
-		if rd.U32() != snap.Magic || rd.String() != sessHeader {
-			t.Fatalf("%s: snapshot is not in the session wire format", spec.Target)
+		// reference for the trace checksum. The snapshot names the
+		// session's spec and carries the trace recorder after the
+		// instance blob, so the whole-run checksum survives migration.
+		l := layoutOf(t, wrapped)
+		if l.target != spec.Target || l.cycle != cut || l.flags != sessFlagTracer {
+			t.Fatalf("%s: wire header names %s at cycle %d with flags %#x", spec.Target, l.spec, l.cycle, l.flags)
 		}
-		rd.Version(sessHeader, sessVersion)
-		if target := rd.String(); target != spec.Target {
-			t.Fatalf("%s: wire header names target %q", spec.Target, target)
-		}
-		rd.U64() // cycle
-		blob := rd.Bytes32()
-		if rd.Err() != nil {
-			t.Fatalf("%s: %v", spec.Target, rd.Err())
-		}
-		// A v2 snapshot carries the trace recorder after the instance
-		// blob, so the whole-run checksum survives migration.
-		if flags := rd.U8(); flags&sessFlagTracer == 0 || rd.Err() != nil {
-			t.Fatalf("%s: v2 snapshot without tracer section (flags %#x, err %v)", spec.Target, flags, rd.Err())
-		}
+		blob := l.blob
 		inst, err := runner.New(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -330,7 +318,7 @@ func TestSnapshotRestoreAcrossServers(t *testing.T) {
 			t.Fatalf("%s: restored reported %v, want %v", spec.Target, final.Result.Reported, ref.reported)
 		}
 		compareRegs(t, spec.Target+"/restored", ref.regs, clB.registers(infoB.ID))
-		// The v2 snapshot restored the recorder along with the machine
+		// The snapshot restored the recorder along with the machine
 		// state, so the whole-run checksum matches an uninterrupted run.
 		if got := clB.info(infoB.ID).TraceChecksum; got != ref.checksum {
 			t.Fatalf("%s: restored trace checksum %s, want %s", spec.Target, got, ref.checksum)
@@ -446,10 +434,10 @@ func TestLifecycleAndValidation(t *testing.T) {
 	cl.step(arm.ID, 10)
 }
 
-// Inputs this build no longer reads fail explicitly: a version-1
-// session snapshot gets the version error (409 over HTTP, and the
-// session stays usable), and a create body naming the removed "scan"
-// option gets 400.
+// Inputs this build no longer reads fail explicitly: version-1 and
+// version-2 session snapshots get the version error (409 over HTTP,
+// and the session stays usable), and a create body naming the removed
+// "scan" option gets 400.
 func TestRemovedInputsRejected(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()
@@ -459,31 +447,26 @@ func TestRemovedInputsRejected(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: status %d", resp.StatusCode)
 	}
-	ss, err := DecodeSessionSnapshot(wrapped)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The version-1 layout: header, target, cycle and simulator blob,
-	// with no flags byte and no recorder state.
-	w := snap.NewWriter()
-	w.U32(snap.Magic)
-	w.String(sessHeader)
-	w.Version(1)
-	w.String(ss.Target)
-	w.U64(ss.Cycle)
-	w.Bytes32(ss.Blob)
-	v1 := w.Bytes()
-	if _, err := DecodeSessionSnapshot(v1); err == nil || !strings.Contains(err.Error(), "session snapshot version 1") {
-		t.Fatalf("v1 decode: got %v, want the version error", err)
-	}
-	resp, data := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", v1, "application/octet-stream")
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "version 1") {
-		t.Fatalf("v1 restore: status %d: %s", resp.StatusCode, data)
+	// Version 1: header, target, cycle and simulator blob, with no
+	// flags byte and no recorder state. Version 2 adds those two but
+	// names only the target, not the spec.
+	for _, version := range []uint16{1, 2} {
+		old := layoutOf(t, wrapped)
+		old.version = version
+		data := old.bytes()
+		want := fmt.Sprintf("session snapshot version %d", version)
+		if _, err := DecodeSessionSnapshot(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d decode: got %v, want the version error", version, err)
+		}
+		resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", data, "application/octet-stream")
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), want) {
+			t.Fatalf("v%d restore: status %d: %s", version, resp.StatusCode, body)
+		}
 	}
 	cl.step(info.ID, 10)
 
 	body := []byte(`{"target":"strongarm","workload":"dsp/fir","n":20,"scan":true}`)
-	resp, data = cl.do("POST", "/v1/sessions", body, "application/json")
+	resp, data := cl.do("POST", "/v1/sessions", body, "application/json")
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "unknown field") {
 		t.Fatalf(`create with "scan": status %d: %s`, resp.StatusCode, data)
 	}
@@ -505,25 +488,14 @@ func TestRestoreRefusesUnreadableTrace(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot: status %d", resp.StatusCode)
 	}
-	ss, err := DecodeSessionSnapshot(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := snap.NewWriter()
-	w.U32(snap.Magic)
-	w.String(sessHeader)
-	w.Version(sessVersion)
-	w.String(ss.Target)
-	w.U64(ss.Cycle)
-	w.Bytes32(ss.Blob)
-	w.U8(sessFlagTracer)
-	w.Bytes32([]byte{0xde, 0xad, 0xbe, 0xef})
+	junk := layoutOf(t, good)
+	junk.tracer = []byte{0xde, 0xad, 0xbe, 0xef}
 
 	// Step past the snapshot, so a restore that went half-way would
 	// show in the cycle as well as in the trace.
 	cl.step(info.ID, 100)
 	before := cl.info(info.ID)
-	resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", w.Bytes(), "application/octet-stream")
+	resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", junk.bytes(), "application/octet-stream")
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "trace-recorder") {
 		t.Fatalf("restore with a junk trace section: status %d (%s), want 409 naming the section", resp.StatusCode, body)
 	}
@@ -621,8 +593,8 @@ func TestPanicIsolationPoisonsSession(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "broken") {
 		t.Fatalf("step on poisoned session: status %d: %s", resp.StatusCode, data)
 	}
-	if s.info(false).State != StateBroken {
-		t.Fatalf("session state %q, want broken", s.info(false).State)
+	if s.info().State != StateBroken {
+		t.Fatalf("session state %q, want broken", s.info().State)
 	}
 	// Other sessions are unaffected.
 	other := cl.create(runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 20})

@@ -29,7 +29,7 @@ type GCStats struct {
 
 // GC removes every chunk file no run index references — a
 // reference-counted sweep with the run indexes as the only roots —
-// and the temp files WriteAtomic strands when a writer crashes
+// and the temp files writeAtomic strands when a writer crashes
 // before its rename. This is what stops a long-lived worker's park
 // directory growing without bound.
 //
@@ -95,9 +95,9 @@ func (s *Store) GC(o GCOptions) (GCStats, error) {
 	return st, s.sweepTemp(recent, &st)
 }
 
-// sweepTemp removes stale WriteAtomic temp files from every directory
-// the store's writers use: the root (park metadata), runs/ and each
-// chunks/ shard.
+// sweepTemp removes stale writeAtomic temp files from runs/ and each
+// chunks/ shard, and from the root, where earlier park layouts wrote
+// metadata.
 func (s *Store) sweepTemp(recent func(string) bool, st *GCStats) error {
 	chunksDir := filepath.Join(s.root, chunksDirName)
 	dirs := []string{s.root, filepath.Join(s.root, runsDirName)}

@@ -11,10 +11,10 @@
 // chunk against its address, the reassembled blob against the
 // whole-blob hash recorded at Put time.
 //
-// The store root doubles as the server's ParkDir: the server's
-// park metadata files live beside the chunks/ and runs/
-// subdirectories. The store never reads them; only internal/server
-// knows the park format.
+// The store root doubles as the server's ParkDir: a parked session
+// is one run entry, its session snapshot under run = session id. The
+// store never decodes what it holds; only internal/server knows the
+// session-snapshot format.
 package store
 
 import (
@@ -142,7 +142,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 			continue // content-addressed: already stored
 		}
 		file := encodeChunk(raw, s.opts.NoCompress)
-		if err := WriteAtomic(path, file); err != nil {
+		if err := writeAtomic(path, file); err != nil {
 			return st, err
 		}
 		st.NewChunks++
@@ -165,7 +165,7 @@ func (s *Store) Put(run string, cycle uint64, blob []byte) (PutStats, error) {
 		copy(entries[i+1:], entries[i:])
 		entries[i] = e
 	}
-	return st, WriteAtomic(indexPath(s.root, run), encodeIndex(run, entries))
+	return st, writeAtomic(indexPath(s.root, run), encodeIndex(run, entries))
 }
 
 // get reassembles and verifies the blob for one index entry.
@@ -332,15 +332,15 @@ func walkChunks(root string, visit func(path string, size int64)) error {
 	return nil
 }
 
-// tempPrefix names WriteAtomic's temp files; GC sweeps stale ones.
+// tempPrefix names writeAtomic's temp files; GC sweeps stale ones.
 const tempPrefix = ".tmp-"
 
-// WriteAtomic writes data via a temp file and rename, so a crash
+// writeAtomic writes data via a temp file and rename, so a crash
 // leaves either the old content or the new — never a torn file. The
-// temp file sits beside path; one a crash strands there is swept by
-// GC once it is older than the grace window, provided path is in the
-// store root, runs/ or a chunks/ shard.
-func WriteAtomic(path string, data []byte) error {
+// temp file sits beside path, in runs/ or a chunks/ shard; one a
+// crash strands there is swept by GC once it is older than the grace
+// window.
+func writeAtomic(path string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

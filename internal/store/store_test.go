@@ -232,7 +232,7 @@ func TestGCGraceWindowSparesRecentFiles(t *testing.T) {
 	}
 }
 
-// A writer that dies between WriteAtomic's create and rename strands
+// A writer that dies between writeAtomic's create and rename strands
 // a temp file beside its target. GC must sweep such files in every
 // directory the store writes to once they are older than the grace
 // window, and count younger ones as spared.
