@@ -44,7 +44,7 @@ func run() int {
 		jobsFile  = flag.String("jobs", "", "JSON file with the job array")
 		mix       = flag.Bool("mix", false, "run the standard mixed ARM+PPC set over every workload")
 		n         = flag.Int("n", 0, "iteration count for -mix jobs (0 = per-workload default)")
-		scheduler = flag.String("scheduler", "", "execution engine for every job: event, scan, compiled or generated (default: each job's own, else event)")
+		scheduler = flag.String("scheduler", "", "execution engine for every job: generated, event, scan or compiled (default: each job's own, else generated)")
 		ckptDir   = flag.String("checkpoint-dir", "", "directory for per-job checkpoint files (enables resume)")
 		ckptEvery = flag.Uint64("checkpoint-every", 0, "cycles between checkpoints (0 = none)")
 		deadline  = flag.Duration("deadline", 0, "per-job wall-clock deadline (0 = none)")

@@ -10,7 +10,7 @@
 //	                         # internal/experiments/testdata/paper_tables.txt
 //	osmbench -speed arm      # OSM vs SimpleScalar-style speed (§5.1)
 //	osmbench -speed ppc      # OSM vs SystemC-style speed (§5.2)
-//	osmbench -speed ppc -engine generated   # one engine for -speed runs
+//	osmbench -speed ppc -engine event   # another engine for -speed runs
 //
 // Profiling the simulator hot path:
 //
@@ -39,7 +39,7 @@ func main() {
 func run() int {
 	var (
 		speed      = flag.String("speed", "", "measure simulation speed instead: arm or ppc")
-		engineName = flag.String("engine", "", "execution engine for the -speed OSM models: event | scan | compiled | generated")
+		engineName = flag.String("engine", "", "execution engine for the -speed OSM models: generated | event | scan | compiled (default generated)")
 		scale      = flag.Int("scale", experiments.DefaultScale, "workload iteration multiplier")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")

@@ -49,7 +49,9 @@ func main() {
 // generate builds the target's model and renders its generated edge
 // functions. The program the simulator is constructed with is
 // irrelevant: the lowered guard program depends only on the model's
-// structure, never on the workload.
+// structure, never on the workload. The model is built under the
+// event engine, the one construction that ignores a stale
+// edges_gen.go, so the file can always be regenerated.
 func generate(target string) ([]byte, error) {
 	w := workload.ByName("gsm/dec")
 	var prog *osm.GuardProgram
@@ -60,7 +62,7 @@ func generate(target string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := strongarm.New(p, strongarm.Config{})
+		s, err := strongarm.New(p, strongarm.Config{Engine: osm.EngineEvent})
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +74,7 @@ func generate(target string) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := ppc750.New(p, ppc750.Config{})
+		s, err := ppc750.New(p, ppc750.Config{Engine: osm.EngineEvent})
 		if err != nil {
 			return nil, err
 		}

@@ -36,7 +36,7 @@ var (
 	imagePath = flag.String("image", "", "program image to run")
 	maxCycles = flag.Uint64("cycles", 1_000_000_000, "cycle budget")
 	perfect   = flag.Bool("perfect", false, "disable caches and TLBs")
-	engine    = flag.String("engine", "", "execution engine on OSM targets: event | scan | compiled | generated")
+	engine    = flag.String("engine", "", "execution engine on OSM targets: generated | event | scan | compiled (default generated)")
 	trace     = flag.Bool("trace", false, "print every executed instruction")
 	jsonOut   = flag.Bool("json", false, "emit the result as JSON instead of text")
 	check     = flag.Bool("check", false, "verify OSM invariants (token conservation, bindings, scheduling, livelock) every control step")

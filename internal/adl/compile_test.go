@@ -66,17 +66,22 @@ func TestBuildCompilesPipeline(t *testing.T) {
 }
 
 // TestCompileDoesNotChangeEngine pins that compiling is inspection
-// only: the director keeps its engine until a caller selects another.
+// only: an elaborated model attaches no generated edge functions, so
+// its default engine is the event-driven interpreter, before and
+// after Compile, until a caller selects another.
 func TestCompileDoesNotChangeEngine(t *testing.T) {
 	model, err := Build(compilePipelineSrc, compilePipelineBindings())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if eng := model.Director.ActiveEngine(); eng != osm.EngineEvent {
+		t.Fatalf("an elaborated model serves %v, want event", eng)
+	}
 	if _, err := model.Director.Compile(); err != nil {
 		t.Fatal(err)
 	}
-	if model.Director.Engine != osm.EngineEvent {
-		t.Fatalf("Compile changed the engine to %v", model.Director.Engine)
+	if eng := model.Director.ActiveEngine(); eng != osm.EngineEvent {
+		t.Fatalf("Compile changed the engine to %v", eng)
 	}
 }
 

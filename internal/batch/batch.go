@@ -31,8 +31,9 @@ type Job struct {
 	Workload string `json:"workload"`
 	// N is the iteration count (0 = the workload's default).
 	N int `json:"n"`
-	// Engine selects the execution engine: "event" (default), "scan",
-	// "compiled" or "generated". Engines are trace-equivalent, so
+	// Engine selects the execution engine: "generated" (what the
+	// empty default runs), "event", "scan" or "compiled" (see
+	// runner.Spec.Engine). Engines are trace-equivalent, so
 	// checkpoints resume across engine changes (the field is not part
 	// of the job identity).
 	Engine string `json:"engine,omitempty"`

@@ -229,11 +229,12 @@ func TestCheckpointResumeGenerated(t *testing.T) {
 // four engines (compiled guard programs and generated-function
 // resolutions are derived from the model, never serialized), at all
 // three cut points, and the resumed run reproduces the uninterrupted
-// reference trace's tail exactly.
+// reference trace's tail exactly. The reference runs the interpreter.
 func TestCheckpointCrossEngine(t *testing.T) {
 	for _, fx := range ckptWorkloadFixtures(t) {
 		t.Run(fx.label, func(t *testing.T) {
 			ref := fx.build(t)
+			ref.Director().Engine = osm.EngineEvent
 			refRec := osm.NewRecorder()
 			ref.Director().Tracer = refRec
 			runToEnd(t, ref, ckptLimit)

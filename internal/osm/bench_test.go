@@ -4,10 +4,11 @@ import "testing"
 
 // Micro-benchmarks of the scheduling core, for tracking the cost of
 // the director machinery itself (the efficiency discussion in
-// EXPERIMENTS.md). Each model is benchmarked under the default
-// event-driven scheduler and under the reference Figure 3 scan
-// (Engine = EngineScan), so the scheduling overhead of each shows up
-// side by side.
+// EXPERIMENTS.md). Each model is benchmarked under the default engine,
+// which resolves to the event-driven scheduler because these models
+// attach no generated edge functions, and under the reference Figure 3
+// scan (Engine = EngineScan), so the scheduling overhead of each shows
+// up side by side.
 
 // benchPipeline builds a saturated 5-stage ring: 6 machines, ~6
 // transitions per step. Saturation is the event scheduler's worst
@@ -76,8 +77,9 @@ func BenchmarkDirectorStepPipelineScan(b *testing.B) {
 }
 
 // BenchmarkDirectorStepEventDriven is the explicit-name alias for the
-// default scheduler on the saturated ring, for benchstat runs that
-// compare the two schedulers by name.
+// default engine on the saturated ring (event, as nothing is
+// attached), for benchstat runs that compare the two schedulers by
+// name.
 func BenchmarkDirectorStepEventDriven(b *testing.B) {
 	d := benchPipeline()
 	d.Engine = EngineEvent

@@ -15,19 +15,21 @@ func TestParseEngine(t *testing.T) {
 		want Engine
 		ok   bool
 	}{
-		{"", EngineEvent, true},
+		{"", EngineDefault, true},
 		{"event", EngineEvent, true},
 		{"scan", EngineScan, true},
 		{"compiled", EngineCompiled, true},
-		{"Compiled", EngineEvent, false},
-		{"jit", EngineEvent, false},
+		{"generated", EngineGenerated, true},
+		{"default", EngineDefault, false},
+		{"Compiled", EngineDefault, false},
+		{"jit", EngineDefault, false},
 	} {
 		got, err := ParseEngine(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
 		}
 	}
-	for _, e := range []Engine{EngineEvent, EngineScan, EngineCompiled} {
+	for _, e := range []Engine{EngineEvent, EngineScan, EngineCompiled, EngineGenerated} {
 		back, err := ParseEngine(e.String())
 		if err != nil || back != e {
 			t.Errorf("ParseEngine(%v.String()) = %v, %v; want identity", e, back, err)

@@ -75,15 +75,18 @@ type Director struct {
 	// pipeline); the director aborts with ErrDeadlock when one is
 	// found.
 	CheckDeadlock bool
-	// Engine selects the execution engine (see the Engine type).
-	// EngineScan is the reference scheduler, which re-ranks and
-	// re-evaluates every machine each control step exactly as written
-	// in the paper's Figure 3. The default, EngineEvent
-	// (director_event.go), produces the identical transition schedule
-	// — the differential tests in internal/experiments check this
-	// trace-for-trace — while skipping machines whose blocking
-	// resources did not change. EngineCompiled compiles the model
-	// lazily on the first step; a compile error aborts that Step. The
+	// Engine selects the execution engine (see the Engine type). The
+	// zero value, EngineDefault, serves through the generated edge
+	// functions when they are attached (AttachGenerated) and through
+	// the event-driven interpreter otherwise. EngineScan is the
+	// reference scheduler, which re-ranks and re-evaluates every
+	// machine each control step exactly as written in the paper's
+	// Figure 3. EngineEvent (director_event.go) produces the identical
+	// transition schedule — the differential tests in
+	// internal/experiments check this trace-for-trace — while skipping
+	// machines whose blocking resources did not change. The compiled
+	// and generated engines lower the model on the first step (Lower
+	// does so earlier); a lowering error aborts that Step. The
 	// event-driven engines require the default age-based ranking, so
 	// installing a custom Rank forces EngineScan. Choose the engine
 	// before the first Step.
@@ -107,7 +110,7 @@ type Director struct {
 	// machines' memo tables sized; reset by AddMachine.
 	primInit bool
 	// comp is the model's lowered form (compiled.go), built lazily
-	// when Engine is EngineCompiled or EngineGenerated; invalidated by
+	// when the active engine is compiled or generated; invalidated by
 	// AddMachine and AddManager. It is derived from the model and is
 	// never serialized: Snapshot ignores it and Restore keeps it.
 	comp *GuardProgram
@@ -159,11 +162,11 @@ func (d *Director) StepCount() uint64 { return d.step }
 // wait is detected.
 //
 // Two scheduler implementations produce this schedule: the reference
-// scan (Figure 3 verbatim) and the default event-driven scheduler,
-// which skips machines whose blocking resources did not change. See
-// the Engine field.
+// scan (Figure 3 verbatim) and the event-driven scheduler every other
+// engine runs, which skips machines whose blocking resources did not
+// change. See the Engine field.
 func (d *Director) Step() error {
-	if d.engine() == EngineScan {
+	if d.ActiveEngine() == EngineScan {
 		return d.stepScan()
 	}
 	return d.stepEvent()
@@ -264,7 +267,7 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	m.blocked = m.blocked[:0] // keep only this pass's failures
 	m.sched.untracked = false
 	var cs *compState
-	if eng := d.engine(); eng == EngineCompiled || eng == EngineGenerated {
+	if eng := d.ActiveEngine(); eng == EngineCompiled || eng == EngineGenerated {
 		cs = d.comp.stateOf(m.cur)
 	}
 	for i, e := range m.cur.Out {
@@ -273,7 +276,9 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 		var err error
 		if cs == nil {
 			ok, err = m.tryEdge(e)
-		} else if ce := &cs.edges[i]; d.Engine == EngineGenerated {
+		} else if ce := &cs.edges[i]; d.Engine != EngineCompiled {
+			// cs is set only under the compiled and generated
+			// engines, and only EngineCompiled resolves to the former.
 			ok, err = ce.fn(m, e)
 		} else {
 			ok, err = m.tryEdgeCompiled(ce)
@@ -370,9 +375,9 @@ func (d *Director) stepScan() error {
 }
 
 // EventDriven reports whether an event-driven scheduler serves the
-// director's steps — the default engine and the compiled engine both
-// do (see Engine; a custom Rank forces the scan).
-func (d *Director) EventDriven() bool { return d.engine() != EngineScan }
+// director's steps — every engine but the scan does (see Engine; a
+// custom Rank forces the scan).
+func (d *Director) EventDriven() bool { return d.ActiveEngine() != EngineScan }
 
 // WillEvaluate reports whether machine m is queued for evaluation at
 // the next control step. Under the scan scheduler every machine is

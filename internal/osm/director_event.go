@@ -147,19 +147,10 @@ func (d *Director) initEvent() {
 // only in how serveMachine tries an edge; the fast engines lower the
 // model on their first step.
 func (d *Director) stepEvent() error {
-	var err error
-	switch d.Engine {
-	case EngineCompiled:
-		if d.comp == nil {
-			_, err = d.Compile()
+	if !d.Lowered() {
+		if err := d.Lower(); err != nil {
+			return err
 		}
-	case EngineGenerated:
-		if d.comp == nil || !d.comp.bound {
-			_, err = d.Generated()
-		}
-	}
-	if err != nil {
-		return err
 	}
 	ev := &d.ev
 	if !ev.init {

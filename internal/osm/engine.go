@@ -10,10 +10,15 @@ import "fmt"
 // They differ only in how a control step picks the machines to serve
 // and how one edge is tried:
 //
-//   - EngineEvent (the default) is the event-driven scheduler of
-//     director_event.go: machines sleep on the managers that refused
-//     them and only woken machines are re-evaluated. Edges are tried
-//     by the interpreter, Machine.tryEdge.
+//   - EngineDefault, the zero Engine, lets the model choose: the
+//     director resolves it to EngineGenerated when generated edge
+//     functions are attached (the case studies attach theirs at
+//     construction) and to EngineEvent otherwise (ADL and example
+//     models). See Director.ActiveEngine.
+//   - EngineEvent is the event-driven scheduler of director_event.go:
+//     machines sleep on the managers that refused them and only woken
+//     machines are re-evaluated. Edges are tried by the interpreter,
+//     Machine.tryEdge.
 //   - EngineScan is the reference scheduler, the paper's Figure 3
 //     executed verbatim over the full machine population every step,
 //     with the same interpreter.
@@ -33,8 +38,11 @@ import "fmt"
 type Engine uint8
 
 const (
-	// EngineEvent is the event-driven scheduler (the default).
-	EngineEvent Engine = iota
+	// EngineDefault resolves to EngineGenerated when generated edge
+	// functions are attached and to EngineEvent otherwise.
+	EngineDefault Engine = iota
+	// EngineEvent is the event-driven scheduler with the interpreter.
+	EngineEvent
 	// EngineScan is the reference Figure 3 scan scheduler.
 	EngineScan
 	// EngineCompiled executes compiled guard programs under
@@ -46,9 +54,12 @@ const (
 )
 
 // String returns the engine's canonical spelling, as accepted by
-// ParseEngine.
+// ParseEngine. EngineDefault, which ParseEngine spells as the empty
+// string, prints as "default".
 func (e Engine) String() string {
 	switch e {
+	case EngineDefault:
+		return "default"
 	case EngineEvent:
 		return "event"
 	case EngineScan:
@@ -61,11 +72,13 @@ func (e Engine) String() string {
 	return fmt.Sprintf("engine(%d)", uint8(e))
 }
 
-// ParseEngine parses an engine name. The empty string selects the
-// default event-driven engine, matching the zero value of Engine.
+// ParseEngine parses an engine name. The empty string selects
+// EngineDefault, the zero value of Engine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "event":
+	case "":
+		return EngineDefault, nil
+	case "event":
 		return EngineEvent, nil
 	case "scan":
 		return EngineScan, nil
@@ -74,15 +87,51 @@ func ParseEngine(s string) (Engine, error) {
 	case "generated":
 		return EngineGenerated, nil
 	}
-	return EngineEvent, fmt.Errorf("osm: unknown engine %q (want scan, event, compiled or generated)", s)
+	return EngineDefault, fmt.Errorf("osm: unknown engine %q (want scan, event, compiled or generated)", s)
 }
 
-// engine resolves the effective engine for the next step: a custom
-// Rank forces the reference scan (the event-driven schedulers require
-// age-based ranking), otherwise the Engine field decides.
-func (d *Director) engine() Engine {
+// ActiveEngine returns the engine the next Step runs. A custom Rank
+// forces the reference scan (the event-driven schedulers require
+// age-based ranking); EngineDefault resolves to EngineGenerated when
+// generated edge functions are attached and to EngineEvent otherwise;
+// any other Engine runs as set.
+func (d *Director) ActiveEngine() Engine {
 	if d.Rank != nil {
 		return EngineScan
 	}
+	if d.Engine == EngineDefault {
+		if d.genFns != nil {
+			return EngineGenerated
+		}
+		return EngineEvent
+	}
 	return d.Engine
+}
+
+// Lowered reports whether the program the active engine runs from is
+// built, so the next Step lowers nothing: the guard program under
+// EngineCompiled, the program with the attached functions bound under
+// EngineGenerated. The interpreted engines run from the model itself.
+func (d *Director) Lowered() bool {
+	switch d.ActiveEngine() {
+	case EngineCompiled:
+		return d.comp != nil
+	case EngineGenerated:
+		return d.comp != nil && d.comp.bound
+	}
+	return true
+}
+
+// Lower builds the program the active engine runs from, if it is not
+// built yet. Step lowers on demand; a constructor calls Lower to
+// surface a lowering or binding error before the first step.
+func (d *Director) Lower() error {
+	var err error
+	switch d.ActiveEngine() {
+	case EngineCompiled:
+		_, err = d.Compile()
+	case EngineGenerated:
+		_, err = d.Generated()
+	}
+	return err
 }

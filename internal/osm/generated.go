@@ -46,21 +46,20 @@ type EdgeFn func(m *Machine, e *Edge) (bool, error)
 // rejects models where it does not.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
-// AttachGenerated installs generated edge functions, keyed by
-// GenKey(state, edge), and checks them against the current model.
-// Every edge reachable from a registered machine's initial state must
-// have an entry with a non-nil function; entries for edges not in
-// the graph (a model variant compiled out, say) are allowed and
-// ignored. Attaching builds nothing: the generated engine binds the
-// functions into the guard program on its first step (Generated). The
+// AttachGenerated checks generated edge functions, keyed by
+// GenKey(state, edge), against the current model and installs them
+// when they cover it. Every edge reachable from a registered machine's
+// initial state must have an entry with a non-nil function; entries
+// for edges not in the graph (a model variant compiled out, say) are
+// allowed and ignored. A map that fails the check is not installed,
+// so the director keeps the engine it resolved before (an attachment
+// makes the generated engine the default, see ActiveEngine).
+// Attaching builds nothing: the generated engine binds the functions
+// into the guard program on its first step (Generated). The
 // attachment survives model growth: AddMachine and AddManager
 // invalidate the program, which is rebuilt and rebound from the same
 // function map on the next use.
 func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
-	d.genFns = fns
-	if d.comp != nil {
-		d.comp.bound = false
-	}
 	bound := make(map[string]*Edge, len(fns))
 	walked := make(map[*State]bool, 1)
 	for _, m := range d.machines {
@@ -79,15 +78,19 @@ func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
 			}
 		}
 	}
+	d.genFns = fns
+	if d.comp != nil {
+		d.comp.bound = false
+	}
 	return nil
 }
 
 // Generated returns the guard program Compile returns, with the
 // attached generated functions bound into its edges, compiling and
 // binding on first use. It errors when no function set is attached or
-// the attachment does not cover the model. Setting Engine to
-// EngineGenerated binds implicitly on the first Step; calling
-// Generated directly surfaces binding errors early.
+// the attachment does not cover the model. The generated engine binds
+// implicitly on the first Step; calling Generated (or Lower) directly
+// surfaces binding errors early.
 func (d *Director) Generated() (*GuardProgram, error) {
 	if d.genFns == nil {
 		return nil, fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")

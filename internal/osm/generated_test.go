@@ -211,6 +211,85 @@ func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
 	}
 }
 
+// TestDefaultEngineResolution pins what the zero Engine serves: the
+// generated engine once a function map is attached, the event-driven
+// interpreter on a bare director; a named engine and a custom Rank
+// override the attachment. Lower binds the generated program ahead of
+// the first step, and the steps then run the attached functions.
+func TestDefaultEngineResolution(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine Engine
+		attach bool
+		rank   bool
+		want   Engine
+	}{
+		{"bare", EngineDefault, false, false, EngineEvent},
+		{"attached", EngineDefault, true, false, EngineGenerated},
+		{"event", EngineEvent, true, false, EngineEvent},
+		{"scan", EngineScan, true, false, EngineScan},
+		{"rank", EngineDefault, true, true, EngineScan},
+	} {
+		tries := 0
+		d, fns := genPipeline(&tries)
+		d.Engine = tc.engine
+		if tc.attach {
+			if err := d.AttachGenerated(fns); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.rank {
+			d.Rank = AgeRank
+		}
+		if got := d.ActiveEngine(); got != tc.want {
+			t.Fatalf("%s: ActiveEngine() = %v, want %v", tc.name, got, tc.want)
+		}
+		if err := d.Lower(); err != nil {
+			t.Fatalf("%s: Lower: %v", tc.name, err)
+		}
+		if !d.Lowered() {
+			t.Fatalf("%s: not lowered after Lower", tc.name)
+		}
+		if gen := tc.want == EngineGenerated; (d.comp != nil && d.comp.bound) != gen {
+			t.Fatalf("%s: program bound = %v, want %v", tc.name, d.comp != nil && d.comp.bound, gen)
+		}
+		for i := 0; i < 20; i++ {
+			if err := d.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ran := tries > 0; ran != (tc.want == EngineGenerated) {
+			t.Errorf("%s: generated functions ran %d times under %v", tc.name, tries, tc.want)
+		}
+	}
+}
+
+// TestFailedAttachKeepsEvent pins that a map which does not cover the
+// model is not installed: the director still serves the interpreter
+// under the default engine, and Generated reports no attachment.
+func TestFailedAttachKeepsEvent(t *testing.T) {
+	tries := 0
+	d, fns := genPipeline(&tries)
+	delete(fns, GenKey("S5", "out"))
+	if err := d.AttachGenerated(fns); err == nil {
+		t.Fatal("AttachGenerated accepted a map with a missing key")
+	}
+	if eng := d.ActiveEngine(); eng != EngineEvent {
+		t.Fatalf("after a failed attach the director serves %v, want event", eng)
+	}
+	if _, err := d.Generated(); err == nil || !strings.Contains(err.Error(), "no edge functions attached") {
+		t.Fatalf("Generated() = %v, want the no-edge-functions error", err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tries != 0 || d.comp != nil {
+		t.Fatalf("a failed attach ran generated functions (%d tries) or lowered the model", tries)
+	}
+}
+
 // TestAttachGeneratedErrors exercises the resolution failure modes:
 // no attachment, a missing key, an entry with a nil function, and two
 // distinct edges sharing a key.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/loader"
+	"repro/internal/osm"
 )
 
 func TestValidate(t *testing.T) {
@@ -74,6 +75,36 @@ func TestRunMatchesInstance(t *testing.T) {
 		for i := range got.Reported {
 			if got.Reported[i] != res.Reported[i] {
 				t.Fatalf("%s: reported mismatch: %v vs %v", target, got.Reported, res.Reported)
+			}
+		}
+	}
+}
+
+// TestNewEngineResolution pins the engine runner.New builds for each
+// case study: the empty default serves the generated edge functions
+// with the program lowered and bound at construction, like an explicit
+// "generated", and "event" still selects the interpreter.
+func TestNewEngineResolution(t *testing.T) {
+	for _, target := range []string{"strongarm", "ppc750"} {
+		for _, tc := range []struct {
+			engine string
+			want   osm.Engine
+		}{
+			{"", osm.EngineGenerated},
+			{"generated", osm.EngineGenerated},
+			{"event", osm.EngineEvent},
+			{"scan", osm.EngineScan},
+		} {
+			in, err := New(Spec{Target: target, Workload: "dsp/fir", N: 10, Engine: tc.engine})
+			if err != nil {
+				t.Fatalf("%s/%q: %v", target, tc.engine, err)
+			}
+			d := in.Director()
+			if got := d.ActiveEngine(); got != tc.want {
+				t.Errorf("%s/%q: serves %v, want %v", target, tc.engine, got, tc.want)
+			}
+			if !d.Lowered() {
+				t.Errorf("%s/%q: %v program not lowered at construction", target, tc.engine, tc.want)
 			}
 		}
 	}

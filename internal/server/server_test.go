@@ -854,18 +854,18 @@ osmserve_step_latency_seconds_count 3
 `
 
 // TestEngineSelectionOverHTTP pins the wire-level engine field: a raw
-// session-create body with "engine": "compiled" or "engine":
+// session-create body with "engine": "event", "compiled" or
 // "generated" must run under that engine and remain indistinguishable
-// from the default event-driven session — same cycle count and
-// whole-run trace checksum — and an unknown engine must be rejected at
-// creation.
+// from the default session (the generated engine on both case
+// studies) — same cycle count and whole-run trace checksum — and an
+// unknown engine must be rejected at creation.
 func TestEngineSelectionOverHTTP(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()
 	for _, spec := range diffSpecs {
 		ref := cl.create(spec)
 		refFinal := cl.stepToDone(ref.ID, 10_000)
-		for _, engine := range []string{"compiled", "generated"} {
+		for _, engine := range []string{"event", "compiled", "generated"} {
 			body := fmt.Sprintf(`{"target":%q,"workload":%q,"n":%d,"engine":%q}`,
 				spec.Target, spec.Workload, spec.N, engine)
 			resp, data := cl.do("POST", "/v1/sessions", []byte(body), "application/json")
@@ -878,10 +878,10 @@ func TestEngineSelectionOverHTTP(t *testing.T) {
 			}
 			final := cl.stepToDone(info.ID, 10_000)
 			if final.Cycle != refFinal.Cycle {
-				t.Fatalf("%s: %s run took %d cycles, event run %d", spec.Target, engine, final.Cycle, refFinal.Cycle)
+				t.Fatalf("%s: %s run took %d cycles, default run %d", spec.Target, engine, final.Cycle, refFinal.Cycle)
 			}
 			if a, b := cl.info(info.ID).TraceChecksum, cl.info(ref.ID).TraceChecksum; a != b {
-				t.Fatalf("%s: %s trace checksum %s, event %s", spec.Target, engine, a, b)
+				t.Fatalf("%s: %s trace checksum %s, default %s", spec.Target, engine, a, b)
 			}
 		}
 	}

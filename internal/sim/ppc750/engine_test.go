@@ -1,6 +1,7 @@
 package ppc750
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/osm"
@@ -89,12 +90,13 @@ func TestGeneratedEngineNoReservationStations(t *testing.T) {
 
 // TestEngineCycleAgreement pins the engines' timing equivalence at the
 // simulator level: the same kernel takes exactly the same number of
-// cycles under the scan, event, compiled and generated engines.
+// cycles under the scan, event, compiled and generated engines and
+// under the default, which resolves to generated.
 func TestEngineCycleAgreement(t *testing.T) {
 	w := workload.ByName("g721/dec")
 	n := w.DefaultN / 5
 	cycles := map[osm.Engine]uint64{}
-	engines := []osm.Engine{osm.EngineScan, osm.EngineEvent, osm.EngineCompiled, osm.EngineGenerated}
+	engines := []osm.Engine{osm.EngineScan, osm.EngineEvent, osm.EngineCompiled, osm.EngineGenerated, osm.EngineDefault}
 	for _, eng := range engines {
 		p, err := w.PPCProgram(n)
 		if err != nil {
@@ -114,5 +116,53 @@ func TestEngineCycleAgreement(t *testing.T) {
 		if cycles[eng] != cycles[osm.EngineScan] {
 			t.Fatalf("engines disagree on cycle count: %v", cycles)
 		}
+	}
+}
+
+// TestStaleGeneratedEdgesFailLoudly pins the default engine and what a
+// stale edges_gen.go does to it. The zero Config serves the generated
+// edge functions. A function map that no longer covers the model fails
+// New, naming go generate, whenever the generated engine would serve,
+// by default or by name. An explicitly named interpreter, the
+// construction cmd/osmgen uses to regenerate the file, still builds
+// and runs the kernel correctly.
+func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
+	w := workload.ByName("g721/dec")
+	n := w.DefaultN / 10
+	p, err := w.PPCProgram(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eng := s.Director().ActiveEngine(); eng != osm.EngineGenerated {
+		t.Fatalf("the zero Config serves %v, want generated", eng)
+	}
+
+	defer func(f func(*Sim) map[string]osm.EdgeFn) { edgeFns = f }(edgeFns)
+	edgeFns = func(s *Sim) map[string]osm.EdgeFn {
+		fns := s.genEdges()
+		delete(fns, osm.GenKey("C", "complete"))
+		return fns
+	}
+	for _, eng := range []osm.Engine{osm.EngineDefault, osm.EngineGenerated} {
+		if _, err := New(p, Config{Engine: eng}); err == nil || !strings.Contains(err.Error(), "go generate") {
+			t.Errorf("%v: New with a stale function map = %v, want an error naming go generate", eng, err)
+		}
+	}
+	s, err = New(p, Config{Engine: osm.EngineEvent})
+	if err != nil {
+		t.Fatalf("event: New with a stale function map: %v", err)
+	}
+	if eng := s.Director().ActiveEngine(); eng != osm.EngineEvent {
+		t.Fatalf("event: serves %v", eng)
+	}
+	if _, err := s.Run(1_000_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.ISS.Reported) != 1 || s.ISS.Reported[0] != w.Ref(n) {
+		t.Errorf("checksum %v, want %#x", s.ISS.Reported, w.Ref(n))
 	}
 }

@@ -30,10 +30,11 @@ type Config struct {
 	// FixedMul charges every multiply the worst-case latency instead
 	// of SA-110-style early termination (an ablation knob).
 	FixedMul bool
-	// Engine selects the director's execution engine (event-driven
-	// interpreter by default, reference scan, compiled guard programs,
-	// or generated Go edge functions). All four are trace-equivalent;
-	// see DESIGN.md §12-13.
+	// Engine selects the director's execution engine. The zero value
+	// runs the generated edge functions of edges_gen.go; the others
+	// are the event-driven interpreter, the reference scan and
+	// compiled guard programs. All four are trace-equivalent; see
+	// DESIGN.md §12-13.
 	Engine osm.Engine
 }
 
@@ -231,16 +232,15 @@ func (s *Sim) buildModel(cfg Config) error {
 		return err
 	}
 
-	// The generated engine's edge functions (edges_gen.go, emitted by
-	// cmd/osmgen) attach unconditionally: an attachment is derived
-	// state the other engines simply ignore, and it keeps a snapshot
-	// taken under any engine restorable into a generated-engine
-	// director. A resolution error (the generated file drifted from
-	// the model) is fatal only when the generated engine was actually
-	// requested; otherwise it resurfaces on the first Step if the
-	// engine is ever switched.
-	if err := d.AttachGenerated(s.genEdges()); err != nil && cfg.Engine == osm.EngineGenerated {
-		return err
+	// The generated edge functions (edges_gen.go, emitted by
+	// cmd/osmgen) attach under every engine and make the generated
+	// engine the default. A resolution error means the file drifted
+	// from the model: it fails construction whenever the generated
+	// engine would serve, and only an explicitly named other engine
+	// (cmd/osmgen's) builds without it.
+	if err := d.AttachGenerated(edgeFns(s)); err != nil &&
+		(cfg.Engine == osm.EngineDefault || cfg.Engine == osm.EngineGenerated) {
+		return fmt.Errorf("strongarm: edges_gen.go is stale, run go generate ./internal/sim/strongarm: %w", err)
 	}
 	return nil
 }
