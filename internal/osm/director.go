@@ -262,6 +262,12 @@ func assignPrimSlots(initial *State) int {
 // On failure it leaves the failed primitives of the final pass in
 // m.blocked and records in m.sched.untracked whether any edge failed
 // outside the token protocol (a When predicate).
+//
+// An edge m's Route excludes (Edge.Routes) is skipped before it is
+// tried: it is neither a try nor an untracked failure, because the
+// route cannot change until m transitions. A machine that fails only
+// by route and at token-protocol primitives therefore sleeps on the
+// refusing managers.
 func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	wasInitial := m.InInitial()
 	m.blocked = m.blocked[:0] // keep only this pass's failures
@@ -270,7 +276,11 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	if eng := d.ActiveEngine(); eng == EngineCompiled || eng == EngineGenerated {
 		cs = d.comp.stateOf(m.cur)
 	}
+	route := m.Route
 	for i, e := range m.cur.Out {
+		if e.excludes(route) {
+			continue
+		}
 		before := len(m.blocked)
 		var ok bool
 		var err error

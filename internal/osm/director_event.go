@@ -241,7 +241,8 @@ func (d *Director) stepEvent() error {
 				d.toReady(m)
 			}
 		default:
-			// No outgoing edge exists; nothing can ever fire.
+			// No outgoing edge exists, or the machine's route
+			// excludes every one; nothing can ever fire.
 			m.sched.asleep = true
 		}
 		// Wakes observed during a failed evaluation are side-effect

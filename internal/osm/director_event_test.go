@@ -8,8 +8,10 @@ import (
 // diffModel is a small but adversarial model for scheduler
 // equivalence: a three-stage ring with a When-gated injector
 // (untracked failures), a shared pool, busy windows (time-based
-// wakes), and externally driven squashes (reset edges with
-// machine-wide discards).
+// wakes), externally driven squashes (reset edges with machine-wide
+// discards) and op-static routes: the injector routes every third
+// operation past the uB stage, straight to the pool (edges skipped
+// by route are neither tries nor untracked failures).
 type diffModel struct {
 	d      *Director
 	uA, uB *UnitManager
@@ -30,15 +32,32 @@ func buildDiffModel(machines, total int) *diffModel {
 	I := NewState("I")
 	A := NewState("A")
 	B := NewState("B")
+	C := NewState("C")
 
+	const viaB, viaPool = 1, 2
 	issue := I.Connect("issue", A, Alloc(md.uA, 0))
 	issue.When = func(m *Machine) bool { return md.issued < md.total }
-	issue.Action = func(m *Machine) { md.issued++ }
+	issue.Action = func(m *Machine) {
+		md.issued++
+		m.Route = viaB
+		if md.issued%3 == 0 {
+			m.Route = viaPool
+		}
+	}
+
+	// The pool path outranks the uB path, so a machine routed through
+	// uB skips an edge whose guard it could otherwise satisfy.
+	ac := A.Connect("ac", C,
+		Release(md.uA, 0),
+		Alloc(md.pool, AnyUnit))
+	ac.Routes = viaPool
+	C.Connect("done-c", I, ReleaseF(md.pool, func(m *Machine) TokenID { return AnyUnit }))
 
 	ab := A.Connect("ab", B,
 		Release(md.uA, 0),
 		Alloc(md.uB, AnyUnit),
 		Alloc(md.pool, AnyUnit))
+	ab.Routes = viaB
 	ab.Action = func(m *Machine) {
 		if t, ok := m.HeldToken(md.uB, AnyUnit); ok {
 			// A deterministic, machine-dependent busy window exercises
@@ -53,6 +72,7 @@ func buildDiffModel(machines, total int) *diffModel {
 
 	ResetEdge(A, I, md.reset)
 	ResetEdge(B, I, md.reset)
+	ResetEdge(C, I, md.reset)
 
 	d := NewDirector()
 	d.AddManager(md.uA, md.uB, md.pool, md.reset)
@@ -113,6 +133,13 @@ func TestEventSchedulerMatchesScan(t *testing.T) {
 			want := runDiffModel(t, EngineScan, tc.noRestart, tc.policy, 400)
 			if len(want) == 0 {
 				t.Fatal("reference run produced no transitions")
+			}
+			taken := map[string]int{}
+			for _, ev := range want {
+				taken[ev.Edge]++
+			}
+			if taken["ab"] == 0 || taken["ac"] == 0 {
+				t.Fatalf("both routes must be taken: ab %d, ac %d", taken["ab"], taken["ac"])
 			}
 			for _, eng := range []Engine{EngineEvent, EngineCompiled} {
 				got := runDiffModel(t, eng, tc.noRestart, tc.policy, 400)
@@ -288,6 +315,87 @@ func TestDirectorWake(t *testing.T) {
 		step(1)
 		if m.State() != S {
 			t.Fatalf("engine %v: machine in %s after Wake, want S", eng, m.State().Name)
+		}
+	}
+}
+
+// TestRouteSkipSleeps: an edge the machine's route excludes is skipped
+// before it is tried — its When never runs — and is not an untracked
+// failure, so a machine that fails only by route and at a tracked
+// refusal sleeps on the refusing manager until it wakes.
+func TestRouteSkipSleeps(t *testing.T) {
+	for _, eng := range []Engine{EngineEvent, EngineCompiled} {
+		t.Run(eng.String(), func(t *testing.T) {
+			u := NewUnitManager("u", 1)
+			I := NewState("I")
+			Q := NewState("Q")
+			S := NewState("S")
+			bind := I.Connect("bind", Q)
+			bind.Action = func(m *Machine) { m.Route = 2 }
+			whenEvals := 0
+			other := Q.Connect("other", S, Alloc(u, 0))
+			other.Routes = 1
+			other.When = func(m *Machine) bool { whenEvals++; return true }
+			mine := Q.Connect("mine", S, Alloc(u, 0))
+			mine.Routes = 2 | 4
+			mine.Action = func(m *Machine) { u.SetBusy(0, 5) }
+			S.Connect("back", I, Release(u, 0))
+
+			d := NewDirector()
+			d.Engine = eng
+			d.AddManager(u)
+			m0, m1 := NewMachine("m0", I), NewMachine("m1", I)
+			d.AddMachine(m0, m1)
+			for i := 0; i < 3; i++ {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// m0 holds u through its busy window; m1 was refused the
+			// allocation and skipped "other" by route.
+			if m0.State() != S || m1.State() != Q {
+				t.Fatalf("states m0=%s m1=%s, want S and Q", m0.State().Name, m1.State().Name)
+			}
+			if d.WillEvaluate(m1) {
+				t.Fatal("m1 failed only by route and a tracked refusal but stays ready")
+			}
+			for i := 0; i < 10 && m1.State() != S; i++ {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m1.State() != S {
+				t.Fatal("m1 was not woken when m0 released the unit")
+			}
+			if whenEvals != 0 {
+				t.Fatalf("the route-excluded edge's When ran %d times", whenEvals)
+			}
+		})
+	}
+}
+
+// TestProbeEdgeHonoursRoute: the invariant checker's probe skips an
+// edge the machine's route excludes exactly as the director does.
+func TestProbeEdgeHonoursRoute(t *testing.T) {
+	u := NewUnitManager("u", 1)
+	I := NewState("I")
+	S := NewState("S")
+	e := I.Connect("grab", S, Alloc(u, 0))
+	e.Routes = 1
+	m := NewMachine("m", I)
+	for _, tc := range []struct {
+		route, routes uint64
+		want          bool
+	}{
+		{route: 2, routes: 1, want: false},
+		{route: 3, routes: 1, want: true},
+		{route: 1, routes: 1, want: true},
+		{route: 0, routes: 1, want: true}, // an unrouted machine tries every edge
+		{route: 2, routes: 0, want: true}, // an unmasked edge serves every route
+	} {
+		m.Route, e.Routes = tc.route, tc.routes
+		if got := m.ProbeEdge(e); got != tc.want {
+			t.Errorf("route %b, edge routes %b: probe = %v, want %v", tc.route, tc.routes, got, tc.want)
 		}
 	}
 }

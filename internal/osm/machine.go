@@ -32,13 +32,22 @@ type Edge struct {
 	// From and To are the source and destination states.
 	From, To *State
 	// When, if non-nil, is an additional model-level predicate
-	// evaluated before any token transaction. It lets a model route
-	// operation classes along different edges (a multiply taking the
-	// multiplier path, say) without inventing an artificial manager.
+	// evaluated before any token transaction, for conditions no
+	// manager models (in-order dispatch from a queue head, say). A
+	// failed When is a failure the event-driven scheduler cannot
+	// track, so a condition fixed when the operation binds (a
+	// multiply taking the multiplier path) belongs in Routes instead.
 	When func(m *Machine) bool
 	// Prims is the guard condition: every primitive must succeed
 	// simultaneously for the edge to be satisfied.
 	Prims []Primitive
+	// Routes, if non-zero, restricts the edge to machines whose Route
+	// shares a bit with it: a class mask saying which operations the
+	// edge can ever serve (a function unit's dispatch edge carries the
+	// classes the unit executes). Zero serves every operation. The
+	// director skips an excluded edge without trying it (see
+	// Machine.Route).
+	Routes uint64
 	// Action, if non-nil, runs after the transactions commit and
 	// before the machine's state is updated. This is where operation
 	// semantics execute: reading granted operand values, computing
@@ -63,6 +72,13 @@ func (s *State) Connect(name string, to *State, prims ...Primitive) *Edge {
 	return e
 }
 
+// excludes reports whether a machine on the given route can never take
+// e: both are routed and share no bit. The route test comes first, so
+// an unrouted machine pays one register test per edge.
+func (e *Edge) excludes(route uint64) bool {
+	return route != 0 && e.Routes != 0 && e.Routes&route == 0
+}
+
 // Machine is one operation state machine: the life of one machine
 // operation flowing through the processor. A fixed population of
 // Machines is created at model build time (enough to cover the maximum
@@ -85,6 +101,14 @@ type Machine struct {
 	// its initial state. The default director ranking schedules
 	// machines in increasing Age, i.e. seniors first.
 	Age uint64
+	// Route is the op-static route of the bound operation: bits naming
+	// its class, matched against Edge.Routes. The edge action that
+	// binds an operation sets it at decode time, and it may change only
+	// in an edge action, i.e. when the machine transitions — the
+	// contract identifier functions keep. Zero tries every edge. The
+	// director never serializes it: a model's Restore re-derives it
+	// from the operation it restores.
+	Route uint64
 
 	cur    *State
 	tokens []Token
@@ -355,6 +379,7 @@ func (m *Machine) Reset() {
 	m.cur = m.Initial
 	m.Ctx = nil
 	m.Age = 0
+	m.Route = 0
 	m.moves = 0
 	m.blocked = nil
 	m.dynEpoch++
@@ -369,14 +394,15 @@ func (m *Machine) Transitions() uint64 { return m.moves }
 // issued as a tentative request and then cancelled in reverse order,
 // relying on the TokenManager contract that cancel restores the
 // pre-request state exactly. The When predicate is consulted as in
-// normal evaluation; the Action never runs. Releasing a token the
-// machine does not hold probes false rather than erroring.
+// normal evaluation, and an edge the machine's Route excludes probes
+// false, as the director skips it; the Action never runs. Releasing a
+// token the machine does not hold probes false rather than erroring.
 //
 // The invariant checker uses the probe to ask "would the Figure 3
 // scan have fired this edge?" for machines the event-driven scheduler
 // left asleep.
 func (m *Machine) ProbeEdge(e *Edge) bool {
-	if e.When != nil && !e.When(m) {
+	if e.excludes(m.Route) || (e.When != nil && !e.When(m)) {
 		return false
 	}
 	pend := m.pend[:0]

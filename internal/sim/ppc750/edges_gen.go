@@ -76,7 +76,7 @@ func (s *Sim) genTry_Q_disp_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[0].fu.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDisp(s.units[0], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -127,7 +127,7 @@ func (s *Sim) genTry_Q_disp_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[1].fu.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDisp(s.units[1], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -178,7 +178,7 @@ func (s *Sim) genTry_Q_disp_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[2].fu.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDisp(s.units[2], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -229,7 +229,7 @@ func (s *Sim) genTry_Q_disp_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[3].fu.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDisp(s.units[3], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -280,7 +280,7 @@ func (s *Sim) genTry_Q_disp_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[4].fu.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDisp(s.units[4], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -331,7 +331,7 @@ func (s *Sim) genTry_Q_rs_iu2(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[0].rs.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDispRS(s.units[0], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -379,7 +379,7 @@ func (s *Sim) genTry_Q_rs_iu1(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[1].rs.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDispRS(s.units[1], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -427,7 +427,7 @@ func (s *Sim) genTry_Q_rs_lsu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[2].rs.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDispRS(s.units[2], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -475,7 +475,7 @@ func (s *Sim) genTry_Q_rs_bpu(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[3].rs.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDispRS(s.units[3], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)
@@ -523,7 +523,7 @@ func (s *Sim) genTry_Q_rs_sru(m *osm.Machine, e *osm.Edge) (bool, error) {
 	if s.units[4].rs.AllocGate != nil {
 		return m.GenFallback(e)
 	}
-	if !(s.whenDispRS(s.units[4], m)) {
+	if !(s.whenHead(m)) {
 		return false, nil
 	}
 	id0 := anyHeld(m)

@@ -166,3 +166,57 @@ func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
 		t.Errorf("checksum %v, want %#x", s.ISS.Reported, w.Ref(n))
 	}
 }
+
+// TestFailedWhenTriesPerCycle counts the dispatch fan's untracked
+// failures: every When predicate of the model is wrapped in a counter
+// and the nine mix kernels run under the event engine (the serve
+// schedule, and so the count, is the same under every engine). Which
+// unit may take an operation is its route, skipped without a try, so
+// the only When that still fails is the in-order head check: 12.1
+// failures per simulated cycle. When the class test was a When
+// conjunct as well, the same runs failed 42.6 times per cycle.
+func TestFailedWhenTriesPerCycle(t *testing.T) {
+	var evals, failed, cycles uint64
+	for _, w := range workload.Mix() {
+		p, err := w.PPCProgram(w.DefaultN / 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(p, Config{Engine: osm.EngineEvent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[*osm.State]bool{}
+		var walk func(st *osm.State)
+		walk = func(st *osm.State) {
+			if seen[st] {
+				return
+			}
+			seen[st] = true
+			for _, e := range st.Out {
+				if when := e.When; when != nil {
+					e.When = func(m *osm.Machine) bool {
+						evals++
+						ok := when(m)
+						if !ok {
+							failed++
+						}
+						return ok
+					}
+				}
+				walk(e.To)
+			}
+		}
+		walk(s.Director().Machines()[0].Initial)
+		st, err := s.Run(1_000_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles += st.Cycles
+	}
+	perCycle := float64(failed) / float64(cycles)
+	t.Logf("%d cycles: %.1f When evaluations and %.1f failures per cycle", cycles, float64(evals)/float64(cycles), perCycle)
+	if perCycle > 16 {
+		t.Fatalf("%.1f failed When evaluations per cycle, want at most 16: a dispatch edge's class test is back in a predicate", perCycle)
+	}
+}

@@ -49,8 +49,8 @@ func (s *Sim) GenModel() (*osm.GuardProgram, gen.Spec, error) {
 		spec.Managers[u.rs.Name()] = fmt.Sprintf("s.units[%d].rs", i)
 		disp := osm.GenKey("Q", "disp-"+u.name)
 		rs := osm.GenKey("Q", "rs-"+u.name)
-		spec.When[disp] = fmt.Sprintf("s.whenDisp(s.units[%d], m)", i)
-		spec.When[rs] = fmt.Sprintf("s.whenDispRS(s.units[%d], m)", i)
+		spec.When[disp] = "s.whenHead(m)"
+		spec.When[rs] = "s.whenHead(m)"
 		spec.DynID[disp+"/0"] = "anyHeld(m)"
 		spec.DynID[rs+"/0"] = "anyHeld(m)"
 	}

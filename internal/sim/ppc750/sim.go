@@ -161,6 +161,7 @@ type op struct {
 	slot int          // m's registration index
 
 	pc            uint32
+	word          uint32 // the instruction word fetched at pc
 	ins           ppc.Instr
 	decodeOK      bool
 	class         ppc.Class
@@ -187,6 +188,19 @@ type op struct {
 }
 
 func opOf(m *osm.Machine) *op { return m.Ctx.(*op) }
+
+// bind records the decoding of the op's word: the word itself, which
+// a snapshot keeps, the decode-derived facts and the machine's route.
+func (o *op) bind(d *decoded) {
+	o.word = d.word
+	o.m.Route = routeUndecodable
+	if d.ok {
+		o.ins, o.decodeOK = d.ins, true
+		o.class = d.class
+		o.srcs, o.dsts, o.gprDsts = d.srcs, d.dsts, d.gprs
+		o.m.Route = classRoute(d.class)
+	}
+}
 
 // ref returns the name of the operation currently bound to o's slot.
 func (o *op) ref() ref { return ref{slot: o.slot, age: o.m.Age} }
@@ -267,9 +281,21 @@ type unit struct {
 	rs   *osm.UnitManager
 	w    *osm.State
 	e    *osm.State
-	// takes reports whether the unit executes the class.
-	takes func(c ppc.Class) bool
+	// classes holds the route bits of the classes the unit executes;
+	// its dispatch edges carry them as their osm.Edge.Routes mask.
+	classes uint64
 }
+
+// An operation's route (osm.Machine.Route) is one bit: its class's,
+// or routeUndecodable for a word that does not decode. Decode fixes
+// it, so the director never tries a dispatch edge whose unit cannot
+// execute the operation.
+func classRoute(c ppc.Class) uint64 { return 1 << c }
+
+// routeUndecodable routes an undecodable operation to the system
+// unit's fast path only: at the head of the queue it is a model error,
+// and dispatch there surfaces it instead of wedging.
+const routeUndecodable = 1 << 63
 
 // Sim is a PowerPC 750 micro-architecture simulator instance.
 type Sim struct {
@@ -332,32 +358,10 @@ func New(p *ppc.Program, cfg Config) (*Sim, error) {
 // whenFetch gates the fetch edge (I -> Q).
 func (s *Sim) whenFetch(m *osm.Machine) bool { return s.fetchOK() }
 
-// whenDisp gates a fast-dispatch edge (Q -> Eu): only the queue head
-// may dispatch (in-order; checking here keeps non-head machines from
-// probing the whole edge fan every control step), and the unit must
-// execute the operation's class. An undecodable operation at the head
-// of the queue is a model error; it routes to the system unit so
-// dispatch can surface it instead of wedging.
-func (s *Sim) whenDisp(u *unit, m *osm.Machine) bool {
-	if s.fq.Head() != m {
-		return false
-	}
-	o := opOf(m)
-	if !o.decodeOK {
-		return u.name == "sru"
-	}
-	return u.takes(o.class)
-}
-
-// whenDispRS gates a reservation-station dispatch edge (Q -> Wu).
-// Undecodable operations only use the fast path above.
-func (s *Sim) whenDispRS(u *unit, m *osm.Machine) bool {
-	if s.fq.Head() != m {
-		return false
-	}
-	o := opOf(m)
-	return o.decodeOK && u.takes(o.class)
-}
+// whenHead gates every dispatch edge (Q -> Eu and Q -> Wu): dispatch
+// is in order, so only the fetch-queue head may leave Q. Which units
+// may take the operation is its route, not a predicate.
+func (s *Sim) whenHead(m *osm.Machine) bool { return s.fq.Head() == m }
 
 func (s *Sim) buildModel() error {
 	d := osm.NewDirector()
@@ -365,24 +369,27 @@ func (s *Sim) buildModel() error {
 	d.Engine = s.cfg.Engine
 	s.director = d
 
-	mkUnit := func(name string, takes func(ppc.Class) bool) *unit {
-		return &unit{
-			name:  name,
-			fu:    osm.NewUnitManager(name, 1),
-			rs:    osm.NewUnitManager(name+"-rs", 1),
-			w:     osm.NewState("W" + name),
-			e:     osm.NewState("E" + name),
-			takes: takes,
+	mkUnit := func(name string, classes ...ppc.Class) *unit {
+		u := &unit{
+			name: name,
+			fu:   osm.NewUnitManager(name, 1),
+			rs:   osm.NewUnitManager(name+"-rs", 1),
+			w:    osm.NewState("W" + name),
+			e:    osm.NewState("E" + name),
 		}
+		for _, c := range classes {
+			u.classes |= classRoute(c)
+		}
+		return u
 	}
 	// Unit priority order: simple integer work prefers IU2, keeping
 	// IU1 free for multiplies and divides.
 	s.units = []*unit{
-		mkUnit("iu2", func(c ppc.Class) bool { return c == ppc.ClassALU }),
-		mkUnit("iu1", func(c ppc.Class) bool { return c == ppc.ClassALU || c == ppc.ClassMul }),
-		mkUnit("lsu", func(c ppc.Class) bool { return c == ppc.ClassLoad || c == ppc.ClassStore }),
-		mkUnit("bpu", func(c ppc.Class) bool { return c == ppc.ClassBranch }),
-		mkUnit("sru", func(c ppc.Class) bool { return c == ppc.ClassSys }),
+		mkUnit("iu2", ppc.ClassALU),
+		mkUnit("iu1", ppc.ClassALU, ppc.ClassMul),
+		mkUnit("lsu", ppc.ClassLoad, ppc.ClassStore),
+		mkUnit("bpu", ppc.ClassBranch),
+		mkUnit("sru", ppc.ClassSys),
 	}
 
 	iSt := osm.NewState("I")
@@ -403,7 +410,11 @@ func (s *Sim) buildModel() error {
 			osm.Inquire(s.ren, SrcsToken),
 			osm.Alloc(s.ren, WriterToken),
 			osm.Alloc(u.fu, 0))
-		fast.When = func(m *osm.Machine) bool { return s.whenDisp(u, m) }
+		fast.When = s.whenHead
+		fast.Routes = u.classes
+		if u.name == "sru" {
+			fast.Routes |= routeUndecodable
+		}
 		fast.Action = func(m *osm.Machine) {
 			s.dispatchExec(m)
 			s.enterExec(m, u)
@@ -418,7 +429,8 @@ func (s *Sim) buildModel() error {
 				osm.Alloc(s.cq, osm.AnyUnit),
 				osm.Alloc(s.ren, WriterToken),
 				osm.Alloc(u.rs, 0))
-			slow.When = func(m *osm.Machine) bool { return s.whenDispRS(u, m) }
+			slow.When = s.whenHead
+			slow.Routes = u.classes
 			slow.Action = func(m *osm.Machine) { s.dispatchExec(m) }
 		}
 	}
@@ -510,11 +522,7 @@ func (s *Sim) fetchOne(m *osm.Machine) {
 	if lat := s.Hier.FetchLatency(s.fetchPC); lat > 0 {
 		s.fetchResumeAt = max64(s.fetchResumeAt, step+lat)
 	}
-	if d := s.decode(s.fetchPC); d.ok {
-		o.ins, o.decodeOK = d.ins, true
-		o.class = d.class
-		o.srcs, o.dsts, o.gprDsts = d.srcs, d.dsts, d.gprs
-	}
+	o.bind(s.decode(s.fetchPC))
 	o.predictedNext = o.pc + 4
 	if o.decodeOK {
 		switch o.ins.Op {
@@ -561,7 +569,12 @@ func (s *Sim) decode(pc uint32) *decoded {
 	if !s.ISS.RAM.InBounds(pc, 4) {
 		return &outsideImage
 	}
-	word := s.ISS.RAM.Read32(pc)
+	return s.decodeWord(pc, s.ISS.RAM.Read32(pc))
+}
+
+// decodeWord returns the static decoding of word as fetched from pc,
+// reusing the table's entry when it holds that word.
+func (s *Sim) decodeWord(pc, word uint32) *decoded {
 	if d, ok := s.decodeCache[pc]; ok && d.word == word {
 		return d
 	}

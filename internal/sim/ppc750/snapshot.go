@@ -13,11 +13,13 @@ import (
 // operation reference — a reservation-station producer or a
 // newest-writer entry — is a (machine index, age) pair. A snapshot
 // therefore holds exactly Machines op records in registration order,
-// whatever the run length. Decode-derived facts (instruction, class,
-// operand lists) are not serialized: they are decoded again from the
-// word the restored RAM image holds at each op's PC.
+// whatever the run length. Each record keeps the instruction word the
+// op was fetched with; decode-derived facts (instruction, class,
+// operand lists, route) are not serialized but decoded again from that
+// word, which a store into code may since have replaced in RAM.
+// Version 2 records, which re-decoded from RAM, are refused.
 
-const simSnapVersion = 2
+const simSnapVersion = 3
 
 const simSnapHeader = "p750"
 
@@ -85,6 +87,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 			o := &s.ops[i]
 			w.Blob(func(w *snap.Writer) {
 				w.U32(o.pc)
+				w.U32(o.word)
 				w.U32(o.predictedNext)
 				w.U32(o.actualNext)
 				w.Bool(o.indirect)
@@ -123,6 +126,9 @@ func (s *Sim) Restore(data []byte) error {
 		return fmt.Errorf("ppc750: snapshot is for model %q, want %q", h, simSnapHeader)
 	}
 	r.Version("ppc750 sim", simSnapVersion)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("ppc750: %w", err)
+	}
 	if err := s.ISS.Restore(r.Blob()); err != nil {
 		return err
 	}
@@ -163,6 +169,7 @@ func (s *Sim) Restore(data []byte) error {
 		b := tb.Blob()
 		o := &s.ops[i]
 		o.pc = b.U32()
+		o.word = b.U32()
 		o.predictedNext = b.U32()
 		o.actualNext = b.U32()
 		o.indirect = b.Bool()
@@ -191,11 +198,11 @@ func (s *Sim) Restore(data []byte) error {
 		if err := b.Close(fmt.Sprintf("ppc750 op %d", i)); err != nil {
 			return err
 		}
-		if d := s.decode(o.pc); d.ok {
-			o.ins, o.decodeOK = d.ins, true
-			o.class = d.class
-			o.srcs, o.dsts, o.gprDsts = d.srcs, d.dsts, d.gprs
+		d := &outsideImage
+		if s.ISS.RAM.InBounds(o.pc, 4) {
+			d = s.decodeWord(o.pc, o.word)
 		}
+		o.bind(d)
 	}
 	if err := tb.Close("ppc750 op table"); err != nil {
 		return err

@@ -2,13 +2,18 @@ package strongarm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/isa/arm"
 	"repro/internal/mem"
+	"repro/internal/osm"
 	"repro/internal/workload"
 )
 
@@ -67,16 +72,24 @@ func FuzzRestore(f *testing.F) {
 	})
 }
 
-// TestCheckedInSeedsRestore: the checked-in v*-cycle-* corpus entries
-// are real snapshots in the current format, so the fuzzer starts from
-// inputs that reach every component of the decoder. A format change
-// that leaves them stale fails here.
+// TestCheckedInSeedsRestore: the checked-in v<N>-cycle-* corpus
+// entries of the current format N are real snapshots, so the fuzzer
+// starts from inputs that reach every component of the decoder; a
+// format change that leaves them stale, or a version bump that adds
+// none, fails here. Entries of a retired format stay in the corpus as
+// real old snapshots and must get that version's error, not a
+// misparse.
 func TestCheckedInSeedsRestore(t *testing.T) {
 	files, err := filepath.Glob("testdata/fuzz/FuzzRestore/v*-cycle-*")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no checked-in seeds (%v)", err)
+	if err != nil {
+		t.Fatal(err)
 	}
+	current := 0
 	for _, name := range files {
+		var v, cycle int
+		if _, err := fmt.Sscanf(filepath.Base(name), "v%d-cycle-%d", &v, &cycle); err != nil {
+			t.Fatalf("%s: not named v<version>-cycle-<cycle>: %v", name, err)
+		}
 		text, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
@@ -87,9 +100,21 @@ func TestCheckedInSeedsRestore(t *testing.T) {
 		if !ok || !ok2 || err != nil {
 			t.Fatalf("%s: not a one-[]byte corpus entry", name)
 		}
-		if err := fuzzSim(t).Restore([]byte(b)); err != nil {
-			t.Errorf("%s: %v", name, err)
+		err = fuzzSim(t).Restore([]byte(b))
+		switch want := fmt.Sprintf("strongarm sim: snapshot version %d", v); {
+		case v == simSnapVersion:
+			current++
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case v > simSnapVersion:
+			t.Errorf("%s: names a version newer than this build's %d", name, simSnapVersion)
+		case err == nil || !strings.Contains(err.Error(), want):
+			t.Errorf("%s: got %v, want the version error", name, err)
 		}
+	}
+	if current == 0 {
+		t.Fatalf("no checked-in seeds in the current format v%d", simSnapVersion)
 	}
 }
 
@@ -144,5 +169,85 @@ func TestRestoreHostilePC(t *testing.T) {
 	op := ctxOf(r.director.Machines()[victim])
 	if op.pc != 0xfffffffc || op.decodeOK {
 		t.Fatal("an operation beyond the RAM image decoded as an instruction")
+	}
+}
+
+// TestRestoreRejectsV1: version 1 re-decoded each in-flight operation
+// from the word RAM held at its PC, which a store into code may have
+// replaced since the fetch; it is refused by name, not misparsed.
+func TestRestoreRejectsV1(t *testing.T) {
+	b := fuzzSeeds(t)[0]
+	// Magic (4 bytes), then the length-prefixed header, then the
+	// version.
+	at := 4 + 4 + len(simSnapHeader)
+	binary.LittleEndian.PutUint16(b[at:], 1)
+	err := fuzzSim(t).Restore(b)
+	if err == nil || !strings.Contains(err.Error(), "strongarm sim: snapshot version 1") {
+		t.Fatalf("v1 snapshot: got %v, want the version error", err)
+	}
+}
+
+// TestRestoreAfterCodeStore: an operation fetched before a store
+// rewrote its word resumes with the word it was fetched with. The
+// program's store replaces the instruction right after it, which is
+// already in decode when the store executes; a snapshot taken at every
+// cycle must restore into the uninterrupted run's tail. The ISS
+// executes the word RAM holds, so the two words differ only in the
+// timing the model derives from the fetched one: here the replacement
+// load's D-cache miss (a line no other access touches), so the caches
+// stay on.
+func TestRestoreAfterCodeStore(t *testing.T) {
+	rp, err := arm.Assemble("\tldr r3, [r5, #256]\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := arm.Assemble(fmt.Sprintf(`
+	mov r5, #12
+	ldr r4, [r5, #12]
+	str r4, [r5]
+	add r3, r3, #1
+	mov r0, #0
+	swi #0
+	.word %#x
+`, rp.Words[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*Sim, *osm.Recorder) {
+		s, err := New(p, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := osm.NewRecorder()
+		s.Director().Tracer = rec
+		return s, rec
+	}
+	ref, refRec := build()
+	if _, err := ref.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	for cut := uint64(1); cut < ref.Cycle(); cut++ {
+		s, _ := build()
+		for s.Cycle() < cut {
+			if err := s.StepCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, rec := build()
+		if err := r.Restore(b); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if _, err := r.Run(1000); err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		want := refRec.EventsSince(cut)
+		if r.Cycle() != ref.Cycle() || r.ISS.CPU.R[3] != ref.ISS.CPU.R[3] || !slices.Equal(rec.Events(), want) {
+			t.Fatalf("cut %d: restored run ends at cycle %d with r3=%#x after %d transitions, uninterrupted at %d with r3=%#x after %d",
+				cut, r.Cycle(), r.ISS.CPU.R[3], len(rec.Events()), ref.Cycle(), ref.ISS.CPU.R[3], len(want))
+		}
 	}
 }

@@ -74,6 +74,7 @@ type decoded struct {
 // opCtx is the per-operation payload flowing with each machine.
 type opCtx struct {
 	pc       uint32
+	word     uint32 // the instruction word fetched at pc
 	ins      arm.Instr
 	decodeOK bool
 	// srcs and dsts point into the decode cache (never mutated).
@@ -87,6 +88,16 @@ type opCtx struct {
 }
 
 func ctxOf(m *osm.Machine) *opCtx { return m.Ctx.(*opCtx) }
+
+// bind records the decoding of the operation's word: the word itself,
+// which a snapshot keeps, and the decode-derived facts.
+func (op *opCtx) bind(d *decoded) {
+	op.word = d.word
+	if d.ok {
+		op.ins, op.decodeOK = d.ins, true
+		op.srcs, op.dsts = d.srcs, d.dsts
+	}
+}
 
 // Sim is a StrongARM micro-architecture simulator instance.
 type Sim struct {
@@ -179,10 +190,7 @@ func (s *Sim) buildModel(cfg Config) error {
 		if lat := s.Hier.FetchLatency(s.fetchPC); lat > 0 {
 			s.mf.SetBusy(0, lat)
 		}
-		if d := s.decode(s.fetchPC); d.ok {
-			op.ins, op.decodeOK = d.ins, true
-			op.srcs, op.dsts = d.srcs, d.dsts
-		}
+		op.bind(s.decode(s.fetchPC))
 		s.fetchPC += 4
 	}
 
@@ -254,7 +262,12 @@ func (s *Sim) decode(pc uint32) *decoded {
 	if !s.ISS.RAM.InBounds(pc, 4) {
 		return &outsideImage
 	}
-	word := s.ISS.RAM.Read32(pc)
+	return s.decodeWord(pc, s.ISS.RAM.Read32(pc))
+}
+
+// decodeWord returns the static decoding of word as fetched from pc,
+// reusing the table's entry when it holds that word.
+func (s *Sim) decodeWord(pc, word uint32) *decoded {
 	if d, ok := s.decodeCache[pc]; ok && d.word == word {
 		return d
 	}

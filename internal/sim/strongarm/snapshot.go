@@ -11,12 +11,14 @@ import (
 
 // Full-simulator checkpointing. A snapshot must be taken between
 // cycles (never from inside an edge action); Restore targets a fresh
-// simulator built with New from the same program and Config. Decode-
-// derived operation facts (instruction, operand lists) are not
-// serialized: they are decoded again from the word the restored RAM
-// image holds at each operation's PC.
+// simulator built with New from the same program and Config. Each
+// operation record keeps the instruction word the operation was
+// fetched with; decode-derived facts (instruction, operand lists) are
+// not serialized but decoded again from that word, which a store into
+// code may since have replaced in RAM. Version 1 records, which
+// re-decoded from RAM, are refused.
 
-const simSnapVersion = 1
+const simSnapVersion = 2
 
 const simSnapHeader = "sarm"
 
@@ -54,6 +56,7 @@ func (s *Sim) Snapshot() ([]byte, error) {
 		if op != nil {
 			w.Blob(func(w *snap.Writer) {
 				w.U32(op.pc)
+				w.U32(op.word)
 				w.U32(op.memAddr)
 				w.U32(op.memWords)
 				w.U64(op.memLat)
@@ -83,6 +86,9 @@ func (s *Sim) Restore(data []byte) error {
 		return fmt.Errorf("strongarm: snapshot is for model %q, want %q", h, simSnapHeader)
 	}
 	r.Version("strongarm sim", simSnapVersion)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("strongarm: %w", err)
+	}
 	if err := s.ISS.Restore(r.Blob()); err != nil {
 		return err
 	}
@@ -123,6 +129,7 @@ func (s *Sim) Restore(data []byte) error {
 		b := r.Blob()
 		op := &opCtx{
 			pc:       b.U32(),
+			word:     b.U32(),
 			memAddr:  b.U32(),
 			memWords: b.U32(),
 			memLat:   b.U64(),
@@ -132,10 +139,11 @@ func (s *Sim) Restore(data []byte) error {
 		if err := b.Close("strongarm opctx"); err != nil {
 			return err
 		}
-		if d := s.decode(op.pc); d.ok {
-			op.ins, op.decodeOK = d.ins, true
-			op.srcs, op.dsts = d.srcs, d.dsts
+		d := &outsideImage
+		if s.ISS.RAM.InBounds(op.pc, 4) {
+			d = s.decodeWord(op.pc, op.word)
 		}
+		op.bind(d)
 		m.Ctx = op
 	}
 
