@@ -389,8 +389,9 @@ func EncodeCheckpoint(j Job, cycle uint64, blob []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// DecodeCheckpoint parses an encoded checkpoint record. The returned
-// Job carries identity fields only (see jobIdentity).
+// DecodeCheckpoint parses an encoded checkpoint record, refusing
+// bytes after it. The returned Job carries identity fields only (see
+// jobIdentity).
 func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	rd := snap.NewReader(data)
 	if rd.U32() != snap.Magic || rd.String() != ckptHeader {
@@ -401,8 +402,8 @@ func DecodeCheckpoint(data []byte) (Checkpoint, error) {
 	readJobIdentity(rd, &c.Job)
 	c.Cycle = rd.U64()
 	c.Blob = rd.Bytes32()
-	if err := rd.Err(); err != nil {
-		return Checkpoint{}, fmt.Errorf("batch: checkpoint record: %w", err)
+	if err := rd.Close("checkpoint record"); err != nil {
+		return Checkpoint{}, fmt.Errorf("batch: %w", err)
 	}
 	return c, nil
 }

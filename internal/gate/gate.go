@@ -122,6 +122,7 @@ type Gateway struct {
 	cfg     Config
 	Metrics *Metrics
 	hc      *http.Client // forwards and probes; per-request timeouts
+	maxBody int64        // proxied body limit, maxProxyBody
 
 	mu      sync.Mutex
 	workers map[string]*Worker
@@ -149,6 +150,7 @@ func New(cfg Config) *Gateway {
 		cfg:         cfg,
 		Metrics:     NewMetrics(),
 		hc:          &http.Client{},
+		maxBody:     maxProxyBody,
 		workers:     make(map[string]*Worker),
 		ring:        NewRing(cfg.Replicas),
 		routes:      make(map[string]*route),

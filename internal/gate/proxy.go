@@ -15,8 +15,9 @@ import (
 	"repro/internal/server"
 )
 
-// maxProxyBody bounds forwarded request bodies, matching the worker's
-// own limit.
+// maxProxyBody bounds proxied bodies both ways, matching the worker's
+// own request limit: a larger client body is refused with 400 and a
+// larger worker response with 502, never relayed cut short.
 const maxProxyBody = 64 << 20
 
 // WorkerHeader names the response header the gateway stamps with the
@@ -157,7 +158,7 @@ func (g *Gateway) handleAdminMigrate(w http.ResponseWriter, r *http.Request) {
 // to the next candidate; only when every candidate refuses does the
 // client see 429 with Retry-After.
 func (g *Gateway) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
@@ -263,7 +264,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 // first (restore-on-touch).
 func (g *Gateway) handleSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.maxBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 		return
@@ -352,7 +353,7 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, rt *route, ses
 	status, hdr, respBody, err := g.doMethod(r.Method, url, r.Header.Get("Content-Type"), body)
 	if err != nil {
 		g.Metrics.ProxyErrors.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("worker %s unreachable: %v", workerID, err))
+		writeError(w, http.StatusBadGateway, fmt.Sprintf("worker %s: %v", workerID, err))
 		return 0
 	}
 	g.Metrics.ProxiedHTTP.Add(1)
@@ -387,7 +388,9 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, body []byte, work
 	w.Write(body)
 }
 
-// doMethod issues one bounded request with an optional body.
+// doMethod issues one bounded request with an optional body. A
+// response body past the gateway's limit is an error, not a short
+// read.
 func (g *Gateway) doMethod(method, url, contentType string, body []byte) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -407,9 +410,12 @@ func (g *Gateway) doMethod(method, url, contentType string, body []byte) (int, h
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, g.maxBody+1))
 	if err != nil {
 		return 0, nil, nil, err
+	}
+	if int64(len(respBody)) > g.maxBody {
+		return 0, nil, nil, fmt.Errorf("%s %s: response body exceeds the gateway's %d-byte limit", method, url, g.maxBody)
 	}
 	return resp.StatusCode, resp.Header, respBody, nil
 }

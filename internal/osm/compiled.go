@@ -8,10 +8,11 @@ import (
 // This file implements the compile stage and the compiled execution
 // engine (EngineCompiled). The compile stage lowers a model's state
 // graphs into one flat, cache-friendly guard program — the only
-// resolved form of a model: the compiled engine executes it, the Go
-// code generator (internal/osm/gen) emits edge functions from it, and
-// the generated engine runs those functions bound into its edges
-// (generated.go). The executor tries one lowered edge without
+// resolved form of a model, with two readers: the compiled engine
+// executes it, and the Go code generator (internal/osm/gen, driven by
+// cmd/osmgen) emits edge functions from it. The generated engine
+// calls those functions from the edges themselves (generated.go) and
+// builds no program. The executor tries one lowered edge without
 // interface dispatch on the hot path; the director's one serve loop
 // (serveMachine) walks a state's lowered edges under the event-driven
 // scheduler.
@@ -106,9 +107,8 @@ type guardInstr struct {
 }
 
 // compEdge is one lowered edge: the original edge (for When, Action,
-// destination, tracing and the interpreter fallback), its flat
-// instruction array, and — once Director.Generated has bound them —
-// its generated edge function.
+// destination, tracing and the interpreter fallback) and its flat
+// instruction array.
 //
 // pure marks edges the executor may run check-then-commit (see
 // tryEdgePure): the compile stage proved from the built-in managers'
@@ -130,8 +130,6 @@ type compEdge struct {
 	// compiles its own program, so one scratch per lowered edge
 	// suffices.
 	scratch []int32
-	// fn is the edge's generated function, bound by Director.Generated.
-	fn EdgeFn
 }
 
 // compState is one lowered state: its outgoing edges in priority
@@ -163,18 +161,15 @@ type CompileStats struct {
 }
 
 // GuardProgram is a model lowered to flat guard instruction arrays,
-// executed by the compiled engine (EngineCompiled) and, with generated
-// functions bound into its edges, by the generated engine. Build one
-// with Director.Compile; it stays valid until machines or managers
-// are added. A program is derived state: it is excluded from
-// snapshots and rebuilt on demand instead.
+// executed by the compiled engine (EngineCompiled) and printed as Go
+// edge functions by internal/osm/gen. Build one with
+// Director.Compile; it stays valid until machines or managers are
+// added. A program is derived state: it is excluded from snapshots
+// and rebuilt on demand instead.
 type GuardProgram struct {
 	states  []*compState
 	byState map[*State]*compState
 	stats   CompileStats
-	// bound reports that the director's attached generated functions
-	// are bound into the edges (Director.Generated).
-	bound bool
 }
 
 // Compile lowers every state graph reachable from the registered

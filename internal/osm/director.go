@@ -85,8 +85,9 @@ type Director struct {
 	// transition schedule — the differential tests in
 	// internal/experiments check this trace-for-trace — while skipping
 	// machines whose blocking resources did not change. The compiled
-	// and generated engines lower the model on the first step (Lower
-	// does so earlier); a lowering error aborts that Step. The
+	// engine lowers the model on the first step (Lower does so
+	// earlier); a lowering error aborts that Step. The generated
+	// engine calls the edges' own functions and lowers nothing. The
 	// event-driven engines require the default age-based ranking, so
 	// installing a custom Rank forces EngineScan. Choose the engine
 	// before the first Step.
@@ -109,14 +110,15 @@ type Director struct {
 	// primInit records that identifier slots were assigned and the
 	// machines' memo tables sized; reset by AddMachine.
 	primInit bool
-	// comp is the model's lowered form (compiled.go), built lazily
-	// when the active engine is compiled or generated; invalidated by
+	// comp is the model's lowered form (compiled.go), built by
+	// Compile for the compiled engine and cmd/osmgen; invalidated by
 	// AddMachine and AddManager. It is derived from the model and is
 	// never serialized: Snapshot ignores it and Restore keeps it.
 	comp *GuardProgram
-	// genFns holds the generated edge functions installed with
-	// AttachGenerated (generated.go); Generated binds them into comp.
-	genFns map[string]EdgeFn
+	// attached records that AttachGenerated wrote generated functions
+	// onto the model's edges (generated.go), which makes the generated
+	// engine the default.
+	attached bool
 }
 
 // NewDirector returns an empty director with default (age-based)
@@ -198,8 +200,8 @@ func (d *Director) ensurePrims() {
 // reachable returns the states reachable from initial in depth-first
 // preorder, each state's successors in edge priority order. It is the
 // one walk of a state graph: slot assignment, the compile stage (and
-// so the generated binding and the emitted edges_gen.go order) and
-// Restore's state-name lookup all see states in this order.
+// so the emitted edges_gen.go order), AttachGenerated and Restore's
+// state-name lookup all see states in this order.
 func reachable(initial *State) []*State {
 	var states []*State
 	seen := make(map[*State]bool)
@@ -255,10 +257,12 @@ func assignPrimSlots(initial *State) int {
 // satisfied one, maintaining ages and the tracer. Every engine serves
 // machines through it and differs only in how one edge is tried:
 // Machine.tryEdge for the event and scan engines, tryEdgeCompiled for
-// the compiled engine, the bound EdgeFn for the generated one. The
-// fast engines look the state's lowering up once per serve; a state
-// the program does not know (the graph was mutated after lowering) is
-// served by the interpreter. The second result is the committed edge.
+// the compiled engine, the edge's own generated function for the
+// generated one. The compiled engine looks the state's lowering up
+// once per serve; a state the program does not know (the graph was
+// mutated after lowering) is served by the interpreter, and so, under
+// the generated engine, is an edge without a function. The second
+// result is the committed edge.
 // On failure it leaves the failed primitives of the final pass in
 // m.blocked and records in m.sched.untracked whether any edge failed
 // outside the token protocol (a When predicate).
@@ -273,9 +277,11 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	m.blocked = m.blocked[:0] // keep only this pass's failures
 	m.sched.untracked = false
 	var cs *compState
-	if eng := d.ActiveEngine(); eng == EngineCompiled || eng == EngineGenerated {
+	eng := d.ActiveEngine()
+	if eng == EngineCompiled {
 		cs = d.comp.stateOf(m.cur)
 	}
+	gen := eng == EngineGenerated
 	route := m.Route
 	for i, e := range m.cur.Out {
 		if e.excludes(route) {
@@ -284,14 +290,13 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 		before := len(m.blocked)
 		var ok bool
 		var err error
-		if cs == nil {
+		switch {
+		case gen && e.gen != nil:
+			ok, err = e.gen(m, e)
+		case cs != nil:
+			ok, err = m.tryEdgeCompiled(&cs.edges[i])
+		default:
 			ok, err = m.tryEdge(e)
-		} else if ce := &cs.edges[i]; d.Engine != EngineCompiled {
-			// cs is set only under the compiled and generated
-			// engines, and only EngineCompiled resolves to the former.
-			ok, err = ce.fn(m, e)
-		} else {
-			ok, err = m.tryEdgeCompiled(ce)
 		}
 		if err != nil {
 			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)

@@ -144,13 +144,11 @@ func (d *Director) initEvent() {
 
 // stepEvent runs one control step under the event-driven scheduler.
 // It serves the event, compiled and generated engines, which differ
-// only in how serveMachine tries an edge; the fast engines lower the
-// model on their first step.
+// only in how serveMachine tries an edge; the compiled engine lowers
+// the model on its first step.
 func (d *Director) stepEvent() error {
-	if !d.Lowered() {
-		if err := d.Lower(); err != nil {
-			return err
-		}
+	if err := d.Lower(); err != nil {
+		return err
 	}
 	ev := &d.ev
 	if !ev.init {

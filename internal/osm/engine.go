@@ -30,11 +30,12 @@ import "fmt"
 //     dispatch. The interpreted engines remain the differential
 //     oracle.
 //   - EngineGenerated also keeps the event-driven scheduling but
-//     tries edges through generated Go edge functions (generated.go)
-//     attached with Director.AttachGenerated and bound into that same
-//     guard program — one monomorphic function per edge, typically
-//     emitted by internal/osm/gen from the program itself, with When
-//     predicates and manager fast paths inlined at source level.
+//     calls each edge's own generated Go function (generated.go),
+//     written onto the edge by Director.AttachGenerated — one
+//     monomorphic function per edge, typically emitted by
+//     internal/osm/gen from the guard program, with When predicates
+//     and manager fast paths inlined at source level. It builds no
+//     program: only EngineCompiled (and cmd/osmgen) does.
 type Engine uint8
 
 const (
@@ -100,7 +101,7 @@ func (d *Director) ActiveEngine() Engine {
 		return EngineScan
 	}
 	if d.Engine == EngineDefault {
-		if d.genFns != nil {
+		if d.attached {
 			return EngineGenerated
 		}
 		return EngineEvent
@@ -108,30 +109,27 @@ func (d *Director) ActiveEngine() Engine {
 	return d.Engine
 }
 
-// Lowered reports whether the program the active engine runs from is
-// built, so the next Step lowers nothing: the guard program under
-// EngineCompiled, the program with the attached functions bound under
-// EngineGenerated. The interpreted engines run from the model itself.
-func (d *Director) Lowered() bool {
-	switch d.ActiveEngine() {
-	case EngineCompiled:
-		return d.comp != nil
-	case EngineGenerated:
-		return d.comp != nil && d.comp.bound
-	}
-	return true
-}
+// Lowered reports whether the director holds a lowered guard
+// program. Only Compile builds one: under EngineCompiled on the first
+// step or through Lower, or when called directly (cmd/osmgen). The
+// other engines run from the model itself and the edges' own
+// generated functions.
+func (d *Director) Lowered() bool { return d.comp != nil }
 
-// Lower builds the program the active engine runs from, if it is not
-// built yet. Step lowers on demand; a constructor calls Lower to
-// surface a lowering or binding error before the first step.
+// Lower prepares what the active engine runs from, so a constructor
+// surfaces its error before the first step: under EngineCompiled it
+// builds the guard program if it is not built yet, and under
+// EngineGenerated it reports a director with no edge functions
+// attached. Every event-driven step calls it.
 func (d *Director) Lower() error {
-	var err error
 	switch d.ActiveEngine() {
 	case EngineCompiled:
-		_, err = d.Compile()
+		_, err := d.Compile()
+		return err
 	case EngineGenerated:
-		_, err = d.Generated()
+		if !d.attached {
+			return fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
+		}
 	}
-	return err
+	return nil
 }

@@ -12,25 +12,25 @@ import "fmt"
 // fast paths inlined at source level, so the Go compiler sees through
 // the whole guard.
 //
-// The functions run from that same program: Director.Generated binds
-// each attached function into its lowered edge, and the director's
-// one serve loop (serveMachine) calls it under the event-driven
-// scheduler (director_event.go). A generated function must reproduce
-// the interpreter's observable semantics exactly — transaction order,
-// blocked-primitive attribution, error cases, resulting manager
-// state. The check-then-commit shape of the compiled engine's pure
-// path (tryEdgePure) is the template: a generated function first
-// decides every conjunct with mutation-free availability reads, then
-// applies the transactions in instruction order. Both fast engines
-// share one fallback rule: an edge that is not pure, or an attempt
-// that meets a runtime gate closure, runs through the interpreter
-// (GenFallback). The differential suites hold all four engines to
-// trace-checksum identity.
+// All specialization happens when the functions are generated, so
+// they read nothing a lowered program holds: AttachGenerated writes
+// each function onto the edge it serves, and the director's one serve
+// loop (serveMachine) calls the edge's own function under the
+// event-driven scheduler (director_event.go). Only cmd/osmgen and the
+// compiled engine build a GuardProgram. A generated function must
+// reproduce the interpreter's observable semantics exactly —
+// transaction order, blocked-primitive attribution, error cases,
+// resulting manager state. The check-then-commit shape of the
+// compiled engine's pure path (tryEdgePure) is the template: a
+// generated function first decides every conjunct with mutation-free
+// availability reads, then applies the transactions in instruction
+// order. Both fast engines share one fallback rule: an edge that is
+// not pure, or an attempt that meets a runtime gate closure, runs
+// through the interpreter (GenFallback). The differential suites hold
+// all four engines to trace-checksum identity.
 //
-// Like the program it is bound into, the binding is derived state:
-// AddMachine/AddManager invalidate the program, not the attachment,
-// and nothing of it is serialized, so snapshots taken under any
-// engine restore under any other.
+// The attachment is derived state: nothing of it is serialized, so
+// snapshots taken under any engine restore under any other.
 
 // EdgeFn evaluates one edge's guard for m and, when the whole
 // conjunction holds, commits it: applies the transactions, runs the
@@ -42,23 +42,22 @@ type EdgeFn func(m *Machine, e *Edge) (bool, error)
 
 // GenKey is the key under which an edge's function is attached: the
 // source state's name and the edge's name. State names are unique
-// within a model's graphs, so the pair identifies the edge; resolution
-// rejects models where it does not.
+// within a model's graphs, so the pair identifies the edge;
+// AttachGenerated rejects models where it does not.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
 // AttachGenerated checks generated edge functions, keyed by
-// GenKey(state, edge), against the current model and installs them
-// when they cover it. Every edge reachable from a registered machine's
-// initial state must have an entry with a non-nil function; entries
-// for edges not in the graph (a model variant compiled out, say) are
-// allowed and ignored. A map that fails the check is not installed,
-// so the director keeps the engine it resolved before (an attachment
-// makes the generated engine the default, see ActiveEngine).
-// Attaching builds nothing: the generated engine binds the functions
-// into the guard program on its first step (Generated). The
-// attachment survives model growth: AddMachine and AddManager
-// invalidate the program, which is rebuilt and rebound from the same
-// function map on the next use.
+// GenKey(state, edge), against the current model and writes each onto
+// the edge it serves when they cover the model. Every edge reachable
+// from a registered machine's initial state must have an entry with a
+// non-nil function; entries for edges not in the graph (a model
+// variant compiled out, say) are allowed and ignored. A map that
+// fails the check installs nothing, so the director keeps the engine
+// it resolved before (an attachment makes the generated engine the
+// default, see ActiveEngine). The map is not kept, and attaching
+// builds nothing. Under the generated engine an edge without a
+// function — one of a graph registered after the attachment — is
+// tried by the interpreter.
 func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
 	bound := make(map[string]*Edge, len(fns))
 	walked := make(map[*State]bool, 1)
@@ -72,63 +71,36 @@ func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
 		walked[m.Initial] = true
 		for _, s := range reachable(m.Initial) {
 			for _, e := range s.Out {
-				if _, err := genFn(fns, bound, s, e); err != nil {
+				if err := checkGenFn(fns, bound, s, e); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	d.genFns = fns
-	if d.comp != nil {
-		d.comp.bound = false
+	for k, e := range bound {
+		e.gen = fns[k]
 	}
+	d.attached = true
 	return nil
 }
 
-// Generated returns the guard program Compile returns, with the
-// attached generated functions bound into its edges, compiling and
-// binding on first use. It errors when no function set is attached or
-// the attachment does not cover the model. The generated engine binds
-// implicitly on the first Step; calling Generated (or Lower) directly
-// surfaces binding errors early.
-func (d *Director) Generated() (*GuardProgram, error) {
-	if d.genFns == nil {
-		return nil, fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
-	}
-	g, err := d.Compile()
-	if err != nil || g.bound {
-		return g, err
-	}
-	bound := make(map[string]*Edge, len(d.genFns))
-	for _, cs := range g.states {
-		for i := range cs.edges {
-			ce := &cs.edges[i]
-			if ce.fn, err = genFn(d.genFns, bound, cs.s, ce.e); err != nil {
-				return nil, err
-			}
-		}
-	}
-	g.bound = true
-	return g, nil
-}
-
-// genFn looks up the function attached for edge e of state s. bound
-// records the edge each key resolved to so far, so a key two distinct
-// edges share is rejected as ambiguous.
-func genFn(fns map[string]EdgeFn, bound map[string]*Edge, s *State, e *Edge) (EdgeFn, error) {
+// checkGenFn checks that fns holds a function for edge e of state s.
+// bound records the edge each key resolved to so far, so a key two
+// distinct edges share is rejected as ambiguous.
+func checkGenFn(fns map[string]EdgeFn, bound map[string]*Edge, s *State, e *Edge) error {
 	k := GenKey(s.Name, e.Name)
 	if prev, dup := bound[k]; dup && prev != e {
-		return nil, fmt.Errorf("osm: generated: key %q is ambiguous: two distinct edges share state and edge names", k)
+		return fmt.Errorf("osm: generated: key %q is ambiguous: two distinct edges share state and edge names", k)
 	}
 	fn, ok := fns[k]
 	if !ok {
-		return nil, fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
+		return fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
 	}
 	if fn == nil {
-		return nil, fmt.Errorf("osm: generated: key %q: function is nil", k)
+		return fmt.Errorf("osm: generated: key %q: function is nil", k)
 	}
 	bound[k] = e
-	return fn, nil
+	return nil
 }
 
 // The helpers below are the narrow surface generated code is written

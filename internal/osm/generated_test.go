@@ -142,10 +142,11 @@ func TestGeneratedEngineMatchesEvent(t *testing.T) {
 }
 
 // TestGeneratedEngineSurvivesModelGrowth adds a machine after the
-// program resolved: AddMachine invalidates the resolution, which must
-// rebuild from the attached map on the next step.
+// engine ran: the late machine shares the attached graph, whose edges
+// carry their functions, so the steps after it keep running them.
 func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
-	d, fns := genPipeline(nil)
+	tries := 0
+	d, fns := genPipeline(&tries)
 	d.Engine = EngineGenerated
 	if err := d.AttachGenerated(fns); err != nil {
 		t.Fatal(err)
@@ -156,46 +157,60 @@ func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
 		}
 	}
 	d.AddMachine(NewMachine("late", d.Machines()[0].Initial))
+	before := tries
 	for i := 0; i < 10; i++ {
 		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if tries == before {
+		t.Fatal("generated edge functions stopped running after AddMachine")
+	}
 }
 
-// TestGeneratedBindsCompiledProgram checks that the generated engine
-// runs from the compile stage's program: Generated returns the very
-// program Compile returns, with a function bound into every edge.
-func TestGeneratedBindsCompiledProgram(t *testing.T) {
-	d, fns := genPipeline(nil)
-	if err := d.AttachGenerated(fns); err != nil {
-		t.Fatal(err)
-	}
-	g, err := d.Generated()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c, err := d.Compile(); err != nil || c != g {
-		t.Fatalf("Compile() = %p, %v; want the generated program %p", c, err, g)
-	}
-	if !g.bound || g.Stats().Edges != len(fns) {
-		t.Fatalf("bound = %v over %d edges, want bound over %d", g.bound, g.Stats().Edges, len(fns))
-	}
-	for _, cs := range g.states {
-		for i := range cs.edges {
-			if cs.edges[i].fn == nil {
-				t.Errorf("edge %s/%s has no bound function", cs.s.Name, cs.edges[i].e.Name)
+// TestUncoveredGraphRunsInterpreted registers a machine whose graph
+// the attachment never covered: under the generated engine its edges,
+// which carry no function, are tried by the interpreter, and it moves
+// exactly as under the event engine.
+func TestUncoveredGraphRunsInterpreted(t *testing.T) {
+	run := func(engine Engine) string {
+		d, fns := genPipeline(nil)
+		d.Engine = engine
+		if err := d.AttachGenerated(fns); err != nil {
+			t.Fatal(err)
+		}
+		u := NewUnitManager("late-u", 1)
+		i, s := NewState("LI"), NewState("LS")
+		i.Connect("go", s, Alloc(u, 0))
+		s.Connect("back", i, Release(u, 0))
+		d.AddManager(u)
+		d.AddMachine(NewMachine("late", i))
+		log := traceLog(d)
+		for k := 0; k < 20; k++ {
+			if err := d.Step(); err != nil {
+				t.Fatalf("%v: %v", engine, err)
 			}
 		}
+		if !strings.Contains(log.String(), "/late/go\n") {
+			t.Fatalf("%v: the uncovered machine never moved", engine)
+		}
+		return log.String()
+	}
+	if got, want := run(EngineGenerated), run(EngineEvent); got != want {
+		t.Fatalf("traces diverge:\ngenerated:\n%s\nevent:\n%s", got, want)
 	}
 }
 
-// TestInterpretedEnginesHoldNoProgram pins the heap property the
-// event and scan engines rely on: attaching generated functions and
-// stepping leaves the director without a lowered program.
+// TestInterpretedEnginesHoldNoProgram pins the heap property every
+// engine but the compiled one relies on: a director with generated
+// functions attached holds no lowered program after stepping, under
+// the interpreted engines and under the generated engine, named or by
+// default, which calls the edges' own functions. Only EngineCompiled
+// builds a program.
 func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
-	for _, eng := range []Engine{EngineEvent, EngineScan} {
-		d, fns := genPipeline(nil)
+	for _, eng := range []Engine{EngineDefault, EngineGenerated, EngineEvent, EngineScan, EngineCompiled} {
+		tries := 0
+		d, fns := genPipeline(&tries)
 		d.Engine = eng
 		if err := d.AttachGenerated(fns); err != nil {
 			t.Fatal(err)
@@ -205,8 +220,12 @@ func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if d.comp != nil {
-			t.Errorf("%v: director holds a lowered program after 50 steps", eng)
+		gen := d.ActiveEngine() == EngineGenerated
+		if ran := tries > 0; ran != gen {
+			t.Errorf("%v: generated functions ran %d times", eng, tries)
+		}
+		if want := eng == EngineCompiled; d.Lowered() != want {
+			t.Errorf("%v: director holds a lowered program after 50 steps: %v, want %v", eng, d.Lowered(), want)
 		}
 	}
 }
@@ -214,8 +233,8 @@ func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
 // TestDefaultEngineResolution pins what the zero Engine serves: the
 // generated engine once a function map is attached, the event-driven
 // interpreter on a bare director; a named engine and a custom Rank
-// override the attachment. Lower binds the generated program ahead of
-// the first step, and the steps then run the attached functions.
+// override the attachment. Lower succeeds ahead of the first step, and
+// the steps then run the attached functions.
 func TestDefaultEngineResolution(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -247,12 +266,6 @@ func TestDefaultEngineResolution(t *testing.T) {
 		if err := d.Lower(); err != nil {
 			t.Fatalf("%s: Lower: %v", tc.name, err)
 		}
-		if !d.Lowered() {
-			t.Fatalf("%s: not lowered after Lower", tc.name)
-		}
-		if gen := tc.want == EngineGenerated; (d.comp != nil && d.comp.bound) != gen {
-			t.Fatalf("%s: program bound = %v, want %v", tc.name, d.comp != nil && d.comp.bound, gen)
-		}
 		for i := 0; i < 20; i++ {
 			if err := d.Step(); err != nil {
 				t.Fatal(err)
@@ -265,8 +278,8 @@ func TestDefaultEngineResolution(t *testing.T) {
 }
 
 // TestFailedAttachKeepsEvent pins that a map which does not cover the
-// model is not installed: the director still serves the interpreter
-// under the default engine, and Generated reports no attachment.
+// model is not installed: no edge carries a function, and the director
+// still serves the interpreter under the default engine.
 func TestFailedAttachKeepsEvent(t *testing.T) {
 	tries := 0
 	d, fns := genPipeline(&tries)
@@ -274,11 +287,11 @@ func TestFailedAttachKeepsEvent(t *testing.T) {
 	if err := d.AttachGenerated(fns); err == nil {
 		t.Fatal("AttachGenerated accepted a map with a missing key")
 	}
+	if n := genEdges(d); n != 0 {
+		t.Fatalf("a failed attach wrote %d edge functions", n)
+	}
 	if eng := d.ActiveEngine(); eng != EngineEvent {
 		t.Fatalf("after a failed attach the director serves %v, want event", eng)
-	}
-	if _, err := d.Generated(); err == nil || !strings.Contains(err.Error(), "no edge functions attached") {
-		t.Fatalf("Generated() = %v, want the no-edge-functions error", err)
 	}
 	for i := 0; i < 20; i++ {
 		if err := d.Step(); err != nil {
@@ -290,9 +303,30 @@ func TestFailedAttachKeepsEvent(t *testing.T) {
 	}
 }
 
+// genEdges counts the edges reachable from d's machines that carry a
+// generated function.
+func genEdges(d *Director) int {
+	n := 0
+	seen := map[*State]bool{}
+	for _, m := range d.Machines() {
+		for _, s := range reachable(m.Initial) {
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			for _, e := range s.Out {
+				if e.gen != nil {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
 // TestAttachGeneratedErrors exercises the resolution failure modes:
 // no attachment, a missing key, an entry with a nil function, and two
-// distinct edges sharing a key.
+// distinct edges sharing a key. A failed attach installs nothing.
 func TestAttachGeneratedErrors(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d, _ := genPipeline(nil)
@@ -308,6 +342,9 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `no generated function for key "S5/out"`) {
 			t.Fatalf("err = %v, want missing-key error", err)
 		}
+		if n := genEdges(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d edge functions", n)
+		}
 	})
 	t.Run("halfSet", func(t *testing.T) {
 		// The key is present but its function is not.
@@ -316,6 +353,9 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		err := d.AttachGenerated(fns)
 		if err == nil || !strings.Contains(err.Error(), `key "I/in": function is nil`) {
 			t.Fatalf("err = %v, want nil-function error", err)
+		}
+		if n := genEdges(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d edge functions", n)
 		}
 	})
 	t.Run("ambiguous", func(t *testing.T) {
@@ -339,6 +379,9 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		err := d.AttachGenerated(fns)
 		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 			t.Fatalf("err = %v, want ambiguity error", err)
+		}
+		if n := genEdges(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d edge functions", n)
 		}
 	})
 }

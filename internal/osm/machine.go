@@ -54,6 +54,11 @@ type Edge struct {
 	// results, attaching results to tokens about to be released.
 	Action func(m *Machine)
 
+	// gen is the edge's generated function, written by
+	// Director.AttachGenerated; the generated engine calls it in place
+	// of the interpreter.
+	gen EdgeFn
+
 	// Wake-set cache owned by the event-driven scheduler
 	// (director_event.go): the registered managers a commit of this
 	// edge mutates, valid for one director and scheduler epoch.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -46,7 +47,9 @@ type Spec struct {
 	Target string `json:"target"`
 	// Workload names a built-in kernel (exclusive with Src/Image).
 	Workload string `json:"workload,omitempty"`
-	// N is the workload iteration count (0 = kernel default).
+	// N is the workload iteration count (0 = kernel default). The
+	// kernels count in a signed 32-bit register, so Validate refuses N
+	// outside [0, 2^31-1].
 	N int `json:"n,omitempty"`
 	// Src is assembly source text (exclusive with Workload/Image).
 	Src string `json:"src,omitempty"`
@@ -92,12 +95,20 @@ func knownTarget(t string) bool {
 // therefore has selectable execution engines).
 func (s *Spec) isOSM() bool { return s.Target == "strongarm" || s.Target == "ppc750" }
 
-// Validate checks the spec for a known target and an unambiguous
-// program source. The error is a single line suitable for CLI and
-// HTTP error surfaces.
+// maxN is the largest workload iteration count: the kernels load N
+// into a signed 32-bit register and loop while it is positive, so a
+// larger N would silently run another count.
+const maxN = math.MaxInt32
+
+// Validate checks the spec for a known target, an iteration count the
+// kernels can hold and an unambiguous program source. The error is a
+// single line suitable for CLI and HTTP error surfaces.
 func (s *Spec) Validate() error {
 	if !knownTarget(s.Target) {
 		return fmt.Errorf("unknown target %q (want one of %s)", s.Target, strings.Join(Targets, ", "))
+	}
+	if s.N < 0 || s.N > maxN {
+		return fmt.Errorf("n %d out of range [0, %d] (0 selects the kernel default)", s.N, maxN)
 	}
 	if _, err := osm.ParseEngine(s.Engine); err != nil {
 		return err
@@ -467,8 +478,8 @@ func New(spec Spec) (*Instance, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotSteppable, spec.Target)
 	}
 	in.spec = spec
-	// Lower the active engine's guards eagerly so model errors surface
-	// at construction, not on the first step.
+	// Lower eagerly so model errors surface at construction, not on
+	// the first step; only the compiled engine builds a program.
 	if err := in.director.Lower(); err != nil {
 		return nil, err
 	}

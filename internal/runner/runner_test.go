@@ -39,6 +39,27 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestNOutsideKernelRangeRefused pins the iteration counts the
+// kernels can hold. Both models load N as a signed 32-bit count, so an
+// N outside [0, 2^31-1] would run another count (1<<31 and -1 run
+// none, 4294967299 runs 3) or fail to assemble; New refuses it by
+// naming the range. Both ends of the range build.
+func TestNOutsideKernelRangeRefused(t *testing.T) {
+	for _, target := range []string{"strongarm", "ppc750"} {
+		for _, n := range []int{-1, 1 << 31, 4294967299} {
+			_, err := New(Spec{Target: target, Workload: "dsp/fir", N: n})
+			if err == nil || !strings.Contains(err.Error(), "out of range [0, 2147483647]") {
+				t.Errorf("%s n=%d: New = %v, want the range error", target, n, err)
+			}
+		}
+		for _, n := range []int{0, maxN} {
+			if _, err := New(Spec{Target: target, Workload: "dsp/fir", N: n}); err != nil {
+				t.Errorf("%s n=%d: %v", target, n, err)
+			}
+		}
+	}
+}
+
 // Run and a hand-stepped Instance must agree exactly: same cycles,
 // instructions and reported values — the CLI and the server share one
 // truth.
@@ -81,9 +102,10 @@ func TestRunMatchesInstance(t *testing.T) {
 }
 
 // TestNewEngineResolution pins the engine runner.New builds for each
-// case study: the empty default serves the generated edge functions
-// with the program lowered and bound at construction, like an explicit
-// "generated", and "event" still selects the interpreter.
+// case study: the empty default serves the generated edge functions,
+// like an explicit "generated", and "event" still selects the
+// interpreter. Stepped, only the compiled engine holds a lowered guard
+// program; the generated engine calls the edges' own functions.
 func TestNewEngineResolution(t *testing.T) {
 	for _, target := range []string{"strongarm", "ppc750"} {
 		for _, tc := range []struct {
@@ -94,6 +116,7 @@ func TestNewEngineResolution(t *testing.T) {
 			{"generated", osm.EngineGenerated},
 			{"event", osm.EngineEvent},
 			{"scan", osm.EngineScan},
+			{"compiled", osm.EngineCompiled},
 		} {
 			in, err := New(Spec{Target: target, Workload: "dsp/fir", N: 10, Engine: tc.engine})
 			if err != nil {
@@ -103,8 +126,13 @@ func TestNewEngineResolution(t *testing.T) {
 			if got := d.ActiveEngine(); got != tc.want {
 				t.Errorf("%s/%q: serves %v, want %v", target, tc.engine, got, tc.want)
 			}
-			if !d.Lowered() {
-				t.Errorf("%s/%q: %v program not lowered at construction", target, tc.engine, tc.want)
+			for i := 0; i < 200 && !in.Done(); i++ {
+				if err := in.StepCycle(); err != nil {
+					t.Fatalf("%s/%q: %v", target, tc.engine, err)
+				}
+			}
+			if want := tc.want == osm.EngineCompiled; d.Lowered() != want {
+				t.Errorf("%s/%q: holds a lowered program = %v, want %v", target, tc.engine, d.Lowered(), want)
 			}
 		}
 	}
