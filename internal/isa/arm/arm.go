@@ -357,11 +357,21 @@ func (i *Instr) WritesFlags() bool {
 }
 
 // ReadsFlags reports whether execution depends on the CPSR flags
-// beyond the condition field.
+// beyond the condition field: the carry-in of ADC, SBC and RSC, and
+// an RRX operand (ROR #0 of Rm), which shifts C into the value.
 func (i *Instr) ReadsFlags() bool {
 	switch i.Op {
 	case ADC, SBC, RSC:
 		return true
 	}
-	return i.Cond != AL
+	return i.Cond != AL || i.rrx()
+}
+
+// rrx reports whether operand 2 or the memory offset is an RRX of Rm.
+func (i *Instr) rrx() bool {
+	switch i.Op {
+	case MUL, MLA, LDRH, STRH, LDRSB, LDRSH, LDM, STM, B, BL, SWI:
+		return false
+	}
+	return !i.HasImm && !i.HasShiftReg && i.Shift == ROR && i.ShiftAmt == 0
 }

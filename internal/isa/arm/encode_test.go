@@ -197,6 +197,50 @@ func TestFlagsPredicates(t *testing.T) {
 	}
 }
 
+// TestReadsFlagsRRX checks that an RRX operand, which shifts C into
+// operand 2 or the memory offset, counts as a flag read, and that
+// the other shifts of Rm do not.
+func TestReadsFlagsRRX(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want bool
+	}{
+		{"add r7, r6, lr, rrx", true},
+		{"mov r7, lr, rrx", true},
+		{"sub r7, r6, lr, rrx", true},
+		{"rsb r7, r6, lr, rrx", true},
+		{"eor r7, r6, lr, rrx", true},
+		{"orr r7, r6, lr, rrx", true},
+		{"and r7, r6, lr, rrx", true},
+		{"bic r7, r6, lr, rrx", true},
+		{"mvn r7, lr, rrx", true},
+		{"ldr r0, [r1, r2, rrx]", true},
+		{"str r0, [r1, r2, rrx]", true},
+		{"add r7, r6, lr", false},
+		{"add r7, r6, lr, ror #1", false},
+		{"add r7, r6, lr, ror r3", false},
+		{"mov r7, lr, lsr #32", false},
+		{"add r7, r6, #1", false},
+		{"ldr r0, [r1, r2, lsr #32]", false},
+		{"ldr r0, [r1, r2]", false},
+		{"ldr r0, [r1, #4]", false},
+		{"ldrh r0, [r1, r2]", false},
+		{"mul r0, r1, r2", false},
+	} {
+		p, err := Assemble(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ins, err := Decode(p.Words[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ins.ReadsFlags(); got != tc.want {
+			t.Errorf("%s (%08x): ReadsFlags() = %v, want %v", tc.src, p.Words[0], got, tc.want)
+		}
+	}
+}
+
 func TestIsBranch(t *testing.T) {
 	cases := []struct {
 		asm    string

@@ -18,9 +18,8 @@ func (c *CPU) shifterOperand(i *Instr) (val uint32, carry bool) {
 		return val, carry
 	}
 	rm := c.R[i.Rm]
-	amt := uint32(i.ShiftAmt)
 	if i.HasShiftReg {
-		amt = c.R[i.Rs] & 0xff
+		amt := c.R[i.Rs] & 0xff
 		// A register-specified shift of zero leaves the value and
 		// carry untouched.
 		if amt == 0 {
@@ -28,23 +27,29 @@ func (c *CPU) shifterOperand(i *Instr) (val uint32, carry bool) {
 		}
 		return shiftBy(rm, i.Shift, amt, carry)
 	}
-	// Immediate shift amounts of zero have special meanings.
+	return shiftImm(rm, i.Shift, uint32(i.ShiftAmt), carry)
+}
+
+// shiftImm applies an immediate shift of Rm, the form operand 2 and
+// scaled memory offsets share, with the encoding's zero-amount rules:
+// LSL #0 leaves the value and carry untouched, LSR #0 and ASR #0 mean
+// #32, and ROR #0 is RRX, which shifts the carry in at the top.
+func shiftImm(rm uint32, kind Shift, amt uint32, carry bool) (uint32, bool) {
 	if amt == 0 {
-		switch i.Shift {
+		switch kind {
 		case LSL:
 			return rm, carry
 		case LSR, ASR:
 			amt = 32
 		case ROR: // RRX
-			out := rm & 1
-			val = rm >> 1
-			if c.C {
+			val := rm >> 1
+			if carry {
 				val |= 0x8000_0000
 			}
-			return val, out != 0
+			return val, rm&1 != 0
 		}
 	}
-	return shiftBy(rm, i.Shift, amt, carry)
+	return shiftBy(rm, kind, amt, carry)
 }
 
 func shiftBy(v uint32, kind Shift, amt uint32, carryIn bool) (uint32, bool) {
@@ -224,14 +229,9 @@ func (c *CPU) Exec(i Instr) (branched bool, err error) {
 }
 
 func (c *CPU) execMem(i *Instr) (branched bool, err error) {
-	var off uint32
-	switch {
-	case i.HasImm:
-		off = i.Imm
-	case i.ShiftAmt == 0 && i.Shift == LSL:
-		off = c.R[i.Rm]
-	default:
-		off, _ = shiftBy(c.R[i.Rm], i.Shift, uint32(i.ShiftAmt), c.C)
+	off := i.Imm
+	if !i.HasImm {
+		off, _ = shiftImm(c.R[i.Rm], i.Shift, uint32(i.ShiftAmt), c.C)
 	}
 	base := c.R[i.Rn]
 	indexed := base + off

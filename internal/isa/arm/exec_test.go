@@ -2,6 +2,8 @@ package arm
 
 import (
 	"encoding/binary"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -515,5 +517,91 @@ func TestExecBicTeqTst(t *testing.T) {
 	`)
 	if c.ExitCode != 0xf3 {
 		t.Fatalf("exit = %#x, want 0xf3", c.ExitCode)
+	}
+}
+
+// sparseMem is a little-endian test memory over the whole 32-bit
+// address space, so an access at a wrong address lands somewhere
+// visible instead of out of range.
+type sparseMem map[uint32]byte
+
+func (m sparseMem) Read8(a uint32) byte        { return m[a] }
+func (m sparseMem) Write8(a uint32, v byte)    { m[a] = v }
+func (m sparseMem) Read16(a uint32) uint16     { return uint16(m[a]) | uint16(m[a+1])<<8 }
+func (m sparseMem) Write16(a uint32, v uint16) { m[a], m[a+1] = byte(v), byte(v>>8) }
+func (m sparseMem) Read32(a uint32) uint32     { return uint32(m.Read16(a)) | uint32(m.Read16(a+2))<<16 }
+func (m sparseMem) Write32(a uint32, v uint32) {
+	m.Write16(a, uint16(v))
+	m.Write16(a+2, uint16(v>>16))
+}
+
+// TestExecScaledOffsetZeroShifts checks the zero-amount immediate
+// shifts of a scaled register offset, which follow operand 2's rules:
+// LSR #0 and ASR #0 mean #32, and ROR #0 is RRX, shifting C in.
+func TestExecScaledOffsetZeroShifts(t *testing.T) {
+	const base, marker = 0x1000, 0xa5c3e187
+	for _, tc := range []struct {
+		offset string
+		index  uint32
+		carry  bool
+		off    uint32 // the offset the shift produces
+	}{
+		{"r2, lsr #32", 0x8000_0200, false, 0},
+		{"r2, lsr #32", 0x8000_0200, true, 0},
+		{"r2, asr #32", 0x0000_0200, false, 0},
+		{"r2, asr #32", 0x8000_0200, true, 0xffff_ffff},
+		{"r2, rrx", 0x201, false, 0x100},
+		{"r2, rrx", 0x201, true, 0x8000_0100},
+	} {
+		addr := uint32(base) + tc.off
+		for _, op := range []string{"ldr", "str", "ldrb", "strb"} {
+			byteOp := strings.HasSuffix(op, "b")
+			if !byteOp && addr%4 != 0 {
+				continue
+			}
+			src := fmt.Sprintf("%s r4, [r1, %s]", op, tc.offset)
+			p, err := Assemble(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, err := Decode(p.Words[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := sparseMem{}
+			c := &CPU{Mem: mem}
+			c.R[1], c.R[2], c.C = base, tc.index, tc.carry
+			want := uint32(marker)
+			if byteOp {
+				want &= 0xff
+			}
+			load := strings.HasPrefix(op, "ldr")
+			switch {
+			case load && byteOp:
+				mem.Write8(addr, byte(want))
+			case load:
+				mem.Write32(addr, want)
+			default:
+				c.R[4] = marker
+			}
+			if err := c.StepDecoded(ins); err != nil {
+				t.Errorf("%s with r2=%#x, C=%v: %v", src, tc.index, tc.carry, err)
+				continue
+			}
+			got := c.R[4]
+			switch {
+			case !load && byteOp:
+				got = uint32(mem.Read8(addr))
+			case !load:
+				got = mem.Read32(addr)
+			}
+			if got != want {
+				t.Errorf("%s with r2=%#x, C=%v: the access missed %#x (offset %#x)",
+					src, tc.index, tc.carry, addr, tc.off)
+			}
+			if c.C != tc.carry {
+				t.Errorf("%s: C changed to %v", src, c.C)
+			}
+		}
 	}
 }

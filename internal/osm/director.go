@@ -78,19 +78,20 @@ type Director struct {
 	// Engine selects the execution engine (see the Engine type). The
 	// zero value, EngineDefault, serves through the generated edge
 	// functions when they are attached (AttachGenerated) and through
-	// the event-driven interpreter otherwise. EngineScan is the
-	// reference scheduler, which re-ranks and re-evaluates every
-	// machine each control step exactly as written in the paper's
-	// Figure 3. EngineEvent (director_event.go) produces the identical
-	// transition schedule — the differential tests in
-	// internal/experiments check this trace-for-trace — while skipping
-	// machines whose blocking resources did not change. The compiled
-	// engine lowers the model on the first step (Lower does so
-	// earlier); a lowering error aborts that Step. The generated
-	// engine calls the edges' own functions and lowers nothing. The
-	// event-driven engines require the default age-based ranking, so
-	// installing a custom Rank forces EngineScan. Choose the engine
-	// before the first Step.
+	// the event-driven interpreter otherwise. EngineScan and
+	// EngineGenerated run the paper's Figure 3 scan, which ranks and
+	// serves every machine each control step; EngineScan tries edges
+	// through the interpreter and is the reference, EngineGenerated
+	// calls the edges' own functions and lowers nothing. EngineEvent
+	// and EngineCompiled run the event-driven scheduler
+	// (director_event.go), which produces the identical transition
+	// schedule — the differential tests in internal/experiments check
+	// this trace-for-trace — while skipping machines whose blocking
+	// resources did not change. The compiled engine lowers the model
+	// on the first step (Lower does so earlier); a lowering error
+	// aborts that Step. The event-driven scheduler requires the
+	// default age-based ranking, so installing a custom Rank forces
+	// EngineScan. Choose the engine before the first Step.
 	Engine Engine
 	// Check, if non-nil, runs at the end of every control step,
 	// before the step counter advances — the hook the invariant
@@ -103,7 +104,11 @@ type Director struct {
 	steppers []Stepper
 	step     uint64
 	nextAge  uint64
-	// scratch reused across steps to avoid per-step allocation.
+	// order holds the machines in the scan's serve order under the
+	// default ranking, kept across steps (see scanOrder).
+	order []*Machine
+	// list is the scan's serve order under a custom Rank, reused
+	// across steps to avoid per-step allocation.
 	list []*Machine
 	// ev is the event-driven scheduler's state (director_event.go).
 	ev eventSched
@@ -128,7 +133,11 @@ func NewDirector() *Director { return &Director{} }
 // AddMachine registers a machine with the director. Registration
 // order breaks ranking ties, so it must be deterministic.
 func (d *Director) AddMachine(ms ...*Machine) {
-	d.machines = append(d.machines, ms...)
+	for _, m := range ms {
+		m.sched.idx = len(d.machines)
+		d.machines = append(d.machines, m)
+	}
+	d.order = append(d.order, ms...)
 	d.ev.init = false
 	d.primInit = false
 	d.comp = nil
@@ -163,15 +172,21 @@ func (d *Director) StepCount() uint64 { return d.step }
 // errors.Is) if deadlock checking is enabled and a cyclic resource
 // wait is detected.
 //
-// Two scheduler implementations produce this schedule: the reference
-// scan (Figure 3 verbatim) and the event-driven scheduler every other
-// engine runs, which skips machines whose blocking resources did not
-// change. See the Engine field.
+// Two scheduler implementations produce this schedule: the Figure 3
+// scan (stepScan), which the scan and generated engines run, and the
+// event-driven scheduler (stepEvent) of the event and compiled
+// engines, which skips machines whose blocking resources did not
+// change. See EventDriven and the Engine field. Under the generated
+// engine a director with no edge functions attached fails here, before
+// anything is served.
 func (d *Director) Step() error {
-	if d.ActiveEngine() == EngineScan {
-		return d.stepScan()
+	if d.EventDriven() {
+		return d.stepEvent()
 	}
-	return d.stepEvent()
+	if err := d.Lower(); err != nil {
+		return err
+	}
+	return d.stepScan()
 }
 
 // ensurePrims assigns identifier slots to every dynamic primitive
@@ -319,35 +334,19 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 	return false, nil, nil
 }
 
-// stepScan is the reference scheduler: the paper's Figure 3, executed
-// over the full machine population every control step.
+// stepScan is the paper's Figure 3, executed over the full machine
+// population every control step.
 func (d *Director) stepScan() error {
 	d.ensurePrims()
 	for _, s := range d.steppers {
 		s.BeginStep(d.step)
 	}
-	// updateOSMList: rank the machines. Stable sort keeps
-	// registration order for ties, making the schedule deterministic.
-	d.list = d.list[:0]
-	d.list = append(d.list, d.machines...)
-	rank := d.Rank
-	if rank == nil {
-		rank = AgeRank
-	}
-	// Stable insertion sort: machine counts are small and this keeps
-	// the per-step scheduling allocation-free.
-	for i := 1; i < len(d.list); i++ {
-		for j := i; j > 0 && rank(d.list[j], d.list[j-1]); j-- {
-			d.list[j], d.list[j-1] = d.list[j-1], d.list[j]
-		}
-	}
-
-	list := d.list
+	list := d.scanOrder()
 	progressed := false
 	i := 0
 	for i < len(list) {
 		m := list[i]
-		if m == nil { // already transitioned this step
+		if m.sched.moved { // already transitioned this step
 			i++
 			continue
 		}
@@ -357,10 +356,9 @@ func (d *Director) stepScan() error {
 		}
 		if moved {
 			progressed = true
-			// Mark m served so it is not scheduled again this step.
-			// Index marking keeps removal O(1) where a slice shift
-			// would be O(n) on every transition.
-			list[i] = nil
+			// Mark m served so it is not scheduled again this step;
+			// the mark leaves the order itself untouched.
+			m.sched.moved = true
 			if d.NoRestart || (d.RestartPolicy != nil && !d.RestartPolicy(m, moveEdge)) {
 				i++
 				continue
@@ -373,7 +371,6 @@ func (d *Director) stepScan() error {
 		}
 		i++
 	}
-	d.list = list[:0]
 
 	if !progressed && d.CheckDeadlock {
 		if err := d.deadlockCheck(); err != nil {
@@ -389,18 +386,88 @@ func (d *Director) stepScan() error {
 	return nil
 }
 
-// EventDriven reports whether an event-driven scheduler serves the
-// director's steps — every engine but the scan does (see Engine; a
-// custom Rank forces the scan).
-func (d *Director) EventDriven() bool { return d.ActiveEngine() != EngineScan }
+// scanOrder returns the machines in this control step's serve order,
+// updateOSMList in the paper's Figure 3, and clears their served
+// marks. Under the default ranking the order is the director's own,
+// kept across steps and sorted by serve key (keyOf), which equals the
+// stable AgeRank order: active machines by age, then idle machines by
+// registration index. Between two steps only the machines that left
+// or re-entered their initial state change key, so the stable
+// insertion sort runs in near-linear time. A custom Rank sorts a copy
+// of the registration order through its callback every step; the
+// stable sort keeps registration order for ties, making the schedule
+// deterministic.
+func (d *Director) scanOrder() []*Machine {
+	if d.Rank == nil {
+		o := d.order
+		for _, m := range o {
+			m.sched.key = keyOf(m)
+			m.sched.moved = false
+		}
+		for i := 1; i < len(o); i++ {
+			for j := i; j > 0 && keyLess(o[j], o[j-1]); j-- {
+				o[j], o[j-1] = o[j-1], o[j]
+			}
+		}
+		return o
+	}
+	l := append(d.list[:0], d.machines...)
+	for _, m := range l {
+		m.sched.moved = false
+	}
+	for i := 1; i < len(l); i++ {
+		for j := i; j > 0 && d.Rank(l[j], l[j-1]); j-- {
+			l[j], l[j-1] = l[j-1], l[j]
+		}
+	}
+	d.list = l
+	return l
+}
+
+// idleKeyBase separates the serve-order keys of idle machines from
+// active ones: active machines order first by ascending age, then
+// idle machines by registration index. Ages count operations and
+// cannot reach 2^63; keys are unique because ages are.
+const idleKeyBase = uint64(1) << 63
+
+// keyOf computes m's position in the AgeRank serve order as a single
+// comparable integer.
+func keyOf(m *Machine) uint64 {
+	if m.InInitial() {
+		return idleKeyBase + uint64(m.sched.idx)
+	}
+	return m.Age
+}
+
+// keyLess orders two machines by their computed serve keys. Keys are
+// unique on any run the director drives; a tie (ages set by hand or
+// restored from a snapshot that repeats one) falls back to
+// registration order, as AgeRank's stable sort does.
+func keyLess(a, b *Machine) bool {
+	if a.sched.key != b.sched.key {
+		return a.sched.key < b.sched.key
+	}
+	return a.sched.idx < b.sched.idx
+}
+
+// EventDriven reports whether the event-driven scheduler serves the
+// director's steps: under EngineEvent and EngineCompiled, and under
+// EngineDefault when no generated functions are attached. The scan
+// and generated engines, and so the case studies' default, serve
+// every machine every step (see Engine; a custom Rank forces the
+// scan).
+func (d *Director) EventDriven() bool {
+	e := d.ActiveEngine()
+	return e == EngineEvent || e == EngineCompiled
+}
 
 // WillEvaluate reports whether machine m is queued for evaluation at
-// the next control step. Under the scan scheduler every machine is
-// re-evaluated each step, so the answer is always true; under the
-// event-driven scheduler a machine is evaluated only while it sits in
-// the ready set — suspended machines wait for a manager wake. The
-// invariant checker uses this to verify that the event scheduler
-// never leaves a machine with a satisfiable edge asleep.
+// the next control step. Under the scan every machine is re-evaluated
+// each step, so the answer is always true; under the event-driven
+// scheduler a machine is evaluated only while it sits in the ready
+// set — suspended machines wait for a manager wake. The invariant
+// checker uses this to verify that the event scheduler never leaves a
+// machine with a satisfiable edge asleep.
 func (d *Director) WillEvaluate(m *Machine) bool {
 	if !d.EventDriven() || !d.ev.init {
 		return true

@@ -50,14 +50,17 @@ package osm
 // Figure 3 serves each machine's new state at the following step (at
 // most one transition per machine per step).
 
-// machineSched is per-machine scheduling state owned by the
-// event-driven scheduler. Stamps hold step+1 so the zero value means
-// "never".
+// machineSched is per-machine scheduling state. idx and key serve
+// both schedulers and moved the scan; the rest is the event-driven
+// scheduler's own, reset by initEvent. Stamps hold step+1 so the zero
+// value means "never".
 type machineSched struct {
-	idx int // registration index; breaks ranking ties
+	idx int // registration index, set by AddMachine; orders idle machines
 	// key is the machine's serve-order position (see keyOf), computed
-	// when the machine enters the serve list and valid for one step.
-	key       uint64
+	// when the machine enters a serve list and valid for one step.
+	key uint64
+	// moved marks a machine that transitioned in the current scan step.
+	moved     bool
 	inReady   bool  // queued for the next step
 	inPend    bool  // queued in the current step's serve list
 	asleep    bool  // suspended on wait lists (or permanently, if none)
@@ -91,21 +94,6 @@ type eventSched struct {
 	stamp     uint64 // d.step + 1 during the current step
 }
 
-// idleKeyBase separates the serve-order keys of idle machines from
-// active ones: active machines order first by ascending age, then
-// idle machines by registration index. Ages count operations and
-// cannot reach 2^63; keys are unique because ages are.
-const idleKeyBase = uint64(1) << 63
-
-// keyOf computes m's position in the AgeRank serve order as a single
-// comparable integer.
-func keyOf(m *Machine) uint64 {
-	if m.InInitial() {
-		return idleKeyBase + uint64(m.sched.idx)
-	}
-	return m.Age
-}
-
 // initEvent (re)builds the scheduler state: manager indexing, wake
 // hooks, and a ready set holding every machine. It runs before the
 // first event-driven step and again after any AddMachine/AddManager
@@ -130,8 +118,8 @@ func (d *Director) initEvent() {
 		}
 	}
 	ev.ready = ev.ready[:0]
-	for i, m := range d.machines {
-		m.sched = machineSched{idx: i, inReady: true}
+	for _, m := range d.machines {
+		m.sched = machineSched{idx: m.sched.idx, inReady: true}
 		m.dynEpoch++ // guard against mutation while unscheduled
 		ev.ready = append(ev.ready, m)
 	}
@@ -143,9 +131,9 @@ func (d *Director) initEvent() {
 }
 
 // stepEvent runs one control step under the event-driven scheduler.
-// It serves the event, compiled and generated engines, which differ
-// only in how serveMachine tries an edge; the compiled engine lowers
-// the model on its first step.
+// It serves the event and compiled engines, which differ only in how
+// serveMachine tries an edge; the compiled engine lowers the model on
+// its first step.
 func (d *Director) stepEvent() error {
 	if err := d.Lower(); err != nil {
 		return err

@@ -2,8 +2,14 @@ package osm
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 // twoStage builds the smallest interesting model: I -> F -> I with a
@@ -339,6 +345,106 @@ func TestAgeRankOrdersActiveBeforeIdle(t *testing.T) {
 	}
 	if AgeRank(b, b) {
 		t.Fatal("idle vs idle must be a tie (false)")
+	}
+}
+
+// scanOrderModel registers n machines, in a random order, over a
+// two-state ring whose edges fire on a seeded coin, so machines leave
+// and re-enter their initial state irregularly and the idle/active
+// mix and the ages churn from step to step.
+func scanOrderModel(rng *rand.Rand, n int) *Director {
+	i, a := NewState("I"), NewState("A")
+	coin := func(*Machine) bool { return rng.Intn(3) != 0 }
+	i.Connect("go", a).When = coin
+	a.Connect("back", i).When = coin
+	d := NewDirector()
+	d.Engine = EngineScan
+	for _, k := range rng.Perm(n) {
+		d.AddMachine(NewMachine(fmt.Sprintf("m%d", k), i))
+	}
+	return d
+}
+
+// pokeActive moves a random subset of ms out of their initial state
+// with random ages, which may repeat one another and the director's.
+func pokeActive(rng *rand.Rand, ms []*Machine) {
+	for _, m := range ms {
+		if rng.Intn(2) == 0 {
+			m.cur = m.Initial.Out[0].To
+			m.Age = uint64(rng.Intn(2*len(ms)) + 1)
+		}
+	}
+}
+
+// TestScanOrderMatchesAgeRank is a property test of the scan's keyed
+// serve order: over random populations (sizes, registration orders,
+// idle/active mixes, ages) the order scanOrder keeps across steps
+// equals the stable AgeRank sort of the registration order, the order
+// the scan used to rebuild every step. It holds on a fresh population,
+// at every step of a run, and after ages are set by hand, AddMachine,
+// Reset and a snapshot restore, each of which leaves the kept order
+// stale.
+func TestScanOrderMatchesAgeRank(t *testing.T) {
+	names := func(ms []*Machine) string {
+		var b strings.Builder
+		for _, m := range ms {
+			fmt.Fprintf(&b, " %s(%d)", m.Name, m.Age)
+			if !m.InInitial() {
+				b.WriteString("*")
+			}
+		}
+		return b.String()
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := scanOrderModel(rng, rng.Intn(16)+1)
+		check := func(when string) {
+			t.Helper()
+			want := slices.Clone(d.Machines())
+			sort.SliceStable(want, func(i, j int) bool { return AgeRank(want[i], want[j]) })
+			if got := d.scanOrder(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s: scan order%s, want%s (* = active)", seed, when, names(got), names(want))
+			}
+		}
+		steps := func(when string, n int) {
+			t.Helper()
+			for k := 0; k < n; k++ {
+				if err := d.Step(); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s, step %d", when, k+1))
+			}
+		}
+		pokeActive(rng, d.Machines())
+		d.nextAge = uint64(2 * len(d.Machines()))
+		check("fresh population")
+		steps("run", 6)
+		pokeActive(rng, d.Machines())
+		check("poked mid-run")
+		steps("after the poke", 4)
+
+		late := []*Machine{NewMachine("late0", d.Machines()[0].Initial), NewMachine("late1", d.Machines()[0].Initial)}
+		pokeActive(rng, late)
+		d.AddMachine(late...)
+		check("after AddMachine")
+		steps("after AddMachine", 4)
+
+		w := snap.NewWriter()
+		if err := d.Snapshot(w); err != nil {
+			t.Fatal(err)
+		}
+		saved := slices.Clone(d.scanOrder())
+		d.Reset()
+		check("after Reset")
+		steps("after Reset", 4)
+		if err := d.Restore(snap.NewReader(w.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		check("after Restore")
+		if got := d.scanOrder(); !slices.Equal(got, saved) {
+			t.Fatalf("seed %d: restored order%s, snapshot's%s", seed, names(got), names(saved))
+		}
+		steps("after Restore", 4)
 	}
 }
 

@@ -8,7 +8,8 @@ import "fmt"
 // serve loop (Director.serveMachine): a machine's outgoing edges are
 // tried in priority order and the first whose guard holds commits.
 // They differ only in how a control step picks the machines to serve
-// and how one edge is tried:
+// (the Figure 3 scan or the event-driven scheduler, see
+// Director.EventDriven) and how one edge is tried:
 //
 //   - EngineDefault, the zero Engine, lets the model choose: the
 //     director resolves it to EngineGenerated when generated edge
@@ -20,8 +21,8 @@ import "fmt"
 //     machines are re-evaluated. Edges are tried by the interpreter,
 //     Machine.tryEdge.
 //   - EngineScan is the reference scheduler, the paper's Figure 3
-//     executed verbatim over the full machine population every step,
-//     with the same interpreter.
+//     executed over the full machine population every step in serve
+//     key order, with the same interpreter.
 //   - EngineCompiled keeps the event-driven scheduling but tries
 //     edges through the compile stage's guard program (compiled.go):
 //     flat per-edge instruction arrays with pre-resolved managers,
@@ -29,13 +30,17 @@ import "fmt"
 //     the built-in managers, so the hot loop runs without interface
 //     dispatch. The interpreted engines remain the differential
 //     oracle.
-//   - EngineGenerated also keeps the event-driven scheduling but
+//   - EngineGenerated runs the Figure 3 scan, as EngineScan does, but
 //     calls each edge's own generated Go function (generated.go),
 //     written onto the edge by Director.AttachGenerated — one
 //     monomorphic function per edge, typically emitted by
 //     internal/osm/gen from the guard program, with When predicates
-//     and manager fast paths inlined at source level. It builds no
-//     program: only EngineCompiled (and cmd/osmgen) does.
+//     and manager fast paths inlined at source level. It pairs
+//     specialized edges with a static serve order: on the case
+//     studies the scan's every-machine evaluation costs less than the
+//     event scheduler's wake bookkeeping, which skips few machines
+//     there. It builds no program: only EngineCompiled (and
+//     cmd/osmgen) does.
 type Engine uint8
 
 const (
@@ -49,8 +54,8 @@ const (
 	// EngineCompiled executes compiled guard programs under
 	// event-driven scheduling.
 	EngineCompiled
-	// EngineGenerated executes generated Go edge functions under
-	// event-driven scheduling (see Director.AttachGenerated).
+	// EngineGenerated executes generated Go edge functions under the
+	// Figure 3 scan (see Director.AttachGenerated).
 	EngineGenerated
 )
 
@@ -120,7 +125,7 @@ func (d *Director) Lowered() bool { return d.comp != nil }
 // surfaces its error before the first step: under EngineCompiled it
 // builds the guard program if it is not built yet, and under
 // EngineGenerated it reports a director with no edge functions
-// attached. Every event-driven step calls it.
+// attached. Every Step calls it.
 func (d *Director) Lower() error {
 	switch d.ActiveEngine() {
 	case EngineCompiled:

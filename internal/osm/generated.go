@@ -15,19 +15,20 @@ import "fmt"
 // All specialization happens when the functions are generated, so
 // they read nothing a lowered program holds: AttachGenerated writes
 // each function onto the edge it serves, and the director's one serve
-// loop (serveMachine) calls the edge's own function under the
-// event-driven scheduler (director_event.go). Only cmd/osmgen and the
-// compiled engine build a GuardProgram. A generated function must
-// reproduce the interpreter's observable semantics exactly —
-// transaction order, blocked-primitive attribution, error cases,
-// resulting manager state. The check-then-commit shape of the
-// compiled engine's pure path (tryEdgePure) is the template: a
-// generated function first decides every conjunct with mutation-free
-// availability reads, then applies the transactions in instruction
-// order. Both fast engines share one fallback rule: an edge that is
-// not pure, or an attempt that meets a runtime gate closure, runs
-// through the interpreter (GenFallback). The differential suites hold
-// all four engines to trace-checksum identity.
+// loop (serveMachine) calls the edge's own function under the Figure
+// 3 scan (Director.stepScan), whose serve order is kept across steps.
+// Only cmd/osmgen and the compiled engine build a GuardProgram. A
+// generated function must reproduce the interpreter's observable
+// semantics exactly — transaction order, blocked-primitive
+// attribution, error cases, resulting manager state. The
+// check-then-commit shape of the compiled engine's pure path
+// (tryEdgePure) is the template: a generated function first decides
+// every conjunct with mutation-free availability reads, then applies
+// the transactions in instruction order. Both fast engines share one
+// fallback rule: an edge that is not pure, or an attempt that meets a
+// runtime gate closure, runs through the interpreter (GenFallback).
+// The differential suites hold all four engines to trace-checksum
+// identity.
 //
 // The attachment is derived state: nothing of it is serialized, so
 // snapshots taken under any engine restore under any other.

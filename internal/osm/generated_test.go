@@ -233,8 +233,10 @@ func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
 // TestDefaultEngineResolution pins what the zero Engine serves: the
 // generated engine once a function map is attached, the event-driven
 // interpreter on a bare director; a named engine and a custom Rank
-// override the attachment. Lower succeeds ahead of the first step, and
-// the steps then run the attached functions.
+// override the attachment. It also pins which loop serves each: the
+// generated engine runs the Figure 3 scan, and only the event and
+// compiled engines are event-driven. Lower succeeds ahead of the first
+// step, and the steps then run the attached functions.
 func TestDefaultEngineResolution(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -242,12 +244,15 @@ func TestDefaultEngineResolution(t *testing.T) {
 		attach bool
 		rank   bool
 		want   Engine
+		event  bool // EventDriven
 	}{
-		{"bare", EngineDefault, false, false, EngineEvent},
-		{"attached", EngineDefault, true, false, EngineGenerated},
-		{"event", EngineEvent, true, false, EngineEvent},
-		{"scan", EngineScan, true, false, EngineScan},
-		{"rank", EngineDefault, true, true, EngineScan},
+		{"bare", EngineDefault, false, false, EngineEvent, true},
+		{"attached", EngineDefault, true, false, EngineGenerated, false},
+		{"generated", EngineGenerated, true, false, EngineGenerated, false},
+		{"event", EngineEvent, true, false, EngineEvent, true},
+		{"compiled", EngineCompiled, true, false, EngineCompiled, true},
+		{"scan", EngineScan, true, false, EngineScan, false},
+		{"rank", EngineDefault, true, true, EngineScan, false},
 	} {
 		tries := 0
 		d, fns := genPipeline(&tries)
@@ -262,6 +267,9 @@ func TestDefaultEngineResolution(t *testing.T) {
 		}
 		if got := d.ActiveEngine(); got != tc.want {
 			t.Fatalf("%s: ActiveEngine() = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := d.EventDriven(); got != tc.event {
+			t.Errorf("%s: EventDriven() = %v, want %v", tc.name, got, tc.event)
 		}
 		if err := d.Lower(); err != nil {
 			t.Fatalf("%s: Lower: %v", tc.name, err)
@@ -439,8 +447,8 @@ func TestGeneratedFallbackOnGate(t *testing.T) {
 
 // BenchmarkDirectorStepPipelineGenerated runs the saturated ring
 // through hand-written generated edge functions (EngineGenerated) —
-// the same functions internal/osm/gen emits for real models. The CI
-// bench-regression job compares it against the compiled engine.
+// the same functions internal/osm/gen emits for real models — under
+// the Figure 3 scan. The CI bench-regression job gates it.
 func BenchmarkDirectorStepPipelineGenerated(b *testing.B) {
 	d, fns := genPipeline(nil)
 	d.Engine = EngineGenerated
@@ -451,8 +459,11 @@ func BenchmarkDirectorStepPipelineGenerated(b *testing.B) {
 }
 
 // BenchmarkDirectorStepIdleGenerated measures the idle step under the
-// generated engine (all machines suspended; the step must not touch
-// the edge functions at all).
+// generated engine: every machine is blocked on a busy unit, and the
+// Figure 3 scan tries each one's edge function (here a delegation to
+// the interpreter, which finds the unit busy) every step. The
+// event-driven engines skip such machines;
+// BenchmarkDirectorStepEventDrivenIdle measures that.
 func BenchmarkDirectorStepIdleGenerated(b *testing.B) {
 	u := NewUnitManager("u", 1)
 	i, s := NewState("I"), NewState("S")

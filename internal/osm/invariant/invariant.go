@@ -330,9 +330,11 @@ func (c *Checker) conservation(vs []Violation) []Violation {
 // every machine the scheduler will not evaluate next step must have
 // no satisfiable outgoing edge right now. ProbeEdge issues the same
 // tentative requests the scan would and cancels them, so the check is
-// side-effect free on conforming managers. Under the scan scheduler
-// (or before the event scheduler initializes) every machine is
-// evaluated every step and the check is vacuous.
+// side-effect free on conforming managers. Under the scan (or before
+// the event scheduler initializes) every machine is evaluated every
+// step and the check is vacuous; that includes the case studies'
+// default engine, the generated one, so only a director running the
+// event or compiled engine exercises it (CI's -engine event legs).
 func (c *Checker) schedule(vs []Violation) []Violation {
 	d := c.d
 	if !d.EventDriven() {

@@ -61,10 +61,12 @@ type Spec struct {
 	Perfect bool `json:"perfect,omitempty"`
 	// Engine selects the execution engine on OSM targets: "generated"
 	// (monomorphic Go edge functions emitted by osmgen and built into
-	// the binary; what the empty default runs on both case studies),
-	// "event" (the event-driven interpreter), "scan" (the reference
-	// Figure 3 scheduler) or "compiled" (guard programs lowered by
-	// osm.Director.Compile, executed without interface dispatch).
+	// the binary, served by the Figure 3 scan; what the empty default
+	// runs on both case studies), "event" (the event-driven
+	// interpreter), "scan" (the reference Figure 3 scheduler) or
+	// "compiled" (guard programs lowered by osm.Director.Compile,
+	// executed without interface dispatch under the event-driven
+	// scheduler).
 	Engine string `json:"engine,omitempty"`
 	// Check installs the runtime OSM invariant checker on the model's
 	// director: token conservation, binding consistency, scheduler

@@ -104,19 +104,22 @@ func TestRunMatchesInstance(t *testing.T) {
 // TestNewEngineResolution pins the engine runner.New builds for each
 // case study: the empty default serves the generated edge functions,
 // like an explicit "generated", and "event" still selects the
-// interpreter. Stepped, only the compiled engine holds a lowered guard
-// program; the generated engine calls the edges' own functions.
+// interpreter. The default and generated engines run the Figure 3
+// scan; only event and compiled are event-driven. Stepped, only the
+// compiled engine holds a lowered guard program; the generated engine
+// calls the edges' own functions.
 func TestNewEngineResolution(t *testing.T) {
 	for _, target := range []string{"strongarm", "ppc750"} {
 		for _, tc := range []struct {
 			engine string
 			want   osm.Engine
+			event  bool // served by the event-driven scheduler
 		}{
-			{"", osm.EngineGenerated},
-			{"generated", osm.EngineGenerated},
-			{"event", osm.EngineEvent},
-			{"scan", osm.EngineScan},
-			{"compiled", osm.EngineCompiled},
+			{"", osm.EngineGenerated, false},
+			{"generated", osm.EngineGenerated, false},
+			{"event", osm.EngineEvent, true},
+			{"scan", osm.EngineScan, false},
+			{"compiled", osm.EngineCompiled, true},
 		} {
 			in, err := New(Spec{Target: target, Workload: "dsp/fir", N: 10, Engine: tc.engine})
 			if err != nil {
@@ -125,6 +128,9 @@ func TestNewEngineResolution(t *testing.T) {
 			d := in.Director()
 			if got := d.ActiveEngine(); got != tc.want {
 				t.Errorf("%s/%q: serves %v, want %v", target, tc.engine, got, tc.want)
+			}
+			if got := d.EventDriven(); got != tc.event {
+				t.Errorf("%s/%q: EventDriven() = %v, want %v", target, tc.engine, got, tc.event)
 			}
 			for i := 0; i < 200 && !in.Done(); i++ {
 				if err := in.StepCycle(); err != nil {
