@@ -189,6 +189,16 @@ var condBranches = map[string][2]int{
 	"bdnz": {16, 0},
 }
 
+// recordForms lists the mnemonics that take the record-form "."
+// suffix (andi. is spelled with its dot and has no other form).
+var recordForms = map[string]bool{
+	"mr": true, "add": true, "subf": true, "sub": true, "neg": true,
+	"mullw": true, "divw": true, "divwu": true, "and": true, "or": true,
+	"xor": true, "slw": true, "srw": true, "sraw": true, "srawi": true,
+	"rlwinm": true, "slwi": true, "srwi": true, "clrlwi": true,
+	"extsb": true, "extsh": true,
+}
+
 func (a *passembler) statement(line string) error {
 	mnemonic, rest, _ := strings.Cut(line, " ")
 	mnemonic = strings.ToLower(strings.TrimSpace(mnemonic))
@@ -199,6 +209,9 @@ func (a *passembler) statement(line string) error {
 	base := strings.TrimSuffix(mnemonic, ".")
 	if mnemonic == "andi." {
 		base = "andi."
+	}
+	if rc && !recordForms[base] {
+		return fmt.Errorf("%s has no record form (%q)", base, mnemonic)
 	}
 
 	reg3 := func(op Op) error {

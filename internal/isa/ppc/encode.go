@@ -271,6 +271,9 @@ func Decode(w uint32) (Instr, error) {
 			return i, nil
 		case xoBCCTR:
 			i.Op = BCCTR
+			if i.BO&0x4 == 0 {
+				return i, fmt.Errorf("ppc: decode %#08x: invalid form: bcctr with the CTR-decrement BO bit", w)
+			}
 			return i, nil
 		}
 		return i, fmt.Errorf("ppc: decode %#08x: unsupported opcode 19 extended %d", w, xo)
@@ -345,6 +348,12 @@ func Decode(w uint32) (Instr, error) {
 			}
 		default:
 			return i, fmt.Errorf("ppc: decode %#08x: unsupported opcode 31 extended %d", w, xo)
+		}
+		switch i.Op {
+		case CMP, CMPL, LWZX, LBZX, LHZX, LHAX, STWX, STBX, STHX:
+			if i.Rc {
+				return i, fmt.Errorf("ppc: decode %#08x: invalid form: %s with Rc=1", w, i.Op)
+			}
 		}
 		return i, nil
 	}

@@ -2,6 +2,7 @@ package ppc
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -763,5 +764,75 @@ func TestDisassembleLiIdiom(t *testing.T) {
 	p, _ = Assemble("addi r3, r4, 5")
 	if got := Disassemble(p.Words[0]); got != "addi r3, r4, 5" {
 		t.Fatalf("disasm = %q", got)
+	}
+}
+
+// TestInvalidFormsRefused: Decode refuses the invalid forms whose
+// execution disagrees with the hazard classification, and the
+// assembler refuses a record-form "." on mnemonics that have none
+// instead of dropping it. Each error names the form.
+func TestInvalidFormsRefused(t *testing.T) {
+	words := []struct {
+		word uint32
+		want string
+	}{
+		// bcctr decrementing CTR: the ISS decrements, WritesCTR is false.
+		{0x4e33d421, "bcctr with the CTR-decrement BO bit"},
+		// cmpw/cmplw with Rc=1 set CR0 from the GPR the crfD/L bits name.
+		{0x7e3aa801, "cmpw with Rc=1"},
+		{0x7c032041, "cmplw with Rc=1"},
+		// X-form loads and stores with Rc=1.
+		{0x7c64282f, "lwzx with Rc=1"},
+		{0x7c6428af, "lbzx with Rc=1"},
+		{0x7c642a2f, "lhzx with Rc=1"},
+		{0x7c642aaf, "lhax with Rc=1"},
+		{0x7c64292f, "stwx with Rc=1"},
+		{0x7c6429af, "stbx with Rc=1"},
+		{0x7c642b2f, "sthx with Rc=1"},
+	}
+	for _, c := range words {
+		ins, err := Decode(c.word)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Decode(%#08x) = %v, %v; want an error containing %q", c.word, ins.Op, err, c.want)
+		}
+		// The same word without the invalid bit decodes.
+		valid := c.word &^ 1
+		if c.word>>26 == opcd19 {
+			valid = c.word | 0x4<<21
+		}
+		if _, err := Decode(valid); err != nil {
+			t.Errorf("Decode(%#08x), the valid form of %#08x: %v", valid, c.word, err)
+		}
+	}
+	srcs := []struct {
+		src, want string
+	}{
+		{"lwzx. r3, r4, r5", "lwzx has no record form"},
+		{"stwx. r3, r4, r5", "stwx has no record form"},
+		{"cmpw. r3, r4", "cmpw has no record form"},
+		{"cmplw. cr1, r3, r4", "cmplw has no record form"},
+		{"lwz. r3, 0(r4)", "lwz has no record form"},
+		{"addi. r3, r3, 1", "addi has no record form"},
+	}
+	for _, c := range srcs {
+		p, err := Assemble(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			var w uint32
+			if p != nil && len(p.Words) > 0 {
+				w = p.Words[0]
+			}
+			t.Errorf("Assemble(%q) = %#08x, %v; want an error containing %q", c.src, w, err, c.want)
+		}
+	}
+	// Mnemonics with a record form keep it.
+	for _, src := range []string{"add. r3, r4, r5", "mr. r3, r4", "rlwinm. r3, r4, 2, 0, 29", "andi. r3, r4, 1", "bctr"} {
+		p, err := Assemble(src)
+		if err != nil {
+			t.Errorf("Assemble(%q): %v", src, err)
+			continue
+		}
+		if _, err := Decode(p.Words[0]); err != nil {
+			t.Errorf("Decode(Assemble(%q)): %v", src, err)
+		}
 	}
 }

@@ -27,17 +27,24 @@ type decodeLine[I any] struct {
 // program completely.
 const maxDecodeLines = 1 << 12
 
-// newDecodeCache returns a cache of the smallest power of two of lines
-// that covers a program of the given word count, capped at
-// maxDecodeLines. Direct mapping uses the word index modulo the line
-// count, so the contiguous words of a program that fits never share a
-// line, and a program that does not fit still runs, missing where its
-// words collide.
-func newDecodeCache[I any](words int) decodeCache[I] {
+// DecodeLines returns the line count of a direct-mapped decode table
+// for a program of the given word count: the smallest power of two
+// that covers it, capped at maxDecodeLines. Direct mapping uses the
+// word index modulo the line count, so the contiguous words of a
+// program that fits never share a line, and a program that does not
+// fit still runs, missing where its words collide. The timing models'
+// fetch-time decode tables are sized the same way.
+func DecodeLines(words int) int {
 	n := 1
 	for n < words && n < maxDecodeLines {
 		n <<= 1
 	}
+	return n
+}
+
+// newDecodeCache returns a cache of DecodeLines(words) lines.
+func newDecodeCache[I any](words int) decodeCache[I] {
+	n := DecodeLines(words)
 	return decodeCache[I]{lines: make([]decodeLine[I], n), mask: uint32(n - 1)}
 }
 

@@ -180,13 +180,14 @@ func (d *Director) StepCount() uint64 { return d.step }
 // engine a director with no edge functions attached fails here, before
 // anything is served.
 func (d *Director) Step() error {
-	if d.EventDriven() {
-		return d.stepEvent()
-	}
-	if err := d.Lower(); err != nil {
+	eng := d.ActiveEngine()
+	if err := d.lower(eng); err != nil {
 		return err
 	}
-	return d.stepScan()
+	if eng == EngineEvent || eng == EngineCompiled {
+		return d.stepEvent(eng)
+	}
+	return d.stepScan(eng)
 }
 
 // ensurePrims assigns identifier slots to every dynamic primitive
@@ -277,7 +278,8 @@ func assignPrimSlots(initial *State) int {
 // once per serve; a state the program does not know (the graph was
 // mutated after lowering) is served by the interpreter, and so, under
 // the generated engine, is an edge without a function. The second
-// result is the committed edge.
+// result is the committed edge. The caller passes the active engine,
+// which it resolves once per step.
 // On failure it leaves the failed primitives of the final pass in
 // m.blocked and records in m.sched.untracked whether any edge failed
 // outside the token protocol (a When predicate).
@@ -287,12 +289,11 @@ func assignPrimSlots(initial *State) int {
 // route cannot change until m transitions. A machine that fails only
 // by route and at token-protocol primitives therefore sleeps on the
 // refusing managers.
-func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
+func (d *Director) serveMachine(m *Machine, eng Engine) (bool, *Edge, error) {
 	wasInitial := m.InInitial()
 	m.blocked = m.blocked[:0] // keep only this pass's failures
 	m.sched.untracked = false
 	var cs *compState
-	eng := d.ActiveEngine()
 	if eng == EngineCompiled {
 		cs = d.comp.stateOf(m.cur)
 	}
@@ -335,8 +336,8 @@ func (d *Director) serveMachine(m *Machine) (bool, *Edge, error) {
 }
 
 // stepScan is the paper's Figure 3, executed over the full machine
-// population every control step.
-func (d *Director) stepScan() error {
+// population every control step under engine eng.
+func (d *Director) stepScan(eng Engine) error {
 	d.ensurePrims()
 	for _, s := range d.steppers {
 		s.BeginStep(d.step)
@@ -350,7 +351,7 @@ func (d *Director) stepScan() error {
 			i++
 			continue
 		}
-		moved, moveEdge, err := d.serveMachine(m)
+		moved, moveEdge, err := d.serveMachine(m, eng)
 		if err != nil {
 			return err
 		}

@@ -132,12 +132,9 @@ func (d *Director) initEvent() {
 
 // stepEvent runs one control step under the event-driven scheduler.
 // It serves the event and compiled engines, which differ only in how
-// serveMachine tries an edge; the compiled engine lowers the model on
-// its first step.
-func (d *Director) stepEvent() error {
-	if err := d.Lower(); err != nil {
-		return err
-	}
+// serveMachine tries an edge; Step has lowered the model for the
+// compiled engine.
+func (d *Director) stepEvent(eng Engine) error {
 	ev := &d.ev
 	if !ev.init {
 		d.initEvent()
@@ -177,7 +174,7 @@ func (d *Director) stepEvent() error {
 
 		ev.servKey = m.sched.key
 		ev.serving = true
-		moved, moveEdge, err := d.serveMachine(m)
+		moved, moveEdge, err := d.serveMachine(m, eng)
 		if err != nil {
 			ev.serving = false
 			ev.woken = ev.woken[:0]

@@ -125,9 +125,11 @@ func (d *Director) Lowered() bool { return d.comp != nil }
 // surfaces its error before the first step: under EngineCompiled it
 // builds the guard program if it is not built yet, and under
 // EngineGenerated it reports a director with no edge functions
-// attached. Every Step calls it.
-func (d *Director) Lower() error {
-	switch d.ActiveEngine() {
+// attached. Every Step does the same for the engine it resolved.
+func (d *Director) Lower() error { return d.lower(d.ActiveEngine()) }
+
+func (d *Director) lower(eng Engine) error {
+	switch eng {
 	case EngineCompiled:
 		_, err := d.Compile()
 		return err

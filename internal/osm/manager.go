@@ -183,6 +183,12 @@ func (b *BaseManager) Name() string { return b.ManagerName }
 // (WakeNotifier).
 func (b *BaseManager) SetWake(f func()) { b.wake = f }
 
+// HasWake reports whether a change-notification hook is installed.
+// Only the event-driven director installs one, before its first
+// BeginStep; without one a manager may skip work whose only purpose is
+// to decide whether to call Wake.
+func (b *BaseManager) HasWake() bool { return b.wake != nil }
+
 // Wake invokes the installed change-notification hook, re-queuing any
 // machines suspended on the manager. Safe to call when no hook is
 // installed.

@@ -111,9 +111,13 @@ func (u *UnitManager) CanRelease(id TokenID) bool {
 
 // BeginStep records the current control step (Stepper). When a unit's
 // busy window expires at this step, previously refused releases can
-// now succeed, so the manager wakes its waiters.
+// now succeed, so the manager wakes its waiters. Without a wake hook
+// there are no waiters, and the scan is skipped.
 func (u *UnitManager) BeginStep(cycle uint64) {
 	u.step = cycle
+	if !u.HasWake() {
+		return
+	}
 	for _, until := range u.busyUntil {
 		if until == cycle {
 			u.Wake()

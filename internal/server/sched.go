@@ -160,12 +160,28 @@ func (sc *scheduler) finish(j *stepJob) {
 }
 
 // quantumRun executes one quantum of the job under the session mutex
-// and reports whether the job is complete.
+// and reports whether the job is complete. A panic in the simulator (a
+// bad program can drive the memory model out of bounds) is isolated
+// the way the protocol planes isolate a request's: counted, the
+// session poisoned, and the job finished with an explicit error, so
+// the worker and every other session keep running.
 func (sc *scheduler) quantumRun(j *stepJob) (completed bool) {
 	sc.m.Metrics.StepQuanta.Add(1)
 	s := j.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer func() { // runs before the unlock: poison needs s.mu
+		if p := recover(); p != nil {
+			sc.m.Metrics.Panics.Add(1)
+			sc.m.logf("panic stepping session %s: %v", s.ID, p)
+			err := fmt.Errorf("step panic: %v", p)
+			s.poison(err)
+			j.res.Cycle = s.inst.Cycle()
+			j.res.State = StateBroken
+			j.err = fmt.Errorf("%w: %v", ErrConflict, err)
+			completed = true
+		}
+	}()
 
 	if !j.started {
 		// StateRunning is admissible here: a second step request on a

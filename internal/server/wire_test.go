@@ -525,3 +525,41 @@ func TestWireMetricsRender(t *testing.T) {
 		}
 	}
 }
+
+// A simulator panic on the step scheduler's worker goroutine is
+// isolated like a request panic on either protocol plane: the step
+// gets an explicit error, the session reads broken, and the worker
+// keeps serving other sessions. The program loads from beyond the
+// RAM image, which makes the memory model panic mid-cycle.
+func TestStepPanicIsolated(t *testing.T) {
+	mgr, cl, wc, done := newWireTestServer(t, Config{Workers: 1})
+	defer done()
+	const bad = "\tmov r0, #0x10000000\n\tldr r1, [r0]\n\tmov r0, #0\n\tswi #0\n"
+
+	viaHTTP := cl.create(runner.Spec{Target: "strongarm", Src: bad})
+	resp, data := cl.doJSON("POST", "/v1/sessions/"+viaHTTP.ID+"/step", StepRequest{Cycles: 100}, nil)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), "step panic") {
+		t.Fatalf("HTTP step of the bad program: status %d: %s", resp.StatusCode, data)
+	}
+
+	viaWire := cl.create(runner.Spec{Target: "strongarm", Src: bad})
+	_, err := wc.Step(viaWire.ID, 100, 0)
+	var ne *wire.NackError
+	if !errors.As(err, &ne) || ne.Code != wire.NackConflict || !strings.Contains(ne.Error(), "step panic") {
+		t.Fatalf("wire step of the bad program: %v, want a conflict NACK naming the panic", err)
+	}
+
+	for _, id := range []string{viaHTTP.ID, viaWire.ID} {
+		if st := cl.info(id).State; st != StateBroken {
+			t.Fatalf("session %s is %q after the panic, want broken", id, st)
+		}
+	}
+	if got := mgr.Metrics.Panics.Load(); got != 2 {
+		t.Fatalf("panic counter = %d, want 2", got)
+	}
+	// The one worker survived: other sessions step to completion on
+	// both planes.
+	good := runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 20}
+	cl.stepToDone(cl.create(good).ID, 5_000)
+	wireStepToDone(t, wc, cl.create(good).ID, 5_000)
+}

@@ -113,7 +113,7 @@ func TestSnapshotSizeBounded(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs: once the decode cache and the scheduler's
+// TestSteadyStateAllocs: once the decode table and the scheduler's
 // scratch slices are warm, a 1024-cycle quantum allocates nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, eng := range []osm.Engine{osm.EngineEvent, osm.EngineGenerated} {

@@ -117,10 +117,11 @@ func (s Stats) CPI() float64 {
 
 // decoded holds the static facts of one instruction word, decoded
 // once at fetch; the ISS executes that decoding at dispatch
-// (iss.PPC.StepFetched). An entry is keyed to the RAM word it was
-// decoded from, so a fetch that finds a different word at its PC (a
-// store into code) decodes afresh.
+// (iss.PPC.StepFetched). An entry is keyed to the PC and the RAM word
+// it was decoded from, so a fetch that finds a different word at its
+// PC (a store into code) decodes afresh.
 type decoded struct {
+	pc    uint32
 	word  uint32
 	ins   ppc.Instr
 	ok    bool
@@ -306,7 +307,7 @@ type Sim struct {
 	BTIC   *BTIC
 
 	cfg         Config
-	decodeCache map[uint32]*decoded
+	decodeTable []*decoded // direct-mapped by word address; see decodeWord
 	director    *osm.Director
 	fq, cq      *ratedQueue
 	ren         *renamer
@@ -344,7 +345,7 @@ func New(p *ppc.Program, cfg Config) (*Sim, error) {
 		reset:   osm.NewResetManager("reset"),
 		fetchPC: p.Entry,
 	}
-	s.decodeCache = make(map[uint32]*decoded)
+	s.decodeTable = make([]*decoded, iss.DecodeLines(len(p.Words)))
 	if err := s.buildModel(); err != nil {
 		return nil, err
 	}
@@ -573,12 +574,17 @@ func (s *Sim) decode(pc uint32) *decoded {
 }
 
 // decodeWord returns the static decoding of word as fetched from pc,
-// reusing the table's entry when it holds that word.
+// reusing the table's entry when it holds that word at that pc. The
+// table is direct-mapped by word address and sized to the program
+// (iss.DecodeLines), so the program's own words never share a line; a
+// PC that shares one (beyond the text, or in a program too large for
+// the table) evicts the line and decodes afresh.
 func (s *Sim) decodeWord(pc, word uint32) *decoded {
-	if d, ok := s.decodeCache[pc]; ok && d.word == word {
+	ln := &s.decodeTable[(pc>>2)&uint32(len(s.decodeTable)-1)]
+	if d := *ln; d != nil && d.pc == pc && d.word == word {
 		return d
 	}
-	d := &decoded{word: word}
+	d := &decoded{pc: pc, word: word}
 	if ins, err := ppc.Decode(word); err == nil {
 		d.ins, d.ok = ins, true
 		d.class = ins.Class()
@@ -589,7 +595,7 @@ func (s *Sim) decodeWord(pc, word uint32) *decoded {
 				ins.Op, pc, len(d.srcs), len(d.dsts)))
 		}
 	}
-	s.decodeCache[pc] = d
+	*ln = d
 	return d
 }
 

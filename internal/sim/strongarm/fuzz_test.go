@@ -187,6 +187,66 @@ func TestRestoreRejectsV1(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsBadWriters: the scoreboard's writer list names
+// each granted machine once, with destinations inside the scoreboard.
+// A repeated machine index used to collapse silently into one grant,
+// and a destination of 99 restored and then panicked at its retire;
+// both are refused.
+func TestRestoreRejectsBadWriters(t *testing.T) {
+	le := binary.LittleEndian
+	s := fuzzSim(t)
+	// The writer list follows the scoreboard block: per entry, the
+	// pending count and the forwarding time, 8 bytes each.
+	var b []byte
+	list := -1
+	for list < 0 {
+		if s.Cycle() == 2000 {
+			t.Fatal("no cycle with two writers, the first with a destination")
+		}
+		if err := s.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if b, err = s.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		var block []byte
+		for i := range s.regs.pending {
+			block = le.AppendUint64(block, uint64(s.regs.pending[i]))
+			block = le.AppendUint64(block, s.regs.readyAt[i])
+		}
+		at := bytes.Index(b, block)
+		if at < 0 {
+			t.Fatal("scoreboard block not found in the snapshot")
+		}
+		at += len(block)
+		if le.Uint64(b[at:]) >= 2 && le.Uint64(b[at+16:]) >= 1 {
+			list = at
+		}
+	}
+	first := list + 8 // entry 0: machine index, destination count, destinations
+	second := first + 16 + 8*int(le.Uint64(b[first+8:]))
+	if err := fuzzSim(t).Restore(b); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(b []byte)
+		want string
+	}{
+		{"repeated machine", func(b []byte) { copy(b[second:second+8], b[first:first+8]) }, "repeats machine"},
+		{"destination 99", func(b []byte) { le.PutUint64(b[first+16:], 99) }, "destination 99 outside [0, 16)"},
+		{"negative destination", func(b []byte) { le.PutUint64(b[first+16:], ^uint64(0)) }, "destination -1 outside [0, 16)"},
+	} {
+		bad := slices.Clone(b)
+		c.edit(bad)
+		err := fuzzSim(t).Restore(bad)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestRestoreAfterCodeStore: an operation fetched before a store
 // rewrote its word resumes with the word it was fetched with. The
 // program's store replaces the instruction right after it, which is

@@ -49,21 +49,32 @@ type regFile struct {
 	cycle   uint64
 	pending [16]int
 	readyAt [16]uint64
-	writers map[*osm.Machine][]int
+	// writers holds the live WriterToken grants, in no significant
+	// order. The single-issue pipeline holds at most three, one each
+	// in E, B and W, so a linear search beats a map.
+	writers []writer
+}
+
+// writer is one WriterToken grant: the machine and the scoreboard
+// entries it updates.
+type writer struct {
+	m    *osm.Machine
+	dsts []int
 }
 
 func newRegFile() *regFile {
-	return &regFile{
-		BaseManager: osm.BaseManager{ManagerName: "regfile+fwd"},
-		writers:     make(map[*osm.Machine][]int),
-	}
+	return &regFile{BaseManager: osm.BaseManager{ManagerName: "regfile+fwd"}}
 }
 
 // BeginStep tracks the current control step (osm.Stepper) and wakes
 // waiters when a forwarding-network availability time is reached this
 // cycle: sources that previously inquired unavailable can now issue.
+// Without a wake hook there are no waiters, and the scan is skipped.
 func (r *regFile) BeginStep(cycle uint64) {
 	r.cycle = cycle
+	if !r.HasWake() {
+		return
+	}
 	for i, at := range r.readyAt {
 		if r.pending[i] > 0 && at == cycle {
 			r.Wake()
@@ -140,7 +151,7 @@ func (r *regFile) Allocate(m *osm.Machine, id osm.TokenID) (osm.Token, bool) {
 	for _, d := range dsts {
 		r.pending[d]++
 	}
-	r.writers[m] = dsts
+	r.writers = append(r.writers, writer{m, dsts})
 	return osm.Token{Mgr: r, ID: WriterToken}, true
 }
 
@@ -180,16 +191,23 @@ func (r *regFile) Discarded(m *osm.Machine, t osm.Token) {
 // (osm.GrantAuditor): every machine in the writers table holds one
 // WriterToken. Order is unspecified; the checker matches multisets.
 func (r *regFile) OutstandingGrants(yield func(osm.Grant)) {
-	for m := range r.writers {
-		yield(osm.Grant{Owner: m, ID: WriterToken})
+	for _, w := range r.writers {
+		yield(osm.Grant{Owner: w.m, ID: WriterToken})
 	}
 }
 
+// retire drops m's grant, if it holds one, and its outstanding
+// updates.
 func (r *regFile) retire(m *osm.Machine) {
-	for _, d := range r.writers[m] {
-		r.pending[d]--
+	for i, w := range r.writers {
+		if w.m == m {
+			for _, d := range w.dsts {
+				r.pending[d]--
+			}
+			r.writers = append(r.writers[:i], r.writers[i+1:]...)
+			return
+		}
 	}
-	delete(r.writers, m)
 }
 
 // SetReady publishes a forwarding-network availability time for a

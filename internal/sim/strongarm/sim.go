@@ -61,9 +61,11 @@ func (s Stats) CPI() float64 {
 // timing model needs: the instruction the ISS will execute and its
 // scoreboard operands. Each fetched word is decoded once, at fetch,
 // and the ISS executes that decoding (iss.ARM.StepFetched). An entry
-// is keyed to the RAM word it was decoded from, so a fetch that finds
-// a different word at its PC (a store into code) decodes afresh.
+// is keyed to the PC and the RAM word it was decoded from, so a fetch
+// that finds a different word at its PC (a store into code) decodes
+// afresh.
 type decoded struct {
+	pc   uint32
 	word uint32
 	ins  arm.Instr
 	ok   bool
@@ -77,7 +79,7 @@ type opCtx struct {
 	word     uint32 // the instruction word fetched at pc
 	ins      arm.Instr
 	decodeOK bool
-	// srcs and dsts point into the decode cache (never mutated).
+	// srcs and dsts point into the decode table's entry (never mutated).
 	srcs, dsts []int
 	// memory timing computed at E
 	memAddr  uint32
@@ -110,7 +112,7 @@ type Sim struct {
 	reset              *osm.ResetManager
 	mf, md, me, mb, mw *osm.UnitManager
 
-	decodeCache   map[uint32]*decoded
+	decodeTable   []*decoded // direct-mapped by word address; see decodeWord
 	fetchPC       uint32
 	redirectUntil int64 // fetch blocked through this control step (-1: never)
 	fetchStop     bool
@@ -149,7 +151,7 @@ func New(p *arm.Program, cfg Config) (*Sim, error) {
 		mw:      osm.NewUnitManager("WB", 1),
 		fetchPC: p.Entry,
 	}
-	s.decodeCache = make(map[uint32]*decoded)
+	s.decodeTable = make([]*decoded, iss.DecodeLines(len(p.Words)))
 	s.redirectUntil = -1
 	if err := s.buildModel(cfg); err != nil {
 		return nil, err
@@ -266,18 +268,23 @@ func (s *Sim) decode(pc uint32) *decoded {
 }
 
 // decodeWord returns the static decoding of word as fetched from pc,
-// reusing the table's entry when it holds that word.
+// reusing the table's entry when it holds that word at that pc. The
+// table is direct-mapped by word address and sized to the program
+// (iss.DecodeLines), so the program's own words never share a line; a
+// PC that shares one (beyond the text, or in a program too large for
+// the table) evicts the line and decodes afresh.
 func (s *Sim) decodeWord(pc, word uint32) *decoded {
-	if d, ok := s.decodeCache[pc]; ok && d.word == word {
+	ln := &s.decodeTable[(pc>>2)&uint32(len(s.decodeTable)-1)]
+	if d := *ln; d != nil && d.pc == pc && d.word == word {
 		return d
 	}
-	d := &decoded{word: word}
+	d := &decoded{pc: pc, word: word}
 	if ins, err := arm.Decode(word); err == nil {
 		d.ins, d.ok = ins, true
 		d.srcs = trackedSrcs(&ins)
 		d.dsts = trackedDsts(&ins)
 	}
-	s.decodeCache[pc] = d
+	*ln = d
 	return d
 }
 

@@ -506,3 +506,99 @@ loop:
 	}
 	step(func() bool { return s.ISS.CPU.R[5] == 7 })
 }
+
+// TestDecodeTableLineCollision: the fetch-time decode table is
+// direct-mapped by word address, so a PC beyond the text can share a
+// line with a program word. The loop calls a routine the test writes
+// at such PCs: each fetch there evicts the loop's line, and the next
+// fetch of the loop word decodes it afresh. Every in-flight operation
+// must carry the decoding of the word RAM holds at its PC.
+func TestDecodeTableLineCollision(t *testing.T) {
+	p, err := arm.Assemble(`
+	mov r1, #0
+	mov r6, #3
+	mov r7, #4
+	mov r8, #0x10000
+	add r8, r8, #20
+loop:
+	mov lr, pc
+	mov pc, r8
+	add r1, r1, #1
+	cmp r1, #3
+	bne loop
+` + exit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routine, err := arm.Assemble("\tadd r5, r6, r7\n\tmov pc, lr\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, perfect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(pc uint32) uint32 { return pc >> 2 & uint32(len(s.decodeTable)-1) }
+	const at = 0x10014 // the routine; the loop starts at 20
+	if p.Org != 0 || line(at) != line(20) || line(at+4) != line(24) {
+		t.Fatalf("the routine at %#x does not share the loop's decode-table lines", at)
+	}
+	for i, w := range routine.Words {
+		s.ISS.RAM.Write32(at+uint32(4*i), w)
+	}
+	invariant.Attach(s.Director())
+	calls := 0
+	for !s.Done() {
+		if err := s.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range s.director.Machines() {
+			op, _ := m.Ctx.(*opCtx)
+			if op == nil || m.InInitial() || !op.decodeOK {
+				continue
+			}
+			if want := s.ISS.RAM.Read32(op.pc); op.ins.Raw != want {
+				t.Fatalf("cycle %d: operation at %#x carries %#x, RAM holds %#x", s.Cycle(), op.pc, op.ins.Raw, want)
+			}
+			if op.pc == at {
+				calls++
+			}
+		}
+	}
+	if _, err := s.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if calls == 0 || s.ISS.CPU.R[1] != 3 || s.ISS.CPU.R[5] != 7 {
+		t.Fatalf("routine seen in flight %d times, r1=%d r5=%d; want r1=3 r5=7", calls, s.ISS.CPU.R[1], s.ISS.CPU.R[5])
+	}
+}
+
+// TestSteadyStateAllocs: once the decode table and the scheduler's
+// scratch slices are warm, a 1024-cycle quantum allocates nothing.
+func TestSteadyStateAllocs(t *testing.T) {
+	p, err := workload.ByName("mpeg2/enc").ARMProgram(600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []osm.Engine{osm.EngineEvent, osm.EngineGenerated} {
+		s, err := New(p, Config{Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepTo := func(cycle uint64) {
+			for s.Cycle() < cycle {
+				if s.Done() {
+					t.Fatalf("program finished at cycle %d, before %d", s.Cycle(), cycle)
+				}
+				if err := s.StepCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		stepTo(20_000)
+		allocs := testing.AllocsPerRun(10, func() { stepTo(s.Cycle() + 1024) })
+		if allocs != 0 {
+			t.Errorf("%v engine: %.1f allocations per 1024-cycle quantum, want 0", eng, allocs)
+		}
+	}
+}

@@ -1,9 +1,10 @@
 package strongarm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/osm"
 	"repro/internal/snap"
@@ -165,23 +166,21 @@ func (r *regFile) SnapshotState(c *osm.SnapCtx, w *snap.Writer) {
 		w.Int(r.pending[i])
 		w.U64(r.readyAt[i])
 	}
-	idxs := make([]int, 0, len(r.writers))
-	for m := range r.writers {
-		idxs = append(idxs, c.Index(m))
-	}
-	sort.Ints(idxs)
-	w.Int(len(idxs))
-	for _, i := range idxs {
-		w.Int(i)
-		dsts := r.writers[c.Machine(i)]
-		w.Int(len(dsts))
-		for _, d := range dsts {
+	ws := slices.Clone(r.writers)
+	slices.SortFunc(ws, func(a, b writer) int { return cmp.Compare(c.Index(a.m), c.Index(b.m)) })
+	w.Int(len(ws))
+	for _, wr := range ws {
+		w.Int(c.Index(wr.m))
+		w.Int(len(wr.dsts))
+		for _, d := range wr.dsts {
 			w.Int(d)
 		}
 	}
 }
 
-// RestoreState decodes a scoreboard snapshot (osm.Snapshotter).
+// RestoreState decodes a scoreboard snapshot (osm.Snapshotter). It
+// refuses a machine that holds two grants and a destination outside
+// the scoreboard.
 func (r *regFile) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 	rd.Version("regfile+fwd", regFileSnapVersion)
 	r.cycle = rd.U64()
@@ -190,7 +189,7 @@ func (r *regFile) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 		r.readyAt[i] = rd.U64()
 	}
 	n := rd.Count(rd.Int(), 16, "writer") // machine index + destination count
-	r.writers = make(map[*osm.Machine][]int, n)
+	r.writers = make([]writer, 0, n)
 	for i := 0; i < n; i++ {
 		m := c.Machine(rd.Int())
 		nd := rd.Int()
@@ -200,11 +199,18 @@ func (r *regFile) RestoreState(c *osm.SnapCtx, rd *snap.Reader) error {
 		if m == nil || nd < 0 || nd > len(r.pending) {
 			return fmt.Errorf("regfile+fwd: corrupt writer entry %d", i)
 		}
+		if slices.ContainsFunc(r.writers, func(w writer) bool { return w.m == m }) {
+			return fmt.Errorf("regfile+fwd: writer entry %d repeats machine %d", i, c.Index(m))
+		}
 		dsts := make([]int, 0, nd)
 		for j := 0; j < nd; j++ {
-			dsts = append(dsts, rd.Int())
+			d := rd.Int()
+			if rd.Err() == nil && (d < 0 || d >= len(r.pending)) {
+				return fmt.Errorf("regfile+fwd: writer entry %d has destination %d outside [0, %d)", i, d, len(r.pending))
+			}
+			dsts = append(dsts, d)
 		}
-		r.writers[m] = dsts
+		r.writers = append(r.writers, writer{m, dsts})
 	}
 	return rd.Close("regfile+fwd")
 }
