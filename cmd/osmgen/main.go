@@ -1,7 +1,7 @@
-// Command osmgen emits the generated-engine edge functions of a
+// Command osmgen emits the generated-engine state functions of a
 // built-in case study: it builds the model exactly as the simulator
 // does, lowers it through Director.Compile, and renders one
-// monomorphic Go function per edge (internal/osm/gen) into the
+// monomorphic Go function per state (internal/osm/gen) into the
 // simulator's package. The go:generate directives in
 // internal/sim/strongarm and internal/sim/ppc750 drive it; the
 // emitted files are committed, and CI regenerates them to catch
@@ -46,7 +46,7 @@ func main() {
 	}
 }
 
-// generate builds the target's model and renders its generated edge
+// generate builds the target's model and renders its generated state
 // functions. The program the simulator is constructed with is
 // irrelevant: the lowered guard program depends only on the model's
 // structure, never on the workload. The model is built under the

@@ -80,10 +80,11 @@ const notDone = math.MaxUint64
 
 // hwDecoded caches the static facts of one instruction word, decoded
 // once at fetch; the ISS executes that decoding at dispatch
-// (iss.PPC.StepFetched). An entry is keyed to the RAM word it was
-// decoded from, so a fetch that finds a different word at its PC (a
-// store into code) decodes afresh.
+// (iss.PPC.StepFetched). An entry is keyed to the PC and the RAM word
+// it was decoded from, so a fetch that finds a different word at its
+// PC (a store into code) decodes afresh.
 type hwDecoded struct {
+	pc    uint32
 	word  uint32
 	ins   ppc.Instr
 	ok    bool
@@ -123,7 +124,7 @@ type Sim struct {
 	K    *Kernel
 
 	cfg         Config
-	decodeCache map[uint32]*hwDecoded
+	decodeTable []*hwDecoded // direct-mapped by word address; see decode
 	bht         *ppc750.BHT
 	btic        *ppc750.BTIC
 
@@ -168,7 +169,7 @@ func New(p *ppc.Program, cfg Config) (*Sim, error) {
 		bht:  ppc750.NewBHT(cfg.BHTEntries),
 		btic: ppc750.NewBTIC(cfg.BTICEntries),
 	}
-	s.decodeCache = make(map[uint32]*hwDecoded)
+	s.decodeTable = make([]*hwDecoded, iss.DecodeLines(len(p.Words)))
 	s.sigIQFree = s.K.NewSignal("iq_free")
 	s.sigCQFree = s.K.NewSignal("cq_free")
 	s.sigRenameFree = s.K.NewSignal("rename_free")
@@ -243,23 +244,29 @@ func dstIdx(ins *ppc.Instr) (out []int, gprs int) {
 var outsideImage hwDecoded
 
 // decode returns the static decoding of the word at pc, reusing the
-// table's entry while RAM still holds the word it was decoded from.
+// table's entry when it holds the word RAM holds at pc. The table is
+// direct-mapped by word address and sized to the program
+// (iss.DecodeLines), as the OSM models' tables are, so the program's
+// own words never share a line; a PC that shares one (beyond the
+// text, or in a program too large for the table) evicts the line and
+// decodes afresh.
 func (s *Sim) decode(pc uint32) *hwDecoded {
 	if !s.ISS.RAM.InBounds(pc, 4) {
 		return &outsideImage
 	}
 	word := s.ISS.RAM.Read32(pc)
-	if d, ok := s.decodeCache[pc]; ok && d.word == word {
+	ln := &s.decodeTable[(pc>>2)&uint32(len(s.decodeTable)-1)]
+	if d := *ln; d != nil && d.pc == pc && d.word == word {
 		return d
 	}
-	d := &hwDecoded{word: word}
+	d := &hwDecoded{pc: pc, word: word}
 	if ins, err := ppc.Decode(word); err == nil {
 		d.ins, d.ok = ins, true
 		d.class = ins.Class()
 		d.srcs = srcIdx(&ins)
 		d.dsts, d.gprs = dstIdx(&ins)
 	}
-	s.decodeCache[pc] = d
+	*ln = d
 	return d
 }
 

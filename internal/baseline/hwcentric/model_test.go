@@ -230,3 +230,73 @@ loop:
 	}
 	step(func() bool { return s.ISS.CPU.R[5] == 7 })
 }
+
+// TestDecodeTableLineCollision: the fetch-time decode table is
+// direct-mapped by word address, as the OSM models' tables are, so a
+// PC beyond the text can share a line with a program word. The loop
+// calls a routine the test writes at such PCs: each fetch there evicts
+// the loop's line, and the next fetch of the loop word decodes it
+// afresh. Every in-flight op must carry the decoding of the word RAM
+// holds at its PC.
+func TestDecodeTableLineCollision(t *testing.T) {
+	p, err := ppc.Assemble(`
+	li r6, 3
+	li r7, 4
+	lis r8, 1
+	addi r8, r8, 24
+	li r9, 0
+	mtctr r8
+loop:
+	bctrl
+	addi r9, r9, 1
+	cmpwi r9, 3
+	bne loop
+	li r0, 1
+	sc
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routine, err := ppc.Assemble("\tadd r5, r6, r7\n\tblr\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(p, Config{Hier: mem.HierarchyConfig{DisableCaches: true, DisableTLBs: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(pc uint32) uint32 { return pc >> 2 & uint32(len(s.decodeTable)-1) }
+	const at = 0x10018 // the routine; the loop starts at 24
+	if p.Org != 0 || line(at) != line(24) || line(at+4) != line(28) {
+		t.Fatalf("the routine at %#x does not share the loop's decode-table lines", at)
+	}
+	for i, w := range routine.Words {
+		s.ISS.RAM.Write32(at+uint32(4*i), w)
+	}
+	calls := 0
+	for i := 0; !s.ISS.CPU.Halted; i++ {
+		if i == 10_000 {
+			t.Fatal("the program did not halt within 10,000 cycles")
+		}
+		s.K.Step()
+		if s.execErr != nil {
+			t.Fatal(s.execErr)
+		}
+		for _, q := range [][]*hwOp{s.iq, s.cq} {
+			for _, o := range q {
+				if !o.decodeOK {
+					continue
+				}
+				if want := s.ISS.RAM.Read32(o.pc); o.ins.Raw != want {
+					t.Fatalf("cycle %d: op at %#x carries %#x, RAM holds %#x", i, o.pc, o.ins.Raw, want)
+				}
+				if o.pc == at {
+					calls++
+				}
+			}
+		}
+	}
+	if calls == 0 || s.ISS.CPU.R[9] != 3 || s.ISS.CPU.R[5] != 7 {
+		t.Fatalf("routine seen in flight %d times, r9=%d r5=%d; want r9=3 r5=7", calls, s.ISS.CPU.R[9], s.ISS.CPU.R[5])
+	}
+}

@@ -25,6 +25,10 @@ type CPU struct {
 	N, Z, C, V bool
 	// Mem is the memory image the CPU runs against.
 	Mem Memory
+	// MemSize, if non-zero, is the size of Mem: a fetch, load or store
+	// that reaches past it fails with an error naming the address, the
+	// width and the size, and leaves the CPU and Mem untouched.
+	MemSize uint32
 	// SWIHandler, if non-nil, is invoked for SWI instructions with
 	// the 24-bit comment field; a nil handler makes SWI an error.
 	SWIHandler func(c *CPU, num uint32) error
@@ -82,11 +86,29 @@ func (c *CPU) Step() (Instr, error) {
 	if pc%4 != 0 {
 		return Instr{}, fmt.Errorf("arm: unaligned PC %#x", pc)
 	}
+	if !c.inMem(pc, 4) {
+		return Instr{}, fmt.Errorf("arm: PC %#x beyond the %#x-byte memory", pc, c.MemSize)
+	}
 	ins, err := Decode(c.Mem.Read32(pc))
 	if err != nil {
 		return ins, fmt.Errorf("arm: at %#x: %w", pc, err)
 	}
 	return ins, c.StepDecoded(ins)
+}
+
+// inMem reports whether the n bytes at addr lie inside MemSize. The
+// sum is taken in 64 bits, so an access near 2^32 cannot wrap around
+// the check.
+func (c *CPU) inMem(addr, n uint32) bool {
+	return c.MemSize == 0 || uint64(addr)+uint64(n) <= uint64(c.MemSize)
+}
+
+// errMem is the error of an access inMem refused. It is kept out of
+// line so that the executor's hot path does not carry the formatting.
+//
+//go:noinline
+func (c *CPU) errMem(op Op, addr, n uint32) error {
+	return fmt.Errorf("%s: access at %#x+%d beyond the %#x-byte memory", op, addr, n, c.MemSize)
 }
 
 // StepDecoded executes one already-decoded instruction as the

@@ -245,6 +245,13 @@ func (c *CPU) execMem(i *Instr) (branched bool, err error) {
 	if !i.Byte && addr%4 != 0 {
 		return false, fmt.Errorf("%s: unaligned word access at %#x", i.Op, addr)
 	}
+	n := uint32(4)
+	if i.Byte {
+		n = 1
+	}
+	if !c.inMem(addr, n) {
+		return false, c.errMem(i.Op, addr, n)
+	}
 	if i.Op == LDR {
 		var v uint32
 		if i.Byte {
@@ -291,6 +298,13 @@ func (c *CPU) execMemHalf(i *Instr) (branched bool, err error) {
 	if i.Op != LDRSB && addr%2 != 0 {
 		return false, fmt.Errorf("%s: unaligned halfword access at %#x", i.Op, addr)
 	}
+	n := uint32(2)
+	if i.Op == LDRSB {
+		n = 1
+	}
+	if !c.inMem(addr, n) {
+		return false, c.errMem(i.Op, addr, n)
+	}
 	switch i.Op {
 	case LDRH:
 		c.R[i.Rd] = uint32(c.Mem.Read16(addr))
@@ -329,6 +343,9 @@ func (c *CPU) execBlock(i *Instr) (branched bool, err error) {
 		start, wb = base-4*n+4, base-4*n
 	default: // DB
 		start, wb = base-4*n, base-4*n
+	}
+	if !c.inMem(start, 4*n) {
+		return false, c.errMem(i.Op, start, 4*n)
 	}
 	addr := start
 	for r := 0; r < 16; r++ {

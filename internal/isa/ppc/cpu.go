@@ -32,6 +32,10 @@ type CPU struct {
 	NextPC uint32
 	// Mem is the memory image.
 	Mem Memory
+	// MemSize, if non-zero, is the size of Mem: a fetch, load or store
+	// that reaches past it fails with an error naming the address, the
+	// width and the size, and leaves the registers and Mem untouched.
+	MemSize uint32
 	// SCHandler, if non-nil, is invoked for SC instructions. PowerPC
 	// convention: r0 holds the call number, r3.. the arguments.
 	SCHandler func(c *CPU) error
@@ -79,11 +83,29 @@ func (c *CPU) Step() (Instr, error) {
 	if pc%4 != 0 {
 		return Instr{}, fmt.Errorf("ppc: unaligned PC %#x", pc)
 	}
+	if !c.inMem(pc, 4) {
+		return Instr{}, fmt.Errorf("ppc: PC %#x beyond the %#x-byte memory", pc, c.MemSize)
+	}
 	ins, err := Decode(c.Mem.Read32(pc))
 	if err != nil {
 		return ins, fmt.Errorf("ppc: at %#x: %w", pc, err)
 	}
 	return ins, c.StepDecoded(ins)
+}
+
+// inMem reports whether the n bytes at addr lie inside MemSize. The
+// sum is taken in 64 bits, so an access near 2^32 cannot wrap around
+// the check.
+func (c *CPU) inMem(addr, n uint32) bool {
+	return c.MemSize == 0 || uint64(addr)+uint64(n) <= uint64(c.MemSize)
+}
+
+// errMem is the error of an access inMem refused. It is kept out of
+// line so that the executor's hot path does not carry the formatting.
+//
+//go:noinline
+func (c *CPU) errMem(op Op, addr, n uint32) error {
+	return fmt.Errorf("%s: access at %#x+%d beyond the %#x-byte memory", op, addr, n, c.MemSize)
 }
 
 // StepDecoded executes one already-decoded instruction as the
@@ -244,10 +266,16 @@ func (c *CPU) Exec(ins Instr, pc uint32) error {
 		}
 		switch ins.Op {
 		case LBZ, LBZX:
+			if !c.inMem(addr, 1) {
+				return c.errMem(ins.Op, addr, 1)
+			}
 			c.R[ins.RT] = uint32(c.Mem.Read8(addr))
 		case LHZ, LHZX, LHA, LHAX:
 			if addr%2 != 0 {
 				return fmt.Errorf("%s: unaligned halfword access at %#x", ins.Op, addr)
+			}
+			if !c.inMem(addr, 2) {
+				return c.errMem(ins.Op, addr, 2)
 			}
 			v := uint32(c.Mem.Read16(addr))
 			if ins.Op == LHA || ins.Op == LHAX {
@@ -257,6 +285,9 @@ func (c *CPU) Exec(ins Instr, pc uint32) error {
 		default:
 			if addr%4 != 0 {
 				return fmt.Errorf("%s: unaligned word access at %#x", ins.Op, addr)
+			}
+			if !c.inMem(addr, 4) {
+				return c.errMem(ins.Op, addr, 4)
 			}
 			c.R[ins.RT] = c.Mem.Read32(addr)
 		}
@@ -276,15 +307,24 @@ func (c *CPU) Exec(ins Instr, pc uint32) error {
 		}
 		switch ins.Op {
 		case STB, STBX:
+			if !c.inMem(addr, 1) {
+				return c.errMem(ins.Op, addr, 1)
+			}
 			c.Mem.Write8(addr, byte(c.R[ins.RT]))
 		case STH, STHX:
 			if addr%2 != 0 {
 				return fmt.Errorf("%s: unaligned halfword access at %#x", ins.Op, addr)
 			}
+			if !c.inMem(addr, 2) {
+				return c.errMem(ins.Op, addr, 2)
+			}
 			c.Mem.Write16(addr, uint16(c.R[ins.RT]))
 		default:
 			if addr%4 != 0 {
 				return fmt.Errorf("%s: unaligned word access at %#x", ins.Op, addr)
+			}
+			if !c.inMem(addr, 4) {
+				return c.errMem(ins.Op, addr, 4)
 			}
 			c.Mem.Write32(addr, c.R[ins.RT])
 		}

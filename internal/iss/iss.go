@@ -75,7 +75,7 @@ func NewARM(p *arm.Program, ramKB int) (*ARM, error) {
 	}
 	ram.LoadWords(p.Org, p.Words)
 	s := &ARM{RAM: ram, Out: io.Discard, words: len(p.Words)}
-	s.CPU = &arm.CPU{Mem: ram}
+	s.CPU = &arm.CPU{Mem: ram, MemSize: ram.Size()}
 	s.CPU.R[arm.SP] = ram.Size() - 16
 	s.CPU.SetPC(p.Entry)
 	s.CPU.SWIHandler = s.swi
@@ -159,7 +159,19 @@ func (s *ARM) fetch() (pc, word uint32, err error) {
 	if pc%4 != 0 {
 		return 0, 0, fmt.Errorf("arm: unaligned PC %#x", pc)
 	}
+	if !s.RAM.InBounds(pc, 4) {
+		return 0, 0, errFetch("arm", pc, s.RAM)
+	}
 	return pc, c.Mem.Read32(pc), nil
+}
+
+// errFetch is the error of a fetch from beyond the RAM image. It is
+// kept out of line so that fetch, on every instruction's path, does not
+// carry the formatting.
+//
+//go:noinline
+func errFetch(isa string, pc uint32, ram *mem.RAM) error {
+	return fmt.Errorf("%s: PC %#x beyond the %#x-byte RAM image", isa, pc, ram.Size())
 }
 
 // exec runs the instruction fetched from pc and counts it.
@@ -232,7 +244,7 @@ func NewPPC(p *ppc.Program, ramKB int) (*PPC, error) {
 	}
 	ram.LoadWords(p.Org, p.Words)
 	s := &PPC{RAM: ram, Out: io.Discard, words: len(p.Words)}
-	s.CPU = &ppc.CPU{Mem: ram}
+	s.CPU = &ppc.CPU{Mem: ram, MemSize: ram.Size()}
 	s.CPU.R[1] = ram.Size() - 16
 	s.CPU.NextPC = p.Entry
 	s.CPU.SCHandler = s.sc
@@ -313,6 +325,9 @@ func (s *PPC) fetch() (pc, word uint32, err error) {
 	pc = c.NextPC
 	if pc%4 != 0 {
 		return 0, 0, fmt.Errorf("ppc: unaligned PC %#x", pc)
+	}
+	if !s.RAM.InBounds(pc, 4) {
+		return 0, 0, errFetch("ppc", pc, s.RAM)
 	}
 	return pc, c.Mem.Read32(pc), nil
 }

@@ -404,3 +404,39 @@ func TestStepFetched(t *testing.T) {
 		t.Fatal("StepFetched allocated the decode cache")
 	}
 }
+
+// TestAccessBeyondImageFails covers the accesses the load/store table
+// in internal/runner does not: a block transfer that runs off the end
+// of the image, and a fetch from beyond it. Each fails with an error
+// and leaves the registers as they were.
+func TestAccessBeyondImageFails(t *testing.T) {
+	a, err := NewARM(armProg(t, `
+		mov r0, #0x10000
+		sub r0, r0, #4
+		ldmia r0!, {r1, r2}
+		swi #0
+	`), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = a.Run(100)
+	if want := "at 0x8: ldm: access at 0xfffc+8 beyond the 0x10000-byte memory"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("ldm off the end: %v, want %q", err, want)
+	}
+	if a.CPU.R[0] != 0xfffc {
+		t.Errorf("ldm wrote back r0 = %#x before failing", a.CPU.R[0])
+	}
+
+	p, err := NewPPC(ppcProg(t, `
+		lis r3, 0x1000
+		mtctr r3
+		bctr
+	`), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Run(100)
+	if want := "ppc: PC 0x10000000 beyond the 0x10000-byte RAM image"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("fetch beyond the image: %v, want %q", err, want)
+	}
+}

@@ -10,12 +10,12 @@ import (
 // graphs into one flat, cache-friendly guard program — the only
 // resolved form of a model, with two readers: the compiled engine
 // executes it, and the Go code generator (internal/osm/gen, driven by
-// cmd/osmgen) emits edge functions from it. The generated engine
-// calls those functions from the edges themselves (generated.go) and
+// cmd/osmgen) emits state functions from it. The generated engine
+// calls those functions from the states themselves (generated.go) and
 // builds no program. The executor tries one lowered edge without
-// interface dispatch on the hot path; the director's one serve loop
-// (serveMachine) walks a state's lowered edges under the event-driven
-// scheduler.
+// interface dispatch on the hot path; the director's walk over a
+// state's edges (tryEdges) tries the state's lowered edges under the
+// event-driven scheduler.
 //
 // The interpreted evaluator (Machine.tryEdge) walks each edge's
 // []Primitive and issues every transaction through the TokenManager
@@ -162,7 +162,7 @@ type CompileStats struct {
 
 // GuardProgram is a model lowered to flat guard instruction arrays,
 // executed by the compiled engine (EngineCompiled) and printed as Go
-// edge functions by internal/osm/gen. Build one with
+// state functions by internal/osm/gen. Build one with
 // Director.Compile; it stays valid until machines or managers are
 // added. A program is derived state: it is excluded from snapshots
 // and rebuilt on demand instead.

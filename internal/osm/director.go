@@ -76,13 +76,13 @@ type Director struct {
 	// found.
 	CheckDeadlock bool
 	// Engine selects the execution engine (see the Engine type). The
-	// zero value, EngineDefault, serves through the generated edge
+	// zero value, EngineDefault, serves through the generated state
 	// functions when they are attached (AttachGenerated) and through
 	// the event-driven interpreter otherwise. EngineScan and
 	// EngineGenerated run the paper's Figure 3 scan, which ranks and
 	// serves every machine each control step; EngineScan tries edges
 	// through the interpreter and is the reference, EngineGenerated
-	// calls the edges' own functions and lowers nothing. EngineEvent
+	// calls the states' own functions and lowers nothing. EngineEvent
 	// and EngineCompiled run the event-driven scheduler
 	// (director_event.go), which produces the identical transition
 	// schedule — the differential tests in internal/experiments check
@@ -121,7 +121,7 @@ type Director struct {
 	// never serialized: Snapshot ignores it and Restore keeps it.
 	comp *GuardProgram
 	// attached records that AttachGenerated wrote generated functions
-	// onto the model's edges (generated.go), which makes the generated
+	// onto the model's states (generated.go), which makes the generated
 	// engine the default.
 	attached bool
 }
@@ -177,7 +177,7 @@ func (d *Director) StepCount() uint64 { return d.step }
 // event-driven scheduler (stepEvent) of the event and compiled
 // engines, which skips machines whose blocking resources did not
 // change. See EventDriven and the Engine field. Under the generated
-// engine a director with no edge functions attached fails here, before
+// engine a director with no state functions attached fails here, before
 // anything is served.
 func (d *Director) Step() error {
 	eng := d.ActiveEngine()
@@ -268,36 +268,63 @@ func assignPrimSlots(initial *State) int {
 	return int(next)
 }
 
-// serveMachine is the director's one loop over a state's edges: it
-// tries m's outgoing edges in priority order and commits the first
-// satisfied one, maintaining ages and the tracer. Every engine serves
-// machines through it and differs only in how one edge is tried:
-// Machine.tryEdge for the event and scan engines, tryEdgeCompiled for
-// the compiled engine, the edge's own generated function for the
-// generated one. The compiled engine looks the state's lowering up
-// once per serve; a state the program does not know (the graph was
-// mutated after lowering) is served by the interpreter, and so, under
-// the generated engine, is an edge without a function. The second
-// result is the committed edge. The caller passes the active engine,
-// which it resolves once per step.
-// On failure it leaves the failed primitives of the final pass in
-// m.blocked and records in m.sched.untracked whether any edge failed
-// outside the token protocol (a When predicate).
+// serveMachine is the director's one serve of a machine: it commits
+// the first satisfied of m's outgoing edges in priority order and
+// maintains ages and the tracer. Every engine serves machines through
+// it and differs only in how the edges are tried: under the generated
+// engine one call of the state's own generated function (StateFn)
+// tries them all, and otherwise tryEdges walks them. A state without
+// a function (one of a graph registered after the attachment) is
+// walked by the interpreter. The second result is the committed edge.
+// The caller passes the active engine, which it resolves once per
+// step. On failure it leaves the failed primitives of the final pass
+// in m.blocked.
+func (d *Director) serveMachine(m *Machine, eng Engine) (bool, *Edge, error) {
+	wasInitial := m.InInitial()
+	m.blocked = m.blocked[:0] // keep only this pass's failures
+	var e *Edge
+	var err error
+	if st := m.cur; eng == EngineGenerated && st.gen != nil {
+		e, err = st.gen(m, st.Out)
+	} else {
+		e, err = d.tryEdges(m, eng)
+	}
+	if err != nil {
+		return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
+	}
+	if e == nil {
+		return false, nil, nil
+	}
+	if wasInitial && !m.InInitial() {
+		d.nextAge++
+		m.Age = d.nextAge
+	}
+	if d.Tracer != nil {
+		d.Tracer.Transition(d.step, m, e)
+	}
+	return true, e, nil
+}
+
+// tryEdges tries m's outgoing edges in priority order and commits the
+// first satisfied one, returning it: through tryEdgeCompiled under
+// the compiled engine and Machine.tryEdge otherwise. The compiled
+// engine looks the state's lowering up once per serve; a state the
+// program does not know (the graph was mutated after lowering) is
+// tried by the interpreter. It records in m.sched.untracked, which
+// the event loop reads, whether any edge failed outside the token
+// protocol (a When predicate).
 //
 // An edge m's Route excludes (Edge.Routes) is skipped before it is
 // tried: it is neither a try nor an untracked failure, because the
 // route cannot change until m transitions. A machine that fails only
 // by route and at token-protocol primitives therefore sleeps on the
 // refusing managers.
-func (d *Director) serveMachine(m *Machine, eng Engine) (bool, *Edge, error) {
-	wasInitial := m.InInitial()
-	m.blocked = m.blocked[:0] // keep only this pass's failures
+func (d *Director) tryEdges(m *Machine, eng Engine) (*Edge, error) {
 	m.sched.untracked = false
 	var cs *compState
 	if eng == EngineCompiled {
 		cs = d.comp.stateOf(m.cur)
 	}
-	gen := eng == EngineGenerated
 	route := m.Route
 	for i, e := range m.cur.Out {
 		if e.excludes(route) {
@@ -306,33 +333,22 @@ func (d *Director) serveMachine(m *Machine, eng Engine) (bool, *Edge, error) {
 		before := len(m.blocked)
 		var ok bool
 		var err error
-		switch {
-		case gen && e.gen != nil:
-			ok, err = e.gen(m, e)
-		case cs != nil:
+		if cs != nil {
 			ok, err = m.tryEdgeCompiled(&cs.edges[i])
-		default:
+		} else {
 			ok, err = m.tryEdge(e)
 		}
 		if err != nil {
-			return false, nil, fmt.Errorf("osm: step %d: %w", d.step, err)
+			return nil, err
 		}
-		if !ok {
-			if len(m.blocked) == before {
-				m.sched.untracked = true
-			}
-			continue
+		if ok {
+			return e, nil
 		}
-		if wasInitial && !m.InInitial() {
-			d.nextAge++
-			m.Age = d.nextAge
+		if len(m.blocked) == before {
+			m.sched.untracked = true
 		}
-		if d.Tracer != nil {
-			d.Tracer.Transition(d.step, m, e)
-		}
-		return true, e, nil
 	}
-	return false, nil, nil
+	return nil, nil
 }
 
 // stepScan is the paper's Figure 3, executed over the full machine

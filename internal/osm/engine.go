@@ -5,14 +5,14 @@ import "fmt"
 // Engine selects the director's execution engine. All engines produce
 // the identical transition schedule — the differential tests in
 // internal/experiments check this trace-for-trace — and share one
-// serve loop (Director.serveMachine): a machine's outgoing edges are
-// tried in priority order and the first whose guard holds commits.
-// They differ only in how a control step picks the machines to serve
-// (the Figure 3 scan or the event-driven scheduler, see
-// Director.EventDriven) and how one edge is tried:
+// serve (Director.serveMachine): a machine's outgoing edges are tried
+// in priority order and the first whose guard holds commits. They
+// differ only in how a control step picks the machines to serve (the
+// Figure 3 scan or the event-driven scheduler, see
+// Director.EventDriven) and how the edges are tried:
 //
 //   - EngineDefault, the zero Engine, lets the model choose: the
-//     director resolves it to EngineGenerated when generated edge
+//     director resolves it to EngineGenerated when generated state
 //     functions are attached (the case studies attach theirs at
 //     construction) and to EngineEvent otherwise (ADL and example
 //     models). See Director.ActiveEngine.
@@ -31,20 +31,21 @@ import "fmt"
 //     dispatch. The interpreted engines remain the differential
 //     oracle.
 //   - EngineGenerated runs the Figure 3 scan, as EngineScan does, but
-//     calls each edge's own generated Go function (generated.go),
-//     written onto the edge by Director.AttachGenerated — one
-//     monomorphic function per edge, typically emitted by
-//     internal/osm/gen from the guard program, with When predicates
-//     and manager fast paths inlined at source level. It pairs
-//     specialized edges with a static serve order: on the case
-//     studies the scan's every-machine evaluation costs less than the
-//     event scheduler's wake bookkeeping, which skips few machines
-//     there. It builds no program: only EngineCompiled (and
+//     serves each machine with one call of its state's own generated
+//     Go function (generated.go), written onto the state by
+//     Director.AttachGenerated — one monomorphic function per state,
+//     typically emitted by internal/osm/gen from the guard program,
+//     with route masks as literals, shared When predicates evaluated
+//     once per serve and manager fast paths inlined at source level.
+//     It pairs specialized states with a static serve order: on the
+//     case studies the scan's every-machine evaluation costs less
+//     than the event scheduler's wake bookkeeping, which skips few
+//     machines there. It builds no program: only EngineCompiled (and
 //     cmd/osmgen) does.
 type Engine uint8
 
 const (
-	// EngineDefault resolves to EngineGenerated when generated edge
+	// EngineDefault resolves to EngineGenerated when generated state
 	// functions are attached and to EngineEvent otherwise.
 	EngineDefault Engine = iota
 	// EngineEvent is the event-driven scheduler with the interpreter.
@@ -54,7 +55,7 @@ const (
 	// EngineCompiled executes compiled guard programs under
 	// event-driven scheduling.
 	EngineCompiled
-	// EngineGenerated executes generated Go edge functions under the
+	// EngineGenerated executes generated Go state functions under the
 	// Figure 3 scan (see Director.AttachGenerated).
 	EngineGenerated
 )
@@ -99,7 +100,7 @@ func ParseEngine(s string) (Engine, error) {
 // ActiveEngine returns the engine the next Step runs. A custom Rank
 // forces the reference scan (the event-driven schedulers require
 // age-based ranking); EngineDefault resolves to EngineGenerated when
-// generated edge functions are attached and to EngineEvent otherwise;
+// generated state functions are attached and to EngineEvent otherwise;
 // any other Engine runs as set.
 func (d *Director) ActiveEngine() Engine {
 	if d.Rank != nil {
@@ -117,14 +118,14 @@ func (d *Director) ActiveEngine() Engine {
 // Lowered reports whether the director holds a lowered guard
 // program. Only Compile builds one: under EngineCompiled on the first
 // step or through Lower, or when called directly (cmd/osmgen). The
-// other engines run from the model itself and the edges' own
+// other engines run from the model itself and the states' own
 // generated functions.
 func (d *Director) Lowered() bool { return d.comp != nil }
 
 // Lower prepares what the active engine runs from, so a constructor
 // surfaces its error before the first step: under EngineCompiled it
 // builds the guard program if it is not built yet, and under
-// EngineGenerated it reports a director with no edge functions
+// EngineGenerated it reports a director with no state functions
 // attached. Every Step does the same for the engine it resolved.
 func (d *Director) Lower() error { return d.lower(d.ActiveEngine()) }
 
@@ -135,7 +136,7 @@ func (d *Director) lower(eng Engine) error {
 		return err
 	case EngineGenerated:
 		if !d.attached {
-			return fmt.Errorf("osm: engine generated: no edge functions attached (Director.AttachGenerated)")
+			return fmt.Errorf("osm: engine generated: no state functions attached (Director.AttachGenerated)")
 		}
 	}
 	return nil

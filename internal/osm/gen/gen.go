@@ -3,13 +3,18 @@
 // interprets flat guard instruction arrays at runtime, this package
 // walks the same lowered structures — a GuardProgram built by
 // Director.Compile, with managers classified and edges proven pure or
-// not — and emits one monomorphic Go function per edge into the
-// model's own package: the When predicate inlined as a source
-// expression, identifier functions called directly, and the concrete
-// managers' check/allocate/release fast paths spelled out as static
-// calls the Go compiler can see through. The emitted functions follow
-// the check-then-commit contract of the compiled engine's pure path
-// and attach through Director.AttachGenerated for EngineGenerated.
+// not — and emits one monomorphic Go function per state into the
+// model's own package. A state's function serves a machine the way
+// the director's interpreter walk does: it tries the state's edges in
+// priority order and commits the first that holds. The walk itself is
+// specialized away: each edge's route mask is a literal, a When
+// predicate that several edges share is evaluated once per serve, and
+// each edge's guard is a static call to its own body, with identifier
+// functions called directly and the concrete managers'
+// check/allocate/release fast paths spelled out so the Go compiler
+// can see through them. The edge bodies follow the check-then-commit
+// contract of the compiled engine's pure path, and the functions
+// attach through Director.AttachGenerated for EngineGenerated.
 //
 // The model supplies a Spec mapping the lowered structures back to
 // source expressions (which field holds each manager, what each When
@@ -79,48 +84,44 @@ func File(prog *osm.GuardProgram, spec Spec) ([]byte, error) {
 	if spec.OSMImport == "" {
 		spec.OSMImport = "repro/internal/osm"
 	}
-	edges := prog.Edges()
-	keys := make(map[string]bool, len(edges))
-	bases := make(map[string]bool, len(edges))
-	names := make([]string, len(edges))
-	for i, ei := range edges {
-		k := osm.GenKey(ei.State, ei.Edge.Name)
-		if keys[k] {
-			return nil, fmt.Errorf("gen: key %q is ambiguous: two lowered edges share state and edge names", k)
-		}
-		keys[k] = true
-		base := ident(ei.State) + "_" + ident(ei.Edge.Name)
-		for n := 2; bases[base]; n++ {
-			base = fmt.Sprintf("%s_%d", ident(ei.State)+"_"+ident(ei.Edge.Name), n)
-		}
-		bases[base] = true
-		names[i] = base
+	states, err := groupStates(prog.Edges())
+	if err != nil {
+		return nil, err
 	}
 
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "// Code generated by osmgen; DO NOT EDIT.\n")
 	fmt.Fprintf(&b, "//\n")
-	fmt.Fprintf(&b, "// One monomorphic function per model edge for the generated engine\n")
-	fmt.Fprintf(&b, "// (osm.EngineGenerated): When predicates and manager fast paths are\n")
-	fmt.Fprintf(&b, "// inlined at source level; edges the compile stage could not prove\n")
-	fmt.Fprintf(&b, "// pure, and attempts made while a gate closure is installed, delegate\n")
-	fmt.Fprintf(&b, "// to the interpreter. Regenerate with: go generate ./...\n")
+	fmt.Fprintf(&b, "// One monomorphic function per model state for the generated engine\n")
+	fmt.Fprintf(&b, "// (osm.EngineGenerated): each tries its state's edges in priority\n")
+	fmt.Fprintf(&b, "// order with route masks, shared When predicates and manager fast\n")
+	fmt.Fprintf(&b, "// paths inlined at source level; edges the compile stage could not\n")
+	fmt.Fprintf(&b, "// prove pure, and attempts made while a gate closure is installed,\n")
+	fmt.Fprintf(&b, "// delegate to the interpreter. Regenerate with: go generate ./...\n")
 	fmt.Fprintf(&b, "\npackage %s\n", spec.Package)
 	fmt.Fprintf(&b, "\nimport (\n\t%q\n)\n", spec.OSMImport)
 
-	fmt.Fprintf(&b, "\n// genEdges returns the generated edge functions of the model, keyed\n")
-	fmt.Fprintf(&b, "// by osm.GenKey, for Director.AttachGenerated.\n")
-	fmt.Fprintf(&b, "func (%s *%s) genEdges() map[string]osm.EdgeFn {\n", spec.Recv, spec.SimType)
-	fmt.Fprintf(&b, "\treturn map[string]osm.EdgeFn{\n")
-	for i, ei := range edges {
-		fmt.Fprintf(&b, "\t\t%q: %s.genTry_%s,\n", osm.GenKey(ei.State, ei.Edge.Name), spec.Recv, names[i])
+	fmt.Fprintf(&b, "\n// genStates returns the generated state functions of the model, keyed\n")
+	fmt.Fprintf(&b, "// by state name, for Director.AttachGenerated.\n")
+	fmt.Fprintf(&b, "func (%s *%s) genStates() map[string]osm.GenState {\n", spec.Recv, spec.SimType)
+	fmt.Fprintf(&b, "\treturn map[string]osm.GenState{\n")
+	for _, st := range states {
+		fmt.Fprintf(&b, "\t\t%q: {Fn: %s.%s, Edges: []osm.GenEdge{\n", st.name, spec.Recv, st.fn)
+		for _, ei := range st.edges {
+			if r := ei.Edge.Routes; r != 0 {
+				fmt.Fprintf(&b, "\t\t\t{Name: %q, Routes: %#x},\n", ei.Edge.Name, r)
+			} else {
+				fmt.Fprintf(&b, "\t\t\t{Name: %q},\n", ei.Edge.Name)
+			}
+		}
+		fmt.Fprintf(&b, "\t\t}},\n")
 	}
 	fmt.Fprintf(&b, "\t}\n}\n")
 
-	for i, ei := range edges {
-		em := &emitter{spec: spec, b: &b, declared: map[int]bool{}}
-		if err := em.edge(ei, names[i]); err != nil {
-			return nil, fmt.Errorf("gen: state %s, edge %s: %w", ei.State, ei.Edge.Name, err)
+	for _, st := range states {
+		em := &emitter{spec: spec, b: &b}
+		if err := em.state(st); err != nil {
+			return nil, fmt.Errorf("gen: state %s: %w", st.name, err)
 		}
 	}
 	src, err := format.Source(b.Bytes())
@@ -128,6 +129,48 @@ func File(prog *osm.GuardProgram, spec Spec) ([]byte, error) {
 		return nil, fmt.Errorf("gen: emitted source does not parse: %w", err)
 	}
 	return src, nil
+}
+
+// stateCode is one state's lowered edges, in priority order, and the
+// name of the method that serves it.
+type stateCode struct {
+	name  string
+	fn    string
+	edges []osm.EdgeInfo
+}
+
+// groupStates splits the program's edges, which it lists state by
+// state, into states. A state name or a state/edge pair that does not
+// identify one state or edge is ambiguous.
+func groupStates(edges []osm.EdgeInfo) ([]stateCode, error) {
+	var states []stateCode
+	names := make(map[string]bool)
+	fns := make(map[string]bool)
+	keys := make(map[string]bool, len(edges))
+	var from *osm.State
+	for _, ei := range edges {
+		k := osm.GenKey(ei.State, ei.Edge.Name)
+		if keys[k] {
+			return nil, fmt.Errorf("gen: key %q is ambiguous: two lowered edges share state and edge names", k)
+		}
+		keys[k] = true
+		if n := len(states); n == 0 || states[n-1].name != ei.State || ei.Edge.From != from {
+			if names[ei.State] {
+				return nil, fmt.Errorf("gen: state name %q is ambiguous: two lowered states share it", ei.State)
+			}
+			names[ei.State] = true
+			fn := "genServe_" + ident(ei.State)
+			for n := 2; fns[fn]; n++ {
+				fn = fmt.Sprintf("genServe_%s_%d", ident(ei.State), n)
+			}
+			fns[fn] = true
+			states = append(states, stateCode{name: ei.State, fn: fn})
+			from = ei.Edge.From
+		}
+		st := &states[len(states)-1]
+		st.edges = append(st.edges, ei)
+	}
+	return states, nil
 }
 
 // ident renders a model name as a Go identifier fragment.
@@ -147,7 +190,7 @@ func ident(s string) string {
 	return b.String()
 }
 
-// emitter renders one edge's function.
+// emitter renders one state's function.
 type emitter struct {
 	spec Spec
 	b    *bytes.Buffer
@@ -155,8 +198,12 @@ type emitter struct {
 	// before the first statement that uses them.
 	pend []string
 	// declared marks instruction indexes whose dynamic identifier
-	// variable is already in scope.
+	// variable is already in scope in the current edge's block.
 	declared map[int]bool
+	// next is the label that ends the current edge's try, and jumped
+	// records that some statement jumps to it.
+	next   string
+	jumped bool
 }
 
 func (em *emitter) line(format string, args ...any) {
@@ -234,46 +281,110 @@ func (em *emitter) gates(ei osm.EdgeInfo) ([]string, error) {
 	return conds, nil
 }
 
-// edge emits the function for one lowered edge.
-func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
-	key := osm.GenKey(ei.State, ei.Edge.Name)
-	sig := func() {
-		fmt.Fprintf(em.b, "func (%s *%s) genTry_%s(m *osm.Machine, e *osm.Edge) (bool, error) {\n",
-			em.spec.Recv, em.spec.SimType, base)
+// state emits the function that serves one state: its edges in
+// priority order, each behind its literal route test, with a When
+// predicate that several pure edges share evaluated once into a
+// variable, before the first of them, that guards each run of
+// adjacent edges it covers. A failed try of an edge changes nothing,
+// so the shared value holds for every edge it guards. Each edge's try
+// is a block that either returns (committed, or an error) or jumps to
+// the label after it, where the next edge's try begins.
+func (em *emitter) state(st stateCode) error {
+	whens := make([]string, len(st.edges))
+	uses := make(map[string]int)
+	routed := false
+	for i, ei := range st.edges {
+		routed = routed || ei.Edge.Routes != 0
+		if !ei.Pure || ei.Edge.When == nil {
+			continue
+		}
+		x, ok := em.spec.When[osm.GenKey(st.name, ei.Edge.Name)]
+		if !ok {
+			return fmt.Errorf("edge %s: spec has no expression for the When predicate", ei.Edge.Name)
+		}
+		whens[i] = x
+		uses[x]++
 	}
 
+	fmt.Fprintf(em.b, "\n// %s serves state %s: it tries the state's edges in\n", st.fn, st.name)
+	fmt.Fprintf(em.b, "// priority order and commits the first that holds.\n")
+	fmt.Fprintf(em.b, "func (%s *%s) %s(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {\n",
+		em.spec.Recv, em.spec.SimType, st.fn)
+	if routed {
+		em.line("r := m.Route")
+	}
+	vars := make(map[string]string) // shared When -> its variable
+	open := ""                      // the shared When whose block is open
+	for i, ei := range st.edges {
+		x := whens[i]
+		shared := uses[x] > 1
+		if open != "" && x != open {
+			em.line("}")
+			open = ""
+		}
+		if shared && open == "" {
+			v, ok := vars[x]
+			if !ok {
+				v = fmt.Sprintf("w%d", len(vars))
+				vars[x] = v
+				em.line("%s := %s", v, x)
+			}
+			em.line("if %s {", v)
+			open = x
+		}
+		if !shared {
+			x = ""
+		}
+		if err := em.edge(st.name, ei, i, x == "" && whens[i] != ""); err != nil {
+			return fmt.Errorf("edge %s: %w", ei.Edge.Name, err)
+		}
+	}
+	if open != "" {
+		em.line("}")
+	}
+	em.line("return nil, nil")
+	fmt.Fprintf(em.b, "}\n")
+	return nil
+}
+
+// edge emits the try of one lowered edge, the i-th of its state:
+// the route test, then the gate fallback, the edge's own When
+// predicate when it shares it with no other edge (own), the
+// mutation-free availability pass and the commit pass.
+func (em *emitter) edge(state string, ei osm.EdgeInfo, i int, own bool) error {
+	key := osm.GenKey(state, ei.Edge.Name)
+	em.declared = map[int]bool{}
+	em.next, em.jumped = fmt.Sprintf("next%d", i), false
+	cond := "e != nil"
+	if r := ei.Edge.Routes; r != 0 {
+		cond += fmt.Sprintf(" && (r == 0 || r&%#x != 0)", r)
+	}
+	em.line("// %s: %s -> %s (%s).", ei.Edge.Name, state, ei.Edge.To.Name, edgeSummary(ei))
+	em.line("if e := es[%d]; %s {", i, cond)
 	// Edges the compile stage could not prove pure run through the
 	// interpreter wholesale.
 	if !ei.Pure {
-		fmt.Fprintf(em.b, "\n// genTry_%s executes edge %s: %s -> %s through the interpreter\n",
-			base, ei.Edge.Name, ei.State, ei.Edge.To.Name)
-		fmt.Fprintf(em.b, "// (not provably pure).\n")
-		sig()
-		em.line("return m.GenFallback(e)")
-		fmt.Fprintf(em.b, "}\n")
+		em.line("if ok, err := m.GenFallback(e); ok || err != nil {")
+		em.line("\treturn e, err")
+		em.line("}")
+		em.line("}")
 		return nil
 	}
-
 	gates, err := em.gates(ei)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(em.b, "\n// genTry_%s evaluates and commits edge %s: %s -> %s\n",
-		base, ei.Edge.Name, ei.State, ei.Edge.To.Name)
-	fmt.Fprintf(em.b, "// (%s).\n", edgeSummary(ei))
-	sig()
 	if len(gates) > 0 {
 		em.line("if %s {", strings.Join(gates, " || "))
-		em.line("\treturn m.GenFallback(e)")
+		em.line("\tif ok, err := m.GenFallback(e); ok || err != nil {")
+		em.line("\t\treturn e, err")
+		em.line("\t}")
+		em.line("\t%s", em.skip())
 		em.line("}")
 	}
-	if ei.Edge.When != nil {
-		x, ok := em.spec.When[key]
-		if !ok {
-			return fmt.Errorf("spec has no expression for the When predicate")
-		}
-		em.line("if !(%s) {", x)
-		em.line("\treturn false, nil")
+	if own {
+		em.line("if !(%s) {", em.spec.When[key])
+		em.line("\t%s", em.skip())
 		em.line("}")
 	}
 	stopped, err := em.checks(ei, key)
@@ -284,14 +395,25 @@ func (em *emitter) edge(ei osm.EdgeInfo, base string) error {
 		if err := em.commit(ei, key); err != nil {
 			return err
 		}
-		em.line("return true, m.GenFinish(e)")
+		em.line("return e, m.GenFinish(e)")
 	}
-	fmt.Fprintf(em.b, "}\n")
+	em.line("}")
+	if em.jumped {
+		em.line("%s:", em.next)
+	}
 	return nil
 }
 
+// skip returns the statement that ends the current edge's try without
+// committing: a jump to the next edge's.
+func (em *emitter) skip() string {
+	em.jumped = true
+	return "goto " + em.next
+}
+
 // checks emits the mutation-free availability pass: a refused conjunct
-// records itself with GenBlock and an unheld release errors. It
+// records itself with GenBlock and ends the try, and an unheld release
+// errors. It
 // reports whether emission stopped at a conjunct that can never
 // succeed (reset and bypass managers never grant allocations).
 func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
@@ -307,7 +429,7 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		fail := fmt.Sprintf("return m.GenBlock(e, %d), nil", i)
+		block := fmt.Sprintf("m.GenBlock(e, %d)", i)
 		switch ins.Op {
 		case osm.OpAllocate:
 			switch ins.Kind {
@@ -322,12 +444,14 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 			case "reset", "bypass":
 				// These managers never grant an allocation, so the
 				// conjunction can never hold.
-				em.line("%s", fail)
+				em.line("%s", block)
+				em.line("%s", em.skip())
 				return true, nil
 			default:
 				return false, fmt.Errorf("instruction %d: pure edge with %s allocate", i, ins.Kind)
 			}
-			em.line("\t%s", fail)
+			em.line("\t%s", block)
+			em.line("\t%s", em.skip())
 			em.line("}")
 		case osm.OpInquire:
 			if ins.Kind == "pool" {
@@ -335,21 +459,24 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 			} else {
 				em.line("if !%s.Inquire(m, %s) {", mx, id)
 			}
-			em.line("\t%s", fail)
+			em.line("\t%s", block)
+			em.line("\t%s", em.skip())
 			em.line("}")
 		case osm.OpRelease:
 			em.line("t%d := m.GenFindHeld(%s, %s)", i, mx, id)
 			em.line("if t%d < 0 {", i)
-			em.line("\treturn false, m.GenErrNotHeld(e, %s, %s)", mx, id)
+			em.line("\treturn nil, m.GenErrNotHeld(e, %s, %s)", mx, id)
 			em.line("}")
 			switch ins.Kind {
 			case "unit", "queue":
 				em.line("if !%s.CanRelease(m.GenTokenAt(t%d).ID) {", mx, i)
-				em.line("\t%s", fail)
+				em.line("\t%s", block)
+				em.line("\t%s", em.skip())
 				em.line("}")
 			case "checked":
 				em.line("if !%s.CanRelease(m, m.GenTokenAt(t%d)) {", mx, i)
-				em.line("\t%s", fail)
+				em.line("\t%s", block)
+				em.line("\t%s", em.skip())
 				em.line("}")
 			case "pool", "regfile":
 				// Always accepted.
@@ -379,7 +506,7 @@ func (em *emitter) commit(ei osm.EdgeInfo, key string) error {
 			if ins.Kind == "checked" {
 				em.line("tk%d, ok%d := %s.Allocate(m, %s)", i, i, mx, id)
 				em.line("if !ok%d {", i)
-				em.line("\treturn false, m.GenErrAllocContract(e, %s, %s)", mx, id)
+				em.line("\treturn nil, m.GenErrAllocContract(e, %s, %s)", mx, id)
 				em.line("}")
 				em.line("m.GenAdd(tk%d)", i)
 				em.line("%s.CommitAllocate(m, tk%d)", mx, i)
@@ -411,7 +538,7 @@ func (em *emitter) commit(ei osm.EdgeInfo, key string) error {
 				em.line("%s.CommitRelease(m, rt%d)", mx, i)
 			case "checked":
 				em.line("if !%s.Release(m, rt%d) {", mx, i)
-				em.line("\treturn false, m.GenErrReleaseContract(e, %s)", mx)
+				em.line("\treturn nil, m.GenErrReleaseContract(e, %s)", mx)
 				em.line("}")
 				em.line("%s.CommitRelease(m, rt%d)", mx, i)
 			}

@@ -47,15 +47,16 @@ func TestFileEmitsMonomorphicFunctions(t *testing.T) {
 	for _, want := range []string{
 		"// Code generated by osmgen; DO NOT EDIT.",
 		"package model",
-		"func (s *Sim) genEdges() map[string]osm.EdgeFn {",
-		`"I/go":   s.genTry_I_go,`,
+		"func (s *Sim) genStates() map[string]osm.GenState {",
+		`"I": {Fn: s.genServe_I, Edges: []osm.GenEdge{`,
+		"func (s *Sim) genServe_I(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {",
 		"if s.u.AllocGate != nil {",     // gate fallback
 		"if !(s.ready(m)) {",            // inlined When
 		"if !s.u.CanAllocate(0) {",      // unit fast path
 		"if !s.q.CanAllocate() {",       // queue fast path
 		"id1 := anyHeld(m)",             // dynamic identifier, declared once
 		"t1 := m.GenFindHeld(s.q, id1)", // release check records the index
-		"return true, m.GenFinish(e)",   // commit epilogue
+		"return e, m.GenFinish(e)",      // commit epilogue
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("emitted source lacks %q\n%s", want, text)
@@ -121,10 +122,75 @@ func TestFileImpureEdgeDelegates(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(src)
-	if !strings.Contains(text, "return m.GenFallback(e)") {
+	if !strings.Contains(text, "if ok, err := m.GenFallback(e); ok || err != nil {") {
 		t.Fatalf("impure edge does not delegate to the interpreter:\n%s", text)
 	}
 	if strings.Contains(text, "CanAllocate") {
 		t.Fatalf("impure edge leaked a fast-path check:\n%s", text)
+	}
+}
+
+// sharedWhenModel lowers one state with four routed or guarded edges
+// for TestFileSharedWhenOnce.
+func sharedWhenModel(t *testing.T) *osm.GuardProgram {
+	t.Helper()
+	u := osm.NewUnitManager("u", 2)
+	i, a := osm.NewState("I"), osm.NewState("A")
+	when := func(m *osm.Machine) bool { return true }
+	for k, name := range []string{"x", "y", "z", "w"} {
+		e := i.Connect(name, a, osm.Alloc(u, osm.TokenID(k%2)))
+		e.When = when
+		e.Routes = uint64(1) << k
+	}
+	a.Connect("back", i, osm.Release(u, osm.AnyUnit))
+	d := osm.NewDirector()
+	d.AddManager(u)
+	d.AddMachine(osm.NewMachine("m", i))
+	prog, err := d.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestFileSharedWhenOnce pins the state function's walk: each route
+// mask is a literal test, a When expression that several edges of the
+// state share is evaluated once, into a variable that guards one
+// block per run of adjacent edges it covers, and an unshared one stays
+// in its edge's try.
+func TestFileSharedWhenOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		whens  map[string]string // edge -> When expression
+		blocks int               // blocks the shared When guards
+	}{
+		{"adjacent", map[string]string{"x": "s.head(m)", "y": "s.head(m)", "z": "s.head(m)", "w": "s.own(m)"}, 1},
+		{"split", map[string]string{"x": "s.head(m)", "y": "s.head(m)", "z": "s.own(m)", "w": "s.head(m)"}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Package: "model", Managers: map[string]string{"u": "s.u"}, When: map[string]string{}}
+			for e, x := range tc.whens {
+				spec.When[osm.GenKey("I", e)] = x
+			}
+			src, err := File(sharedWhenModel(t), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text := string(src)
+			if n := strings.Count(text, "s.head(m)"); n != 1 {
+				t.Errorf("the shared When is emitted %d times, want once", n)
+			}
+			if n := strings.Count(text, "if w0 {"); n != tc.blocks {
+				t.Errorf("the shared When guards %d blocks, want %d", n, tc.blocks)
+			}
+			for _, w := range []string{"w0 := s.head(m)", "if !(s.own(m)) {", "r := m.Route", "r&0x1 != 0", "r&0x2 != 0", "r&0x4 != 0", "r&0x8 != 0"} {
+				if !strings.Contains(text, w) {
+					t.Errorf("emitted source lacks %q", w)
+				}
+			}
+			if t.Failed() {
+				t.Log(text)
+			}
+		})
 	}
 }

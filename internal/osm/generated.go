@@ -6,102 +6,152 @@ import "fmt"
 // (EngineGenerated): the runtime side of lowering a model all the way
 // to Go source. Where the compiled engine (compiled.go) interprets
 // flat guard instruction arrays, the generated engine calls one
-// monomorphic Go function per edge — typically emitted by
-// internal/osm/gen from the compile stage's guard program, with the
-// edge's When predicate, identifier resolution and concrete manager
-// fast paths inlined at source level, so the Go compiler sees through
-// the whole guard.
+// monomorphic Go function per state — typically emitted by
+// internal/osm/gen from the compile stage's guard program — that
+// serves a machine in that state: it tries the state's edges in
+// priority order, with route masks as literals, each When predicate
+// evaluated once per serve however many edges share it, and each
+// edge's guard, identifier resolution and concrete manager fast paths
+// inlined at source level, so the Go compiler sees through the whole
+// serve.
 //
 // All specialization happens when the functions are generated, so
 // they read nothing a lowered program holds: AttachGenerated writes
-// each function onto the edge it serves, and the director's one serve
-// loop (serveMachine) calls the edge's own function under the Figure
-// 3 scan (Director.stepScan), whose serve order is kept across steps.
-// Only cmd/osmgen and the compiled engine build a GuardProgram. A
-// generated function must reproduce the interpreter's observable
-// semantics exactly — transaction order, blocked-primitive
-// attribution, error cases, resulting manager state. The
-// check-then-commit shape of the compiled engine's pure path
-// (tryEdgePure) is the template: a generated function first decides
-// every conjunct with mutation-free availability reads, then applies
-// the transactions in instruction order. Both fast engines share one
-// fallback rule: an edge that is not pure, or an attempt that meets a
-// runtime gate closure, runs through the interpreter (GenFallback).
-// The differential suites hold all four engines to trace-checksum
-// identity.
+// each function onto the state it serves, and the director's one
+// serve (serveMachine) calls the state's own function under the
+// Figure 3 scan (Director.stepScan), whose serve order is kept across
+// steps. Only cmd/osmgen and the compiled engine build a
+// GuardProgram. A generated function must reproduce the interpreter's
+// observable semantics exactly — edge priority, transaction order,
+// blocked-primitive attribution, error cases, resulting manager
+// state. The check-then-commit shape of the compiled engine's pure
+// path (tryEdgePure) is the template: a generated edge body first
+// decides every conjunct with mutation-free availability reads, then
+// applies the transactions in instruction order. Both fast engines
+// share one fallback rule: an edge that is not pure, or an attempt
+// that meets a runtime gate closure, runs through the interpreter
+// (GenFallback). The differential suites hold all four engines to
+// trace-checksum identity.
 //
 // The attachment is derived state: nothing of it is serialized, so
 // snapshots taken under any engine restore under any other.
 
-// EdgeFn evaluates one edge's guard for m and, when the whole
-// conjunction holds, commits it: applies the transactions, runs the
-// edge action and moves the machine (GenFinish). On failure it leaves
-// the machine and managers untouched, recording the refusing
-// primitive with GenBlock; a failed When predicate records nothing,
-// which the scheduler reads as an untracked failure.
-type EdgeFn func(m *Machine, e *Edge) (bool, error)
+// StateFn serves machine m in the state it was generated for. It
+// tries the state's edges in priority order and commits the first
+// whose guard holds: it applies the transactions, runs the edge
+// action and moves the machine (GenFinish), and returns that edge.
+// When no edge holds it returns nil and leaves the machine and
+// managers untouched, with every refusing primitive recorded by
+// GenBlock; a failed When predicate records nothing. edges holds the
+// live edges aligned with the list the function was generated for
+// (GenState.Edges): edges[i] is the i-th, or nil when the live model
+// lacks that edge.
+type StateFn func(m *Machine, edges []*Edge) (*Edge, error)
 
-// GenKey is the key under which an edge's function is attached: the
-// source state's name and the edge's name. State names are unique
-// within a model's graphs, so the pair identifies the edge;
-// AttachGenerated rejects models where it does not.
+// GenState is one state's generated function and the edges it was
+// generated for, in priority order.
+type GenState struct {
+	Fn    StateFn
+	Edges []GenEdge
+}
+
+// GenEdge names an edge a state function was generated for, with the
+// route mask (Edge.Routes) the function tests as a literal.
+type GenEdge struct {
+	Name   string
+	Routes uint64
+}
+
+// GenKey names an edge to the code generator (gen.Spec's When and
+// DynID maps): the source state's name and the edge's name. The
+// generator rejects a model where the pair does not identify the
+// edge.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
-// AttachGenerated checks generated edge functions, keyed by
-// GenKey(state, edge), against the current model and writes each onto
-// the edge it serves when they cover the model. Every edge reachable
-// from a registered machine's initial state must have an entry with a
-// non-nil function; entries for edges not in the graph (a model
-// variant compiled out, say) are allowed and ignored. A map that
-// fails the check installs nothing, so the director keeps the engine
-// it resolved before (an attachment makes the generated engine the
-// default, see ActiveEngine). The map is not kept, and attaching
-// builds nothing. Under the generated engine an edge without a
-// function — one of a graph registered after the attachment — is
-// tried by the interpreter.
-func (d *Director) AttachGenerated(fns map[string]EdgeFn) error {
-	bound := make(map[string]*Edge, len(fns))
-	walked := make(map[*State]bool, 1)
+// AttachGenerated checks generated state functions, keyed by state
+// name, against the current model and writes each onto the state it
+// serves when they cover the model. Every state with an outgoing edge
+// that is reachable from a registered machine's initial state must
+// have an entry with a non-nil function, and its live edges must be
+// ones the function was generated for: same names, same priority
+// order, same route masks. A live state may lack generated edges (a
+// model variant compiled out, say), and entries for states not in the
+// graph are ignored. Two distinct states that share a name are
+// ambiguous. A map that fails the check installs nothing, so the
+// director keeps the engine it resolved before (an attachment makes
+// the generated engine the default, see ActiveEngine). The map is not
+// kept, and attaching builds nothing. Under the generated engine a
+// state without a function — one of a graph registered after the
+// attachment — is served by the interpreter.
+func (d *Director) AttachGenerated(fns map[string]GenState) error {
+	bound := make(map[string]*State, len(fns))
+	out := make(map[*State][]*Edge, len(fns))
 	for _, m := range d.machines {
 		if m.Initial == nil {
 			return fmt.Errorf("osm: generated: machine %s has no initial state", m.Name)
 		}
-		if walked[m.Initial] {
+		if _, done := out[m.Initial]; done {
 			continue
 		}
-		walked[m.Initial] = true
 		for _, s := range reachable(m.Initial) {
-			for _, e := range s.Out {
-				if err := checkGenFn(fns, bound, s, e); err != nil {
-					return err
-				}
+			if prev, dup := bound[s.Name]; dup && prev != s {
+				return fmt.Errorf("osm: generated: state name %q is ambiguous: two distinct states share it", s.Name)
 			}
+			bound[s.Name] = s
+			es, err := alignGenEdges(s, fns)
+			if err != nil {
+				return err
+			}
+			out[s] = es
 		}
 	}
-	for k, e := range bound {
-		e.gen = fns[k]
+	for s, es := range out {
+		if es == nil {
+			continue
+		}
+		fn := fns[s.Name].Fn
+		if len(es) == len(s.Out) {
+			s.gen = fn // Out is the generated list itself
+			continue
+		}
+		// A variant lacks generated edges: serve with the aligned list.
+		s.gen = func(m *Machine, _ []*Edge) (*Edge, error) { return fn(m, es) }
 	}
 	d.attached = true
 	return nil
 }
 
-// checkGenFn checks that fns holds a function for edge e of state s.
-// bound records the edge each key resolved to so far, so a key two
-// distinct edges share is rejected as ambiguous.
-func checkGenFn(fns map[string]EdgeFn, bound map[string]*Edge, s *State, e *Edge) error {
-	k := GenKey(s.Name, e.Name)
-	if prev, dup := bound[k]; dup && prev != e {
-		return fmt.Errorf("osm: generated: key %q is ambiguous: two distinct edges share state and edge names", k)
+// alignGenEdges checks that fns holds a function for state s that was
+// generated for s's live edges, and returns them aligned with the
+// function's edge list. A state with no edges needs no function and
+// gets none.
+func alignGenEdges(s *State, fns map[string]GenState) ([]*Edge, error) {
+	if len(s.Out) == 0 {
+		return nil, nil
 	}
-	fn, ok := fns[k]
+	g, ok := fns[s.Name]
 	if !ok {
-		return fmt.Errorf("osm: generated: state %s, edge %s: no generated function for key %q", s.Name, e.Name, k)
+		return nil, fmt.Errorf("osm: generated: state %s: no generated function", s.Name)
 	}
-	if fn == nil {
-		return fmt.Errorf("osm: generated: key %q: function is nil", k)
+	if g.Fn == nil {
+		return nil, fmt.Errorf("osm: generated: state %s: function is nil", s.Name)
 	}
-	bound[k] = e
-	return nil
+	es := make([]*Edge, len(g.Edges))
+	j := 0
+	for _, e := range s.Out {
+		for j < len(g.Edges) && g.Edges[j].Name != e.Name {
+			j++
+		}
+		if j == len(g.Edges) {
+			return nil, fmt.Errorf("osm: generated: state %s, edge %s: not among the generated edges, or out of their priority order", s.Name, e.Name)
+		}
+		if g.Edges[j].Routes != e.Routes {
+			return nil, fmt.Errorf("osm: generated: state %s, edge %s: route mask %#x, generated for %#x", s.Name, e.Name, e.Routes, g.Edges[j].Routes)
+		}
+		es[j] = e
+		j++
+	}
+	return es, nil
 }
 
 // The helpers below are the narrow surface generated code is written
@@ -133,17 +183,15 @@ func (m *Machine) GenRemoveAt(i int) Token {
 func (m *Machine) GenAdd(t Token) { m.addToken(t) }
 
 // GenBlock records e's pi-th primitive as the refusing conjunct of a
-// failed attempt and returns false, so a generated check pass can
-// fail with a single expression.
-func (m *Machine) GenBlock(e *Edge, pi int) bool {
+// failed attempt.
+func (m *Machine) GenBlock(e *Edge, pi int) {
 	m.blocked = append(m.blocked, &e.Prims[pi])
-	return false
 }
 
 // GenDiscard applies e's pi-th primitive as a committed discard.
 func (m *Machine) GenDiscard(e *Edge, pi int) { m.commitDiscard(&e.Prims[pi]) }
 
-// GenFinish is the commit epilogue of a generated edge function: it
+// GenFinish is the commit epilogue of a generated edge try: it
 // opens a fresh identifier-resolution epoch, runs the edge action,
 // moves the machine and counts the transition, returning the
 // interpreter's error when the machine re-enters its initial state
@@ -163,10 +211,10 @@ func (m *Machine) GenFinish(e *Edge) error {
 }
 
 // GenFallback evaluates e through the interpreter. Generated functions
-// delegate here when a runtime gate closure (UnitManager.AllocGate and
-// friends) makes a manager's availability opaque to the inlined check,
-// and for edges the compile stage could not prove pure — the same rule
-// the compiled engine follows.
+// delegate an edge's try here when a runtime gate closure
+// (UnitManager.AllocGate and friends) makes a manager's availability
+// opaque to the inlined check, and for edges the compile stage could
+// not prove pure — the same rule the compiled engine follows.
 func (m *Machine) GenFallback(e *Edge) (bool, error) { return m.tryEdge(e) }
 
 // GenErrNotHeld is the interpreter's release-of-unheld-token error,

@@ -7,13 +7,14 @@ import (
 )
 
 // genPipeline builds the saturated 5-stage ring of bench_test.go with
-// unique state names (the generated engine resolves edges by
-// state/edge name) and hand-written generated edge functions written
-// exactly the way internal/osm/gen emits them: gate check, When,
-// mutation-free availability pass, commit pass through the Gen
-// helpers. tries, when non-nil, counts edge-function invocations so
-// tests can assert the generated path actually ran.
-func genPipeline(tries *int) (*Director, map[string]EdgeFn) {
+// unique state names (the generated engine resolves states by name)
+// and hand-written generated state functions written exactly the way
+// internal/osm/gen emits them: per edge the route test, the gate
+// check, the mutation-free availability pass and the commit pass
+// through the Gen helpers, a refusal jumping to the next edge's try.
+// tries, when non-nil, counts state-function invocations so tests can
+// assert the generated path actually ran.
+func genPipeline(tries *int) (*Director, map[string]GenState) {
 	stages := make([]*UnitManager, 5)
 	states := make([]*State, 6)
 	states[0] = NewState("I")
@@ -40,59 +41,84 @@ func genPipeline(tries *int) (*Director, map[string]EdgeFn) {
 			*tries++
 		}
 	}
-	fns := map[string]EdgeFn{
-		GenKey("I", "in"): func(m *Machine, e *Edge) (bool, error) {
+	fns := map[string]GenState{
+		"I": {Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
-			if stages[0].AllocGate != nil {
-				return m.GenFallback(e)
+			if e := es[0]; e != nil {
+				if stages[0].AllocGate != nil {
+					if ok, err := m.GenFallback(e); ok || err != nil {
+						return e, err
+					}
+					goto next0
+				}
+				if !stages[0].CanAllocate(0) {
+					m.GenBlock(e, 0)
+					goto next0
+				}
+				tk0, _ := stages[0].Allocate(m, 0)
+				m.GenAdd(tk0)
+				return e, m.GenFinish(e)
 			}
-			if !stages[0].CanAllocate(0) {
-				return m.GenBlock(e, 0), nil
-			}
-			tk0, _ := stages[0].Allocate(m, 0)
-			m.GenAdd(tk0)
-			return true, m.GenFinish(e)
-		},
-		GenKey("S5", "out"): func(m *Machine, e *Edge) (bool, error) {
+		next0:
+			return nil, nil
+		}, Edges: []GenEdge{{Name: "in"}}},
+		"S5": {Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
-			if stages[4].ReleaseGate != nil {
-				return m.GenFallback(e)
+			if e := es[0]; e != nil {
+				if stages[4].ReleaseGate != nil {
+					if ok, err := m.GenFallback(e); ok || err != nil {
+						return e, err
+					}
+					goto next0
+				}
+				t0 := m.GenFindHeld(stages[4], 0)
+				if t0 < 0 {
+					return nil, m.GenErrNotHeld(e, stages[4], 0)
+				}
+				if !stages[4].CanRelease(m.GenTokenAt(t0).ID) {
+					m.GenBlock(e, 0)
+					goto next0
+				}
+				rt0 := m.GenRemoveAt(t0)
+				stages[4].Release(m, rt0)
+				return e, m.GenFinish(e)
 			}
-			t0 := m.GenFindHeld(stages[4], 0)
-			if t0 < 0 {
-				return false, m.GenErrNotHeld(e, stages[4], 0)
-			}
-			if !stages[4].CanRelease(m.GenTokenAt(t0).ID) {
-				return m.GenBlock(e, 0), nil
-			}
-			rt0 := m.GenRemoveAt(t0)
-			stages[4].Release(m, rt0)
-			return true, m.GenFinish(e)
-		},
+		next0:
+			return nil, nil
+		}, Edges: []GenEdge{{Name: "out"}}},
 	}
 	for k := 1; k < 5; k++ {
 		rel, alc := stages[k-1], stages[k]
-		fns[GenKey(fmt.Sprintf("S%d", k), "adv")] = func(m *Machine, e *Edge) (bool, error) {
+		fns[fmt.Sprintf("S%d", k)] = GenState{Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
-			if rel.ReleaseGate != nil || alc.AllocGate != nil {
-				return m.GenFallback(e)
+			if e := es[0]; e != nil {
+				if rel.ReleaseGate != nil || alc.AllocGate != nil {
+					if ok, err := m.GenFallback(e); ok || err != nil {
+						return e, err
+					}
+					goto next0
+				}
+				t0 := m.GenFindHeld(rel, 0)
+				if t0 < 0 {
+					return nil, m.GenErrNotHeld(e, rel, 0)
+				}
+				if !rel.CanRelease(m.GenTokenAt(t0).ID) {
+					m.GenBlock(e, 0)
+					goto next0
+				}
+				if !alc.CanAllocate(0) {
+					m.GenBlock(e, 1)
+					goto next0
+				}
+				rt0 := m.GenRemoveAt(t0)
+				rel.Release(m, rt0)
+				tk1, _ := alc.Allocate(m, 0)
+				m.GenAdd(tk1)
+				return e, m.GenFinish(e)
 			}
-			t0 := m.GenFindHeld(rel, 0)
-			if t0 < 0 {
-				return false, m.GenErrNotHeld(e, rel, 0)
-			}
-			if !rel.CanRelease(m.GenTokenAt(t0).ID) {
-				return m.GenBlock(e, 0), nil
-			}
-			if !alc.CanAllocate(0) {
-				return m.GenBlock(e, 1), nil
-			}
-			rt0 := m.GenRemoveAt(t0)
-			rel.Release(m, rt0)
-			tk1, _ := alc.Allocate(m, 0)
-			m.GenAdd(tk1)
-			return true, m.GenFinish(e)
-		}
+		next0:
+			return nil, nil
+		}, Edges: []GenEdge{{Name: "adv"}}}
 	}
 	return d, fns
 }
@@ -134,7 +160,7 @@ func TestGeneratedEngineMatchesEvent(t *testing.T) {
 		}
 	}
 	if tries == 0 {
-		t.Fatal("generated edge functions never ran")
+		t.Fatal("generated state functions never ran")
 	}
 	if got.String() != want.String() {
 		t.Fatalf("transition traces diverge:\ngenerated:\n%s\nevent:\n%s", got, want)
@@ -142,7 +168,7 @@ func TestGeneratedEngineMatchesEvent(t *testing.T) {
 }
 
 // TestGeneratedEngineSurvivesModelGrowth adds a machine after the
-// engine ran: the late machine shares the attached graph, whose edges
+// engine ran: the late machine shares the attached graph, whose states
 // carry their functions, so the steps after it keep running them.
 func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
 	tries := 0
@@ -164,13 +190,13 @@ func TestGeneratedEngineSurvivesModelGrowth(t *testing.T) {
 		}
 	}
 	if tries == before {
-		t.Fatal("generated edge functions stopped running after AddMachine")
+		t.Fatal("generated state functions stopped running after AddMachine")
 	}
 }
 
 // TestUncoveredGraphRunsInterpreted registers a machine whose graph
-// the attachment never covered: under the generated engine its edges,
-// which carry no function, are tried by the interpreter, and it moves
+// the attachment never covered: under the generated engine its states,
+// which carry no function, are served by the interpreter, and it moves
 // exactly as under the event engine.
 func TestUncoveredGraphRunsInterpreted(t *testing.T) {
 	run := func(engine Engine) string {
@@ -205,7 +231,7 @@ func TestUncoveredGraphRunsInterpreted(t *testing.T) {
 // engine but the compiled one relies on: a director with generated
 // functions attached holds no lowered program after stepping, under
 // the interpreted engines and under the generated engine, named or by
-// default, which calls the edges' own functions. Only EngineCompiled
+// default, which calls the states' own functions. Only EngineCompiled
 // builds a program.
 func TestInterpretedEnginesHoldNoProgram(t *testing.T) {
 	for _, eng := range []Engine{EngineDefault, EngineGenerated, EngineEvent, EngineScan, EngineCompiled} {
@@ -286,17 +312,17 @@ func TestDefaultEngineResolution(t *testing.T) {
 }
 
 // TestFailedAttachKeepsEvent pins that a map which does not cover the
-// model is not installed: no edge carries a function, and the director
-// still serves the interpreter under the default engine.
+// model is not installed: no state carries a function, and the
+// director still serves the interpreter under the default engine.
 func TestFailedAttachKeepsEvent(t *testing.T) {
 	tries := 0
 	d, fns := genPipeline(&tries)
-	delete(fns, GenKey("S5", "out"))
+	delete(fns, "S5")
 	if err := d.AttachGenerated(fns); err == nil {
-		t.Fatal("AttachGenerated accepted a map with a missing key")
+		t.Fatal("AttachGenerated accepted a map with a missing state")
 	}
-	if n := genEdges(d); n != 0 {
-		t.Fatalf("a failed attach wrote %d edge functions", n)
+	if n := genStates(d); n != 0 {
+		t.Fatalf("a failed attach wrote %d state functions", n)
 	}
 	if eng := d.ActiveEngine(); eng != EngineEvent {
 		t.Fatalf("after a failed attach the director serves %v, want event", eng)
@@ -311,64 +337,63 @@ func TestFailedAttachKeepsEvent(t *testing.T) {
 	}
 }
 
-// genEdges counts the edges reachable from d's machines that carry a
-// generated function.
-func genEdges(d *Director) int {
+// genStates counts the states reachable from d's machines that carry
+// a generated function.
+func genStates(d *Director) int {
 	n := 0
 	seen := map[*State]bool{}
 	for _, m := range d.Machines() {
 		for _, s := range reachable(m.Initial) {
-			if seen[s] {
-				continue
+			if !seen[s] && s.gen != nil {
+				n++
 			}
 			seen[s] = true
-			for _, e := range s.Out {
-				if e.gen != nil {
-					n++
-				}
-			}
 		}
 	}
 	return n
 }
 
 // TestAttachGeneratedErrors exercises the resolution failure modes:
-// no attachment, a missing key, an entry with a nil function, and two
-// distinct edges sharing a key. A failed attach installs nothing.
+// no attachment, a missing state, an entry with a nil function, two
+// distinct states sharing a name, and a function generated for other
+// edges than the live state's (a stale file). A failed attach installs
+// nothing.
 func TestAttachGeneratedErrors(t *testing.T) {
 	t.Run("none", func(t *testing.T) {
 		d, _ := genPipeline(nil)
 		d.Engine = EngineGenerated
-		if err := d.Step(); err == nil || !strings.Contains(err.Error(), "no edge functions attached") {
-			t.Fatalf("err = %v, want no-edge-functions error", err)
+		if err := d.Step(); err == nil || !strings.Contains(err.Error(), "no state functions attached") {
+			t.Fatalf("err = %v, want no-state-functions error", err)
 		}
 	})
 	t.Run("missing", func(t *testing.T) {
 		d, fns := genPipeline(nil)
-		delete(fns, GenKey("S5", "out"))
+		delete(fns, "S5")
 		err := d.AttachGenerated(fns)
-		if err == nil || !strings.Contains(err.Error(), `no generated function for key "S5/out"`) {
-			t.Fatalf("err = %v, want missing-key error", err)
+		if err == nil || !strings.Contains(err.Error(), "state S5: no generated function") {
+			t.Fatalf("err = %v, want missing-state error", err)
 		}
-		if n := genEdges(d); n != 0 {
-			t.Fatalf("a failed attach wrote %d edge functions", n)
+		if n := genStates(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d state functions", n)
 		}
 	})
 	t.Run("halfSet", func(t *testing.T) {
-		// The key is present but its function is not.
+		// The entry is present but its function is not.
 		d, fns := genPipeline(nil)
-		fns[GenKey("I", "in")] = nil
+		g := fns["I"]
+		g.Fn = nil
+		fns["I"] = g
 		err := d.AttachGenerated(fns)
-		if err == nil || !strings.Contains(err.Error(), `key "I/in": function is nil`) {
+		if err == nil || !strings.Contains(err.Error(), "state I: function is nil") {
 			t.Fatalf("err = %v, want nil-function error", err)
 		}
-		if n := genEdges(d); n != 0 {
-			t.Fatalf("a failed attach wrote %d edge functions", n)
+		if n := genStates(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d state functions", n)
 		}
 	})
 	t.Run("ambiguous", func(t *testing.T) {
-		// Two distinct states named "S", each with an edge named "x":
-		// the state/edge key cannot identify the edge.
+		// Two distinct states named "S": the state name cannot
+		// identify the state.
 		u := NewUnitManager("u", 2)
 		i := NewState("I")
 		a, b := NewState("S"), NewState("S")
@@ -379,19 +404,93 @@ func TestAttachGeneratedErrors(t *testing.T) {
 		d := NewDirector()
 		d.AddManager(u)
 		d.AddMachine(NewMachine("m", i))
-		pass := func(m *Machine, e *Edge) (bool, error) { return m.GenFallback(e) }
-		fns := map[string]EdgeFn{}
-		for _, k := range []string{"I/toA", "I/toB", "S/x"} {
-			fns[k] = pass
+		pass := func(m *Machine, es []*Edge) (*Edge, error) {
+			for _, e := range es {
+				if ok, err := m.GenFallback(e); ok || err != nil {
+					return e, err
+				}
+			}
+			return nil, nil
+		}
+		fns := map[string]GenState{
+			"I": {Fn: pass, Edges: []GenEdge{{Name: "toA"}, {Name: "toB"}}},
+			"S": {Fn: pass, Edges: []GenEdge{{Name: "x"}}},
 		}
 		err := d.AttachGenerated(fns)
 		if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 			t.Fatalf("err = %v, want ambiguity error", err)
 		}
-		if n := genEdges(d); n != 0 {
-			t.Fatalf("a failed attach wrote %d edge functions", n)
+		if n := genStates(d); n != 0 {
+			t.Fatalf("a failed attach wrote %d state functions", n)
 		}
 	})
+	// A state function tests its edges' names, order and route masks
+	// as literals, so a live state whose edges differ from the ones it
+	// was generated for is stale.
+	for _, tc := range []struct {
+		name  string
+		edges []GenEdge // S1's live edges are adv, then skip (route 0x2)
+		want  string
+	}{
+		{"renamed", []GenEdge{{Name: "advance"}, {Name: "skip", Routes: 0x2}}, "state S1, edge adv: not among the generated edges"},
+		{"added", []GenEdge{{Name: "adv"}}, "state S1, edge skip: not among the generated edges"},
+		{"reordered", []GenEdge{{Name: "skip", Routes: 0x2}, {Name: "adv"}}, "state S1, edge skip: not among the generated edges, or out of their priority order"},
+		{"mask", []GenEdge{{Name: "adv"}, {Name: "skip", Routes: 0x3}}, "state S1, edge skip: route mask 0x2, generated for 0x3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, fns := genPipeline(nil)
+			s1 := d.Machines()[0].Initial.Out[0].To
+			s1.Connect("skip", s1.Out[0].To, Release(s1.Out[0].Prims[0].Mgr, 0)).Routes = 0x2
+			g := fns["S1"]
+			g.Edges = tc.edges
+			fns["S1"] = g
+			err := d.AttachGenerated(fns)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if n := genStates(d); n != 0 {
+				t.Fatalf("a failed attach wrote %d state functions", n)
+			}
+		})
+	}
+}
+
+// TestAttachGeneratedVariantLacksEdges attaches a state function
+// generated for more edges than the live state has, as a model
+// variant that compiles edges out does: the absent edge's slot is nil
+// and the function skips it, so the ring runs as under the event
+// engine.
+func TestAttachGeneratedVariantLacksEdges(t *testing.T) {
+	ref, _ := genPipeline(nil)
+	ref.Engine = EngineEvent
+	want := traceLog(ref)
+	tries := 0
+	d, fns := genPipeline(&tries)
+	g := fns["S3"]
+	inner := g.Fn
+	g.Edges = []GenEdge{{Name: "ghost"}, {Name: "adv"}}
+	g.Fn = func(m *Machine, es []*Edge) (*Edge, error) {
+		if es[0] != nil {
+			t.Fatal("the absent edge has a live edge")
+		}
+		return inner(m, es[1:])
+	}
+	fns["S3"] = g
+	if err := d.AttachGenerated(fns); err != nil {
+		t.Fatal(err)
+	}
+	got := traceLog(d)
+	for i := 0; i < 100; i++ {
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tries == 0 || got.String() != want.String() {
+		t.Fatalf("%d tries; traces diverge:\ngenerated:\n%s\nevent:\n%s", tries, got, want)
+	}
 }
 
 // TestNoInitialStateIsAnError checks that a machine without an
@@ -400,7 +499,7 @@ func TestAttachGeneratedErrors(t *testing.T) {
 func TestNoInitialStateIsAnError(t *testing.T) {
 	d := NewDirector()
 	d.AddMachine(&Machine{Name: "orphan"})
-	if err := d.AttachGenerated(map[string]EdgeFn{}); err == nil || !strings.Contains(err.Error(), "machine orphan has no initial state") {
+	if err := d.AttachGenerated(map[string]GenState{}); err == nil || !strings.Contains(err.Error(), "machine orphan has no initial state") {
 		t.Fatalf("AttachGenerated() = %v, want a no-initial-state error", err)
 	}
 	if _, err := d.Compile(); err == nil || !strings.Contains(err.Error(), "machine orphan has no initial state") {
@@ -446,7 +545,7 @@ func TestGeneratedFallbackOnGate(t *testing.T) {
 }
 
 // BenchmarkDirectorStepPipelineGenerated runs the saturated ring
-// through hand-written generated edge functions (EngineGenerated) —
+// through hand-written generated state functions (EngineGenerated) —
 // the same functions internal/osm/gen emits for real models — under
 // the Figure 3 scan. The CI bench-regression job gates it.
 func BenchmarkDirectorStepPipelineGenerated(b *testing.B) {
@@ -460,7 +559,7 @@ func BenchmarkDirectorStepPipelineGenerated(b *testing.B) {
 
 // BenchmarkDirectorStepIdleGenerated measures the idle step under the
 // generated engine: every machine is blocked on a busy unit, and the
-// Figure 3 scan tries each one's edge function (here a delegation to
+// Figure 3 scan calls each one's state function (here a delegation to
 // the interpreter, which finds the unit busy) every step. The
 // event-driven engines skip such machines;
 // BenchmarkDirectorStepEventDrivenIdle measures that.
@@ -476,10 +575,15 @@ func BenchmarkDirectorStepIdleGenerated(b *testing.B) {
 	for k := 0; k < 8; k++ {
 		d.AddMachine(NewMachine("m", i))
 	}
-	blockAll := func(m *Machine, e *Edge) (bool, error) { return m.GenFallback(e) }
-	if err := d.AttachGenerated(map[string]EdgeFn{
-		"I/go":   blockAll,
-		"S/stay": blockAll,
+	blockAll := func(m *Machine, es []*Edge) (*Edge, error) {
+		if ok, err := m.GenFallback(es[0]); ok || err != nil {
+			return es[0], err
+		}
+		return nil, nil
+	}
+	if err := d.AttachGenerated(map[string]GenState{
+		"I": {Fn: blockAll, Edges: []GenEdge{{Name: "go"}}},
+		"S": {Fn: blockAll, Edges: []GenEdge{{Name: "stay"}}},
 	}); err != nil {
 		b.Fatal(err)
 	}

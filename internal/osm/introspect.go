@@ -4,7 +4,7 @@ package osm
 // lowered structures. The Go code generator (internal/osm/gen) walks
 // this view — the same elaborated model the compiled engine executes,
 // with managers classified and edges proven pure or not — and emits
-// one monomorphic Go function per edge for the generated engine
+// one monomorphic Go function per state for the generated engine
 // (generated.go).
 
 // InstrInfo describes one lowered guard conjunct.

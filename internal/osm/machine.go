@@ -17,6 +17,10 @@ type State struct {
 	// installed guard program (compiled.go); stateOf validates the
 	// owning program before trusting it.
 	comp *compState
+	// gen is the state's generated function, written by
+	// Director.AttachGenerated; the generated engine calls it with Out
+	// in place of the interpreter's walk over Out.
+	gen StateFn
 }
 
 // NewState returns a named state with no outgoing edges.
@@ -37,6 +41,12 @@ type Edge struct {
 	// failed When is a failure the event-driven scheduler cannot
 	// track, so a condition fixed when the operation binds (a
 	// multiply taking the multiplier path) belongs in Routes instead.
+	// When must read model state without changing it, and be safe to
+	// evaluate for any machine in the edge's source state, whatever
+	// its route: a failed try of an edge leaves model state unchanged,
+	// so the generated engine evaluates a predicate that several edges
+	// of a state share once per serve, before the first of them, and
+	// skips them all when it fails.
 	When func(m *Machine) bool
 	// Prims is the guard condition: every primitive must succeed
 	// simultaneously for the edge to be satisfied.
@@ -53,11 +63,6 @@ type Edge struct {
 	// semantics execute: reading granted operand values, computing
 	// results, attaching results to tokens about to be released.
 	Action func(m *Machine)
-
-	// gen is the edge's generated function, written by
-	// Director.AttachGenerated; the generated engine calls it in place
-	// of the interpreter.
-	gen EdgeFn
 
 	// Wake-set cache owned by the event-driven scheduler
 	// (director_event.go): the registered managers a commit of this

@@ -87,7 +87,7 @@ func (u *UnitManager) Busy(unit TokenID) uint64 {
 // CanAllocate reports whether a gate-free Allocate(id) would grant,
 // without transacting anything. It ignores any installed AllocGate —
 // callers on the check-then-commit fast path (the compiled engine's
-// pure path and generated edge functions) must test the gate
+// pure path and generated state functions) must test the gate
 // themselves and fall back to the interpreter when one is installed.
 // It mirrors pick.
 func (u *UnitManager) CanAllocate(id TokenID) bool {

@@ -60,7 +60,7 @@ type Spec struct {
 	// Perfect disables caches and TLBs.
 	Perfect bool `json:"perfect,omitempty"`
 	// Engine selects the execution engine on OSM targets: "generated"
-	// (monomorphic Go edge functions emitted by osmgen and built into
+	// (monomorphic Go state functions emitted by osmgen and built into
 	// the binary, served by the Figure 3 scan; what the empty default
 	// runs on both case studies), "event" (the event-driven
 	// interpreter), "scan" (the reference Figure 3 scheduler) or

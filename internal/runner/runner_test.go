@@ -2,6 +2,7 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -222,6 +223,41 @@ func TestNewRejectsImageWrappingAddressSpace(t *testing.T) {
 		im := &loader.Image{Arch: tc.arch, Org: 0xfffffff0, Entry: 0xfffffff0, Words: make([]uint32, 8)}
 		if _, err := New(Spec{Target: tc.target, Image: im.Marshal()}); err == nil {
 			t.Errorf("%s: image at %#x built without error", tc.target, im.Org)
+		}
+	}
+}
+
+// TestOutOfImageAccessFails runs a load and a store beyond the RAM
+// image on every target: each run fails with an error naming the PC,
+// the address, the width and the image size, where the memory model
+// used to panic the process.
+func TestOutOfImageAccessFails(t *testing.T) {
+	progs := map[bool]map[string]string{
+		true: {
+			"load":  "\tmov r0, #0x10000000\n\tldr r1, [r0]\n\tmov r0, #0\n\tswi #0\n",
+			"store": "\tmov r0, #0x10000000\n\tstrh r1, [r0, #2]\n\tmov r0, #0\n\tswi #0\n",
+		},
+		false: {
+			"load":  "\tlis r3, 0x1000\n\tlwz r4, 0(r3)\n\tli r0, 1\n\tsc\n",
+			"store": "\tlis r3, 0x1000\n\tsth r4, 2(r3)\n\tli r0, 1\n\tsc\n",
+		},
+	}
+	want := map[string]string{
+		"load":  "at 0x4: %s: access at 0x10000000+4 beyond the 0x100000-byte memory",
+		"store": "at 0x4: %s: access at 0x10000002+2 beyond the 0x100000-byte memory",
+	}
+	for _, target := range Targets {
+		spec := Spec{Target: target}
+		op := map[string]string{"load": "lwz", "store": "sth"}
+		if spec.IsARM() {
+			op = map[string]string{"load": "ldr", "store": "strh"}
+		}
+		for _, kind := range []string{"load", "store"} {
+			spec.Src = progs[spec.IsARM()][kind]
+			_, err := Run(spec, RunOptions{})
+			if w := fmt.Sprintf(want[kind], op[kind]); err == nil || !strings.Contains(err.Error(), w) {
+				t.Errorf("%s, %s: Run = %v, want an error containing %q", target, kind, err, w)
+			}
 		}
 	}
 }

@@ -529,12 +529,23 @@ func TestWireMetricsRender(t *testing.T) {
 // A simulator panic on the step scheduler's worker goroutine is
 // isolated like a request panic on either protocol plane: the step
 // gets an explicit error, the session reads broken, and the worker
-// keeps serving other sessions. The program loads from beyond the
-// RAM image, which makes the memory model panic mid-cycle.
+// keeps serving other sessions. Sessions of the source "panic" build,
+// through Config.Build, a model whose step panics mid-cycle; every
+// other spec builds the real model.
 func TestStepPanicIsolated(t *testing.T) {
-	mgr, cl, wc, done := newWireTestServer(t, Config{Workers: 1})
+	const bad = "panic"
+	build := func(spec runner.Spec) (*runner.Instance, error) {
+		if spec.Src != bad {
+			return runner.New(spec)
+		}
+		return runner.NewFromHooks(runner.Hooks{
+			Spec: spec,
+			Arch: "arm",
+			Step: func() error { panic("model: corrupt pipeline state") },
+		}), nil
+	}
+	mgr, cl, wc, done := newWireTestServer(t, Config{Workers: 1, Build: build})
 	defer done()
-	const bad = "\tmov r0, #0x10000000\n\tldr r1, [r0]\n\tmov r0, #0\n\tswi #0\n"
 
 	viaHTTP := cl.create(runner.Spec{Target: "strongarm", Src: bad})
 	resp, data := cl.doJSON("POST", "/v1/sessions/"+viaHTTP.ID+"/step", StepRequest{Cycles: 100}, nil)
@@ -562,4 +573,34 @@ func TestStepPanicIsolated(t *testing.T) {
 	good := runner.Spec{Target: "strongarm", Workload: "dsp/fir", N: 20}
 	cl.stepToDone(cl.create(good).ID, 5_000)
 	wireStepToDone(t, wc, cl.create(good).ID, 5_000)
+}
+
+// A program that loads from beyond the RAM image fails its step with
+// an error naming the address, on either plane: the session reads
+// broken, and nothing panics.
+func TestStepOutOfImageLoadBreaksSession(t *testing.T) {
+	mgr, cl, wc, done := newWireTestServer(t, Config{Workers: 1})
+	defer done()
+	const bad = "\tmov r0, #0x10000000\n\tldr r1, [r0]\n\tmov r0, #0\n\tswi #0\n"
+	const want = "access at 0x10000000+4 beyond the 0x100000-byte memory"
+
+	viaHTTP := cl.create(runner.Spec{Target: "strongarm", Src: bad})
+	resp, data := cl.doJSON("POST", "/v1/sessions/"+viaHTTP.ID+"/step", StepRequest{Cycles: 100}, nil)
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(data), want) {
+		t.Fatalf("HTTP step of the bad program: status %d: %s", resp.StatusCode, data)
+	}
+	viaWire := cl.create(runner.Spec{Target: "strongarm", Src: bad})
+	_, err := wc.Step(viaWire.ID, 100, 0)
+	var ne *wire.NackError
+	if !errors.As(err, &ne) || ne.Code != wire.NackConflict || !strings.Contains(ne.Error(), want) {
+		t.Fatalf("wire step of the bad program: %v, want a conflict NACK naming the address", err)
+	}
+	for _, id := range []string{viaHTTP.ID, viaWire.ID} {
+		if st := cl.info(id).State; st != StateBroken {
+			t.Fatalf("session %s is %q after the failed step, want broken", id, st)
+		}
+	}
+	if got := mgr.Metrics.Panics.Load(); got != 0 {
+		t.Fatalf("panic counter = %d, want 0", got)
+	}
 }

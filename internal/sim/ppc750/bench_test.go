@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkStepCyclePPC750 times one steady-state clock cycle of the
-// whole model under the default engine: the generated edge functions,
+// whole model under the default engine: the generated state functions,
 // the rename manager, the rate-limited queues and the ISS, which the
 // director step benchmarks in internal/osm do not reach. The kernel
 // is warmed past its cold caches first, and a finished run is rebuilt

@@ -1,6 +1,7 @@
 package ppc750
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestKernelsCorrectUnderCompiledEngine(t *testing.T) {
 // generated-code engine (edges_gen.go) with the invariant checker
 // attached: the checker's scheduler-equivalence probe replays each
 // control step against the interpreted Figure 3 semantics, so every
-// generated edge function is differentially tested per step on the
+// generated state function is differentially tested per step on the
 // superscalar model — rename buffers, rated queues and completion
 // logic included.
 func TestKernelsCorrectUnderGeneratedEngine(t *testing.T) {
@@ -61,6 +62,30 @@ func TestKernelsCorrectUnderGeneratedEngine(t *testing.T) {
 		if len(s.ISS.Reported) != 1 || s.ISS.Reported[0] != w.Ref(n) {
 			t.Errorf("%s: checksum %v, want %#x", w.Name, s.ISS.Reported, w.Ref(n))
 		}
+	}
+}
+
+// TestDispatchStateChecksHeadOnce pins the shape of the generated
+// function that serves the dispatch state Q: its ten dispatch edges
+// share the in-order head check, which the function evaluates once per
+// serve, and each edge's class mask is a literal route test.
+func TestDispatchStateChecksHeadOnce(t *testing.T) {
+	src, err := os.ReadFile("edges_gen.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(src)
+	start := strings.Index(text, "func (s *Sim) genServe_Q(")
+	if start < 0 {
+		t.Fatal("edges_gen.go has no function for state Q")
+	}
+	body := text[start:]
+	body = body[:strings.Index(body, "\n}\n")]
+	if n := strings.Count(body, "s.whenHead(m)"); n != 1 {
+		t.Errorf("Q's function evaluates the head check in %d places, want 1", n)
+	}
+	if n := strings.Count(body, "(r == 0 || r&0x"); n != 10 {
+		t.Errorf("Q's function tests %d route masks, want 10", n)
 	}
 }
 
@@ -121,9 +146,11 @@ func TestEngineCycleAgreement(t *testing.T) {
 
 // TestStaleGeneratedEdgesFailLoudly pins the default engine and what a
 // stale edges_gen.go does to it. The zero Config serves the generated
-// edge functions. A function map that no longer covers the model fails
-// New, naming go generate, whenever the generated engine would serve,
-// by default or by name. An explicitly named interpreter, the
+// state functions. A function map that no longer covers the model — a
+// state without an entry, or an entry generated for other edges than
+// the state's: reordered, renamed or differently routed — fails New,
+// naming go generate, whenever the generated engine would serve, by
+// default or by name. An explicitly named interpreter, the
 // construction cmd/osmgen uses to regenerate the file, still builds
 // and runs the kernel correctly.
 func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
@@ -141,15 +168,33 @@ func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
 		t.Fatalf("the zero Config serves %v, want generated", eng)
 	}
 
-	defer func(f func(*Sim) map[string]osm.EdgeFn) { edgeFns = f }(edgeFns)
-	edgeFns = func(s *Sim) map[string]osm.EdgeFn {
-		fns := s.genEdges()
-		delete(fns, osm.GenKey("C", "complete"))
-		return fns
+	defer func(f func(*Sim) map[string]osm.GenState) { stateFns = f }(stateFns)
+	edit := func(name string, f func([]osm.GenEdge)) func(map[string]osm.GenState) {
+		return func(fns map[string]osm.GenState) {
+			g := fns[name]
+			g.Edges = append([]osm.GenEdge(nil), g.Edges...)
+			f(g.Edges)
+			fns[name] = g
+		}
 	}
-	for _, eng := range []osm.Engine{osm.EngineDefault, osm.EngineGenerated} {
-		if _, err := New(p, Config{Engine: eng}); err == nil || !strings.Contains(err.Error(), "go generate") {
-			t.Errorf("%v: New with a stale function map = %v, want an error naming go generate", eng, err)
+	for _, tc := range []struct {
+		name  string
+		stale func(map[string]osm.GenState)
+	}{
+		{"missing state", func(fns map[string]osm.GenState) { delete(fns, "C") }},
+		{"reordered edges", edit("Q", func(es []osm.GenEdge) { es[0], es[1] = es[1], es[0] })},
+		{"renamed edge", edit("Q", func(es []osm.GenEdge) { es[1].Name += "-old" })},
+		{"changed mask", edit("Q", func(es []osm.GenEdge) { es[1].Routes ^= 1 })},
+	} {
+		stateFns = func(s *Sim) map[string]osm.GenState {
+			fns := s.genStates()
+			tc.stale(fns)
+			return fns
+		}
+		for _, eng := range []osm.Engine{osm.EngineDefault, osm.EngineGenerated} {
+			if _, err := New(p, Config{Engine: eng}); err == nil || !strings.Contains(err.Error(), "go generate") {
+				t.Errorf("%s, %v: New with a stale function map = %v, want an error naming go generate", tc.name, eng, err)
+			}
 		}
 	}
 	s, err = New(p, Config{Engine: osm.EngineEvent})
@@ -169,12 +214,16 @@ func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
 
 // TestFailedWhenTriesPerCycle counts the dispatch fan's untracked
 // failures: every When predicate of the model is wrapped in a counter
-// and the nine mix kernels run under the event engine (the serve
-// schedule, and so the count, is the same under every engine). Which
-// unit may take an operation is its route, skipped without a try, so
-// the only When that still fails is the in-order head check: 12.1
-// failures per simulated cycle. When the class test was a When
-// conjunct as well, the same runs failed 42.6 times per cycle.
+// and the nine mix kernels run under the event engine. The count is
+// the interpreter's, one evaluation per edge tried, and the same under
+// the scan, which serves the same schedule; the generated engine
+// calls its When expressions directly, once per serve for the head
+// check that the dispatch edges share, so the wrapped closures do not
+// see it. Which unit may take an operation is its route, skipped
+// without a try, so the only When that still fails is the in-order
+// head check: 12.1 failures per simulated cycle. When the class test
+// was a When conjunct as well, the same runs failed 42.6 times per
+// cycle.
 func TestFailedWhenTriesPerCycle(t *testing.T) {
 	var evals, failed, cycles uint64
 	for _, w := range workload.Mix() {

@@ -487,7 +487,7 @@ func (s *Sim) buildModel() error {
 	// error means the file drifted from the model: it fails
 	// construction whenever the generated engine would serve, and only
 	// an explicitly named other engine (cmd/osmgen's) builds without it.
-	if err := d.AttachGenerated(edgeFns(s)); err != nil &&
+	if err := d.AttachGenerated(stateFns(s)); err != nil &&
 		(s.cfg.Engine == osm.EngineDefault || s.cfg.Engine == osm.EngineGenerated) {
 		return fmt.Errorf("ppc750: edges_gen.go is stale, run go generate ./internal/sim/ppc750: %w", err)
 	}

@@ -40,7 +40,7 @@ func TestKernelsCorrectUnderCompiledEngine(t *testing.T) {
 // generated-code engine (edges_gen.go) with the invariant checker
 // attached: the checker's scheduler-equivalence probe replays each
 // control step against the interpreted Figure 3 semantics, so every
-// generated edge function is differentially tested per step on the
+// generated state function is differentially tested per step on the
 // real pipeline model.
 func TestKernelsCorrectUnderGeneratedEngine(t *testing.T) {
 	for _, w := range workload.All() {
@@ -96,9 +96,11 @@ func TestEngineCycleAgreement(t *testing.T) {
 
 // TestStaleGeneratedEdgesFailLoudly pins the default engine and what a
 // stale edges_gen.go does to it. The zero Config serves the generated
-// edge functions. A function map that no longer covers the model fails
-// New, naming go generate, whenever the generated engine would serve,
-// by default or by name. An explicitly named interpreter, the
+// state functions. A function map that no longer covers the model — a
+// state without an entry, or an entry generated for other edges than
+// the state's: reordered, renamed or differently routed — fails New,
+// naming go generate, whenever the generated engine would serve, by
+// default or by name. An explicitly named interpreter, the
 // construction cmd/osmgen uses to regenerate the file, still builds
 // and runs the kernel correctly.
 func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
@@ -116,15 +118,33 @@ func TestStaleGeneratedEdgesFailLoudly(t *testing.T) {
 		t.Fatalf("the zero Config serves %v, want generated", eng)
 	}
 
-	defer func(f func(*Sim) map[string]osm.EdgeFn) { edgeFns = f }(edgeFns)
-	edgeFns = func(s *Sim) map[string]osm.EdgeFn {
-		fns := s.genEdges()
-		delete(fns, osm.GenKey("W", "e5"))
-		return fns
+	defer func(f func(*Sim) map[string]osm.GenState) { stateFns = f }(stateFns)
+	edit := func(name string, f func([]osm.GenEdge)) func(map[string]osm.GenState) {
+		return func(fns map[string]osm.GenState) {
+			g := fns[name]
+			g.Edges = append([]osm.GenEdge(nil), g.Edges...)
+			f(g.Edges)
+			fns[name] = g
+		}
 	}
-	for _, eng := range []osm.Engine{osm.EngineDefault, osm.EngineGenerated} {
-		if _, err := New(p, Config{Engine: eng}); err == nil || !strings.Contains(err.Error(), "go generate") {
-			t.Errorf("%v: New with a stale function map = %v, want an error naming go generate", eng, err)
+	for _, tc := range []struct {
+		name  string
+		stale func(map[string]osm.GenState)
+	}{
+		{"missing state", func(fns map[string]osm.GenState) { delete(fns, "W") }},
+		{"reordered edges", edit("F", func(es []osm.GenEdge) { es[0], es[1] = es[1], es[0] })},
+		{"renamed edge", edit("F", func(es []osm.GenEdge) { es[1].Name += "-old" })},
+		{"changed mask", edit("F", func(es []osm.GenEdge) { es[1].Routes ^= 1 })},
+	} {
+		stateFns = func(s *Sim) map[string]osm.GenState {
+			fns := s.genStates()
+			tc.stale(fns)
+			return fns
+		}
+		for _, eng := range []osm.Engine{osm.EngineDefault, osm.EngineGenerated} {
+			if _, err := New(p, Config{Engine: eng}); err == nil || !strings.Contains(err.Error(), "go generate") {
+				t.Errorf("%s, %v: New with a stale function map = %v, want an error naming go generate", tc.name, eng, err)
+			}
 		}
 	}
 	s, err = New(p, Config{Engine: osm.EngineEvent})

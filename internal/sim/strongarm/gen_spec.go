@@ -7,9 +7,9 @@ import (
 
 //go:generate go run repro/cmd/osmgen -target strongarm -out edges_gen.go
 
-// edgeFns returns the generated edge functions New attaches: those of
+// stateFns returns the generated state functions New attaches: those of
 // edges_gen.go. Tests replace it to hand New a stale function map.
-var edgeFns = (*Sim).genEdges
+var stateFns = (*Sim).genStates
 
 // GenModel exposes the elaborated model to the Go code generator
 // (cmd/osmgen): the lowered guard program the compiled engine would

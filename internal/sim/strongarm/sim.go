@@ -161,7 +161,7 @@ func New(p *arm.Program, cfg Config) (*Sim, error) {
 
 // whenFetch gates the fetch edge (I -> F): fetch stops for good once
 // the program halts and is suppressed through a redirect's shadow.
-// It is a named method, not a closure, so the generated edge function
+// It is a named method, not a closure, so the generated state function
 // (edges_gen.go) can call the very same predicate.
 func (s *Sim) whenFetch(m *osm.Machine) bool {
 	return !s.fetchStop && int64(s.director.StepCount()) > s.redirectUntil
@@ -248,7 +248,7 @@ func (s *Sim) buildModel(cfg Config) error {
 	// from the model: it fails construction whenever the generated
 	// engine would serve, and only an explicitly named other engine
 	// (cmd/osmgen's) builds without it.
-	if err := d.AttachGenerated(edgeFns(s)); err != nil &&
+	if err := d.AttachGenerated(stateFns(s)); err != nil &&
 		(cfg.Engine == osm.EngineDefault || cfg.Engine == osm.EngineGenerated) {
 		return fmt.Errorf("strongarm: edges_gen.go is stale, run go generate ./internal/sim/strongarm: %w", err)
 	}
