@@ -47,42 +47,44 @@ func main() {
 }
 
 // generate builds the target's model and renders its generated state
-// functions. The program the simulator is constructed with is
-// irrelevant: the lowered guard program depends only on the model's
-// structure, never on the workload. The model is built under the
-// event engine, the one construction that ignores a stale
-// edges_gen.go, so the file can always be regenerated.
+// functions.
 func generate(target string) ([]byte, error) {
+	prog, spec, err := lower(target)
+	if err != nil {
+		return nil, err
+	}
+	return gen.File(prog, spec)
+}
+
+// lower builds the target's model and returns its lowered guard
+// program with the spec that renders it. The program the simulator is
+// constructed with is irrelevant: the lowered guard program depends
+// only on the model's structure, never on the workload. The model is
+// built under the event engine, the one construction that ignores a
+// stale edges_gen.go, so the file can always be regenerated.
+func lower(target string) (*osm.GuardProgram, gen.Spec, error) {
 	w := workload.ByName("gsm/dec")
-	var prog *osm.GuardProgram
-	var spec gen.Spec
 	switch target {
 	case "strongarm":
 		p, err := w.ARMProgram(1)
 		if err != nil {
-			return nil, err
+			return nil, gen.Spec{}, err
 		}
 		s, err := strongarm.New(p, strongarm.Config{Engine: osm.EngineEvent})
 		if err != nil {
-			return nil, err
+			return nil, gen.Spec{}, err
 		}
-		if prog, spec, err = s.GenModel(); err != nil {
-			return nil, err
-		}
+		return s.GenModel()
 	case "ppc750":
 		p, err := w.PPCProgram(1)
 		if err != nil {
-			return nil, err
+			return nil, gen.Spec{}, err
 		}
 		s, err := ppc750.New(p, ppc750.Config{Engine: osm.EngineEvent})
 		if err != nil {
-			return nil, err
+			return nil, gen.Spec{}, err
 		}
-		if prog, spec, err = s.GenModel(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown -target %q (want strongarm or ppc750)", target)
+		return s.GenModel()
 	}
-	return gen.File(prog, spec)
+	return nil, gen.Spec{}, fmt.Errorf("unknown -target %q (want strongarm or ppc750)", target)
 }

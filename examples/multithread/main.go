@@ -45,19 +45,17 @@ func main() {
 	// Hardware layer: per-thread fetch slots (the thread contexts)
 	// and one shared execute unit.
 	ctx := osm.NewUnitManager("thread-ctx", threads)
-	// Thread tags gate context allocation: machines may only occupy
-	// their own thread's slot (the paper: "the tags are used as part
-	// of the identifiers for token transactions").
-	ctx.AllocGate = func(m *osm.Machine, unit osm.TokenID) bool { return int(unit) == m.Tag }
 	ex := osm.NewUnitManager("EX", 1)
 
 	I := osm.NewState("I")
 	F := osm.NewState("F")
 	E := osm.NewState("E")
 
-	fetch := I.Connect("fetch", F, osm.AllocF(ctx, func(m *osm.Machine) osm.TokenID {
-		return osm.TokenID(m.Tag)
-	}))
+	// The thread tag is the context identifier, so a machine occupies
+	// only its own thread's slot (the paper: "the tags are used as part
+	// of the identifiers for token transactions").
+	tag := func(m *osm.Machine) osm.TokenID { return osm.TokenID(m.Tag) }
+	fetch := I.Connect("fetch", F, osm.AllocF(ctx, tag))
 	fetch.When = func(m *osm.Machine) bool { return pcs[m.Tag] < len(progs[m.Tag]) }
 	fetch.Action = func(m *osm.Machine) {
 		op := progs[m.Tag][pcs[m.Tag]]
@@ -65,9 +63,7 @@ func main() {
 		m.Ctx = &op
 	}
 
-	issue := F.Connect("issue", E,
-		osm.ReleaseF(ctx, func(m *osm.Machine) osm.TokenID { return osm.TokenID(m.Tag) }),
-		osm.Alloc(ex, 0))
+	issue := F.Connect("issue", E, osm.ReleaseF(ctx, tag), osm.Alloc(ex, 0))
 	issue.Action = func(m *osm.Machine) {
 		op := m.Ctx.(*mop)
 		acc[m.Tag] += op.imm

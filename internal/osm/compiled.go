@@ -19,15 +19,15 @@ import (
 //
 // The interpreted evaluator (Machine.tryEdge) walks each edge's
 // []Primitive and issues every transaction through the TokenManager
-// interface: an itab load and indirect call per primitive per attempt,
-// plus an identifier-function call for dynamic identifiers. Lowering
-// runs once per model and moves all of that resolution to compile
+// interface: an itab load and indirect call per primitive per attempt.
+// Lowering runs once per model and moves that resolution to compile
 // time:
 //
 //   - every primitive becomes one guardInstr carrying its operation,
-//     its pre-resolved fixed identifier, and a concrete-type manager
-//     pointer when the manager is one of the built-ins (pool, queue,
-//     regfile, unit, reset, bypass);
+//     its fixed identifier (or its identifier function, called on
+//     every try), and a concrete-type manager pointer when the manager
+//     is one of the built-ins (pool, queue, regfile, unit, reset,
+//     bypass);
 //   - the executor dispatches on a dense kind tag and calls the
 //     concrete methods directly, so the calls are statically bound
 //     (and the built-ins' no-op commit methods disappear entirely
@@ -38,9 +38,8 @@ import (
 //     exactly as interpreted.
 //
 // The executor runs only edges the compile stage proved pure (see
-// tryEdgePure). Every other attempt — an edge that is not pure, or one
-// that meets a gate closure at runtime — runs through the interpreter,
-// exactly as the generated engine's GenFallback does, so transactional
+// tryEdgePure). Every other edge runs through the interpreter, exactly
+// as the generated engine's GenFallback does, so transactional
 // semantics have one implementation: Machine.tryEdge.
 //
 // Compiled state is derived: it is rebuilt from the model on demand
@@ -91,7 +90,7 @@ func (k mgrKind) String() string {
 type guardInstr struct {
 	op   Op
 	kind mgrKind
-	dyn  bool // identifier comes from an IDFunc (resolved by primID)
+	dyn  bool // identifier comes from an IDFunc (prim.ID)
 
 	fixed TokenID
 	prim  *Primitive // original conjunct: blocked lists, IDFunc, discard
@@ -152,7 +151,7 @@ type CompileStats struct {
 	// check-then-commit fast path.
 	Devirtualized, Generic, Checked int
 	// Dynamic counts instructions whose identifier is computed by an
-	// IDFunc through a memo slot.
+	// IDFunc.
 	Dynamic int
 	// Pure counts edges eligible for the check-then-commit fast path
 	// (guards decided by pure availability reads, transactions applied
@@ -182,7 +181,6 @@ func (d *Director) Compile() (*GuardProgram, error) {
 	if d.comp != nil {
 		return d.comp, nil
 	}
-	d.ensurePrims()
 	g := &GuardProgram{byState: make(map[*State]*compState)}
 	for _, m := range d.machines {
 		if m.Initial == nil {
@@ -310,10 +308,7 @@ func (g *GuardProgram) lowerEdge(st *State, e *Edge) (compEdge, error) {
 //     the interpreter no request observes that, so no pure check or
 //     applied transaction may run after one either.
 //
-// Edges that fail the test run through the interpreter. Model-installed
-// gate closures are a runtime concern: the pure path re-checks for them
-// on every attempt and falls back to the interpreter too, so installing
-// a gate after compilation stays correct.
+// Edges that fail the test run through the interpreter.
 func pureEdge(code []guardInstr) bool {
 	sawDiscard := false
 	for i := range code {
@@ -379,7 +374,7 @@ func (g *GuardProgram) Disassemble() string {
 				}
 				id := fmt.Sprintf("%d", ins.fixed)
 				if ins.dyn {
-					id = fmt.Sprintf("dyn(slot %d)", ins.prim.slot)
+					id = "dyn"
 				}
 				fmt.Fprintf(&b, "    %2d: %-8s %-10s id=%-12s %s\n",
 					j, ins.op, name, id, ins.kind)
@@ -411,8 +406,7 @@ func (m *Machine) tryEdgeCompiled(ce *compEdge) (bool, error) {
 // actually beats interpretation: the interpreter cannot know a
 // manager's semantics, so it must transact tentatively and cancel,
 // while the compile stage proved (pureEdge) that checking first is
-// equivalent. Gate closures make a manager's availability opaque
-// again, so their presence routes the attempt to the interpreter.
+// equivalent.
 func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 	e := ce.e
 	if e.When != nil && !e.When(m) {
@@ -423,27 +417,18 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 		ins := &code[i]
 		id := ins.fixed
 		if ins.dyn {
-			id = m.primID(ins.prim)
+			id = ins.prim.ID(m)
 		}
 		ok := false
 		switch ins.op {
 		case OpAllocate:
 			switch ins.kind {
 			case kindUnit:
-				u := ins.unit
-				if u.AllocGate != nil {
-					return m.tryEdge(e)
-				}
-				ok = u.CanAllocate(id)
+				ok = ins.unit.CanAllocate(id)
 			case kindQueue:
-				q := ins.queue
-				ok = q.n < q.capacity
+				ok = ins.queue.CanAllocate()
 			case kindPool:
-				p := ins.pool
-				if p.AllocGate != nil {
-					return m.tryEdge(e)
-				}
-				ok = p.free > 0
+				ok = ins.pool.free > 0
 			case kindRegFile:
 				ok = ins.rf.CanAllocate(id)
 			case kindChecked:
@@ -479,17 +464,9 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			tok := m.tokens[idx]
 			switch ins.kind {
 			case kindUnit:
-				u := ins.unit
-				if u.ReleaseGate != nil {
-					return m.tryEdge(e)
-				}
-				ok = u.busyUntil[tok.ID] <= u.step
+				ok = ins.unit.CanRelease(tok.ID)
 			case kindQueue:
-				q := ins.queue
-				if q.ReleaseGate != nil {
-					return m.tryEdge(e)
-				}
-				ok = q.n > 0 && q.ring[q.head].id == tok.ID
+				ok = ins.queue.CanRelease(tok.ID)
 			case kindPool, kindRegFile:
 				ok = true
 			case kindChecked:
@@ -518,7 +495,7 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 		case OpAllocate:
 			id := ins.fixed
 			if ins.dyn {
-				id = m.primID(ins.prim)
+				id = ins.prim.ID(m)
 			}
 			var tok Token
 			switch ins.kind {
@@ -573,15 +550,5 @@ func (m *Machine) tryEdgePure(ce *compEdge) (bool, error) {
 			m.commitDiscard(ins.prim)
 		}
 	}
-	m.dynEpoch++ // next state is a fresh identifier-resolution epoch
-	if e.Action != nil {
-		e.Action(m)
-	}
-	m.cur = e.To
-	m.moves++
-	if m.cur == m.Initial && len(m.tokens) > 0 {
-		return true, fmt.Errorf("osm: machine %s returned to initial state %s holding %d token(s); first: %s",
-			m.Name, m.Initial.Name, len(m.tokens), m.tokens[0])
-	}
-	return true, nil
+	return true, m.GenFinish(e)
 }

@@ -30,7 +30,7 @@ func (d *Director) findWaitCycle() []*Machine {
 			if !ok {
 				continue
 			}
-			holder := hr.Holder(m.primID(p))
+			holder := hr.Holder(p.id(m))
 			if holder != nil && holder != m {
 				waits[m] = append(waits[m], holder)
 			}

@@ -112,9 +112,6 @@ type Director struct {
 	list []*Machine
 	// ev is the event-driven scheduler's state (director_event.go).
 	ev eventSched
-	// primInit records that identifier slots were assigned and the
-	// machines' memo tables sized; reset by AddMachine.
-	primInit bool
 	// comp is the model's lowered form (compiled.go), built by
 	// Compile for the compiled engine and cmd/osmgen; invalidated by
 	// AddMachine and AddManager. It is derived from the model and is
@@ -139,7 +136,6 @@ func (d *Director) AddMachine(ms ...*Machine) {
 	}
 	d.order = append(d.order, ms...)
 	d.ev.init = false
-	d.primInit = false
 	d.comp = nil
 }
 
@@ -190,34 +186,11 @@ func (d *Director) Step() error {
 	return d.stepScan(eng)
 }
 
-// ensurePrims assigns identifier slots to every dynamic primitive
-// reachable from a machine's initial state and sizes the machines'
-// memo tables, once per model build. Machines of one model share a
-// state graph, so the walk is deduplicated by initial state. Restored
-// machines always rest in states reachable from their initial state
-// (Restore resolves states by name from the initial graph), so the
-// initial walk covers every primitive any engine can evaluate.
-func (d *Director) ensurePrims() {
-	if d.primInit {
-		return
-	}
-	sizes := make(map[*State]int, 1)
-	for _, m := range d.machines {
-		n, ok := sizes[m.Initial]
-		if !ok {
-			n = assignPrimSlots(m.Initial)
-			sizes[m.Initial] = n
-		}
-		m.sizeDynMemo(n)
-	}
-	d.primInit = true
-}
-
 // reachable returns the states reachable from initial in depth-first
 // preorder, each state's successors in edge priority order. It is the
-// one walk of a state graph: slot assignment, the compile stage (and
-// so the emitted edges_gen.go order), AttachGenerated and Restore's
-// state-name lookup all see states in this order.
+// one walk of a state graph: the compile stage (and so the emitted
+// edges_gen.go order), AttachGenerated and Restore's state-name lookup
+// all see states in this order.
 func reachable(initial *State) []*State {
 	var states []*State
 	seen := make(map[*State]bool)
@@ -234,38 +207,6 @@ func reachable(initial *State) []*State {
 	}
 	walk(initial)
 	return states
-}
-
-// assignPrimSlots gives every dynamic primitive (ID != nil) reachable
-// from initial without a slot the next free slot number in this
-// graph. It returns the highest slot in use, i.e. the memo table size
-// machines of this graph need. Assignment is idempotent: primitives
-// keep their slot across walks, so machines sharing a graph agree on
-// the numbering.
-func assignPrimSlots(initial *State) int {
-	states := reachable(initial)
-	next := int32(0)
-	for _, s := range states {
-		for _, e := range s.Out {
-			for pi := range e.Prims {
-				if e.Prims[pi].slot > next {
-					next = e.Prims[pi].slot
-				}
-			}
-		}
-	}
-	for _, s := range states {
-		for _, e := range s.Out {
-			for pi := range e.Prims {
-				p := &e.Prims[pi]
-				if p.ID != nil && p.slot == 0 {
-					next++
-					p.slot = next
-				}
-			}
-		}
-	}
-	return int(next)
 }
 
 // serveMachine is the director's one serve of a machine: it commits
@@ -354,7 +295,6 @@ func (d *Director) tryEdges(m *Machine, eng Engine) (*Edge, error) {
 // stepScan is the paper's Figure 3, executed over the full machine
 // population every control step under engine eng.
 func (d *Director) stepScan(eng Engine) error {
-	d.ensurePrims()
 	for _, s := range d.steppers {
 		s.BeginStep(d.step)
 	}

@@ -100,7 +100,6 @@ type eventSched struct {
 // or Reset, so resuming in either scheduler at a step boundary is
 // always sound.
 func (d *Director) initEvent() {
-	d.ensurePrims()
 	ev := &d.ev
 	ev.epoch++
 	ev.mgrOf = make(map[TokenManager]int, len(d.managers))
@@ -120,7 +119,6 @@ func (d *Director) initEvent() {
 	ev.ready = ev.ready[:0]
 	for _, m := range d.machines {
 		m.sched = machineSched{idx: m.sched.idx, inReady: true}
-		m.dynEpoch++ // guard against mutation while unscheduled
 		ev.ready = append(ev.ready, m)
 	}
 	ev.pend = ev.pend[:0]

@@ -84,8 +84,7 @@ func buildDiffModel(machines, total int) *diffModel {
 }
 
 // runDiffModel drives the model for steps control steps under the
-// given engine, squashing the youngest active machine at a fixed
-// cadence, and returns the transition trace.
+// given engine and returns the transition trace (see run).
 func runDiffModel(t *testing.T, eng Engine, noRestart bool, policy bool, steps int) []Event {
 	t.Helper()
 	md := buildDiffModel(6, 1<<30)
@@ -94,6 +93,14 @@ func runDiffModel(t *testing.T, eng Engine, noRestart bool, policy bool, steps i
 	if policy {
 		md.d.RestartPolicy = func(m *Machine, e *Edge) bool { return e.Name == "done" }
 	}
+	return md.run(t, steps)
+}
+
+// run drives the model for steps control steps, squashing the youngest
+// active machine at a fixed cadence, and returns the transition trace.
+func (md *diffModel) run(t *testing.T, steps int) []Event {
+	t.Helper()
+	eng, noRestart, policy := md.d.Engine, md.d.NoRestart, md.d.RestartPolicy != nil
 	rec := NewRecorder()
 	md.d.Tracer = rec
 	for i := 0; i < steps; i++ {
@@ -146,6 +153,57 @@ func TestEventSchedulerMatchesScan(t *testing.T) {
 				compareTraces(t, want, got)
 			}
 		})
+	}
+}
+
+// TestProbeEdgeAgreesWithTry drives the adversarial model through
+// state functions that probe every edge the route admits just before
+// the interpreter tries it: the probe must predict each try's outcome
+// and leave the blocked list to the try. The probes change nothing, so
+// the run reproduces the reference scan's trace.
+func TestProbeEdgeAgreesWithTry(t *testing.T) {
+	want := runDiffModel(t, EngineScan, false, false, 400)
+	md := buildDiffModel(6, 1<<30)
+	outcomes := map[bool]int{}
+	probeThenTry := func(m *Machine, es []*Edge) (*Edge, error) {
+		for _, e := range es {
+			if e.excludes(m.Route) {
+				continue
+			}
+			blocked := len(m.blocked)
+			probe := m.ProbeEdge(e)
+			if len(m.blocked) != blocked {
+				t.Fatalf("step %d: probing %s for %s changed the blocked list", md.d.StepCount(), e.Name, m.Name)
+			}
+			ok, err := m.GenFallback(e)
+			if err != nil {
+				return e, err
+			}
+			if probe != ok {
+				t.Fatalf("step %d: probing %s for %s = %v, the try = %v", md.d.StepCount(), e.Name, m.Name, probe, ok)
+			}
+			outcomes[ok]++
+			if ok {
+				return e, nil
+			}
+		}
+		return nil, nil
+	}
+	fns := map[string]GenState{}
+	for _, s := range reachable(md.d.Machines()[0].Initial) {
+		g := GenState{Fn: probeThenTry}
+		for _, e := range s.Out {
+			g.Edges = append(g.Edges, GenEdge{Name: e.Name, Routes: e.Routes})
+		}
+		fns[s.Name] = g
+	}
+	if err := md.d.AttachGenerated(fns); err != nil {
+		t.Fatal(err)
+	}
+	md.d.Engine = EngineGenerated
+	compareTraces(t, want, md.run(t, 400))
+	if outcomes[true] == 0 || outcomes[false] == 0 {
+		t.Fatalf("tries: %d committed, %d refused; want both", outcomes[true], outcomes[false])
 	}
 }
 

@@ -25,10 +25,9 @@ import "fmt"
 //     key order, with the same interpreter.
 //   - EngineCompiled keeps the event-driven scheduling but tries
 //     edges through the compile stage's guard program (compiled.go):
-//     flat per-edge instruction arrays with pre-resolved managers,
-//     pre-computed identifier slots and concrete-type fast paths for
-//     the built-in managers, so the hot loop runs without interface
-//     dispatch. The interpreted engines remain the differential
+//     flat per-edge instruction arrays with pre-resolved managers and
+//     concrete-type fast paths for the built-in managers, so the hot
+//     loop runs without interface dispatch. The interpreted engines remain the differential
 //     oracle.
 //   - EngineGenerated runs the Figure 3 scan, as EngineScan does, but
 //     serves each machine with one call of its state's own generated

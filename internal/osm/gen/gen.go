@@ -9,23 +9,22 @@
 // priority order and commits the first that holds. The walk itself is
 // specialized away: each edge's route mask is a literal, a When
 // predicate that several edges share is evaluated once per serve, and
-// each edge's guard is a static call to its own body, with identifier
-// functions called directly and the concrete managers'
-// check/allocate/release fast paths spelled out so the Go compiler
-// can see through them. The edge bodies follow the check-then-commit
-// contract of the compiled engine's pure path, and the functions
-// attach through Director.AttachGenerated for EngineGenerated.
+// each edge's guard is inlined, with fixed identifiers as literals,
+// each identifier function called once through its primitive, and the
+// concrete managers' check/allocate/release fast paths spelled out so
+// the Go compiler can see through them. The edge bodies follow the
+// check-then-commit contract of the compiled engine's pure path, and
+// the functions attach through Director.AttachGenerated for
+// EngineGenerated.
 //
 // The model supplies a Spec mapping the lowered structures back to
 // source expressions (which field holds each manager, what each When
-// closure and identifier function reads); everything else is derived
-// from the program. Edges the compile stage could not prove pure, and
-// any attempt made while a runtime gate closure is installed, delegate
-// to the interpreter (Machine.GenFallback) — the compiled engine's
-// fallback rule — so generated code is an optimization of exactly the
-// cases the pure path covers and never a semantic fork. cmd/osmgen
-// drives this package from go:generate directives in the case-study
-// simulators.
+// closure reads); everything else is derived from the program. Edges
+// the compile stage could not prove pure delegate to the interpreter
+// (Machine.GenFallback) — the compiled engine's fallback rule — so
+// generated code is an optimization of exactly the cases the pure path
+// covers and never a semantic fork. cmd/osmgen drives this package
+// from go:generate directives in the case-study simulators.
 package gen
 
 import (
@@ -37,18 +36,19 @@ import (
 	"repro/internal/osm"
 )
 
+// The emitted methods hang off the model's *Sim, bound to the
+// receiver s, and reach the osm package by its import path.
+const (
+	simType   = "Sim"
+	recv      = "s"
+	osmImport = "repro/internal/osm"
+)
+
 // Spec describes how to render a lowered model as Go source in the
 // model's own package.
 type Spec struct {
 	// Package is the package name of the emitted file.
 	Package string
-	// SimType is the receiver type the emitted methods hang off
-	// (default "Sim"); Recv is the receiver identifier (default "s").
-	SimType string
-	Recv    string
-	// OSMImport is the import path of the osm package (default
-	// "repro/internal/osm").
-	OSMImport string
 	// Managers maps a manager's Name() to a Go expression — in terms
 	// of the receiver — that evaluates to the same manager value the
 	// model's primitives reference. Required for every manager a
@@ -58,14 +58,6 @@ type Spec struct {
 	// the edge's When predicate, evaluated with the machine bound to
 	// "m". Required for every lowered pure edge with a non-nil When.
 	When map[string]string
-	// DynID maps osm.GenKey(state, edge) plus "/<instruction index>"
-	// to a Go expression yielding the primitive's identifier
-	// (osm.TokenID), evaluated with the machine bound to "m". Required
-	// for every dynamic identifier on a pure edge. The expression
-	// calls the identifier function directly — the per-epoch memo is
-	// skipped, which is semantically identical because IDFuncs are
-	// stable for an operation binding.
-	DynID map[string]string
 }
 
 // File renders the program as one generated Go source file,
@@ -74,15 +66,6 @@ type Spec struct {
 func File(prog *osm.GuardProgram, spec Spec) ([]byte, error) {
 	if spec.Package == "" {
 		return nil, fmt.Errorf("gen: spec has no package name")
-	}
-	if spec.SimType == "" {
-		spec.SimType = "Sim"
-	}
-	if spec.Recv == "" {
-		spec.Recv = "s"
-	}
-	if spec.OSMImport == "" {
-		spec.OSMImport = "repro/internal/osm"
 	}
 	states, err := groupStates(prog.Edges())
 	if err != nil {
@@ -96,17 +79,16 @@ func File(prog *osm.GuardProgram, spec Spec) ([]byte, error) {
 	fmt.Fprintf(&b, "// (osm.EngineGenerated): each tries its state's edges in priority\n")
 	fmt.Fprintf(&b, "// order with route masks, shared When predicates and manager fast\n")
 	fmt.Fprintf(&b, "// paths inlined at source level; edges the compile stage could not\n")
-	fmt.Fprintf(&b, "// prove pure, and attempts made while a gate closure is installed,\n")
-	fmt.Fprintf(&b, "// delegate to the interpreter. Regenerate with: go generate ./...\n")
+	fmt.Fprintf(&b, "// prove pure delegate to the interpreter. Regenerate with: go generate ./...\n")
 	fmt.Fprintf(&b, "\npackage %s\n", spec.Package)
-	fmt.Fprintf(&b, "\nimport (\n\t%q\n)\n", spec.OSMImport)
+	fmt.Fprintf(&b, "\nimport (\n\t%q\n)\n", osmImport)
 
 	fmt.Fprintf(&b, "\n// genStates returns the generated state functions of the model, keyed\n")
 	fmt.Fprintf(&b, "// by state name, for Director.AttachGenerated.\n")
-	fmt.Fprintf(&b, "func (%s *%s) genStates() map[string]osm.GenState {\n", spec.Recv, spec.SimType)
+	fmt.Fprintf(&b, "func (%s *%s) genStates() map[string]osm.GenState {\n", recv, simType)
 	fmt.Fprintf(&b, "\treturn map[string]osm.GenState{\n")
 	for _, st := range states {
-		fmt.Fprintf(&b, "\t\t%q: {Fn: %s.%s, Edges: []osm.GenEdge{\n", st.name, spec.Recv, st.fn)
+		fmt.Fprintf(&b, "\t\t%q: {Fn: %s.%s, Edges: []osm.GenEdge{\n", st.name, recv, st.fn)
 		for _, ei := range st.edges {
 			if r := ei.Edge.Routes; r != 0 {
 				fmt.Fprintf(&b, "\t\t\t{Name: %q, Routes: %#x},\n", ei.Edge.Name, r)
@@ -227,58 +209,25 @@ func (em *emitter) mgrExpr(ins osm.InstrInfo) (string, error) {
 }
 
 // idExpr resolves the source expression of an instruction's
-// identifier: a literal for fixed identifiers, a shared local variable
-// (declared on first use) for dynamic ones.
-func (em *emitter) idExpr(key string, i int, ins osm.InstrInfo) (string, error) {
+// identifier: a literal for fixed identifiers, and for dynamic ones a
+// local variable holding the primitive's identifier function's result,
+// declared on first use.
+func (em *emitter) idExpr(i int, ins osm.InstrInfo) string {
 	if !ins.Dynamic {
 		switch ins.FixedID {
 		case osm.AnyUnit:
-			return "osm.AnyUnit", nil
+			return "osm.AnyUnit"
 		case osm.AllTokens:
-			return "osm.AllTokens", nil
+			return "osm.AllTokens"
 		}
-		return fmt.Sprintf("%d", ins.FixedID), nil
+		return fmt.Sprintf("%d", ins.FixedID)
 	}
 	v := fmt.Sprintf("id%d", i)
 	if !em.declared[i] {
-		x, ok := em.spec.DynID[fmt.Sprintf("%s/%d", key, i)]
-		if !ok {
-			return "", fmt.Errorf("spec has no expression for the dynamic identifier of instruction %d", i)
-		}
-		em.pend = append(em.pend, fmt.Sprintf("%s := %s", v, x))
+		em.pend = append(em.pend, fmt.Sprintf("%s := e.Prims[%d].ID(m)", v, i))
 		em.declared[i] = true
 	}
-	return v, nil
-}
-
-// gates collects the runtime gate-closure conditions that force the
-// attempt onto the interpreter.
-func (em *emitter) gates(ei osm.EdgeInfo) ([]string, error) {
-	var conds []string
-	seen := map[string]bool{}
-	add := func(c string) {
-		if !seen[c] {
-			seen[c] = true
-			conds = append(conds, c)
-		}
-	}
-	for _, ins := range ei.Code {
-		switch {
-		case ins.Op == osm.OpAllocate && (ins.Kind == "unit" || ins.Kind == "pool"):
-			x, err := em.mgrExpr(ins)
-			if err != nil {
-				return nil, err
-			}
-			add(x + ".AllocGate != nil")
-		case ins.Op == osm.OpRelease && (ins.Kind == "unit" || ins.Kind == "queue"):
-			x, err := em.mgrExpr(ins)
-			if err != nil {
-				return nil, err
-			}
-			add(x + ".ReleaseGate != nil")
-		}
-	}
-	return conds, nil
+	return v
 }
 
 // state emits the function that serves one state: its edges in
@@ -309,7 +258,7 @@ func (em *emitter) state(st stateCode) error {
 	fmt.Fprintf(em.b, "\n// %s serves state %s: it tries the state's edges in\n", st.fn, st.name)
 	fmt.Fprintf(em.b, "// priority order and commits the first that holds.\n")
 	fmt.Fprintf(em.b, "func (%s *%s) %s(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {\n",
-		em.spec.Recv, em.spec.SimType, st.fn)
+		recv, simType, st.fn)
 	if routed {
 		em.line("r := m.Route")
 	}
@@ -348,9 +297,9 @@ func (em *emitter) state(st stateCode) error {
 }
 
 // edge emits the try of one lowered edge, the i-th of its state:
-// the route test, then the gate fallback, the edge's own When
-// predicate when it shares it with no other edge (own), the
-// mutation-free availability pass and the commit pass.
+// the route test, then the edge's own When predicate when it shares it
+// with no other edge (own), the mutation-free availability pass and
+// the commit pass.
 func (em *emitter) edge(state string, ei osm.EdgeInfo, i int, own bool) error {
 	key := osm.GenKey(state, ei.Edge.Name)
 	em.declared = map[int]bool{}
@@ -370,29 +319,17 @@ func (em *emitter) edge(state string, ei osm.EdgeInfo, i int, own bool) error {
 		em.line("}")
 		return nil
 	}
-	gates, err := em.gates(ei)
-	if err != nil {
-		return err
-	}
-	if len(gates) > 0 {
-		em.line("if %s {", strings.Join(gates, " || "))
-		em.line("\tif ok, err := m.GenFallback(e); ok || err != nil {")
-		em.line("\t\treturn e, err")
-		em.line("\t}")
-		em.line("\t%s", em.skip())
-		em.line("}")
-	}
 	if own {
 		em.line("if !(%s) {", em.spec.When[key])
 		em.line("\t%s", em.skip())
 		em.line("}")
 	}
-	stopped, err := em.checks(ei, key)
+	stopped, err := em.checks(ei)
 	if err != nil {
 		return err
 	}
 	if !stopped {
-		if err := em.commit(ei, key); err != nil {
+		if err := em.commit(ei); err != nil {
 			return err
 		}
 		em.line("return e, m.GenFinish(e)")
@@ -413,10 +350,9 @@ func (em *emitter) skip() string {
 
 // checks emits the mutation-free availability pass: a refused conjunct
 // records itself with GenBlock and ends the try, and an unheld release
-// errors. It
-// reports whether emission stopped at a conjunct that can never
-// succeed (reset and bypass managers never grant allocations).
-func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
+// errors. It reports whether emission stopped at a conjunct that can
+// never succeed (reset and bypass managers never grant allocations).
+func (em *emitter) checks(ei osm.EdgeInfo) (bool, error) {
 	for i, ins := range ei.Code {
 		if ins.Op == osm.OpDiscard {
 			continue // always satisfied; applied in the commit pass
@@ -425,10 +361,7 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		id, err := em.idExpr(key, i, ins)
-		if err != nil {
-			return false, err
-		}
+		id := em.idExpr(i, ins)
 		block := fmt.Sprintf("m.GenBlock(e, %d)", i)
 		switch ins.Op {
 		case osm.OpAllocate:
@@ -491,7 +424,7 @@ func (em *emitter) checks(ei osm.EdgeInfo, key string) (bool, error) {
 // commit emits the transaction pass: every conjunct holds, so the
 // grants and releases are applied in instruction order, exactly the
 // states the interpreter's commit would leave.
-func (em *emitter) commit(ei osm.EdgeInfo, key string) error {
+func (em *emitter) commit(ei osm.EdgeInfo) error {
 	for i, ins := range ei.Code {
 		switch ins.Op {
 		case osm.OpAllocate:
@@ -499,10 +432,7 @@ func (em *emitter) commit(ei osm.EdgeInfo, key string) error {
 			if err != nil {
 				return err
 			}
-			id, err := em.idExpr(key, i, ins)
-			if err != nil {
-				return err
-			}
+			id := em.idExpr(i, ins)
 			if ins.Kind == "checked" {
 				em.line("tk%d, ok%d := %s.Allocate(m, %s)", i, i, mx, id)
 				em.line("if !ok%d {", i)

@@ -34,7 +34,6 @@ func testSpec() Spec {
 		Package:  "model",
 		Managers: map[string]string{"u": "s.u", "q": "s.q"},
 		When:     map[string]string{osm.GenKey("I", "go"): "s.ready(m)"},
-		DynID:    map[string]string{osm.GenKey("S", "back") + "/1": "anyHeld(m)"},
 	}
 }
 
@@ -50,17 +49,19 @@ func TestFileEmitsMonomorphicFunctions(t *testing.T) {
 		"func (s *Sim) genStates() map[string]osm.GenState {",
 		`"I": {Fn: s.genServe_I, Edges: []osm.GenEdge{`,
 		"func (s *Sim) genServe_I(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {",
-		"if s.u.AllocGate != nil {",     // gate fallback
 		"if !(s.ready(m)) {",            // inlined When
 		"if !s.u.CanAllocate(0) {",      // unit fast path
 		"if !s.q.CanAllocate() {",       // queue fast path
-		"id1 := anyHeld(m)",             // dynamic identifier, declared once
+		"id1 := e.Prims[1].ID(m)",       // dynamic identifier, declared once
 		"t1 := m.GenFindHeld(s.q, id1)", // release check records the index
 		"return e, m.GenFinish(e)",      // commit epilogue
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("emitted source lacks %q\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "GenFallback") {
+		t.Errorf("a model of pure edges delegates to the interpreter:\n%s", text)
 	}
 }
 
@@ -87,7 +88,6 @@ func TestFileSpecErrors(t *testing.T) {
 		{"noPackage", func(s *Spec) { s.Package = "" }, "no package name"},
 		{"noManager", func(s *Spec) { delete(s.Managers, "q") }, `no expression for manager "q"`},
 		{"noWhen", func(s *Spec) { delete(s.When, "I/go") }, "no expression for the When predicate"},
-		{"noDynID", func(s *Spec) { delete(s.DynID, "S/back/1") }, "dynamic identifier"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -28,10 +28,9 @@ import "fmt"
 // path (tryEdgePure) is the template: a generated edge body first
 // decides every conjunct with mutation-free availability reads, then
 // applies the transactions in instruction order. Both fast engines
-// share one fallback rule: an edge that is not pure, or an attempt
-// that meets a runtime gate closure, runs through the interpreter
-// (GenFallback). The differential suites hold all four engines to
-// trace-checksum identity.
+// share one fallback rule: an edge that is not pure runs through the
+// interpreter (GenFallback). The differential suites hold all four
+// engines to trace-checksum identity.
 //
 // The attachment is derived state: nothing of it is serialized, so
 // snapshots taken under any engine restore under any other.
@@ -62,10 +61,9 @@ type GenEdge struct {
 	Routes uint64
 }
 
-// GenKey names an edge to the code generator (gen.Spec's When and
-// DynID maps): the source state's name and the edge's name. The
-// generator rejects a model where the pair does not identify the
-// edge.
+// GenKey names an edge to the code generator (gen.Spec's When map):
+// the source state's name and the edge's name. The generator rejects
+// a model where the pair does not identify the edge.
 func GenKey(state, edge string) string { return state + "/" + edge }
 
 // AttachGenerated checks generated state functions, keyed by state
@@ -191,13 +189,11 @@ func (m *Machine) GenBlock(e *Edge, pi int) {
 // GenDiscard applies e's pi-th primitive as a committed discard.
 func (m *Machine) GenDiscard(e *Edge, pi int) { m.commitDiscard(&e.Prims[pi]) }
 
-// GenFinish is the commit epilogue of a generated edge try: it
-// opens a fresh identifier-resolution epoch, runs the edge action,
-// moves the machine and counts the transition, returning the
-// interpreter's error when the machine re-enters its initial state
-// still holding tokens.
+// GenFinish is the commit epilogue of every edge try, generated or
+// not: it runs the edge action, moves the machine and counts the
+// transition, returning an error when the machine re-enters its
+// initial state still holding tokens.
 func (m *Machine) GenFinish(e *Edge) error {
-	m.dynEpoch++
 	if e.Action != nil {
 		e.Action(m)
 	}
@@ -211,10 +207,8 @@ func (m *Machine) GenFinish(e *Edge) error {
 }
 
 // GenFallback evaluates e through the interpreter. Generated functions
-// delegate an edge's try here when a runtime gate closure
-// (UnitManager.AllocGate and friends) makes a manager's availability
-// opaque to the inlined check, and for edges the compile stage could
-// not prove pure — the same rule the compiled engine follows.
+// delegate here the try of an edge the compile stage could not prove
+// pure — the same rule the compiled engine follows.
 func (m *Machine) GenFallback(e *Edge) (bool, error) { return m.tryEdge(e) }
 
 // GenErrNotHeld is the interpreter's release-of-unheld-token error,

@@ -9,9 +9,9 @@ import (
 // genPipeline builds the saturated 5-stage ring of bench_test.go with
 // unique state names (the generated engine resolves states by name)
 // and hand-written generated state functions written exactly the way
-// internal/osm/gen emits them: per edge the route test, the gate
-// check, the mutation-free availability pass and the commit pass
-// through the Gen helpers, a refusal jumping to the next edge's try.
+// internal/osm/gen emits them: per edge the route test, the
+// mutation-free availability pass and the commit pass through the Gen
+// helpers, a refusal jumping to the next edge's try.
 // tries, when non-nil, counts state-function invocations so tests can
 // assert the generated path actually ran.
 func genPipeline(tries *int) (*Director, map[string]GenState) {
@@ -45,12 +45,6 @@ func genPipeline(tries *int) (*Director, map[string]GenState) {
 		"I": {Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
 			if e := es[0]; e != nil {
-				if stages[0].AllocGate != nil {
-					if ok, err := m.GenFallback(e); ok || err != nil {
-						return e, err
-					}
-					goto next0
-				}
 				if !stages[0].CanAllocate(0) {
 					m.GenBlock(e, 0)
 					goto next0
@@ -65,12 +59,6 @@ func genPipeline(tries *int) (*Director, map[string]GenState) {
 		"S5": {Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
 			if e := es[0]; e != nil {
-				if stages[4].ReleaseGate != nil {
-					if ok, err := m.GenFallback(e); ok || err != nil {
-						return e, err
-					}
-					goto next0
-				}
 				t0 := m.GenFindHeld(stages[4], 0)
 				if t0 < 0 {
 					return nil, m.GenErrNotHeld(e, stages[4], 0)
@@ -92,12 +80,6 @@ func genPipeline(tries *int) (*Director, map[string]GenState) {
 		fns[fmt.Sprintf("S%d", k)] = GenState{Fn: func(m *Machine, es []*Edge) (*Edge, error) {
 			count()
 			if e := es[0]; e != nil {
-				if rel.ReleaseGate != nil || alc.AllocGate != nil {
-					if ok, err := m.GenFallback(e); ok || err != nil {
-						return e, err
-					}
-					goto next0
-				}
 				t0 := m.GenFindHeld(rel, 0)
 				if t0 < 0 {
 					return nil, m.GenErrNotHeld(e, rel, 0)
@@ -507,43 +489,6 @@ func TestNoInitialStateIsAnError(t *testing.T) {
 	}
 }
 
-// TestGeneratedFallbackOnGate installs an alloc gate mid-run: the
-// generated function and the compiled pure path must each detect it
-// and delegate to the interpreter, preserving semantics (the gate
-// refuses every allocation, so the ring wedges exactly as under the
-// event engine).
-func TestGeneratedFallbackOnGate(t *testing.T) {
-	run := func(engine Engine) string {
-		d, fns := genPipeline(nil)
-		d.Engine = engine
-		if engine == EngineGenerated {
-			if err := d.AttachGenerated(fns); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var gated *UnitManager
-		for _, st := range d.Machines()[0].Initial.Out {
-			gated = st.Prims[0].Mgr.(*UnitManager)
-		}
-		log := traceLog(d)
-		for i := 0; i < 30; i++ {
-			if i == 10 {
-				gated.AllocGate = func(m *Machine, unit TokenID) bool { return false }
-			}
-			if err := d.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return log.String()
-	}
-	want := run(EngineEvent)
-	for _, eng := range []Engine{EngineGenerated, EngineCompiled} {
-		if got := run(eng); got != want {
-			t.Fatalf("gated traces diverge:\n%v:\n%s\nevent:\n%s", eng, got, want)
-		}
-	}
-}
-
 // BenchmarkDirectorStepPipelineGenerated runs the saturated ring
 // through hand-written generated state functions (EngineGenerated) —
 // the same functions internal/osm/gen emits for real models — under
@@ -587,7 +532,7 @@ func BenchmarkDirectorStepIdleGenerated(b *testing.B) {
 	}); err != nil {
 		b.Fatal(err)
 	}
-	if err := d.Step(); err != nil { // settle: every machine blocks on the busy gate
+	if err := d.Step(); err != nil { // settle: every machine blocks on the busy unit
 		b.Fatal(err)
 	}
 	benchSteps(b, d)

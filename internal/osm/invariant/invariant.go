@@ -328,9 +328,9 @@ func (c *Checker) conservation(vs []Violation) []Violation {
 
 // schedule verifies scan equivalence from the event-driven side:
 // every machine the scheduler will not evaluate next step must have
-// no satisfiable outgoing edge right now. ProbeEdge issues the same
-// tentative requests the scan would and cancels them, so the check is
-// side-effect free on conforming managers. Under the scan (or before
+// no satisfiable outgoing edge right now. ProbeEdge runs the
+// interpreter's own request pass, the one the scan would, and cancels
+// it, so the check is side-effect free on conforming managers. Under the scan (or before
 // the event scheduler initializes) every machine is evaluated every
 // step and the check is vacuous; that includes the case studies'
 // default engine, the generated one, so only a director running the

@@ -135,57 +135,6 @@ type Machine struct {
 	// sched is scheduling state owned by the event-driven director
 	// (director_event.go). A machine is scheduled by one director.
 	sched machineSched
-	// dynID/dynStamp memoize identifier-function results for the
-	// current operation binding, indexed by the primitive's slot
-	// (assignPrimSlots). A stamp equal to dynEpoch marks a live entry;
-	// bumping dynEpoch on every transition invalidates the whole memo
-	// in O(1) instead of clearing it.
-	dynID    []TokenID
-	dynStamp []uint64
-	dynEpoch uint64
-}
-
-// primID resolves the identifier a primitive presents for m. Results
-// of identifier functions are memoized from their first resolution
-// until the machine's next transition: identifiers are initialized
-// when an operation binds to the machine (the paper's decode-time
-// identifier assignment), so they may depend on the operation context
-// but not on state that changes while the machine is blocked.
-//
-// The memo is a dense array indexed by the primitive's slot, assigned
-// once per state graph by the director. A machine whose memo tables
-// were never sized (it is driven without a director, as in unit
-// tests) resolves the identifier function directly, which is
-// semantically identical.
-func (m *Machine) primID(p *Primitive) TokenID {
-	if p.ID == nil {
-		return p.FixedID
-	}
-	s := int(p.slot) - 1
-	if s < 0 || s >= len(m.dynID) {
-		return p.ID(m)
-	}
-	if m.dynStamp[s] == m.dynEpoch {
-		return m.dynID[s]
-	}
-	id := p.ID(m)
-	m.dynID[s] = id
-	m.dynStamp[s] = m.dynEpoch
-	return id
-}
-
-// sizeDynMemo (re)sizes the identifier memo to cover slots [1, n] and
-// invalidates any previous entries. The director calls it whenever
-// slots may have been (re)assigned.
-func (m *Machine) sizeDynMemo(n int) {
-	if len(m.dynID) < n {
-		m.dynID = make([]TokenID, n)
-		m.dynStamp = make([]uint64, n)
-	}
-	if m.dynEpoch == 0 {
-		m.dynEpoch = 1
-	}
-	m.dynEpoch++
 }
 
 // NewMachine returns a machine resting in the given initial state.
@@ -268,61 +217,16 @@ func (m *Machine) tryEdge(e *Edge) (bool, error) {
 	if e.When != nil && !e.When(m) {
 		return false, nil
 	}
-	pend := m.pend[:0]
-	cancel := func() {
-		for i := len(pend) - 1; i >= 0; i-- {
-			p := pend[i]
-			switch p.prim.Op {
-			case OpAllocate:
-				p.prim.Mgr.CancelAllocate(m, p.tok)
-			case OpRelease:
-				p.prim.Mgr.CancelRelease(m, p.tok)
-			}
-		}
-		m.pend = pend[:0]
+	p, err := m.request(e)
+	if err != nil {
+		return false, err
 	}
-	for pi := range e.Prims {
-		p := &e.Prims[pi]
-		switch p.Op {
-		case OpAllocate:
-			tok, ok := p.Mgr.Allocate(m, m.primID(p))
-			if !ok {
-				cancel()
-				m.blocked = append(m.blocked, p)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: p, tok: tok})
-		case OpInquire:
-			if !p.Mgr.Inquire(m, m.primID(p)) {
-				cancel()
-				m.blocked = append(m.blocked, p)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: p})
-		case OpRelease:
-			id := m.primID(p)
-			tok, held := m.HeldToken(p.Mgr, id)
-			if !held {
-				cancel()
-				return false, fmt.Errorf("osm: machine %s: edge %s releases token %s:%d it does not hold",
-					m.Name, e.Name, p.Mgr.Name(), id)
-			}
-			if !p.Mgr.Release(m, tok) {
-				cancel()
-				m.blocked = append(m.blocked, p)
-				return false, nil
-			}
-			pend = append(pend, pendingTxn{prim: p, tok: tok})
-		case OpDiscard:
-			// Discard always succeeds; it takes effect at commit.
-			pend = append(pend, pendingTxn{prim: p})
-		default:
-			cancel()
-			return false, fmt.Errorf("osm: machine %s: edge %s has invalid primitive op %d", m.Name, e.Name, p.Op)
-		}
+	if p != nil {
+		m.blocked = append(m.blocked, p)
+		return false, nil
 	}
 	// All conjuncts succeeded: commit simultaneously.
-	for _, p := range pend {
+	for _, p := range m.pend {
 		switch p.prim.Op {
 		case OpAllocate:
 			m.addToken(p.tok)
@@ -337,18 +241,65 @@ func (m *Machine) tryEdge(e *Edge) (bool, error) {
 			m.commitDiscard(p.prim)
 		}
 	}
-	m.pend = pend[:0]
-	m.dynEpoch++ // next state is a fresh identifier-resolution epoch
-	if e.Action != nil {
-		e.Action(m)
+	m.pend = m.pend[:0]
+	return true, m.GenFinish(e)
+}
+
+// request is the request pass of an edge try: it issues e's primitives
+// in order as tentative requests, recording each granted one in m.pend
+// for the commit. At the first refusal it cancels the requests already
+// granted and returns the refusing primitive; a release of a token m
+// does not hold, or an invalid operation, cancels them likewise and
+// returns an error. When every conjunct is granted it returns nil,
+// nil with the requests pending in m.pend.
+func (m *Machine) request(e *Edge) (*Primitive, error) {
+	m.pend = m.pend[:0]
+	for pi := range e.Prims {
+		p := &e.Prims[pi]
+		var tok Token
+		ok := true
+		switch p.Op {
+		case OpAllocate:
+			tok, ok = p.Mgr.Allocate(m, p.id(m))
+		case OpInquire:
+			ok = p.Mgr.Inquire(m, p.id(m))
+		case OpRelease:
+			id := p.id(m)
+			i := m.findToken(p.Mgr, id)
+			if i < 0 {
+				m.cancel()
+				return nil, m.GenErrNotHeld(e, p.Mgr, id)
+			}
+			tok = m.tokens[i]
+			ok = p.Mgr.Release(m, tok)
+		case OpDiscard:
+			// Discard always succeeds; it takes effect at commit.
+		default:
+			m.cancel()
+			return nil, fmt.Errorf("osm: machine %s: edge %s has invalid primitive op %d", m.Name, e.Name, p.Op)
+		}
+		if !ok {
+			m.cancel()
+			return p, nil
+		}
+		m.pend = append(m.pend, pendingTxn{prim: p, tok: tok})
 	}
-	m.cur = e.To
-	m.moves++
-	if m.cur == m.Initial && len(m.tokens) > 0 {
-		return true, fmt.Errorf("osm: machine %s returned to initial state %s holding %d token(s); first: %s",
-			m.Name, m.Initial.Name, len(m.tokens), m.tokens[0])
+	return nil, nil
+}
+
+// cancel undoes the pending requests in reverse order and empties
+// m.pend.
+func (m *Machine) cancel() {
+	for i := len(m.pend) - 1; i >= 0; i-- {
+		p := m.pend[i]
+		switch p.prim.Op {
+		case OpAllocate:
+			p.prim.Mgr.CancelAllocate(m, p.tok)
+		case OpRelease:
+			p.prim.Mgr.CancelRelease(m, p.tok)
+		}
 	}
-	return true, nil
+	m.pend = m.pend[:0]
 }
 
 func (m *Machine) commitDiscard(p *Primitive) {
@@ -371,7 +322,7 @@ func (m *Machine) commitDiscard(p *Primitive) {
 		m.tokens = kept
 		return
 	}
-	if tok, ok := m.removeToken(p.Mgr, m.primID(p)); ok {
+	if tok, ok := m.removeToken(p.Mgr, p.id(m)); ok {
 		p.Mgr.Discarded(m, tok)
 	}
 }
@@ -392,7 +343,6 @@ func (m *Machine) Reset() {
 	m.Route = 0
 	m.moves = 0
 	m.blocked = nil
-	m.dynEpoch++
 }
 
 // Transitions returns the number of edges the machine has committed
@@ -400,13 +350,14 @@ func (m *Machine) Reset() {
 func (m *Machine) Transitions() uint64 { return m.moves }
 
 // ProbeEdge reports whether e's guard condition is currently
-// satisfiable for m without committing anything: every primitive is
-// issued as a tentative request and then cancelled in reverse order,
-// relying on the TokenManager contract that cancel restores the
+// satisfiable for m without committing anything: it runs the request
+// pass of an edge try and cancels the granted requests in reverse
+// order, relying on the TokenManager contract that cancel restores the
 // pre-request state exactly. The When predicate is consulted as in
 // normal evaluation, and an edge the machine's Route excludes probes
-// false, as the director skips it; the Action never runs. Releasing a
-// token the machine does not hold probes false rather than erroring.
+// false, as the director skips it; the Action never runs, and the
+// machine's blocked list is left alone. Releasing a token the machine
+// does not hold probes false rather than erroring.
 //
 // The invariant checker uses the probe to ask "would the Figure 3
 // scan have fired this edge?" for machines the event-driven scheduler
@@ -415,49 +366,10 @@ func (m *Machine) ProbeEdge(e *Edge) bool {
 	if e.excludes(m.Route) || (e.When != nil && !e.When(m)) {
 		return false
 	}
-	pend := m.pend[:0]
-	cancel := func() {
-		for i := len(pend) - 1; i >= 0; i-- {
-			p := pend[i]
-			switch p.prim.Op {
-			case OpAllocate:
-				p.prim.Mgr.CancelAllocate(m, p.tok)
-			case OpRelease:
-				p.prim.Mgr.CancelRelease(m, p.tok)
-			}
-		}
-		m.pend = pend[:0]
+	if p, err := m.request(e); p != nil || err != nil {
+		return false
 	}
-	for pi := range e.Prims {
-		p := &e.Prims[pi]
-		switch p.Op {
-		case OpAllocate:
-			tok, ok := p.Mgr.Allocate(m, m.primID(p))
-			if !ok {
-				cancel()
-				return false
-			}
-			pend = append(pend, pendingTxn{prim: p, tok: tok})
-		case OpInquire:
-			if !p.Mgr.Inquire(m, m.primID(p)) {
-				cancel()
-				return false
-			}
-		case OpRelease:
-			tok, held := m.HeldToken(p.Mgr, m.primID(p))
-			if !held || !p.Mgr.Release(m, tok) {
-				cancel()
-				return false
-			}
-			pend = append(pend, pendingTxn{prim: p, tok: tok})
-		case OpDiscard:
-			// Discard always succeeds; nothing to request.
-		default:
-			cancel()
-			return false
-		}
-	}
-	cancel()
+	m.cancel()
 	return true
 }
 

@@ -83,11 +83,9 @@ type WakeNotifier interface {
 // through the hook installed with SetWake. Machines blocked only on
 // sleep-safe managers may be suspended until a wake arrives; machines
 // blocked on any other manager are re-evaluated every control step,
-// which is always correct but forgoes the event-driven savings.
-//
-// SleepSafeManager may answer false conditionally: the built-in
-// managers do so when a model installed an opaque gate predicate
-// (AllocGate, ReleaseGate) whose inputs the manager cannot track.
+// which is always correct but forgoes the event-driven savings. Every
+// built-in manager answers true; the interface exists for custom
+// managers.
 type SleepSafe interface {
 	SleepSafeManager() bool
 }

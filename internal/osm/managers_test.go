@@ -36,19 +36,6 @@ func TestUnitManagerOutOfRange(t *testing.T) {
 	}
 }
 
-func TestUnitManagerAllocGate(t *testing.T) {
-	u := NewUnitManager("fu", 2)
-	u.AllocGate = func(m *Machine, unit TokenID) bool { return unit == 1 }
-	m := NewMachine("m", NewState("I"))
-	if _, ok := u.Allocate(m, 0); ok {
-		t.Fatal("gate must refuse unit 0")
-	}
-	tok, ok := u.Allocate(m, AnyUnit)
-	if !ok || tok.ID != 1 {
-		t.Fatalf("AnyUnit with gate = %v,%v; want unit 1", tok, ok)
-	}
-}
-
 func TestUnitManagerBusyGatesRelease(t *testing.T) {
 	u := NewUnitManager("cache", 1)
 	m := NewMachine("m", NewState("I"))
@@ -75,21 +62,6 @@ func TestUnitManagerBusyGatesRelease(t *testing.T) {
 	}
 	if u.Busy(0) != 0 {
 		t.Fatalf("Busy = %d, want 0", u.Busy(0))
-	}
-}
-
-func TestUnitManagerReleaseGate(t *testing.T) {
-	u := NewUnitManager("wb", 1)
-	open := false
-	u.ReleaseGate = func(m *Machine, unit TokenID) bool { return open }
-	m := NewMachine("m", NewState("I"))
-	tok, _ := u.Allocate(m, 0)
-	if u.Release(m, tok) {
-		t.Fatal("closed gate must refuse release")
-	}
-	open = true
-	if !u.Release(m, tok) {
-		t.Fatal("open gate must accept release")
 	}
 }
 
@@ -392,18 +364,18 @@ func TestPoolManagerCounting(t *testing.T) {
 	}
 }
 
-func TestPoolManagerAllocGateAndCancel(t *testing.T) {
+// TestPoolManagerCancelAllocate: a cancelled grant returns the token
+// and rewinds the sequence, so the next grant reuses its identifier.
+func TestPoolManagerCancelAllocate(t *testing.T) {
 	p := NewPoolManager("fq", 1)
 	m := NewMachine("m", NewState("I"))
-	p.AllocGate = func(*Machine) bool { return false }
-	if _, ok := p.Allocate(m, AnyUnit); ok {
-		t.Fatal("gate must refuse")
-	}
-	p.AllocGate = nil
 	tok, _ := p.Allocate(m, AnyUnit)
 	p.CancelAllocate(m, tok)
 	if p.Free() != 1 {
 		t.Fatal("cancel must return the token")
+	}
+	if again, ok := p.Allocate(m, AnyUnit); !ok || again.ID != tok.ID {
+		t.Fatalf("grant after cancel = %v,%v; want %v", again, ok, tok)
 	}
 }
 
@@ -482,20 +454,6 @@ func TestQueueManagerInquireAndDiscard(t *testing.T) {
 	}
 }
 
-func TestQueueManagerReleaseGate(t *testing.T) {
-	q := NewQueueManager("cq", 1)
-	m := NewMachine("m", NewState("I"))
-	tok, _ := q.Allocate(m, AnyUnit)
-	q.ReleaseGate = func(*Machine, Token) bool { return false }
-	if q.Release(m, tok) {
-		t.Fatal("gate must refuse the release")
-	}
-	q.ReleaseGate = nil
-	if !q.Release(m, tok) {
-		t.Fatal("release must succeed with the gate removed")
-	}
-}
-
 func TestQueueManagerHolder(t *testing.T) {
 	q := NewQueueManager("cq", 2)
 	i := NewState("I")
@@ -562,8 +520,7 @@ func TestBuiltinManagersOutstandingGrants(t *testing.T) {
 
 // TestQueueManagerCheckThenCommit pins the mutation-free predicates
 // check-then-commit callers use: CanAllocate while a slot is free,
-// CanRelease only for the head's token and regardless of any release
-// gate.
+// CanRelease only for the head's token.
 func TestQueueManagerCheckThenCommit(t *testing.T) {
 	q := NewQueueManager("cq", 2)
 	i := NewState("I")
@@ -580,9 +537,8 @@ func TestQueueManagerCheckThenCommit(t *testing.T) {
 		t.Fatal("CanRelease must hold for the head's token alone")
 	}
 	q.Release(a, ta)
-	q.ReleaseGate = func(*Machine, Token) bool { return false }
 	if !q.CanAllocate() || !q.CanRelease(tb.ID) || q.CanRelease(ta.ID) {
-		t.Fatal("after the head retires: the slot frees and the next entry can release, gate or not")
+		t.Fatal("after the head retires: the slot frees and the next entry can release")
 	}
 	if q.Len() != 1 || q.Cap() != 2 {
 		t.Fatalf("len %d cap %d", q.Len(), q.Cap())

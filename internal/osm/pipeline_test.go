@@ -268,13 +268,14 @@ func TestPipelineModelValidates(t *testing.T) {
 }
 
 func TestPipelineMultithreadTags(t *testing.T) {
-	// Section 6: thread-tagged machines; a manager that partitions
-	// its units by tag keeps the threads from interfering.
+	// Section 6: thread-tagged machines; the tag is part of the
+	// identifier, so each thread allocates its own unit and the
+	// threads do not interfere.
 	i, f := NewState("I"), NewState("F")
 	u := NewUnitManager("ctx", 2)
-	u.AllocGate = func(m *Machine, unit TokenID) bool { return int(unit) == m.Tag }
-	i.Connect("go", f, Alloc(u, AnyUnit))
-	f.Connect("back", i, ReleaseF(u, func(m *Machine) TokenID { return AnyUnit }))
+	tag := func(m *Machine) TokenID { return TokenID(m.Tag) }
+	i.Connect("go", f, AllocF(u, tag))
+	f.Connect("back", i, ReleaseF(u, tag))
 
 	d := NewDirector()
 	d.AddManager(u)

@@ -7,8 +7,6 @@ package osm
 // machine can hold several pool tokens at once.
 type PoolManager struct {
 	BaseManager
-	// AllocGate, if non-nil, must also approve each grant.
-	AllocGate func(m *Machine) bool
 
 	capacity int
 	free     int
@@ -36,9 +34,6 @@ func (p *PoolManager) InUse() int { return p.capacity - p.free }
 // Allocate grants a token when the pool is non-empty.
 func (p *PoolManager) Allocate(m *Machine, id TokenID) (Token, bool) {
 	if p.free == 0 {
-		return Token{}, false
-	}
-	if p.AllocGate != nil && !p.AllocGate(m) {
 		return Token{}, false
 	}
 	p.free--
@@ -72,10 +67,10 @@ func (p *PoolManager) Discarded(m *Machine, t Token) {
 	p.Wake()
 }
 
-// SleepSafeManager reports whether machines blocked on the manager may
-// be suspended (SleepSafe): only while no opaque allocation gate is
-// installed.
-func (p *PoolManager) SleepSafeManager() bool { return p.AllocGate == nil }
+// SleepSafeManager reports that machines blocked on the manager may be
+// suspended (SleepSafe): the free count changes only through token
+// transactions and discards, which wake.
+func (p *PoolManager) SleepSafeManager() bool { return true }
 
 // OutstandingGrants enumerates the granted tokens (GrantAuditor).
 // Pool tokens are anonymous — the pool remembers how many are out,

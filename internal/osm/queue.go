@@ -9,9 +9,6 @@ package osm
 // queue.
 type QueueManager struct {
 	BaseManager
-	// ReleaseGate, if non-nil, must additionally approve the release
-	// of the head entry (e.g. "at most two retires per cycle").
-	ReleaseGate func(m *Machine, t Token) bool
 
 	capacity int
 	ring     []queueEntry // fixed-size circular buffer
@@ -98,20 +95,15 @@ func (q *QueueManager) Inquire(m *Machine, id TokenID) bool {
 // free slot. Mutation-free, for check-then-commit callers.
 func (q *QueueManager) CanAllocate() bool { return q.n < q.capacity }
 
-// CanRelease reports whether a gate-free Release of the held token id
-// would accept: the token is the queue's head. It ignores any
-// installed ReleaseGate — check-then-commit callers must test the
-// gate themselves and fall back to the interpreter when one is
-// installed.
+// CanRelease reports whether Release of the held token id would
+// accept: the token is the queue's head. Mutation-free, for
+// check-then-commit callers.
 func (q *QueueManager) CanRelease(id TokenID) bool { return q.n > 0 && q.ring[q.head].id == id }
 
 // Release accepts the return of t only when t is the queue's head —
 // in-order retirement.
 func (q *QueueManager) Release(m *Machine, t Token) bool {
-	if q.n == 0 || q.ring[q.head].id != t.ID {
-		return false
-	}
-	if q.ReleaseGate != nil && !q.ReleaseGate(m, t) {
+	if !q.CanRelease(t.ID) {
 		return false
 	}
 	q.head = (q.head + 1) % q.capacity
@@ -126,10 +118,10 @@ func (q *QueueManager) CancelRelease(m *Machine, t Token) {
 	q.n++
 }
 
-// SleepSafeManager reports whether machines blocked on the manager may
-// be suspended (SleepSafe): only while no opaque release gate is
-// installed.
-func (q *QueueManager) SleepSafeManager() bool { return q.ReleaseGate == nil }
+// SleepSafeManager reports that machines blocked on the manager may be
+// suspended (SleepSafe): occupancy and head order change only through
+// token transactions and discards, which wake.
+func (q *QueueManager) SleepSafeManager() bool { return true }
 
 // OutstandingGrants enumerates the occupied entries in queue order
 // (GrantAuditor).

@@ -74,6 +74,11 @@ func (o Op) String() string {
 // machine. Identifiers are typically initialized at decode time: the
 // machine stores its decoded operation in Machine.Ctx and the IDFunc
 // reads source/destination register numbers or unit choices from it.
+//
+// An identifier function must return the same identifier until the
+// machine's next transition: it may depend on the bound operation, but
+// not on state that changes while the machine is blocked. Engines rely
+// on this and may call it any number of times per try.
 type IDFunc func(m *Machine) TokenID
 
 // A Primitive is one conjunct of an edge's guard condition: a single
@@ -95,13 +100,6 @@ type Primitive struct {
 	schedDir   *Director
 	schedEpoch uint64
 	schedIdx   int
-
-	// slot is the primitive's memo index within its state graph, plus
-	// one (0 = unassigned). It indexes the per-machine identifier memo
-	// (Machine.dynID); see assignPrimSlots. Slots only need to be
-	// unique within one machine's reachable edge set, so numbering is
-	// per connected state graph, not global.
-	slot int32
 }
 
 func (p Primitive) String() string {
@@ -115,7 +113,8 @@ func (p Primitive) String() string {
 	return fmt.Sprintf("%s(%s, %d)", p.Op, name, p.FixedID)
 }
 
-func (p Primitive) id(m *Machine) TokenID {
+// id resolves the identifier the primitive presents for m.
+func (p *Primitive) id(m *Machine) TokenID {
 	if p.ID != nil {
 		return p.ID(m)
 	}

@@ -10,18 +10,11 @@ import "fmt"
 // next stage's token stalls.
 //
 // Variable latency (the paper's instruction-cache-miss example) is
-// modeled by gating release: while a unit is busy — via SetBusy or a
-// model-supplied ReleaseGate — the manager turns down release
-// requests, so the owning operation stalls in place.
+// modeled by refusing release: while a unit is busy (SetBusy) the
+// manager turns down release requests, so the owning operation stalls
+// in place.
 type UnitManager struct {
 	BaseManager
-	// AllocGate, if non-nil, is an additional admission predicate
-	// consulted before a free unit is granted.
-	AllocGate func(m *Machine, unit TokenID) bool
-	// ReleaseGate, if non-nil, must also approve a release; return
-	// false while the unit's work (e.g. a memory access) is in
-	// flight.
-	ReleaseGate func(m *Machine, unit TokenID) bool
 
 	owner     []*Machine
 	busyUntil []uint64 // first control step at which each unit is free again
@@ -84,27 +77,16 @@ func (u *UnitManager) Busy(unit TokenID) uint64 {
 	return 0
 }
 
-// CanAllocate reports whether a gate-free Allocate(id) would grant,
-// without transacting anything. It ignores any installed AllocGate —
-// callers on the check-then-commit fast path (the compiled engine's
-// pure path and generated state functions) must test the gate
-// themselves and fall back to the interpreter when one is installed.
-// It mirrors pick.
+// CanAllocate reports whether Allocate(id) would grant, without
+// transacting anything: the check of the compiled engine's pure path
+// and of generated state functions.
 func (u *UnitManager) CanAllocate(id TokenID) bool {
-	if id == AnyUnit {
-		for _, o := range u.owner {
-			if o == nil {
-				return true
-			}
-		}
-		return false
-	}
-	return id >= 0 && int(id) < len(u.owner) && u.owner[id] == nil
+	_, ok := u.pick(id)
+	return ok
 }
 
-// CanRelease reports whether a gate-free Release of the held token id
-// would accept: the unit's busy window has expired. Like CanAllocate
-// it ignores any installed ReleaseGate.
+// CanRelease reports whether Release of the held token id would
+// accept: the unit's busy window has expired.
 func (u *UnitManager) CanRelease(id TokenID) bool {
 	return id >= 0 && int(id) < len(u.busyUntil) && u.busyUntil[id] <= u.step
 }
@@ -126,20 +108,18 @@ func (u *UnitManager) BeginStep(cycle uint64) {
 	}
 }
 
-// SleepSafeManager reports whether machines blocked on the manager may
-// be suspended (SleepSafe): only while no opaque gate predicate is
-// installed, since the manager cannot observe a gate's inputs.
-func (u *UnitManager) SleepSafeManager() bool {
-	return u.AllocGate == nil && u.ReleaseGate == nil
-}
+// SleepSafeManager reports that machines blocked on the manager may be
+// suspended (SleepSafe): every grant and release depends on ownership,
+// which changes only through token transactions, and on busy windows,
+// whose expiry BeginStep announces.
+func (u *UnitManager) SleepSafeManager() bool { return true }
 
-func (u *UnitManager) pick(m *Machine, id TokenID) (TokenID, bool) {
+// pick returns the unit Allocate(id) grants: the named unit when it is
+// free, or with AnyUnit the first free one.
+func (u *UnitManager) pick(id TokenID) (TokenID, bool) {
 	if id == AnyUnit {
 		for i, o := range u.owner {
 			if o == nil {
-				if u.AllocGate != nil && !u.AllocGate(m, TokenID(i)) {
-					continue
-				}
 				return TokenID(i), true
 			}
 		}
@@ -148,15 +128,12 @@ func (u *UnitManager) pick(m *Machine, id TokenID) (TokenID, bool) {
 	if id < 0 || int(id) >= len(u.owner) || u.owner[id] != nil {
 		return 0, false
 	}
-	if u.AllocGate != nil && !u.AllocGate(m, id) {
-		return 0, false
-	}
 	return id, true
 }
 
 // Allocate tentatively grants a free unit to m.
 func (u *UnitManager) Allocate(m *Machine, id TokenID) (Token, bool) {
-	unit, ok := u.pick(m, id)
+	unit, ok := u.pick(id)
 	if !ok {
 		return Token{}, false
 	}
@@ -184,13 +161,9 @@ func (u *UnitManager) Inquire(m *Machine, id TokenID) bool {
 	return u.owner[id] == nil || u.owner[id] == m
 }
 
-// Release tentatively accepts the return of t unless the unit is busy
-// or the release gate refuses.
+// Release tentatively accepts the return of t unless the unit is busy.
 func (u *UnitManager) Release(m *Machine, t Token) bool {
 	if u.busyUntil[t.ID] > u.step {
-		return false
-	}
-	if u.ReleaseGate != nil && !u.ReleaseGate(m, t.ID) {
 		return false
 	}
 	u.owner[t.ID] = nil

@@ -4,8 +4,7 @@
 // (osm.EngineGenerated): each tries its state's edges in priority
 // order with route masks, shared When predicates and manager fast
 // paths inlined at source level; edges the compile stage could not
-// prove pure, and attempts made while a gate closure is installed,
-// delegate to the interpreter. Regenerate with: go generate ./...
+// prove pure delegate to the interpreter. Regenerate with: go generate ./...
 
 package ppc750
 
@@ -109,18 +108,11 @@ func (s *Sim) genServe_Q(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 next0:
 	w0 := s.whenHead(m)
 	if w0 {
-		// disp-iu2: Q -> Eiu2 (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate iu2:0).
+		// disp-iu2: Q -> Eiu2 (release fetch-queue:-1, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate iu2:0).
 		if e := es[1]; e != nil && (r == 0 || r&0x1 != 0) {
-			if s.units[0].fu.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next1
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -164,18 +156,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next1:
-		// disp-iu1: Q -> Eiu1 (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate iu1:0).
+		// disp-iu1: Q -> Eiu1 (release fetch-queue:-1, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate iu1:0).
 		if e := es[2]; e != nil && (r == 0 || r&0x3 != 0) {
-			if s.units[1].fu.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next2
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -219,18 +204,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next2:
-		// disp-lsu: Q -> Elsu (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate lsu:0).
+		// disp-lsu: Q -> Elsu (release fetch-queue:-1, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate lsu:0).
 		if e := es[3]; e != nil && (r == 0 || r&0xc != 0) {
-			if s.units[2].fu.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next3
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -274,18 +252,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next3:
-		// disp-bpu: Q -> Ebpu (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate bpu:0).
+		// disp-bpu: Q -> Ebpu (release fetch-queue:-1, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate bpu:0).
 		if e := es[4]; e != nil && (r == 0 || r&0x10 != 0) {
-			if s.units[3].fu.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next4
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -329,18 +300,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next4:
-		// disp-sru: Q -> Esru (release fetch-queue:dyn, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate sru:0).
+		// disp-sru: Q -> Esru (release fetch-queue:-1, allocate completion-queue:-1, inquire regfiles+rename:200, allocate regfiles+rename:202, allocate sru:0).
 		if e := es[5]; e != nil && (r == 0 || r&0x8000000000000020 != 0) {
-			if s.units[4].fu.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next5
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -384,18 +348,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next5:
-		// rs-iu2: Q -> Wiu2 (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate iu2-rs:0).
+		// rs-iu2: Q -> Wiu2 (release fetch-queue:-1, allocate completion-queue:-1, allocate regfiles+rename:202, allocate iu2-rs:0).
 		if e := es[6]; e != nil && (r == 0 || r&0x1 != 0) {
-			if s.units[0].rs.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next6
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -435,18 +392,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next6:
-		// rs-iu1: Q -> Wiu1 (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate iu1-rs:0).
+		// rs-iu1: Q -> Wiu1 (release fetch-queue:-1, allocate completion-queue:-1, allocate regfiles+rename:202, allocate iu1-rs:0).
 		if e := es[7]; e != nil && (r == 0 || r&0x3 != 0) {
-			if s.units[1].rs.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next7
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -486,18 +436,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next7:
-		// rs-lsu: Q -> Wlsu (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate lsu-rs:0).
+		// rs-lsu: Q -> Wlsu (release fetch-queue:-1, allocate completion-queue:-1, allocate regfiles+rename:202, allocate lsu-rs:0).
 		if e := es[8]; e != nil && (r == 0 || r&0xc != 0) {
-			if s.units[2].rs.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next8
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -537,18 +480,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next8:
-		// rs-bpu: Q -> Wbpu (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate bpu-rs:0).
+		// rs-bpu: Q -> Wbpu (release fetch-queue:-1, allocate completion-queue:-1, allocate regfiles+rename:202, allocate bpu-rs:0).
 		if e := es[9]; e != nil && (r == 0 || r&0x10 != 0) {
-			if s.units[3].rs.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next9
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -588,18 +524,11 @@ next0:
 			return e, m.GenFinish(e)
 		}
 	next9:
-		// rs-sru: Q -> Wsru (release fetch-queue:dyn, allocate completion-queue:-1, allocate regfiles+rename:202, allocate sru-rs:0).
+		// rs-sru: Q -> Wsru (release fetch-queue:-1, allocate completion-queue:-1, allocate regfiles+rename:202, allocate sru-rs:0).
 		if e := es[10]; e != nil && (r == 0 || r&0x20 != 0) {
-			if s.units[4].rs.AllocGate != nil {
-				if ok, err := m.GenFallback(e); ok || err != nil {
-					return e, err
-				}
-				goto next10
-			}
-			id0 := anyHeld(m)
-			t0 := m.GenFindHeld(s.fq, id0)
+			t0 := m.GenFindHeld(s.fq, osm.AnyUnit)
 			if t0 < 0 {
-				return nil, m.GenErrNotHeld(e, s.fq, id0)
+				return nil, m.GenErrNotHeld(e, s.fq, osm.AnyUnit)
 			}
 			if !s.fq.CanRelease(m, m.GenTokenAt(t0)) {
 				m.GenBlock(e, 0)
@@ -648,12 +577,6 @@ next0:
 func (s *Sim) genServe_Eiu2(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// fin-iu2: Eiu2 -> C (release iu2:0).
 	if e := es[0]; e != nil {
-		if s.units[0].fu.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[0].fu, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[0].fu, 0)
@@ -673,12 +596,11 @@ next0:
 // genServe_C serves state C: it tries the state's edges in
 // priority order and commits the first that holds.
 func (s *Sim) genServe_C(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
-	// complete: C -> I (release completion-queue:dyn, release regfiles+rename:202).
+	// complete: C -> I (release completion-queue:-1, release regfiles+rename:202).
 	if e := es[0]; e != nil {
-		id0 := anyHeld(m)
-		t0 := m.GenFindHeld(s.cq, id0)
+		t0 := m.GenFindHeld(s.cq, osm.AnyUnit)
 		if t0 < 0 {
-			return nil, m.GenErrNotHeld(e, s.cq, id0)
+			return nil, m.GenErrNotHeld(e, s.cq, osm.AnyUnit)
 		}
 		if !s.cq.CanRelease(m, m.GenTokenAt(t0)) {
 			m.GenBlock(e, 0)
@@ -716,12 +638,6 @@ next0:
 func (s *Sim) genServe_Eiu1(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// fin-iu1: Eiu1 -> C (release iu1:0).
 	if e := es[0]; e != nil {
-		if s.units[1].fu.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[1].fu, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[1].fu, 0)
@@ -743,12 +659,6 @@ next0:
 func (s *Sim) genServe_Elsu(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// fin-lsu: Elsu -> C (release lsu:0).
 	if e := es[0]; e != nil {
-		if s.units[2].fu.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[2].fu, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[2].fu, 0)
@@ -770,12 +680,6 @@ next0:
 func (s *Sim) genServe_Ebpu(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// fin-bpu: Ebpu -> C (release bpu:0).
 	if e := es[0]; e != nil {
-		if s.units[3].fu.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[3].fu, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[3].fu, 0)
@@ -797,12 +701,6 @@ next0:
 func (s *Sim) genServe_Esru(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// fin-sru: Esru -> C (release sru:0).
 	if e := es[0]; e != nil {
-		if s.units[4].fu.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[4].fu, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[4].fu, 0)
@@ -824,12 +722,6 @@ next0:
 func (s *Sim) genServe_Wiu2(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// issue-iu2: Wiu2 -> Eiu2 (release iu2-rs:0, inquire regfiles+rename:201, allocate iu2:0).
 	if e := es[0]; e != nil {
-		if s.units[0].rs.ReleaseGate != nil || s.units[0].fu.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[0].rs, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[0].rs, 0)
@@ -861,12 +753,6 @@ next0:
 func (s *Sim) genServe_Wiu1(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// issue-iu1: Wiu1 -> Eiu1 (release iu1-rs:0, inquire regfiles+rename:201, allocate iu1:0).
 	if e := es[0]; e != nil {
-		if s.units[1].rs.ReleaseGate != nil || s.units[1].fu.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[1].rs, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[1].rs, 0)
@@ -898,12 +784,6 @@ next0:
 func (s *Sim) genServe_Wlsu(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// issue-lsu: Wlsu -> Elsu (release lsu-rs:0, inquire regfiles+rename:201, allocate lsu:0).
 	if e := es[0]; e != nil {
-		if s.units[2].rs.ReleaseGate != nil || s.units[2].fu.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[2].rs, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[2].rs, 0)
@@ -935,12 +815,6 @@ next0:
 func (s *Sim) genServe_Wbpu(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// issue-bpu: Wbpu -> Ebpu (release bpu-rs:0, inquire regfiles+rename:201, allocate bpu:0).
 	if e := es[0]; e != nil {
-		if s.units[3].rs.ReleaseGate != nil || s.units[3].fu.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[3].rs, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[3].rs, 0)
@@ -972,12 +846,6 @@ next0:
 func (s *Sim) genServe_Wsru(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// issue-sru: Wsru -> Esru (release sru-rs:0, inquire regfiles+rename:201, allocate sru:0).
 	if e := es[0]; e != nil {
-		if s.units[4].rs.ReleaseGate != nil || s.units[4].fu.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.units[4].rs, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.units[4].rs, 0)

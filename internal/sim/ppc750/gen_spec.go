@@ -15,8 +15,8 @@ var stateFns = (*Sim).genStates
 
 // GenModel exposes the elaborated model to the Go code generator
 // (cmd/osmgen): the lowered guard program the compiled engine would
-// execute, plus the spec mapping its managers, When predicates and
-// identifier functions back to source expressions in this package.
+// execute, plus the spec mapping its managers and When predicates back
+// to source expressions in this package.
 // The generator runs against the default configuration, which
 // includes the reservation-station edges; the NoReservationStations
 // variant attaches the same function map and simply leaves the rs-*
@@ -37,22 +37,12 @@ func (s *Sim) GenModel() (*osm.GuardProgram, gen.Spec, error) {
 		When: map[string]string{
 			osm.GenKey("I", "fetch"): "s.whenFetch(m)",
 		},
-		DynID: map[string]string{
-			// ReleaseF(s.fq, anyHeld) / ReleaseF(s.cq, anyHeld): the
-			// identifier function is stable, so calling it directly is
-			// equivalent to the interpreter's per-epoch memo.
-			osm.GenKey("C", "complete") + "/0": "anyHeld(m)",
-		},
 	}
 	for i, u := range s.units {
 		spec.Managers[u.fu.Name()] = fmt.Sprintf("s.units[%d].fu", i)
 		spec.Managers[u.rs.Name()] = fmt.Sprintf("s.units[%d].rs", i)
-		disp := osm.GenKey("Q", "disp-"+u.name)
-		rs := osm.GenKey("Q", "rs-"+u.name)
-		spec.When[disp] = "s.whenHead(m)"
-		spec.When[rs] = "s.whenHead(m)"
-		spec.DynID[disp+"/0"] = "anyHeld(m)"
-		spec.DynID[rs+"/0"] = "anyHeld(m)"
+		spec.When[osm.GenKey("Q", "disp-"+u.name)] = "s.whenHead(m)"
+		spec.When[osm.GenKey("Q", "rs-"+u.name)] = "s.whenHead(m)"
 	}
 	return prog, spec, nil
 }

@@ -259,8 +259,7 @@ func (q *ratedQueue) CancelRelease(m *osm.Machine, t osm.Token) {
 // The manager opts in to the compiled engine's check-then-commit fast
 // path: grants depend only on queue occupancy, releases on head order
 // and the per-cycle budget, and the embedded queue's cancels are
-// exact. The model installs no release gate, so Inquire predicts
-// Release completely.
+// exact.
 var _ osm.CheckableManager = (*ratedQueue)(nil)
 
 // CanAllocate predicts Allocate: the embedded queue grants whenever it
@@ -406,7 +405,7 @@ func (s *Sim) buildModel() error {
 		// Fast dispatch: operands and unit available — straight into
 		// the execute stage (paper Fig. 2's high-priority path).
 		fast := qSt.Connect("disp-"+u.name, u.e,
-			osm.ReleaseF(s.fq, anyHeld),
+			osm.Release(s.fq, osm.AnyUnit),
 			osm.Alloc(s.cq, osm.AnyUnit),
 			osm.Inquire(s.ren, SrcsToken),
 			osm.Alloc(s.ren, WriterToken),
@@ -426,7 +425,7 @@ func (s *Sim) buildModel() error {
 			u := u
 			// Slow dispatch: into the unit's reservation station.
 			slow := qSt.Connect("rs-"+u.name, u.w,
-				osm.ReleaseF(s.fq, anyHeld),
+				osm.Release(s.fq, osm.AnyUnit),
 				osm.Alloc(s.cq, osm.AnyUnit),
 				osm.Alloc(s.ren, WriterToken),
 				osm.Alloc(u.rs, 0))
@@ -453,7 +452,7 @@ func (s *Sim) buildModel() error {
 	d.RestartPolicy = func(m *osm.Machine, e *osm.Edge) bool { return e.To == cSt }
 
 	complete := cSt.Connect("complete", iSt,
-		osm.ReleaseF(s.cq, anyHeld),
+		osm.Release(s.cq, osm.AnyUnit),
 		osm.Release(s.ren, WriterToken))
 	complete.Action = func(m *osm.Machine) { s.retired++ }
 
@@ -493,10 +492,6 @@ func (s *Sim) buildModel() error {
 	}
 	return nil
 }
-
-// anyHeld resolves a release against whichever token the machine
-// holds from the manager (queue grants carry dynamic sequence ids).
-func anyHeld(m *osm.Machine) osm.TokenID { return osm.AnyUnit }
 
 func (s *Sim) fetchOK() bool {
 	return !s.fetchStop && !s.fetchHeld &&

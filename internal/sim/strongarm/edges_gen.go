@@ -4,8 +4,7 @@
 // (osm.EngineGenerated): each tries its state's edges in priority
 // order with route masks, shared When predicates and manager fast
 // paths inlined at source level; edges the compile stage could not
-// prove pure, and attempts made while a gate closure is installed,
-// delegate to the interpreter. Regenerate with: go generate ./...
+// prove pure delegate to the interpreter. Regenerate with: go generate ./...
 
 package strongarm
 
@@ -45,12 +44,6 @@ func (s *Sim) genStates() map[string]osm.GenState {
 func (s *Sim) genServe_I(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// e0: I -> F (allocate IF:0).
 	if e := es[0]; e != nil {
-		if s.mf.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		if !(s.whenFetch(m)) {
 			goto next0
 		}
@@ -81,12 +74,6 @@ func (s *Sim) genServe_F(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 next0:
 	// e1: F -> D (release IF:0, allocate ID:0).
 	if e := es[1]; e != nil {
-		if s.mf.ReleaseGate != nil || s.md.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next1
-		}
 		t0 := m.GenFindHeld(s.mf, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.mf, 0)
@@ -124,12 +111,6 @@ func (s *Sim) genServe_D(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 next0:
 	// e2: D -> E (release ID:0, inquire regfile+fwd:100, allocate EX:0, allocate regfile+fwd:101).
 	if e := es[1]; e != nil {
-		if s.md.ReleaseGate != nil || s.me.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next1
-		}
 		t0 := m.GenFindHeld(s.md, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.md, 0)
@@ -171,12 +152,6 @@ next1:
 func (s *Sim) genServe_E(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// e3: E -> B (release EX:0, allocate BF:0).
 	if e := es[0]; e != nil {
-		if s.me.ReleaseGate != nil || s.mb.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.me, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.me, 0)
@@ -204,12 +179,6 @@ next0:
 func (s *Sim) genServe_B(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// e4: B -> W (release BF:0, allocate WB:0).
 	if e := es[0]; e != nil {
-		if s.mb.ReleaseGate != nil || s.mw.AllocGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.mb, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.mb, 0)
@@ -237,12 +206,6 @@ next0:
 func (s *Sim) genServe_W(m *osm.Machine, es []*osm.Edge) (*osm.Edge, error) {
 	// e5: W -> I (release WB:0, release regfile+fwd:101).
 	if e := es[0]; e != nil {
-		if s.mw.ReleaseGate != nil {
-			if ok, err := m.GenFallback(e); ok || err != nil {
-				return e, err
-			}
-			goto next0
-		}
 		t0 := m.GenFindHeld(s.mw, 0)
 		if t0 < 0 {
 			return nil, m.GenErrNotHeld(e, s.mw, 0)

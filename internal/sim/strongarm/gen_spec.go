@@ -13,8 +13,8 @@ var stateFns = (*Sim).genStates
 
 // GenModel exposes the elaborated model to the Go code generator
 // (cmd/osmgen): the lowered guard program the compiled engine would
-// execute, plus the spec mapping its managers, When predicates and
-// identifier functions back to source expressions in this package.
+// execute, plus the spec mapping its managers and When predicates back
+// to source expressions in this package.
 // The generator walks exactly what Director.Compile consumed, so the
 // emitted edge functions (edges_gen.go) cover precisely the model the
 // other engines run.
