@@ -49,7 +49,8 @@ func main() {
 	fmt.Println("implementation: the timing model executes the real programs.")
 
 	// Stage utilization for one kernel, computed from the OSM
-	// transition trace (osm.Recorder).
+	// transition trace: entries into each state per control step
+	// spanned.
 	w := workload.ByName("gsm/enc")
 	p, err := w.ARMProgram(200)
 	if err != nil {
@@ -59,15 +60,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := osm.NewRecorder()
-	rec.Limit = 1 // keep counts, not history
-	sim.Director().Tracer = rec
+	entries := map[string]int{}
+	var first, last uint64
+	traced := false
+	sim.Director().Tracer = osm.TracerFunc(func(step uint64, m *osm.Machine, e *osm.Edge) {
+		if !traced {
+			first, traced = step, true
+		}
+		last = step
+		entries[e.To.Name]++
+	})
 	if _, err := sim.Run(10_000_000); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\npipeline stage utilization on gsm/enc (entries per cycle):")
 	for _, st := range []string{"F", "D", "E", "B", "W"} {
-		u := rec.Utilization(st)
+		u := float64(entries[st]) / float64(last-first+1)
 		bar := ""
 		for i := 0; i < int(u*40); i++ {
 			bar += "#"

@@ -102,16 +102,6 @@ func (r *Ring) Has(id string) bool { return r.members[id] }
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member ids, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for id := range r.members {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns the member owning the key, or "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
 	owners := r.LookupN(key, 1)

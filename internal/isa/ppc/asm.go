@@ -43,7 +43,7 @@ func Assemble(src string) (*Program, error) { return AssembleAt(src, 0) }
 //	        extsb{.}/extsh{.} rA, rS
 //	        b/bl label, blr, bctr, bctrl,
 //	        beq/bne/blt/ble/bgt/bge/bdnz label
-//	        mflr/mtlr/mfctr/mtctr/mfxer/mtxer rX
+//	        mflr/mtlr/mfctr/mtctr rX
 //	        sc
 //	        .word v, ... / .space n
 func AssembleAt(src string, org uint32) (*Program, error) {
@@ -505,10 +505,6 @@ func (a *passembler) statement(line string) error {
 		return sprMove(MFSPR, SPRCTR)
 	case "mtctr":
 		return sprMove(MTSPR, SPRCTR)
-	case "mfxer":
-		return sprMove(MFSPR, SPRXER)
-	case "mtxer":
-		return sprMove(MTSPR, SPRXER)
 	case "sc":
 		return a.emitIns(Instr{Op: SC})
 	case "lhz":

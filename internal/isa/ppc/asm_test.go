@@ -28,6 +28,8 @@ func TestPPCAssemblerErrors(t *testing.T) {
 		{"beq", "takes a target"},
 		{"b nowhere", "undefined symbol"},
 		{"mflr", "takes one register"},
+		{"mfxer r3", "unknown mnemonic"},
+		{"mtxer r3", "unknown mnemonic"},
 		{"extsb r3", "takes rA, rS"},
 		{"x: x: nop", "duplicate label"},
 		{"bad label: nop", "bad label"},

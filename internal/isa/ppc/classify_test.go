@@ -22,7 +22,7 @@ import (
 // keeps the fields it does not set. The PC is the instruction's
 // static address, and the models resolve a branch's target on their
 // control path, so it is neither an input nor an output here; nor is
-// XER, which no model tracks.
+// XER, which Decode refuses to move.
 func FuzzClassification(f *testing.F) {
 	f.Add(uint32(0x7c642a14), uint64(1)) // add r3, r4, r5
 	f.Add(uint32(0x4200fff8), uint64(2)) // bdnz .-8
@@ -32,6 +32,8 @@ func FuzzClassification(f *testing.F) {
 	f.Add(uint32(0x4e33d421), uint64(1)) // bcctr decrementing CTR
 	f.Add(uint32(0x7e3aa801), uint64(1)) // cmpw with Rc=1
 	f.Add(uint32(0x7c64282f), uint64(1)) // lwzx with Rc=1
+	f.Add(uint32(0x7c6103a6), uint64(1)) // mtxer r3
+	f.Add(uint32(0x7c8102a6), uint64(1)) // mfxer r4
 	f.Fuzz(func(t *testing.T, word uint32, seed uint64) {
 		ins, err := Decode(word)
 		if err != nil {
@@ -95,6 +97,10 @@ func invalidForm(ins *Instr) string {
 	case CMP, CMPL, LWZX, LBZX, LHZX, LHAX, STWX, STBX, STHX:
 		if ins.Rc {
 			return ins.Op.String() + " with Rc=1"
+		}
+	case MFSPR, MTSPR:
+		if ins.SPR == SPRXER {
+			return ins.Op.String() + " of XER"
 		}
 	}
 	return ""

@@ -25,8 +25,8 @@ type CPU struct {
 	CR uint32
 	// LR and CTR are the link and count registers.
 	LR, CTR uint32
-	// XER carries only the summary-overflow/carry bits we need; the
-	// subset leaves it zero.
+	// XER is architectural state that snapshots and the register
+	// view carry; no instruction of the subset reads or writes it.
 	XER uint32
 	// NextPC is the program counter of the next instruction.
 	NextPC uint32
@@ -370,8 +370,6 @@ func (c *CPU) Exec(ins Instr, pc uint32) error {
 			c.R[ins.RT] = c.LR
 		case SPRCTR:
 			c.R[ins.RT] = c.CTR
-		case SPRXER:
-			c.R[ins.RT] = c.XER
 		}
 	case MTSPR:
 		switch ins.SPR {
@@ -379,8 +377,6 @@ func (c *CPU) Exec(ins Instr, pc uint32) error {
 			c.LR = c.R[ins.RT]
 		case SPRCTR:
 			c.CTR = c.R[ins.RT]
-		case SPRXER:
-			c.XER = c.R[ins.RT]
 		}
 	case SC:
 		if c.SCHandler == nil {

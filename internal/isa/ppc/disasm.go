@@ -74,7 +74,7 @@ func (i Instr) String() string {
 		}
 		return fmt.Sprintf("bcctr %d, %d", i.BO, i.BI)
 	case MFSPR, MTSPR:
-		name := map[int]string{SPRLR: "lr", SPRCTR: "ctr", SPRXER: "xer"}[i.SPR]
+		name := map[int]string{SPRLR: "lr", SPRCTR: "ctr"}[i.SPR]
 		if i.Op == MFSPR {
 			return fmt.Sprintf("mf%s %s", name, rn(i.RT))
 		}

@@ -342,7 +342,11 @@ func Decode(w uint32) (Instr, error) {
 			i.SPR = int((spr&0x1f)<<5 | spr>>5&0x1f)
 			i.Rc = false
 			switch i.SPR {
-			case SPRXER, SPRLR, SPRCTR:
+			case SPRLR, SPRCTR:
+			case SPRXER:
+				// No classification predicate declares XER, so a timing
+				// model would order these moves on nothing.
+				return i, fmt.Errorf("ppc: decode %#08x: invalid form: %s of XER", w, i.Op)
 			default:
 				return i, fmt.Errorf("ppc: decode %#08x: unsupported SPR %d", w, i.SPR)
 			}

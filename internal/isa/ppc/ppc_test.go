@@ -710,17 +710,6 @@ func TestExecConditionalBlr(t *testing.T) {
 	}
 }
 
-func TestExecXerMoves(t *testing.T) {
-	c := run(t, `
-		li r4, 42
-		mtxer r4
-		mfxer r3
-	`+exit)
-	if c.ExitCode != 42 {
-		t.Fatalf("exit = %d, want 42", c.ExitCode)
-	}
-}
-
 func TestExecCmplRegisterForm(t *testing.T) {
 	c := run(t, `
 		li r4, -1            ; unsigned max
@@ -789,16 +778,23 @@ func TestInvalidFormsRefused(t *testing.T) {
 		{0x7c64292f, "stwx with Rc=1"},
 		{0x7c6429af, "stbx with Rc=1"},
 		{0x7c642b2f, "sthx with Rc=1"},
+		// Moves of XER, which no classification predicate declares.
+		{0x7c6103a6, "mtspr of XER"},
+		{0x7c8102a6, "mfspr of XER"},
 	}
 	for _, c := range words {
 		ins, err := Decode(c.word)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("Decode(%#08x) = %v, %v; want an error containing %q", c.word, ins.Op, err, c.want)
 		}
-		// The same word without the invalid bit decodes.
+		// The same word without the invalid bit, or moving LR in
+		// place of XER, decodes.
 		valid := c.word &^ 1
-		if c.word>>26 == opcd19 {
+		switch {
+		case c.word>>26 == opcd19:
 			valid = c.word | 0x4<<21
+		case strings.Contains(c.want, "XER"):
+			valid = c.word&^(0x3ff<<11) | SPRLR<<16
 		}
 		if _, err := Decode(valid); err != nil {
 			t.Errorf("Decode(%#08x), the valid form of %#08x: %v", valid, c.word, err)

@@ -165,10 +165,6 @@ func Attach(d *osm.Director) *Checker {
 // previous one.
 func (c *Checker) Install() { c.d.Check = c.step }
 
-// Uninstall removes the per-step hook (whether or not it is this
-// checker's).
-func (c *Checker) Uninstall() { c.d.Check = nil }
-
 // Checks returns the number of structural check passes run, for
 // overhead accounting.
 func (c *Checker) Checks() uint64 { return c.checks }

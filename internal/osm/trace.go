@@ -1,35 +1,21 @@
 package osm
 
-import (
-	"fmt"
-	"io"
-	"sort"
+import "repro/internal/snap"
 
-	"repro/internal/snap"
-)
-
-// Recorder is a Tracer that accumulates a transition history and
-// per-state / per-edge statistics — the raw material for pipeline
-// diagrams and utilization reports. Install it with
-// director.Tracer = recorder (or chain it from another Tracer).
+// Recorder is a Tracer that keeps what a served session reports of
+// its transition trace: a ring of the most recent events, the number
+// of transitions ever recorded and an order-dependent checksum over
+// all of them. Install it with director.Tracer = recorder.
 type Recorder struct {
 	// Limit bounds the retained history to the most recent Limit
-	// events (0 = unlimited). Statistics always cover the whole run.
+	// events (0 = unlimited). Total and Checksum always cover the
+	// whole run.
 	Limit int
-	// Next, if non-nil, receives every transition after it is
-	// recorded, so a bounded Recorder can be chained in front of
-	// another Tracer without hiding events from it.
-	Next Tracer
 
-	events     []Event
-	start      int // ring start when len(events) == Limit
-	edgeCount  map[string]uint64
-	stateEnter map[string]uint64
-	firstStep  uint64
-	lastStep   uint64
-	any        bool
-	total      uint64
-	sum        uint64
+	events []Event
+	start  int // ring start when len(events) == Limit
+	total  uint64
+	sum    uint64
 }
 
 // Event is one recorded transition. The JSON tags are the wire form
@@ -46,21 +32,10 @@ type Event struct {
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		edgeCount:  make(map[string]uint64),
-		stateEnter: make(map[string]uint64),
-	}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // Transition implements Tracer.
 func (r *Recorder) Transition(step uint64, m *Machine, e *Edge) {
-	if !r.any {
-		r.firstStep, r.any = step, true
-	}
-	r.lastStep = step
-	r.edgeCount[e.Name]++
-	r.stateEnter[e.To.Name]++
 	ev := Event{
 		Step: step, Machine: m.Name, Edge: e.Name,
 		From: e.From.Name, To: e.To.Name,
@@ -77,9 +52,6 @@ func (r *Recorder) Transition(step uint64, m *Machine, e *Edge) {
 		if r.start == r.Limit {
 			r.start = 0
 		}
-	}
-	if r.Next != nil {
-		r.Next.Transition(step, m, e)
 	}
 }
 
@@ -148,70 +120,18 @@ func (ev *Event) hash(sum uint64) uint64 {
 	return sum
 }
 
-// EdgeCount returns how many times the named edge committed.
-func (r *Recorder) EdgeCount(edge string) uint64 { return r.edgeCount[edge] }
-
-// StateEntries returns how many times any machine entered the named
-// state.
-func (r *Recorder) StateEntries(state string) uint64 { return r.stateEnter[state] }
-
-// Steps returns the number of control steps spanned by the recording.
-func (r *Recorder) Steps() uint64 {
-	if !r.any {
-		return 0
-	}
-	return r.lastStep - r.firstStep + 1
-}
-
-// Utilization returns entries-per-step for the named state — for a
-// single-unit pipeline stage this is its occupancy utilization.
-func (r *Recorder) Utilization(state string) float64 {
-	steps := r.Steps()
-	if steps == 0 {
-		return 0
-	}
-	return float64(r.stateEnter[state]) / float64(steps)
-}
-
-// Report writes a per-edge and per-state summary, sorted by name for
-// determinism.
-func (r *Recorder) Report(w io.Writer) {
-	fmt.Fprintf(w, "steps: %d, transitions: %d\n", r.Steps(), len(r.events))
-	var edges []string
-	for e := range r.edgeCount {
-		edges = append(edges, e)
-	}
-	sort.Strings(edges)
-	for _, e := range edges {
-		fmt.Fprintf(w, "  edge %-12s %6d\n", e, r.edgeCount[e])
-	}
-	var states []string
-	for s := range r.stateEnter {
-		states = append(states, s)
-	}
-	sort.Strings(states)
-	for _, s := range states {
-		fmt.Fprintf(w, "  state %-11s %6d entries (%.2f/step)\n",
-			s, r.stateEnter[s], r.Utilization(s))
-	}
-}
-
 // recorderVersion versions the SaveState/LoadState encoding.
-const recorderVersion = 1
+const recorderVersion = 2
 
-// SaveState serializes the recorder — whole-run aggregates (total,
-// checksum, step span, per-edge and per-state counts) plus the
-// retained event window in commit order — so a session's trace
-// context can travel with its snapshot across a live migration. The
-// encoding is deterministic: map keys are sorted, the ring is
-// normalized.
+// SaveState serializes the recorder — the whole-run total and
+// checksum, then the retained event window in commit order — so a
+// session's trace context can travel with its snapshot across a live
+// migration. The ring is normalized, so the encoding is
+// deterministic.
 func (r *Recorder) SaveState(w *snap.Writer) {
 	w.Version(recorderVersion)
 	w.U64(r.total)
 	w.U64(r.sum)
-	w.U64(r.firstStep)
-	w.U64(r.lastStep)
-	w.Bool(r.any)
 	evs := r.Events()
 	w.U32(uint32(len(evs)))
 	for i := range evs {
@@ -222,24 +142,19 @@ func (r *Recorder) SaveState(w *snap.Writer) {
 		w.String(ev.From)
 		w.String(ev.To)
 	}
-	saveCountMap(w, r.edgeCount)
-	saveCountMap(w, r.stateEnter)
 }
 
 // LoadState fills a fresh recorder (nothing recorded yet) with a
 // saved recording. The retained window is clamped to the recorder's
 // own Limit (keeping the most recent events) so a snapshot taken under
-// a larger retention restores cleanly into a smaller one; aggregates
-// are retention-independent and restore exactly. The state must fill
-// rd's region: trailing bytes fail the load. On any error the
-// recording is unchanged.
+// a larger retention restores cleanly into a smaller one; the total
+// and checksum are retention-independent and restore exactly. The
+// state must fill rd's region: trailing bytes fail the load. On any
+// error the recording is unchanged.
 func (r *Recorder) LoadState(rd *snap.Reader) error {
 	rd.Version("recorder", recorderVersion)
 	total := rd.U64()
 	sum := rd.U64()
-	first := rd.U64()
-	last := rd.U64()
-	any := rd.Bool()
 	n := rd.Count(int(rd.U32()), 8+4*4, "event") // step + four string prefixes
 	evs := make([]Event, 0, n)
 	for i := 0; i < n; i++ {
@@ -251,8 +166,6 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 			To:      rd.String(),
 		})
 	}
-	edgeCount := loadCountMap(rd)
-	stateEnter := loadCountMap(rd)
 	if err := rd.Close("recorder"); err != nil {
 		return err
 	}
@@ -262,44 +175,5 @@ func (r *Recorder) LoadState(rd *snap.Reader) error {
 	r.events = evs
 	r.total = total
 	r.sum = sum
-	r.firstStep = first
-	r.lastStep = last
-	r.any = any
-	r.edgeCount = edgeCount
-	r.stateEnter = stateEnter
 	return nil
-}
-
-func saveCountMap(w *snap.Writer, m map[string]uint64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		w.String(k)
-		w.U64(m[k])
-	}
-}
-
-func loadCountMap(rd *snap.Reader) map[string]uint64 {
-	n := rd.Count(int(rd.U32()), 4+8, "count-map entry") // key prefix + count
-	m := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		k := rd.String()
-		m[k] = rd.U64()
-	}
-	return m
-}
-
-// Reset clears the recording.
-func (r *Recorder) Reset() {
-	r.events = r.events[:0]
-	r.start = 0
-	r.edgeCount = make(map[string]uint64)
-	r.stateEnter = make(map[string]uint64)
-	r.any = false
-	r.total = 0
-	r.sum = 0
 }

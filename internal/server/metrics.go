@@ -52,11 +52,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{StepLatency: prom.NewHistogram(stepLatencyBuckets)}
 }
 
-// Evicted returns the total evictions across reasons.
-func (m *Metrics) Evicted() uint64 {
-	return m.EvictedAPI.Load() + m.EvictedIdle.Load() + m.EvictedDrain.Load()
-}
-
 // scrape reads a scrape-time gauge; an unwired one reads zero.
 func scrape(f func() int) int {
 	if f == nil {

@@ -17,16 +17,16 @@ import (
 // sessionLayout is the session-snapshot layout field by field, the
 // one test encoder: a test decodes a real snapshot with layoutOf,
 // damages a field or picks an older version, and encodes it back with
-// bytes. Versions 1 and 2 name the target where version 3 has the spec
-// and trace limit, and version 1 ends after the blob.
+// bytes. Versions 1 and 2 name the target where later versions have
+// the spec and trace limit, version 1 ends after the blob, and
+// versions 2 and 3 put a flags byte before the recorder section.
 type sessionLayout struct {
 	version    uint16
 	target     string // versions 1 and 2
-	spec       string // JSON; version 3
-	traceLimit int    // version 3
+	spec       string // JSON; version 3 on
+	traceLimit int    // version 3 on
 	cycle      uint64
 	blob       []byte
-	flags      uint8
 	tracer     []byte // the recorder section
 }
 
@@ -36,8 +36,8 @@ func layoutOf(t testing.TB, data []byte) sessionLayout {
 	if r.U32() != snap.Magic || r.String() != sessHeader {
 		t.Fatal("not in the session wire format")
 	}
-	l := sessionLayout{version: r.U16(), spec: r.String(), traceLimit: r.Int(), cycle: r.U64(), blob: r.Bytes32(), flags: r.U8(), tracer: r.Bytes32()}
-	if err := r.Close("session snapshot"); err != nil || l.version != 3 {
+	l := sessionLayout{version: r.U16(), spec: r.String(), traceLimit: r.Int(), cycle: r.U64(), blob: r.Bytes32(), tracer: r.Bytes32()}
+	if err := r.Close("session snapshot"); err != nil || l.version != 4 {
 		t.Fatalf("session snapshot version %d: %v", l.version, err)
 	}
 	var spec runner.Spec
@@ -61,8 +61,10 @@ func (l sessionLayout) bytes() []byte {
 	}
 	w.U64(l.cycle)
 	w.Bytes32(l.blob)
+	if l.version == 2 || l.version == 3 {
+		w.U8(1) // the flags byte: recorder state present
+	}
 	if l.version >= 2 {
-		w.U8(l.flags)
 		w.Bytes32(l.tracer)
 	}
 	return w.Bytes()
@@ -77,8 +79,8 @@ type hostileSnapshot struct {
 // hostileSnapshots derives the uploads a restore must refuse from a
 // real session snapshot: the last 40 bytes of its model blob flipped
 // (a model section that fails after earlier sections restored), a
-// flags byte of 0 (no writer in this build emits it), and one
-// trailing byte.
+// recorder section in the version-1 recorder layout, and one trailing
+// byte.
 func hostileSnapshots(t testing.TB, good []byte) []hostileSnapshot {
 	t.Helper()
 	flipped := layoutOf(t, good)
@@ -86,11 +88,22 @@ func hostileSnapshots(t testing.TB, good []byte) []hostileSnapshot {
 	for i := len(flipped.blob) - 40; i < len(flipped.blob); i++ {
 		flipped.blob[i] ^= 0xff
 	}
-	flags0 := layoutOf(t, good)
-	flags0.flags = 0
+	// Version 1 of the recorder record: total, checksum, step span,
+	// window, then the per-edge and per-state counts.
+	oldTrace := layoutOf(t, good)
+	w := snap.NewWriter()
+	w.Version(1)
+	for i := 0; i < 4; i++ {
+		w.U64(0)
+	}
+	w.Bool(false)
+	for i := 0; i < 3; i++ {
+		w.U32(0)
+	}
+	oldTrace.tracer = w.Bytes()
 	return []hostileSnapshot{
 		{"flipped model tail", flipped.bytes()},
-		{"flags 0", flags0.bytes()},
+		{"v1 recorder record", oldTrace.bytes()},
 		{"trailing byte", append(append([]byte(nil), good...), 0)},
 	}
 }
@@ -103,12 +116,12 @@ func sameSession(a, b Info) bool {
 
 // TestRefusedRestoreLeavesSessionIntact: on both models, a session
 // paused at cycle 500 is sent damaged copies of its own snapshot. Each
-// upload gets 409 (the flags case naming the flags) and leaves the
-// state, cycle and whole-run trace as they were, and the session then
-// steps to the cycle count and trace checksum of a run that never saw
-// the uploads. The flipped model tail fails only after the ISS and
-// memory records have restored, so a restore into the live model
-// would leave it half-filled.
+// upload gets 409 (the version-1 recorder record with an error naming
+// that version) and leaves the state, cycle and whole-run trace as
+// they were, and the session then steps to the cycle count and trace
+// checksum of a run that never saw the uploads. The flipped model tail
+// fails only after the ISS and memory records have restored, so a
+// restore into the live model would leave it half-filled.
 func TestRefusedRestoreLeavesSessionIntact(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()
@@ -126,8 +139,8 @@ func TestRefusedRestoreLeavesSessionIntact(t *testing.T) {
 			if resp.StatusCode != http.StatusConflict {
 				t.Fatalf("%s/%s: restore: status %d (%s), want 409", spec.Target, bad.name, resp.StatusCode, body)
 			}
-			if bad.name == "flags 0" && !strings.Contains(string(body), "flags 0x0") {
-				t.Fatalf("%s/%s: error %s does not name the flags", spec.Target, bad.name, body)
+			if bad.name == "v1 recorder record" && !strings.Contains(string(body), "recorder: snapshot version 1, this build reads 2") {
+				t.Fatalf("%s/%s: error %s does not name the recorder version", spec.Target, bad.name, body)
 			}
 			if after := cl.info(info.ID); !sameSession(before, after) {
 				t.Fatalf("%s/%s: refused restore changed the session: before %+v, after %+v", spec.Target, bad.name, before, after)

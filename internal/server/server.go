@@ -695,20 +695,18 @@ func (s *Session) touch() {
 
 // The session-snapshot wire format: a header, then the session's
 // runner.Spec (JSON) and trace limit, the cycle, the internal/snap
-// stream the simulator produces, a flags byte and the session's
-// Recorder state (whole-run trace totals, checksum and retained
-// window). A snapshot is therefore the whole session: it names the
-// model it restores into, so it cannot be restored into another, and
-// a session placed from it on another worker — migrated, or parked
-// and resurrected — keeps its full-run trace checksum, not just the
-// tail after the hop. This build reads version 3 only, and only with
-// the flags byte every writer sets (sessFlagTracer): any other
-// version or flags value gets an error naming it, as do bytes after
-// the recorder section and spec fields this build does not have.
+// stream the simulator produces and the session's Recorder state
+// (whole-run trace total, checksum and retained window). A snapshot
+// is therefore the whole session: it names the model it restores
+// into, so it cannot be restored into another, and a session placed
+// from it on another worker — migrated, or parked and resurrected —
+// keeps its full-run trace checksum, not just the tail after the hop.
+// This build reads version 4 only: any other version gets an error
+// naming it, as do bytes after the recorder section and spec fields
+// this build does not have.
 const (
-	sessHeader     = "osmserve-session"
-	sessVersion    = 3
-	sessFlagTracer = 1 // recorder state present
+	sessHeader  = "osmserve-session"
+	sessVersion = 4
 )
 
 // Snapshot encodes the session's full simulation state in the
@@ -740,7 +738,6 @@ func (m *Manager) snapshotLocked(s *Session) ([]byte, uint64, error) {
 	w.Int(s.traceLimit)
 	w.U64(cycle)
 	w.Bytes32(blob)
-	w.U8(sessFlagTracer)
 	w.Blob(s.rec.SaveState)
 	return w.Bytes(), cycle, nil
 }
@@ -775,9 +772,6 @@ func DecodeSessionSnapshot(data []byte) (SessionSnapshot, error) {
 	ss.TraceLimit = r.Int()
 	ss.Cycle = r.U64()
 	ss.Blob = r.Bytes32()
-	if flags := r.U8(); r.Err() == nil && flags != sessFlagTracer {
-		return SessionSnapshot{}, fmt.Errorf("session snapshot flags %#x, this build reads %#x", flags, sessFlagTracer)
-	}
 	ss.Tracer = r.Blob()
 	if err := r.Close("session snapshot"); err != nil {
 		return SessionSnapshot{}, err

@@ -266,8 +266,8 @@ func TestSnapshotRestoreAcrossServers(t *testing.T) {
 		// session's spec and carries the trace recorder after the
 		// instance blob, so the whole-run checksum survives migration.
 		l := layoutOf(t, wrapped)
-		if l.target != spec.Target || l.cycle != cut || l.flags != sessFlagTracer {
-			t.Fatalf("%s: wire header names %s at cycle %d with flags %#x", spec.Target, l.spec, l.cycle, l.flags)
+		if l.target != spec.Target || l.cycle != cut {
+			t.Fatalf("%s: wire header names %s at cycle %d", spec.Target, l.spec, l.cycle)
 		}
 		blob := l.blob
 		inst, err := runner.New(spec)
@@ -434,10 +434,10 @@ func TestLifecycleAndValidation(t *testing.T) {
 	cl.step(arm.ID, 10)
 }
 
-// Inputs this build no longer reads fail explicitly: version-1 and
-// version-2 session snapshots get the version error (409 over HTTP,
-// and the session stays usable), and a create body naming the removed
-// "scan" option gets 400.
+// Inputs this build no longer reads fail explicitly: session snapshots
+// of versions 1 to 3 get the version error (409 from restore and from
+// PUT, which enters nothing, and the session stays usable), and a
+// create body naming the removed "scan" option gets 400.
 func TestRemovedInputsRejected(t *testing.T) {
 	_, cl, done := newTestServer(t, Config{})
 	defer done()
@@ -449,8 +449,9 @@ func TestRemovedInputsRejected(t *testing.T) {
 	}
 	// Version 1: header, target, cycle and simulator blob, with no
 	// flags byte and no recorder state. Version 2 adds those two but
-	// names only the target, not the spec.
-	for _, version := range []uint16{1, 2} {
+	// names only the target, not the spec. Version 3 names the spec
+	// and keeps the flags byte.
+	for _, version := range []uint16{1, 2, 3} {
 		old := layoutOf(t, wrapped)
 		old.version = version
 		data := old.bytes()
@@ -461,6 +462,14 @@ func TestRemovedInputsRejected(t *testing.T) {
 		resp, body := cl.do("POST", "/v1/sessions/"+info.ID+"/restore", data, "application/octet-stream")
 		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), want) {
 			t.Fatalf("v%d restore: status %d: %s", version, resp.StatusCode, body)
+		}
+		id := fmt.Sprintf("old-v%d", version)
+		resp, body = cl.do("PUT", "/v1/sessions/"+id, data, "application/octet-stream")
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), want) {
+			t.Fatalf("v%d PUT: status %d: %s", version, resp.StatusCode, body)
+		}
+		if resp, _ := cl.do("GET", "/v1/sessions/"+id, nil, ""); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("v%d PUT entered %s: status %d, want 404", version, id, resp.StatusCode)
 		}
 	}
 	cl.step(info.ID, 10)

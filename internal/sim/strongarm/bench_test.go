@@ -3,6 +3,7 @@ package strongarm
 import (
 	"testing"
 
+	"repro/internal/osm"
 	"repro/internal/workload"
 )
 
@@ -13,7 +14,19 @@ import (
 // is warmed past its cold caches first, and a finished run is rebuilt
 // outside the timer, so the steady state allocates nothing. CI's
 // bench-regression job gates it.
-func BenchmarkStepCycleStrongARM(b *testing.B) {
+func BenchmarkStepCycleStrongARM(b *testing.B) { benchStepCycle(b, nil) }
+
+// BenchmarkStepCycleStrongARMRecorded times the same cycle with an
+// osm.Recorder at osmserve's default retention as the tracer, as every
+// served session runs it. The recorder is kept across rebuilds, so its
+// ring is full and the steady state still allocates nothing.
+func BenchmarkStepCycleStrongARMRecorded(b *testing.B) {
+	rec := osm.NewRecorder()
+	rec.Limit = 4096
+	benchStepCycle(b, rec)
+}
+
+func benchStepCycle(b *testing.B, tracer osm.Tracer) {
 	w := workload.ByName("gsm/dec")
 	p, err := w.ARMProgram(w.DefaultN)
 	if err != nil {
@@ -24,6 +37,7 @@ func BenchmarkStepCycleStrongARM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		s.Director().Tracer = tracer
 		for s.Cycle() < 2000 {
 			if err := s.StepCycle(); err != nil {
 				b.Fatal(err)

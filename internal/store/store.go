@@ -80,9 +80,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{root: dir, opts: opts}, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // ValidRun reports whether a run name is acceptable as an index file
 // stem: non-empty, bounded, and drawn from the same URL- and
 // filename-safe alphabet session ids use.
